@@ -8,7 +8,7 @@
 //!            [--chan c]... [--sessions N] [--visible N]
 //!            [--budget states=N,fuel=N,...] [--fault kind:chan[:max]]...
 //!            [--intruder on|off] [--workers N] [--timeout-secs S]
-//!            [--reduce none|symmetry|por|full] [--verify-symmetry on|off]
+//!            [--reduce none|symmetry|por|full]
 //!            [--engine trace|bisim|both]
 //! spi campaign <concrete> <abstract>        sweep every fault schedule up
 //!            [--faults-depth K] [--chan c]...  to K unit firings, shrink
@@ -57,11 +57,8 @@
 //! thread count (default: available parallelism); results are
 //! bit-for-bit identical for any worker count.  `--timeout-secs` sets a
 //! wall-clock deadline; runs it truncates answer *inconclusive*.
-//! `--verify-keys on` makes every exploration intern states by their
-//! full canonical strings alongside the hashed keys, panicking on any
-//! disagreement.  `--reduce` turns on the session-symmetry quotient
-//! and/or partial-order reduction; `--verify-symmetry on` cross-checks
-//! the quotient's orbit invariance state by state.  `--engine` picks
+//! `--reduce` turns on the session-symmetry quotient and/or
+//! partial-order reduction.  `--engine` picks
 //! the decision procedure: the trace engine (default), the on-the-fly
 //! hedged-bisimulation engine, or `both` to cross-check them — a
 //! disagreement fails loudly with the minimal witness, and `both`
@@ -141,8 +138,7 @@ fn print_usage() {
          spi verify <concrete> <abstract> [--chan NAME]... [--sessions N] [--visible N]\n    \
          [--budget states=N,transitions=N,fuel=N,knowledge=N,steps=N]\n    \
          [--fault kind:chan[:max],...]... [--intruder on|off] [--workers N] [--timeout-secs S]\n    \
-         [--reduce none|symmetry|por|full] [--verify-symmetry on|off] [--verify-keys on|off]\n    \
-         [--engine trace|bisim|both]\n  \
+         [--reduce none|symmetry|por|full] [--engine trace|bisim|both]\n  \
          spi campaign <concrete> <abstract> [--faults-depth K] [--checkpoint FILE]\n    \
          [--resume FILE] [--checkpoint-every N] [--stop-after N] (plus verify flags)\n  \
          spi explore <file> [--chan NAME]... [--sessions N] [--dot FILE]\n  \
@@ -368,11 +364,6 @@ fn build_verifier(flags: &[(&str, &str)]) -> Result<Verifier, String> {
         Some("off") => verifier = verifier.no_intruder(),
         Some(other) => return Err(format!("--intruder expects on|off, got {other:?}")),
     }
-    match flag(flags, "verify-keys") {
-        None | Some("off") => {}
-        Some("on") => verifier = verifier.verify_keys(true),
-        Some(other) => return Err(format!("--verify-keys expects on|off, got {other:?}")),
-    }
     if let Some(mode) = flag(flags, "reduce") {
         let reduce = spi_auth::ReduceOptions::parse(mode)
             .ok_or_else(|| format!("--reduce expects none|symmetry|por|full, got {mode:?}"))?;
@@ -382,11 +373,6 @@ fn build_verifier(flags: &[(&str, &str)]) -> Result<Verifier, String> {
         let engine = spi_auth::Engine::parse(mode)
             .ok_or_else(|| format!("--engine expects trace|bisim|both, got {mode:?}"))?;
         verifier = verifier.engine(engine);
-    }
-    match flag(flags, "verify-symmetry") {
-        None | Some("off") => {}
-        Some("on") => verifier = verifier.verify_symmetry(true),
-        Some(other) => return Err(format!("--verify-symmetry expects on|off, got {other:?}")),
     }
     if let Some(s) = flag(flags, "timeout-secs") {
         let secs: u64 = s

@@ -12,10 +12,9 @@
 //!
 //! A configuration is the set of `(state, iso, hedge)` members reachable
 //! under one canonical observation sequence — the subset construction
-//! over the weak LTS, with the iso-tracking machinery of
-//! [`crate::iso`]/`explore` mapping each merged state's local
-//! coordinates back to the true run (exactly as the trace extractor's
-//! walker does).  The implementation configuration must be able to match
+//! over the weak LTS, stepped by the same iso-aware walk as the trace
+//! extractor (`weak.rs`), which maps each merged state's local
+//! coordinates back to the true run.  The implementation configuration must be able to match
 //! every canonical observation the environment can provoke with one from
 //! the specification configuration; a canonical event the specification
 //! configuration cannot match is a distinguishing experiment, and the
@@ -27,19 +26,18 @@
 //! **Agreement.**  Because configurations are exactly the determinized
 //! weak LTS under canonical observations, a distinguishing trace exists
 //! iff the bounded weak-trace inclusion of [`crate::trace_preorder`]
-//! fails, with the same minimal length; and the truncation soundness
-//! rules of [`bisim_preorder_sound`] mirror
-//! [`crate::trace_preorder_sound`] clause for clause.  The two engines
+//! fails, with the same minimal length; and [`bisim_preorder_sound`]
+//! applies the very truncation soundness rule of
+//! [`crate::trace_preorder_sound`].  The two engines
 //! must therefore agree on every input — `--engine both` and the
 //! `engines` conformance oracle turn that theorem into a continuously
 //! checked invariant.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::sync::Arc;
 
 use crate::hedges::EnvKnowledge;
-use crate::iso::IsoTable;
-use crate::{Label, Lts, ResourceKind, TraceSet, TraceVerdict};
+use crate::weak::{truncation_blame, WeakWalk};
+use crate::{Lts, TraceSet, TraceVerdict};
 
 /// Which decision procedure(s) a verification run uses.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -115,9 +113,8 @@ impl BisimOptions {
     }
 }
 
-/// One member of a configuration: a state, the composed iso mapping its
-/// local coordinates to the true run, and the environment's hedge for
-/// the canonical prefix that reached it.
+/// One member of a configuration: a walk member (state and composed iso)
+/// with the environment's hedge for the canonical prefix that reached it.
 type Member = (usize, u32, EnvKnowledge);
 
 /// A configuration: the members reachable under one canonical
@@ -125,98 +122,32 @@ type Member = (usize, u32, EnvKnowledge);
 /// configurations compare equal).
 type Cfg = Vec<Member>;
 
-/// A memoized τ-closure: `(state, composed iso)` pairs, shared between
-/// every configuration that reaches the state.
-type TauClosure = Arc<Vec<(usize, u32)>>;
-
-/// Iso-aware weak-transition walker — the same memoized τ-closure and
-/// edge-iso composition discipline as the trace extractor's walk.
-struct Walk<'l> {
-    lts: &'l Lts,
-    table: IsoTable,
-    closure0: Vec<Option<TauClosure>>,
+/// All canonical observations enabled from `cfg`, each with the
+/// configuration it leads to.  Members whose raw events render to the
+/// same canonical string merge — the environment cannot tell those
+/// branches apart, so their futures pool.
+fn successors(walk: &mut WeakWalk<'_>, cfg: &Cfg) -> BTreeMap<String, Cfg> {
+    let mut out: BTreeMap<String, BTreeSet<Member>> = BTreeMap::new();
+    for (s, g, knowledge) in cfg {
+        walk.visible_steps((*s, *g), |ev, members| {
+            let mut k = knowledge.clone();
+            let canon = k.observe(&ev);
+            let set = out.entry(canon).or_default();
+            set.extend(members.into_iter().map(|(t, gi)| (t, gi, k.clone())));
+        });
+    }
+    out.into_iter()
+        .map(|(c, set)| (c, set.into_iter().collect()))
+        .collect()
 }
 
-impl<'l> Walk<'l> {
-    fn new(lts: &'l Lts) -> Walk<'l> {
-        Walk {
-            lts,
-            table: IsoTable::from_isos(lts.isos.clone()),
-            closure0: vec![None; lts.states.len()],
-        }
-    }
-
-    fn edge_iso(&self, state: usize, edge: usize) -> u32 {
-        self.lts.edge_isos.get(&(state, edge)).copied().unwrap_or(0)
-    }
-
-    /// Memoized identity-rooted τ-closure of `s`.
-    fn closure0(&mut self, s: usize) -> Arc<Vec<(usize, u32)>> {
-        if let Some(c) = &self.closure0[s] {
-            return Arc::clone(c);
-        }
-        let mut seen: BTreeSet<(usize, u32)> = BTreeSet::new();
-        seen.insert((s, 0));
-        let mut work = vec![(s, 0u32)];
-        while let Some((v, g)) = work.pop() {
-            let lts = self.lts;
-            for (e, (label, tgt)) in lts.states[v].edges.iter().enumerate() {
-                if matches!(label, Label::Tau(_)) {
-                    let h = self.edge_iso(v, e);
-                    let k = self.table.compose_ids(h, g);
-                    if seen.insert((*tgt, k)) {
-                        work.push((*tgt, k));
-                    }
-                }
-            }
-        }
-        let arc: Arc<Vec<(usize, u32)>> = Arc::new(seen.into_iter().collect());
-        self.closure0[s] = Some(Arc::clone(&arc));
-        arc
-    }
-
-    /// τ-closure of `s` with every member's iso composed with `g`.
-    fn closure(&mut self, s: usize, g: u32) -> Vec<(usize, u32)> {
-        let base = self.closure0(s);
-        base.iter()
-            .map(|&(t, k)| (t, self.table.compose_ids(k, g)))
-            .collect()
-    }
-
-    /// All canonical observations enabled from `cfg`, each with the
-    /// configuration it leads to.  Members whose raw events render to
-    /// the same canonical string merge — the environment cannot tell
-    /// those branches apart, so their futures pool.
-    fn successors(&mut self, cfg: &Cfg) -> BTreeMap<String, Cfg> {
-        let mut out: BTreeMap<String, BTreeSet<Member>> = BTreeMap::new();
-        for (s, g, knowledge) in cfg {
-            let lts = self.lts;
-            for (e, (label, tgt)) in lts.states[*s].edges.iter().enumerate() {
-                if let Label::Obs(ev, _) = label {
-                    let true_ev = self.table.get(*g).apply_event(ev);
-                    let mut k = knowledge.clone();
-                    let canon = k.observe(&true_ev);
-                    let h = self.edge_iso(*s, e);
-                    let g_tgt = self.table.compose_ids(h, *g);
-                    let members = self.closure(*tgt, g_tgt);
-                    let set = out.entry(canon).or_default();
-                    set.extend(members.into_iter().map(|(t, gi)| (t, gi, k.clone())));
-                }
-            }
-        }
-        out.into_iter()
-            .map(|(c, set)| (c, set.into_iter().collect()))
-            .collect()
-    }
-
-    fn initial(&mut self, knowledge: &EnvKnowledge) -> Cfg {
-        let set: BTreeSet<Member> = self
-            .closure(0, 0)
-            .into_iter()
-            .map(|(s, g)| (s, g, knowledge.clone()))
-            .collect();
-        set.into_iter().collect()
-    }
+/// The initial configuration: the identity-rooted τ-closure of state 0
+/// (sorted, so the configuration is too), every member under `knowledge`.
+fn initial(walk: &mut WeakWalk<'_>, knowledge: &EnvKnowledge) -> Cfg {
+    walk.closure((0, 0))
+        .into_iter()
+        .map(|(s, g)| (s, g, knowledge.clone()))
+        .collect()
 }
 
 /// Checks `implementation ⊑ specification` by on-the-fly hedged
@@ -233,10 +164,10 @@ pub fn bisim_preorder_with(
     max_visible: usize,
     opts: &BisimOptions,
 ) -> TraceVerdict {
-    let mut iw = Walk::new(implementation);
-    let mut sw = Walk::new(specification);
+    let mut iw = WeakWalk::new(implementation);
+    let mut sw = WeakWalk::new(specification);
     let k0 = opts.knowledge();
-    let start = (iw.initial(&k0), sw.initial(&k0));
+    let start = (initial(&mut iw, &k0), initial(&mut sw, &k0));
     // The empty experiment always matches.
     let mut checked = 1usize;
     let mut visited: HashMap<(Cfg, Cfg), usize> = HashMap::new();
@@ -247,11 +178,11 @@ pub fn bisim_preorder_with(
         if remaining == 0 {
             continue;
         }
-        let igroups = iw.successors(&ic);
+        let igroups = successors(&mut iw, &ic);
         if igroups.is_empty() {
             continue;
         }
-        let sgroups = sw.successors(&sc);
+        let sgroups = successors(&mut sw, &sc);
         for (canon, inext) in igroups {
             checked += 1;
             let Some(snext) = sgroups.get(&canon) else {
@@ -298,13 +229,9 @@ pub fn bisim_preorder_sound_with(
     opts: &BisimOptions,
 ) -> TraceVerdict {
     let raw = bisim_preorder_with(implementation, specification, max_visible, opts);
-    let blame = |lts: &Lts| TraceVerdict::Inconclusive {
-        exhausted: lts.exhausted.unwrap_or(ResourceKind::Fuel),
-    };
-    match raw {
-        TraceVerdict::Holds { .. } if !implementation.complete() => blame(implementation),
-        TraceVerdict::Fails { .. } if !specification.complete() => blame(specification),
-        decided => decided,
+    match truncation_blame(raw.holds(), implementation, specification) {
+        Some(exhausted) => TraceVerdict::Inconclusive { exhausted },
+        None => raw,
     }
 }
 
@@ -328,8 +255,8 @@ pub fn bisim_preorder_sound(
 /// observable even on a single system.
 #[must_use]
 pub fn bisim_traces(lts: &Lts, max_visible: usize, opts: &BisimOptions) -> TraceSet {
-    let mut walk = Walk::new(lts);
-    let start = walk.initial(&opts.knowledge());
+    let mut walk = WeakWalk::new(lts);
+    let start = initial(&mut walk, &opts.knowledge());
     let mut out = TraceSet::new();
     let mut stack = vec![(start, max_visible, Vec::new())];
     while let Some((cfg, remaining, prefix)) = stack.pop() {
@@ -337,7 +264,7 @@ pub fn bisim_traces(lts: &Lts, max_visible: usize, opts: &BisimOptions) -> Trace
         if remaining == 0 {
             continue;
         }
-        for (canon, next) in walk.successors(&cfg) {
+        for (canon, next) in successors(&mut walk, &cfg) {
             let mut p = prefix.clone();
             p.push(canon);
             stack.push((next, remaining - 1, p));

@@ -53,7 +53,7 @@ use spi_syntax::{Name, Process};
 
 use crate::checkpoint::Json;
 use crate::faultsim::multi_fault_schedules;
-use crate::verifier::verdict_summary;
+use crate::verifier::cross_check;
 use crate::{
     bisim_preorder_sound, trace_preorder_sound, weak_traces, Engine, ExploreOptions, Explorer,
     TraceVerdict, VerifyError,
@@ -386,18 +386,10 @@ fn classify(
                 *early_rejects += 1;
                 b
             } else {
-                let t = trace_preorder_sound(&concrete_lts, &spec_lts, opts.max_visible);
-                if std::mem::discriminant(&t) != std::mem::discriminant(&b) {
-                    return Err(VerifyError::EngineDisagreement {
-                        trace: verdict_summary(&t),
-                        bisim: verdict_summary(&b),
-                        witness: match &t {
-                            TraceVerdict::Fails { witness } => witness.clone(),
-                            _ => Vec::new(),
-                        },
-                    });
-                }
-                t
+                cross_check(
+                    trace_preorder_sound(&concrete_lts, &spec_lts, opts.max_visible),
+                    b,
+                )?
             }
         }
     };

@@ -478,117 +478,6 @@ impl Lts {
         self.exhausted.is_none() && self.frontier.is_empty()
     }
 
-    /// All states reachable from `from` by silent steps (including
-    /// `from`).
-    #[must_use]
-    pub fn tau_closure(&self, from: usize) -> BTreeSet<usize> {
-        let mut seen = BTreeSet::from([from]);
-        let mut work = vec![from];
-        while let Some(s) = work.pop() {
-            for (label, tgt) in &self.states[s].edges {
-                if matches!(label, Label::Tau(_)) && seen.insert(*tgt) {
-                    work.push(*tgt);
-                }
-            }
-        }
-        seen
-    }
-
-    /// Every state's τ-closure at once, via one strongly-connected-
-    /// component pass over the silent edges instead of one BFS restart
-    /// per state (states in the same τ-SCC share one closure set, and a
-    /// component's closure is the union of its members with its
-    /// successors' closures in reverse topological order).
-    ///
-    /// `tau_closures().of(s)` equals [`Lts::tau_closure`]`(s)` for every
-    /// `s`; checkers that query many states (weak traces, simulation)
-    /// should compute this once and reuse it.
-    #[must_use]
-    pub fn tau_closures(&self) -> TauClosures {
-        let n = self.states.len();
-        // Tarjan's algorithm, iteratively (explored graphs can be deep).
-        let mut index = vec![usize::MAX; n];
-        let mut low = vec![0usize; n];
-        let mut on_stack = vec![false; n];
-        let mut comp = vec![usize::MAX; n];
-        let mut stack: Vec<usize> = Vec::new();
-        let mut next_index = 0usize;
-        // SCCs in emission order: every edge out of an SCC lands in an
-        // earlier-emitted one, so closures propagate in one pass.
-        let mut scc_members: Vec<Vec<usize>> = Vec::new();
-        let tau_targets = |s: usize| {
-            self.states[s].edges.iter().filter_map(|(label, tgt)| {
-                matches!(label, Label::Tau(_)).then_some(*tgt)
-            })
-        };
-        for root in 0..n {
-            if index[root] != usize::MAX {
-                continue;
-            }
-            // (state, next edge position) call stack.
-            let mut call: Vec<(usize, usize)> = vec![(root, 0)];
-            index[root] = next_index;
-            low[root] = next_index;
-            next_index += 1;
-            stack.push(root);
-            on_stack[root] = true;
-            while let Some(&mut (v, ref mut pos)) = call.last_mut() {
-                if let Some(w) = tau_targets(v).nth(*pos) {
-                    *pos += 1;
-                    if index[w] == usize::MAX {
-                        index[w] = next_index;
-                        low[w] = next_index;
-                        next_index += 1;
-                        stack.push(w);
-                        on_stack[w] = true;
-                        call.push((w, 0));
-                    } else if on_stack[w] {
-                        low[v] = low[v].min(index[w]);
-                    }
-                } else {
-                    call.pop();
-                    if let Some(&(parent, _)) = call.last() {
-                        low[parent] = low[parent].min(low[v]);
-                    }
-                    if low[v] == index[v] {
-                        let mut members = Vec::new();
-                        loop {
-                            let w = stack.pop().expect("tarjan stack underflow");
-                            on_stack[w] = false;
-                            comp[w] = scc_members.len();
-                            members.push(w);
-                            if w == v {
-                                break;
-                            }
-                        }
-                        scc_members.push(members);
-                    }
-                }
-            }
-        }
-        let mut scc_closure: Vec<Arc<BTreeSet<usize>>> = Vec::with_capacity(scc_members.len());
-        for (ci, members) in scc_members.iter().enumerate() {
-            let mut close: BTreeSet<usize> = members.iter().copied().collect();
-            let mut extends: Vec<usize> = Vec::new();
-            for &v in members {
-                for w in tau_targets(v) {
-                    if comp[w] != ci {
-                        extends.push(comp[w]);
-                    }
-                }
-            }
-            extends.sort_unstable();
-            extends.dedup();
-            for succ in extends {
-                close.extend(scc_closure[succ].iter().copied());
-            }
-            scc_closure.push(Arc::new(close));
-        }
-        TauClosures {
-            closure: comp.into_iter().map(|c| scc_closure[c].clone()).collect(),
-        }
-    }
-
     /// A structural digest of the whole transition system: state count,
     /// edge count, exhaustion, every state's canonical key, barbs, and
     /// outgoing edges (labels included), and the frontier.  Two
@@ -669,22 +558,6 @@ impl Lts {
             }
         }
         out
-    }
-}
-
-/// All τ-closures of an [`Lts`], computed at once by
-/// [`Lts::tau_closures`].  States in the same τ-SCC share one closure
-/// allocation.
-#[derive(Debug, Clone)]
-pub struct TauClosures {
-    closure: Vec<Arc<BTreeSet<usize>>>,
-}
-
-impl TauClosures {
-    /// The states reachable from `s` by silent steps (including `s`).
-    #[must_use]
-    pub fn of(&self, s: usize) -> &BTreeSet<usize> {
-        &self.closure[s]
     }
 }
 

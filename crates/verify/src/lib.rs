@@ -58,6 +58,7 @@ mod test;
 mod testgen;
 mod traces;
 mod verifier;
+mod weak;
 
 pub use bisim::{
     bisim_preorder, bisim_preorder_sound, bisim_preorder_sound_with, bisim_preorder_with,
@@ -73,7 +74,7 @@ pub use dot::to_dot;
 pub use error::VerifyError;
 pub use explore::{
     ExploreOptions, ExploreStats, Explorer, IntruderSpec, Label, Lts, LtsState, ReduceOptions,
-    StepDesc, TauClosures,
+    StepDesc,
 };
 pub use iso::{Iso, IsoTable};
 pub use knowledge::{DeriveCache, Knowledge};

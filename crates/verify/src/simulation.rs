@@ -12,9 +12,16 @@
 //! by [`trace_preorder`](crate::trace_preorder); the simulation check is
 //! therefore a fast diagnostic and a faithful rendition of the paper's
 //! proof style, while the trace check is the verdict-producing procedure.
+//!
+//! The check is iso-aware: it steps both systems through the shared weak
+//! walk (`weak.rs`), so on a reduced exploration every event is compared
+//! in the true coordinates of the run that reached it, never in a merged
+//! representative's.  A game position is an implementation `(state,
+//! iso)` member paired with the set of specification members matching it.
 
 use std::collections::{BTreeSet, HashSet, VecDeque};
 
+use crate::weak::{truncation_blame, Member, WeakWalk};
 use crate::{Label, Lts, ObsEvent, ResourceKind, TraceRenamer};
 
 /// The outcome of a simulation check.
@@ -81,40 +88,33 @@ fn event_key(ev: &ObsEvent) -> String {
 /// ```
 #[must_use]
 pub fn simulates(specification: &Lts, implementation: &Lts) -> SimulationResult {
-    let result = play(specification, implementation);
-    // Degradation soundness: a simulation over a truncated implementation
-    // could still be refuted by the unexplored part; a refutation against
-    // a truncated specification could still be matched by it.
-    let blame = |lts: &Lts| SimulationResult::Inconclusive {
-        exhausted: lts.exhausted.unwrap_or(ResourceKind::Fuel),
-    };
-    match result {
-        SimulationResult::Simulates { .. } if !implementation.complete() => blame(implementation),
-        SimulationResult::Fails { .. } if !specification.complete() => blame(specification),
-        decided => decided,
+    let raw = play(specification, implementation);
+    match truncation_blame(raw.holds(), implementation, specification) {
+        Some(exhausted) => SimulationResult::Inconclusive { exhausted },
+        None => raw,
     }
 }
 
 fn play(specification: &Lts, implementation: &Lts) -> SimulationResult {
-    // All spec τ-closures up front: one SCC pass instead of a BFS
-    // restart per matched observation.
-    let spec_closures = specification.tau_closures();
-    // Game positions: (implementation state, τ-closed set of spec states).
-    let start = (0usize, spec_closures.of(0).clone());
-    let mut seen: HashSet<(usize, Vec<usize>)> = HashSet::new();
-    let mut queue: VecDeque<(usize, BTreeSet<usize>)> = VecDeque::new();
-    seen.insert((start.0, start.1.iter().copied().collect()));
-    queue.push_back(start);
+    let mut iw = WeakWalk::new(implementation);
+    let mut sw = WeakWalk::new(specification);
+    // Game positions: an implementation member and the τ-closed set of
+    // specification members matching it.
+    let start: (Member, Vec<Member>) = ((0, 0), sw.closure((0, 0)));
+    let mut seen = HashSet::from([start.clone()]);
+    let mut queue = VecDeque::from([start]);
     let mut positions = 0usize;
 
-    while let Some((i, spec_set)) = queue.pop_front() {
+    while let Some((m, spec_set)) = queue.pop_front() {
         positions += 1;
+        let i = m.0;
 
         // Barb preservation: every (strong) barb of the implementation
-        // state must be a weak barb of the matching set.
+        // state must be a weak barb of the matching set.  Barbs name free
+        // channels only, so isos leave them alone.
         let spec_barbs: BTreeSet<_> = spec_set
             .iter()
-            .flat_map(|&s| specification.states[s].barbs.iter().cloned())
+            .flat_map(|&(s, _)| specification.states[s].barbs.iter().cloned())
             .collect();
         for b in &implementation.states[i].barbs {
             if !spec_barbs.contains(b) {
@@ -129,26 +129,19 @@ fn play(specification: &Lts, implementation: &Lts) -> SimulationResult {
             }
         }
 
-        for (label, tgt) in &implementation.states[i].edges {
-            match label {
-                Label::Tau(_) => {
-                    // The spec set is already τ-closed: match by idling.
-                    let key = (*tgt, spec_set.iter().copied().collect::<Vec<_>>());
-                    if seen.insert(key) {
-                        queue.push_back((*tgt, spec_set.clone()));
-                    }
-                }
+        for (e, (label, _)) in implementation.states[i].edges.iter().enumerate() {
+            let matched = match label {
+                // The spec set is already τ-closed: match by idling.
+                Label::Tau(_) => spec_set.clone(),
                 Label::Obs(ev, _) => {
-                    let want = event_key(ev);
-                    let mut matched: BTreeSet<usize> = BTreeSet::new();
-                    for &s in &spec_set {
-                        for (sl, st) in &specification.states[s].edges {
-                            if let Label::Obs(sev, _) = sl {
-                                if event_key(sev) == want {
-                                    matched.extend(spec_closures.of(*st).iter().copied());
-                                }
+                    let want = event_key(&iw.event(m.1, ev));
+                    let mut matched = BTreeSet::new();
+                    for &sm in &spec_set {
+                        sw.visible_steps(sm, |sev, members| {
+                            if event_key(&sev) == want {
+                                matched.extend(members);
                             }
-                        }
+                        });
                     }
                     if matched.is_empty() {
                         return SimulationResult::Fails {
@@ -156,11 +149,13 @@ fn play(specification: &Lts, implementation: &Lts) -> SimulationResult {
                             reason: format!("observation {want} not matched"),
                         };
                     }
-                    let key = (*tgt, matched.iter().copied().collect::<Vec<_>>());
-                    if seen.insert(key) {
-                        queue.push_back((*tgt, matched));
-                    }
+                    matched.into_iter().collect()
                 }
+            };
+            let position = (iw.target(m, e), matched);
+            if !seen.contains(&position) {
+                seen.insert(position.clone());
+                queue.push_back(position);
             }
         }
     }

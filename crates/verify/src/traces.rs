@@ -7,10 +7,10 @@
 //! [`trace_preorder`] is the decision procedure behind "P securely
 //! implements P′" (Definition 4).
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
-use crate::iso::IsoTable;
+use crate::weak::{truncation_blame, Member, WeakWalk};
 use crate::{Label, Lts, ObsEvent, ResourceKind, TraceRenamer};
 
 /// A set of canonical weak traces; each trace is the sequence of
@@ -39,31 +39,23 @@ pub type TraceSet = BTreeSet<Vec<String>>;
 /// ```
 #[must_use]
 pub fn weak_traces(lts: &Lts, max_visible: usize) -> TraceSet {
-    if !lts.edge_isos.is_empty() {
-        return weak_traces_iso(lts, max_visible);
-    }
+    let mut walk = WeakWalk::new(lts);
+    let initial: BTreeSet<Member> = walk.closure((0, 0)).into_iter().collect();
     let mut out = TraceSet::new();
-    // All τ-closures up front: one SCC pass instead of one BFS restart
-    // per visited subset member.
-    let closures = lts.tau_closures();
-    let initial: BTreeSet<usize> = closures.of(0).clone();
-    let mut prefix = Vec::new();
     collect(
-        lts,
-        &closures,
+        &mut walk,
         &initial,
         &TraceRenamer::new(),
         max_visible,
-        &mut prefix,
+        &mut Vec::new(),
         &mut out,
     );
     out
 }
 
 fn collect(
-    lts: &Lts,
-    closures: &crate::TauClosures,
-    subset: &BTreeSet<usize>,
+    walk: &mut WeakWalk<'_>,
+    subset: &BTreeSet<Member>,
     renamer: &TraceRenamer,
     budget: usize,
     prefix: &mut Vec<String>,
@@ -73,151 +65,20 @@ fn collect(
     if budget == 0 {
         return;
     }
-    // Group visible successors by raw event.
-    let mut by_event: Vec<(&ObsEvent, BTreeSet<usize>)> = Vec::new();
-    for &s in subset {
-        for (label, tgt) in &lts.states[s].edges {
-            if let Label::Obs(ev, _) = label {
-                match by_event.iter_mut().find(|(e, _)| *e == ev) {
-                    Some((_, set)) => {
-                        set.extend(closures.of(*tgt).iter().copied());
-                    }
-                    None => by_event.push((ev, closures.of(*tgt).clone())),
-                }
+    // Group visible successors by the true event.
+    let mut by_event: Vec<(Cow<'_, ObsEvent>, BTreeSet<Member>)> = Vec::new();
+    for &m in subset {
+        walk.visible_steps(m, |ev, members| {
+            match by_event.iter_mut().find(|(known, _)| *known == ev) {
+                Some((_, set)) => set.extend(members),
+                None => by_event.push((ev, members.into_iter().collect())),
             }
-        }
+        });
     }
     for (ev, targets) in by_event {
         let mut r = renamer.clone();
-        let canon = r.canon(ev);
-        prefix.push(canon);
-        collect(lts, closures, &targets, &r, budget - 1, prefix, out);
-        prefix.pop();
-    }
-}
-
-/// Iso-annotated traversal state for a reduced LTS.
-///
-/// When exploration merged states through non-identity isomorphisms, the
-/// raw events stored on edges are in the *representative*'s coordinates.
-/// Walking the graph therefore carries, per reached state, the composed
-/// isomorphism mapping the state's local coordinates back to the true
-/// coordinates of the run that reached it; applying it to each observed
-/// event reconstructs the exact trace set of the unreduced system.
-struct IsoWalk<'l> {
-    lts: &'l Lts,
-    table: IsoTable,
-    /// Per-state τ-closure from the identity: pairs `(t, k)` where `k`
-    /// maps `t`'s coordinates into the owning state's coordinates.
-    /// Shifting the whole closure by an outer iso is a composition, so
-    /// one memoized closure per state serves every visit.
-    closure0: Vec<Option<Closure>>,
-}
-
-/// A memoized τ-closure: `(state, iso)` pairs reachable silently from
-/// one owning state.
-type Closure = Arc<Vec<(usize, u32)>>;
-
-impl<'l> IsoWalk<'l> {
-    fn new(lts: &'l Lts) -> IsoWalk<'l> {
-        IsoWalk {
-            lts,
-            table: IsoTable::from_isos(lts.isos.clone()),
-            closure0: vec![None; lts.states.len()],
-        }
-    }
-
-    fn edge_iso(&self, state: usize, edge: usize) -> u32 {
-        self.lts.edge_isos.get(&(state, edge)).copied().unwrap_or(0)
-    }
-
-    fn closure0(&mut self, s: usize) -> Arc<Vec<(usize, u32)>> {
-        if let Some(c) = &self.closure0[s] {
-            return Arc::clone(c);
-        }
-        let mut seen: BTreeSet<(usize, u32)> = BTreeSet::new();
-        seen.insert((s, 0));
-        let mut work = vec![(s, 0u32)];
-        while let Some((v, g)) = work.pop() {
-            let lts = self.lts;
-            for (e, (label, tgt)) in lts.states[v].edges.iter().enumerate() {
-                if matches!(label, Label::Tau(_)) {
-                    // The edge iso maps the target's coordinates into
-                    // `v`'s; `g` maps `v`'s into `s`'s.
-                    let h = self.edge_iso(v, e);
-                    let k = self.table.compose_ids(h, g);
-                    if seen.insert((*tgt, k)) {
-                        work.push((*tgt, k));
-                    }
-                }
-            }
-        }
-        let arc: Arc<Vec<(usize, u32)>> = Arc::new(seen.into_iter().collect());
-        self.closure0[s] = Some(Arc::clone(&arc));
-        arc
-    }
-
-    /// τ-closure of `s` with every member's iso composed with `g`
-    /// (which maps `s`'s coordinates to true coordinates).
-    fn closure(&mut self, s: usize, g: u32) -> Vec<(usize, u32)> {
-        let base = self.closure0(s);
-        base.iter()
-            .map(|&(t, k)| (t, self.table.compose_ids(k, g)))
-            .collect()
-    }
-}
-
-fn weak_traces_iso(lts: &Lts, max_visible: usize) -> TraceSet {
-    let mut out = TraceSet::new();
-    let mut walk = IsoWalk::new(lts);
-    let initial: BTreeSet<(usize, u32)> = walk.closure(0, 0).into_iter().collect();
-    let mut prefix = Vec::new();
-    collect_iso(
-        &mut walk,
-        &initial,
-        &TraceRenamer::new(),
-        max_visible,
-        &mut prefix,
-        &mut out,
-    );
-    out
-}
-
-fn collect_iso(
-    walk: &mut IsoWalk<'_>,
-    subset: &BTreeSet<(usize, u32)>,
-    renamer: &TraceRenamer,
-    budget: usize,
-    prefix: &mut Vec<String>,
-    out: &mut TraceSet,
-) {
-    out.insert(prefix.clone());
-    if budget == 0 {
-        return;
-    }
-    // Group visible successors by the *true* event — the raw edge event
-    // pushed through the accumulated iso of its source.
-    let mut by_event: Vec<(ObsEvent, BTreeSet<(usize, u32)>)> = Vec::new();
-    for &(s, g) in subset {
-        let lts = walk.lts;
-        for (e, (label, tgt)) in lts.states[s].edges.iter().enumerate() {
-            if let Label::Obs(ev, _) = label {
-                let true_ev = walk.table.get(g).apply_event(ev);
-                let h = walk.edge_iso(s, e);
-                let g_tgt = walk.table.compose_ids(h, g);
-                let members = walk.closure(*tgt, g_tgt);
-                match by_event.iter_mut().find(|(known, _)| *known == true_ev) {
-                    Some((_, set)) => set.extend(members),
-                    None => by_event.push((true_ev, members.into_iter().collect())),
-                }
-            }
-        }
-    }
-    for (ev, targets) in by_event {
-        let mut r = renamer.clone();
-        let canon = r.canon(&ev);
-        prefix.push(canon);
-        collect_iso(walk, &targets, &r, budget - 1, prefix, out);
+        prefix.push(r.canon(&ev));
+        collect(walk, &targets, &r, budget - 1, prefix, out);
         prefix.pop();
     }
 }
@@ -310,15 +171,9 @@ pub fn trace_preorder_sound(
     max_visible: usize,
 ) -> TraceVerdict {
     let raw = trace_preorder(implementation, specification, max_visible);
-    let blame = |lts: &Lts| TraceVerdict::Inconclusive {
-        // A truncated LTS always has `exhausted` set; the fallback keeps
-        // this total anyway.
-        exhausted: lts.exhausted.unwrap_or(ResourceKind::Fuel),
-    };
-    match raw {
-        TraceVerdict::Holds { .. } if !implementation.complete() => blame(implementation),
-        TraceVerdict::Fails { .. } if !specification.complete() => blame(specification),
-        decided => decided,
+    match truncation_blame(raw.holds(), implementation, specification) {
+        Some(exhausted) => TraceVerdict::Inconclusive { exhausted },
+        None => raw,
     }
 }
 
@@ -330,139 +185,57 @@ pub fn find_realization<'l>(
     lts: &'l Lts,
     trace: &[String],
 ) -> Option<Vec<(usize, &'l Label, usize)>> {
-    if !lts.edge_isos.is_empty() {
-        let mut walk = IsoWalk::new(lts);
-        let mut path = Vec::new();
-        let mut visited = BTreeSet::new();
-        return if dfs_iso(
-            &mut walk,
-            0,
-            0,
-            trace,
-            0,
-            &TraceRenamer::new(),
-            &mut path,
-            &mut visited,
-        ) {
-            Some(path)
-        } else {
-            None
-        };
-    }
     let mut path = Vec::new();
-    let mut visited = BTreeSet::new();
-    if dfs(
-        lts,
-        0,
+    dfs(
+        &mut WeakWalk::new(lts),
+        (0, 0),
         trace,
-        0,
         &TraceRenamer::new(),
         &mut path,
-        &mut visited,
-    ) {
-        Some(path)
-    } else {
-        None
-    }
+        &mut BTreeSet::new(),
+    )
+    .then_some(path)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn dfs_iso<'l>(
-    walk: &mut IsoWalk<'l>,
-    state: usize,
-    g: u32,
-    trace: &[String],
-    pos: usize,
-    renamer: &TraceRenamer,
-    path: &mut Vec<(usize, &'l Label, usize)>,
-    visited: &mut BTreeSet<(usize, u32, usize)>,
-) -> bool {
-    if pos == trace.len() {
-        return true;
-    }
-    if !visited.insert((state, g, pos)) {
-        return false;
-    }
-    let lts = walk.lts;
-    for (e, (label, tgt)) in lts.states[state].edges.iter().enumerate() {
-        match label {
-            Label::Tau(_) => {
-                let h = walk.edge_iso(state, e);
-                let g_tgt = walk.table.compose_ids(h, g);
-                path.push((state, label, *tgt));
-                if dfs_iso(walk, *tgt, g_tgt, trace, pos, renamer, path, visited) {
-                    return true;
-                }
-                path.pop();
-            }
-            Label::Obs(ev, _) => {
-                let true_ev = walk.table.get(g).apply_event(ev);
-                let mut r = renamer.clone();
-                if r.canon(&true_ev) == trace[pos] {
-                    let h = walk.edge_iso(state, e);
-                    let g_tgt = walk.table.compose_ids(h, g);
-                    path.push((state, label, *tgt));
-                    // Deeper positions may revisit states: clear the
-                    // guard for the next segment.
-                    let mut fresh_visited = BTreeSet::new();
-                    if dfs_iso(
-                        walk,
-                        *tgt,
-                        g_tgt,
-                        trace,
-                        pos + 1,
-                        &r,
-                        path,
-                        &mut fresh_visited,
-                    ) {
-                        return true;
-                    }
-                    path.pop();
-                }
-            }
-        }
-    }
-    false
-}
-
+/// Depth-first search for a run realizing `rest`.  `visited` guards one
+/// segment between visible steps, so it never needs the trace position.
 fn dfs<'l>(
-    lts: &'l Lts,
-    state: usize,
-    trace: &[String],
-    pos: usize,
+    walk: &mut WeakWalk<'l>,
+    m: Member,
+    rest: &[String],
     renamer: &TraceRenamer,
     path: &mut Vec<(usize, &'l Label, usize)>,
-    visited: &mut BTreeSet<(usize, usize)>,
+    visited: &mut BTreeSet<Member>,
 ) -> bool {
-    if pos == trace.len() {
+    let Some((want, later)) = rest.split_first() else {
         return true;
-    }
-    if !visited.insert((state, pos)) {
+    };
+    if !visited.insert(m) {
         return false;
     }
-    for (label, tgt) in &lts.states[state].edges {
-        match label {
+    let lts = walk.lts();
+    for (e, (label, tgt)) in lts.states[m.0].edges.iter().enumerate() {
+        let next = walk.target(m, e);
+        let found = match label {
             Label::Tau(_) => {
-                path.push((state, label, *tgt));
-                if dfs(lts, *tgt, trace, pos, renamer, path, visited) {
-                    return true;
-                }
-                path.pop();
+                path.push((m.0, label, *tgt));
+                dfs(walk, next, rest, renamer, path, visited)
             }
             Label::Obs(ev, _) => {
                 let mut r = renamer.clone();
-                if r.canon(ev) == trace[pos] {
-                    path.push((state, label, *tgt));
-                    // Deeper positions may revisit states: clear the
-                    // guard for the next segment.
-                    let mut fresh_visited = BTreeSet::new();
-                    if dfs(lts, *tgt, trace, pos + 1, &r, path, &mut fresh_visited) {
-                        return true;
-                    }
-                    path.pop();
+                if r.canon(&walk.event(m.1, ev)) != *want {
+                    continue;
                 }
+                path.push((m.0, label, *tgt));
+                // Deeper positions may revisit states: a fresh guard for
+                // the next segment.
+                dfs(walk, next, later, &r, path, &mut BTreeSet::new())
             }
+        };
+        if found {
+            return true;
         }
+        path.pop();
     }
     false
 }

@@ -143,9 +143,7 @@ pub struct Verifier {
     cancel: Option<Arc<AtomicBool>>,
     progress_states: Option<Arc<AtomicU64>>,
     progress_schedules: Option<Arc<AtomicU64>>,
-    verify_keys: bool,
     reduce: ReduceOptions,
-    verify_symmetry: bool,
     engine: Engine,
 }
 
@@ -174,9 +172,7 @@ impl Verifier {
             cancel: None,
             progress_states: None,
             progress_schedules: None,
-            verify_keys: false,
             reduce: ReduceOptions::none(),
-            verify_symmetry: false,
             engine: Engine::Trace,
         }
     }
@@ -283,17 +279,6 @@ impl Verifier {
         self
     }
 
-    /// Interns every explored state by its full canonical string
-    /// *alongside* the 128-bit hashed key, panicking on any disagreement
-    /// (a hash collision or canonicalization bug).  The conformance
-    /// harness runs with this on; `spi verify --verify-keys on` exposes
-    /// it for field debugging.  Costs memory and time; off by default.
-    #[must_use]
-    pub fn verify_keys(mut self, on: bool) -> Verifier {
-        self.verify_keys = on;
-        self
-    }
-
     /// Sets the state-space reductions every exploration runs under (see
     /// [`ReduceOptions`]).  Reductions preserve verdicts: the symmetry
     /// quotient merges only genuinely isomorphic states and trace
@@ -303,16 +288,6 @@ impl Verifier {
     #[must_use]
     pub fn reduce(mut self, reduce: ReduceOptions) -> Verifier {
         self.reduce = reduce;
-        self
-    }
-
-    /// Brute-force-checks every quotiented state key for orbit
-    /// invariance, panicking when the signature-guided candidate set
-    /// fails to collapse a permutation orbit.  Debugging aid in the
-    /// spirit of [`Verifier::verify_keys`]; costly, off by default.
-    #[must_use]
-    pub fn verify_symmetry(mut self, on: bool) -> Verifier {
-        self.verify_symmetry = on;
         self
     }
 
@@ -376,9 +351,7 @@ impl Verifier {
             deadline: self.deadline,
             cancel: self.cancel.clone(),
             progress: self.progress_states.clone(),
-            verify_keys: self.verify_keys,
             reduce: self.reduce,
-            verify_symmetry: self.verify_symmetry,
             ..ExploreOptions::default()
         }
     }
@@ -464,25 +437,7 @@ impl Verifier {
         match self.engine {
             Engine::Trace => Ok(trace()),
             Engine::Bisim => Ok(bisim()),
-            Engine::Both => {
-                let t = trace();
-                let b = bisim();
-                if std::mem::discriminant(&t) != std::mem::discriminant(&b) {
-                    let witness = [&t, &b]
-                        .into_iter()
-                        .find_map(|v| match v {
-                            TraceVerdict::Fails { witness } => Some(witness.clone()),
-                            _ => None,
-                        })
-                        .unwrap_or_default();
-                    return Err(VerifyError::EngineDisagreement {
-                        trace: verdict_summary(&t),
-                        bisim: verdict_summary(&b),
-                        witness,
-                    });
-                }
-                Ok(t)
-            }
+            Engine::Both => cross_check(trace(), bisim()),
         }
     }
 
@@ -548,7 +503,6 @@ impl Verifier {
             cancel: self.cancel.clone(),
             progress: self.progress_states.clone(),
             reduce: self.reduce,
-            verify_symmetry: self.verify_symmetry,
             ..ExploreOptions::default()
         };
         crate::definition3_preorder(
@@ -750,8 +704,35 @@ impl Verifier {
     }
 }
 
+/// The `--engine both` cross-check of one comparison: agreeing verdicts
+/// return the trace engine's (its witness tie-break prefers origin-rich
+/// counterexamples); disagreeing ones are the loud
+/// [`VerifyError::EngineDisagreement`], whose witness is the one claimed
+/// by whichever engine answered *Fails* (at most one can when they
+/// disagree).
+pub(crate) fn cross_check(
+    trace: TraceVerdict,
+    bisim: TraceVerdict,
+) -> Result<TraceVerdict, VerifyError> {
+    if std::mem::discriminant(&trace) == std::mem::discriminant(&bisim) {
+        return Ok(trace);
+    }
+    let witness = [&trace, &bisim]
+        .into_iter()
+        .find_map(|v| match v {
+            TraceVerdict::Fails { witness } => Some(witness.clone()),
+            _ => None,
+        })
+        .unwrap_or_default();
+    Err(VerifyError::EngineDisagreement {
+        trace: verdict_summary(&trace),
+        bisim: verdict_summary(&bisim),
+        witness,
+    })
+}
+
 /// A one-line rendering of a [`TraceVerdict`] for disagreement reports.
-pub(crate) fn verdict_summary(v: &TraceVerdict) -> String {
+fn verdict_summary(v: &TraceVerdict) -> String {
     match v {
         TraceVerdict::Holds { .. } => "holds".into(),
         TraceVerdict::Fails { witness } => format!("fails ({} events)", witness.len()),
@@ -990,5 +971,22 @@ mod tests {
         assert!(!attack.narration.is_empty());
         let text = attack.narration.join("\n");
         assert!(text.contains("E"), "the intruder appears: {text}");
+    }
+
+    #[test]
+    fn cross_check_blames_whichever_engine_fails() {
+        let fails = || TraceVerdict::Fails {
+            witness: vec!["observe!a".into()],
+        };
+        let holds = || TraceVerdict::Holds { checked: 1 };
+        assert_eq!(cross_check(fails(), fails()).unwrap(), fails());
+        for (trace, bisim) in [(fails(), holds()), (holds(), fails())] {
+            match cross_check(trace, bisim) {
+                Err(VerifyError::EngineDisagreement { witness, .. }) => {
+                    assert_eq!(witness, vec!["observe!a".to_string()]);
+                }
+                other => panic!("expected a disagreement, got {other:?}"),
+            }
+        }
     }
 }

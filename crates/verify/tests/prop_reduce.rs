@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use spi_semantics::{FaultKind, FaultSpec};
 use spi_syntax::{parse, Name, Process, Term, Var};
 use spi_verify::{
-    run_campaign, weak_traces, Budget, CampaignOptions, ExploreOptions, Explorer, Lts,
+    run_campaign, simulates, weak_traces, Budget, CampaignOptions, ExploreOptions, Explorer, Lts,
     ReduceOptions,
 };
 
@@ -92,8 +92,9 @@ proptest! {
     }
 
     /// Reductions preserve observations at every worker count: the
-    /// reduced LTS is bit-identical for workers 1, 2 and 8, and its
-    /// exact weak trace set and barbs match the unreduced reference.
+    /// reduced LTS is bit-identical for workers 1, 2 and 8, its exact
+    /// weak trace set and barbs match the unreduced reference, and the
+    /// two simulate each other.
     #[test]
     fn reduced_explorations_agree_with_unreduced_at_every_worker_count(
         sys in arb_session_system(),
@@ -123,6 +124,11 @@ proptest! {
                 reduced.weak_barbs(),
                 plain.weak_barbs(),
                 "weak barbs changed at workers={}",
+                workers
+            );
+            prop_assert!(
+                simulates(&plain, &reduced).holds() && simulates(&reduced, &plain).holds(),
+                "reduced and unreduced stopped simulating each other at workers={}",
                 workers
             );
         }

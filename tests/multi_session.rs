@@ -80,3 +80,28 @@ fn abstract_pm_implements_itself_across_session_counts() {
         ));
     }
 }
+
+#[test]
+fn pm_simulates_pm3_but_not_pm2_with_and_without_reduction() {
+    // Proposition 4 in the paper's own proof style: `Pm` weakly
+    // simulates `Pm3` and not `Pm2`.  Under the full reduction the
+    // explored systems merge session-permuted states, so the game must
+    // compare events in true coordinates, not a representative's.
+    use spi_auth_repro::auth::ReduceOptions;
+    use spi_auth_repro::verify::simulates;
+    let pm = multi::abstract_protocol("c", "observe").unwrap();
+    let pm2 = multi::shared_key("c", "observe");
+    let pm3 = multi::challenge_response("c", "observe");
+    for reduce in [ReduceOptions::none(), ReduceOptions::full()] {
+        let verifier = Verifier::new(["c"]).sessions(2).workers(1).reduce(reduce);
+        let spec = verifier.explore(&pm).unwrap();
+        let secure = simulates(&spec, &verifier.explore(&pm3).unwrap());
+        assert!(secure.holds(), "Pm3 under {}: {secure:?}", reduce.mode());
+        let replayable = simulates(&spec, &verifier.explore(&pm2).unwrap());
+        assert!(
+            replayable.decided() && !replayable.holds(),
+            "Pm2 under {}: {replayable:?}",
+            reduce.mode()
+        );
+    }
+}
