@@ -253,8 +253,11 @@ fn fleet_record(n: usize, questions: &[String], cache_bytes: usize) -> FleetReco
         .collect();
     let coordinator = coordinate(
         engine(),
-        CoordinatorOptions {
+        ServerOptions {
             addr: "127.0.0.1:0".into(),
+            ..ServerOptions::default()
+        },
+        CoordinatorOptions {
             heartbeat_ms: 100,
             fail_after_ms: 60_000,
             connect_timeout_ms: 1000,

@@ -693,8 +693,11 @@ impl Fleet {
         }
         let coordinator = match coordinate(
             engine(),
-            CoordinatorOptions {
+            ServerOptions {
                 addr: "127.0.0.1:0".into(),
+                ..ServerOptions::default()
+            },
+            CoordinatorOptions {
                 // A short horizon puts the plan's opening worker kill
                 // within the first two requests, deterministically per
                 // case.
@@ -740,7 +743,7 @@ impl Fleet {
     }
 
     fn rides_out_chaos(
-        coordinator: &spi_server::CoordinatorHandle,
+        coordinator: &spi_server::ServerHandle,
         workers: &[spi_server::ServerHandle],
         request: &str,
         direct: &str,

@@ -41,7 +41,12 @@
 //!           [--unit-size N] [--hedge-ms N]      shards requests over joined
 //!           [--heartbeat-ms N] [--fail-after-ms N]  workers by content
 //!           [--retry-rounds N] [--chaos SEED]   digest, splitting campaigns
-//!           [--chaos-horizon N] [--explore-workers N]  into work units
+//!           [--chaos-horizon N] [--explore-workers N]  into work units;
+//!           [--workers N] [--queue N]           the same front end,
+//!           [--timeout-secs S]                  admission and drain
+//!           [--read-deadline-ms N]              as `spi serve`
+//!           [--write-buf-bytes N]
+//!           [--quota-rate N] [--quota-burst N]
 //! spi client [--addr HOST:PORT] [REQUEST]...  send request lines (args or
 //!            [--connect-timeout MS] [--read-timeout MS]  stdin) and print
 //!            [--retries N] [--backoff-ms N]    responses; bare words like
@@ -153,7 +158,9 @@ fn print_usage() {
          [--join COORD] [--advertise ADDR] [--heartbeat-ms N]\n  \
          spi fleet [--addr HOST:PORT] [--quorum N] [--unit-size N] [--hedge-ms N]\n    \
          [--heartbeat-ms N] [--fail-after-ms N] [--retry-rounds N]\n    \
-         [--chaos SEED] [--chaos-horizon N] [--explore-workers N]\n  \
+         [--chaos SEED] [--chaos-horizon N] [--explore-workers N]\n    \
+         [--workers N] [--queue N] [--timeout-secs S]\n    \
+         [--read-deadline-ms N] [--write-buf-bytes N] [--quota-rate N] [--quota-burst N]\n  \
          spi client [--addr HOST:PORT] [--connect-timeout MS] [--read-timeout MS]\n    \
          [--retries N] [--backoff-ms N] [--fallback local|off] [--progress MS] [REQUEST]..."
     );
@@ -664,34 +671,66 @@ fn cmd_conformance(args: &[String]) -> Result<ExitCode, String> {
     ))
 }
 
+/// The front-end flags `spi serve` and `spi fleet` share, on top of
+/// `defaults`.
+fn front_options(
+    flags: &[(&str, &str)],
+    defaults: spi_auth::server::ServerOptions,
+) -> Result<spi_auth::server::ServerOptions, String> {
+    let mut opts = defaults;
+    if let Some(addr) = flag(flags, "addr") {
+        opts.addr = addr.into();
+    }
+    opts.workers = numeric_flag(flags, "workers", opts.workers)?;
+    opts.queue_cap = numeric_flag(flags, "queue", opts.queue_cap)?;
+    if flag(flags, "timeout-secs").is_some() {
+        opts.default_timeout_secs = Some(numeric_flag(flags, "timeout-secs", 0u64)?);
+    }
+    opts.read_deadline_ms = numeric_flag(flags, "read-deadline-ms", opts.read_deadline_ms)?;
+    opts.write_buf_bytes = numeric_flag(flags, "write-buf-bytes", opts.write_buf_bytes)?;
+    opts.quota_rate = numeric_flag(flags, "quota-rate", opts.quota_rate)?;
+    opts.quota_burst = numeric_flag(flags, "quota-burst", opts.quota_burst)?;
+    Ok(opts)
+}
+
+/// The local engine behind `spi serve` (every job) and `spi fleet`
+/// (quorum loss).  Parallelism comes from the request pool by default;
+/// each exploration stays single-threaded unless asked otherwise.
+fn local_engine(
+    flags: &[(&str, &str)],
+) -> Result<std::sync::Arc<spi_auth::server::FullEngine>, String> {
+    let explore_workers: usize = numeric_flag(flags, "explore-workers", 1)?;
+    let engine = spi_auth::server::FullEngine::new(Some(explore_workers.max(1)));
+    Ok(std::sync::Arc::new(engine))
+}
+
+/// Blocks until a drain trigger: a `shutdown` request over the wire, or
+/// stdin closing (the supervisor-friendly stand-in for SIGTERM — run
+/// the daemon with a piped stdin and close it to drain).
+fn run_until_drained(handle: spi_auth::server::ServerHandle) {
+    let drainer = handle.node();
+    std::thread::spawn(move || {
+        use std::io::Read as _;
+        let mut sink = Vec::new();
+        let _ = std::io::stdin().lock().read_to_end(&mut sink);
+        drainer.shutdown();
+    });
+    handle.join_on_drain();
+}
+
 fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
-    use spi_auth::server::{serve, FullEngine, ServerOptions};
+    use spi_auth::server::{serve, ServerOptions};
     let (pos, flags) = split_flags(args)?;
     if !pos.is_empty() {
         return Err(format!("serve takes no positional arguments, got {pos:?}"));
     }
-    let mut opts = ServerOptions::default();
-    if let Some(addr) = flag(&flags, "addr") {
-        opts.addr = addr.into();
-    }
-    opts.workers = numeric_flag(&flags, "workers", opts.workers)?;
+    let mut opts = front_options(&flags, ServerOptions::default())?;
     opts.cache_bytes = numeric_flag(&flags, "cache-bytes", opts.cache_bytes)?;
-    opts.queue_cap = numeric_flag(&flags, "queue", opts.queue_cap)?;
     if let Some(path) = flag(&flags, "snapshot") {
         opts.snapshot = Some(path.into());
     }
-    if flag(&flags, "timeout-secs").is_some() {
-        opts.default_timeout_secs = Some(numeric_flag(&flags, "timeout-secs", 0u64)?);
-    }
-    opts.read_deadline_ms = numeric_flag(&flags, "read-deadline-ms", opts.read_deadline_ms)?;
-    opts.write_buf_bytes = numeric_flag(&flags, "write-buf-bytes", opts.write_buf_bytes)?;
-    opts.quota_rate = numeric_flag(&flags, "quota-rate", opts.quota_rate)?;
-    opts.quota_burst = numeric_flag(&flags, "quota-burst", opts.quota_burst)?;
-    // Parallelism comes from the request pool by default; each
-    // exploration stays single-threaded unless asked otherwise.
-    let explore_workers: usize = numeric_flag(&flags, "explore-workers", 1)?;
-    let engine = std::sync::Arc::new(FullEngine::new(Some(explore_workers.max(1))));
-    let handle = serve(engine, opts)?;
+    let capacity = opts.capacity();
+    let handle = serve(local_engine(&flags)?, opts)?;
     println!("spi-serve: listening on {}", handle.addr());
     let heartbeats = flag(&flags, "join")
         .map(|coordinator| -> Result<_, String> {
@@ -703,23 +742,13 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
                 .map(ToString::to_string)
                 .unwrap_or_else(|| handle.addr().to_string());
             let every_ms: u64 = numeric_flag(&flags, "heartbeat-ms", 200)?;
-            let cache = handle.cache_handle();
+            let cache = handle.node();
             Ok(std::thread::spawn(move || {
-                heartbeat_loop(&coordinator, &advertise, every_ms, &cache);
+                heartbeat_loop(&coordinator, &advertise, capacity, every_ms, &cache);
             }))
         })
         .transpose()?;
-    // Drain triggers: a `shutdown` request over the wire, or stdin
-    // closing (the supervisor-friendly stand-in for SIGTERM — run the
-    // daemon with a piped stdin and close it to drain).
-    let drainer = handle.shutdown_handle();
-    std::thread::spawn(move || {
-        use std::io::Read as _;
-        let mut sink = Vec::new();
-        let _ = std::io::stdin().lock().read_to_end(&mut sink);
-        drainer.shutdown();
-    });
-    handle.join_on_drain();
+    run_until_drained(handle);
     // The heartbeat thread's last act is the `leave` announcement that
     // hands the cache shard to the surviving ring owners — wait for it
     // so a supervisor's kill after drain loses no warm entries.
@@ -730,8 +759,9 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Heartbeats the coordinator until the local server drains.  A
-/// `rejoined` acknowledgement (first contact, or first contact after
+/// Heartbeats the coordinator until the local server drains.  Each
+/// heartbeat announces the worker's `capacity` (pool plus queue), which
+/// the coordinator sizes its own pool by.  A `rejoined` acknowledgement (first contact, or first contact after
 /// the coordinator lost us) triggers a gossip pull from every listed
 /// peer, so a restarted worker's first repeated question is already a
 /// cache hit.  On drain, the loop's last act is a `leave`
@@ -742,13 +772,14 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
 fn heartbeat_loop(
     coordinator: &str,
     advertise: &str,
+    capacity: usize,
     every_ms: u64,
-    cache: &spi_auth::server::CacheHandle,
+    cache: &spi_auth::server::NodeHandle,
 ) {
     use spi_auth::server::{gossip_body, pull_from, Client};
     use spi_auth::verify::jsonlite::Json;
     let connect = std::time::Duration::from_millis(1000);
-    let line = format!(r#"{{"op":"join","addr":"{advertise}"}}"#);
+    let line = format!(r#"{{"op":"join","addr":"{advertise}","capacity":{capacity}}}"#);
     while !cache.draining() {
         let reply = Client::connect_with(coordinator, Some(connect))
             .and_then(|mut c| c.roundtrip(&line));
@@ -780,7 +811,7 @@ fn heartbeat_loop(
         }
         std::thread::sleep(std::time::Duration::from_millis(every_ms));
     }
-    let entries = cache.entries();
+    let entries = cache.cache_entries();
     let leave = Json::Obj(vec![
         ("op".to_string(), Json::str("leave")),
         ("addr".to_string(), Json::str(advertise)),
@@ -804,15 +835,19 @@ fn heartbeat_loop(
 }
 
 fn cmd_fleet(args: &[String]) -> Result<ExitCode, String> {
-    use spi_auth::server::{coordinate, CoordinatorOptions, FullEngine};
+    use spi_auth::server::{coordinate, CoordinatorOptions, ServerOptions};
     let (pos, flags) = split_flags(args)?;
     if !pos.is_empty() {
         return Err(format!("fleet takes no positional arguments, got {pos:?}"));
     }
+    let front = front_options(
+        &flags,
+        ServerOptions {
+            addr: "127.0.0.1:7971".into(),
+            ..ServerOptions::default()
+        },
+    )?;
     let mut opts = CoordinatorOptions::default();
-    if let Some(addr) = flag(&flags, "addr") {
-        opts.addr = addr.into();
-    }
     opts.quorum = numeric_flag(&flags, "quorum", opts.quorum)?;
     opts.heartbeat_ms = numeric_flag(&flags, "heartbeat-ms", opts.heartbeat_ms)?;
     opts.fail_after_ms = numeric_flag(&flags, "fail-after-ms", opts.fail_after_ms)?;
@@ -825,20 +860,9 @@ fn cmd_fleet(args: &[String]) -> Result<ExitCode, String> {
         opts.chaos = Some(numeric_flag(&flags, "chaos", 0u64)?);
     }
     opts.chaos_horizon = numeric_flag(&flags, "chaos-horizon", opts.chaos_horizon)?;
-    // The coordinator's own engine only runs under quorum loss (and
-    // for stray campaign units no worker would take).
-    let explore_workers: usize = numeric_flag(&flags, "explore-workers", 1)?;
-    let engine = std::sync::Arc::new(FullEngine::new(Some(explore_workers.max(1))));
-    let handle = coordinate(engine, opts)?;
+    let handle = coordinate(local_engine(&flags)?, front, opts)?;
     println!("spi-fleet: coordinating on {}", handle.addr());
-    let drainer = handle.shutdown_handle();
-    std::thread::spawn(move || {
-        use std::io::Read as _;
-        let mut sink = Vec::new();
-        let _ = std::io::stdin().lock().read_to_end(&mut sink);
-        drainer.shutdown();
-    });
-    handle.join_on_drain();
+    run_until_drained(handle);
     eprintln!("spi-fleet: drained");
     Ok(ExitCode::SUCCESS)
 }

@@ -11,9 +11,9 @@
 pub use spi_server::{
     campaign_body, coordinate, error_response, ok_response, oneshot, parse_request,
     progress_response, pull_from, push_to, rejected_response, serve, shed_response, verify_body,
-    CacheHandle, ChaosEvent, ChaosPlan, Client, CoordinatorHandle, CoordinatorOptions,
-    CoordinatorShutdown, Engine, EngineOutcome, JobRequest, Membership, Mode, Priority, Request,
-    ResultCache, Ring, RunControl, ServerHandle, ServerOptions, ShutdownHandle, Singleflight,
+    ChaosEvent, ChaosPlan, Client, CoordinatorOptions, Engine, EngineOutcome,
+    JobRequest, Membership, Mode, Priority, Request,
+    NodeHandle, ResultCache, Ring, RunControl, ServerHandle, ServerOptions, Singleflight,
     TenantQuotas, VerifierEngine,
 };
 pub use spi_server::gossip::gossip_body;

@@ -2,9 +2,13 @@
 //!
 //! A coordinator speaks the *same* newline-delimited JSON protocol as
 //! a single `spi serve` worker — clients need not know which they are
-//! talking to.  Behind the socket it routes each job by content
-//! digest to a worker on a consistent-hash [`Ring`], so each worker's
-//! result cache holds a distinct shard of the question space:
+//! talking to — and runs the same front end ([`crate::service`]):
+//! reactor, admission, priority queue, worker pool, drain and latency
+//! histograms.  Only the executor behind the pool differs.  It holds
+//! no result cache; it routes each job by content digest to a worker
+//! on a consistent-hash [`Ring`], so each worker's result cache holds
+//! a distinct shard of the question space, and relays the worker's
+//! envelope verbatim:
 //!
 //! ```text
 //! client ──▶ coordinator ──digest──▶ ring ──▶ worker A (cache shard A)
@@ -28,17 +32,18 @@
 //! * **quorum loss** degrades gracefully: the coordinator runs the job
 //!   on its own local engine, marking the envelope `"via":"local"`.
 //!
+//! Worker progress heartbeats feed the ticket's progress counters, so
+//! a client that asked for `progress_ms` gets heartbeats through the
+//! fleet too.
+//!
 //! With `--chaos <seed>` the coordinator injects a deterministic
 //! [`ChaosPlan`] against itself (worker kills, heartbeat deafness,
 //! partitioned dials) — same seed, same failures, same points in the
 //! request sequence.
 
-use std::collections::VecDeque;
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use spi_semantics::FaultKind;
@@ -47,19 +52,18 @@ use spi_verify::jsonlite::Json;
 
 use crate::chaos::{ChaosEvent, ChaosPlan};
 use crate::client::Client;
-use crate::flight::Singleflight;
-use crate::protocol::{
-    error_response, ok_response, parse_request, JobRequest, Mode, Request,
+use crate::protocol::{error_response, ok_response, JobRequest, Mode, Request};
+use crate::service::{
+    start, Control, Engine, Executor, Histogram, Ran, RunControl, ServerHandle, ServerOptions,
 };
-use crate::service::{read_line_capped, Engine, Histogram, RunControl};
 use crate::shard::Ring;
+use crate::snapshot::Entries;
 use crate::Membership;
 
-/// Coordinator configuration (the `spi fleet` flags).
+/// Fleet configuration (the `spi fleet` flags beyond the front-end
+/// ones in [`ServerOptions`]).
 #[derive(Debug, Clone)]
 pub struct CoordinatorOptions {
-    /// Listen address; use port 0 for an ephemeral port.
-    pub addr: String,
     /// Minimum alive workers for fleet routing; below it, jobs run on
     /// the coordinator's local engine.
     pub quorum: usize,
@@ -88,7 +92,6 @@ pub struct CoordinatorOptions {
 impl Default for CoordinatorOptions {
     fn default() -> CoordinatorOptions {
         CoordinatorOptions {
-            addr: "127.0.0.1:7971".into(),
             quorum: 1,
             heartbeat_ms: 200,
             fail_after_ms: 1500,
@@ -111,13 +114,21 @@ struct ChaosState {
     partitions: Vec<(String, u64)>,
 }
 
+/// The coordinator's executor.
 struct Coord {
     engine: Arc<dyn Engine>,
     opts: CoordinatorOptions,
-    addr: SocketAddr,
     members: Membership,
-    draining: AtomicBool,
-    cancel: Arc<AtomicBool>,
+    counters: FleetCounters,
+    chaos: Option<ChaosPlan>,
+    chaos_state: Mutex<ChaosState>,
+}
+
+/// The coordinator's own `stats` counters.
+#[derive(Debug, Default)]
+struct FleetCounters {
+    /// Jobs dispatched (singleflight leaders and `no_cache` jobs) — the
+    /// chaos plan's clock.
     requests: AtomicU64,
     routed: AtomicU64,
     local_runs: AtomicU64,
@@ -132,115 +143,21 @@ struct Coord {
     /// a drain (`leave`).
     handoff_entries: AtomicU64,
     dispatch_latency: Histogram,
-    /// At most one in-flight dispatch per digest: the coordinator holds
-    /// no result cache, so without this two cold clients racing on the
-    /// same spec both dial the fleet (or both run locally) and the
-    /// exploration executes twice.
-    flight: Singleflight,
-    /// Recent leader replies, newest last, consulted by flight
-    /// followers after their wait.  Bounded — this is a rendezvous
-    /// buffer for concurrent duplicates, not a cache (the workers own
-    /// the caches).
-    replies: Mutex<VecDeque<(String, String)>>,
-    flight_collapsed: AtomicU64,
-    chaos: Option<ChaosPlan>,
-    chaos_state: Mutex<ChaosState>,
 }
 
-/// How many leader replies the follower rendezvous buffer retains.
-const REPLY_MEMO_CAP: usize = 64;
-
-/// A running coordinator.  Like [`crate::ServerHandle`], dropping it
-/// does not stop the node; call [`CoordinatorHandle::join`].
-pub struct CoordinatorHandle {
-    coord: Arc<Coord>,
-    acceptor: JoinHandle<()>,
-    sweeper: JoinHandle<()>,
-}
-
-impl CoordinatorHandle {
-    /// The bound listen address.
-    #[must_use]
-    pub fn addr(&self) -> SocketAddr {
-        self.coord.addr
-    }
-
-    /// Alive worker addresses, sorted.
-    #[must_use]
-    pub fn workers(&self) -> Vec<String> {
-        self.coord.members.alive()
-    }
-
-    /// Begins a graceful drain.  Idempotent; returns immediately.
-    pub fn shutdown(&self) {
-        trigger_drain(&self.coord);
-    }
-
-    /// Whether a drain has been triggered.
-    #[must_use]
-    pub fn draining(&self) -> bool {
-        self.coord.draining.load(Ordering::SeqCst)
-    }
-
-    /// A cheap handle another thread can use to trigger the drain.
-    #[must_use]
-    pub fn shutdown_handle(&self) -> CoordinatorShutdown {
-        CoordinatorShutdown {
-            coord: Arc::clone(&self.coord),
-        }
-    }
-
-    /// Blocks until something triggers the drain, then joins.
-    pub fn join_on_drain(self) {
-        while !self.draining() {
-            std::thread::sleep(Duration::from_millis(50));
-        }
-        self.join();
-    }
-
-    /// Drains and waits for the acceptor and sweeper to finish.
-    pub fn join(self) {
-        self.shutdown();
-        let _ = self.acceptor.join();
-        let _ = self.sweeper.join();
-    }
-}
-
-/// Triggers a coordinator's drain from any thread.
-pub struct CoordinatorShutdown {
-    coord: Arc<Coord>,
-}
-
-impl CoordinatorShutdown {
-    /// Begins the graceful drain.  Idempotent.
-    pub fn shutdown(&self) {
-        trigger_drain(&self.coord);
-    }
-}
-
-fn trigger_drain(coord: &Arc<Coord>) {
-    if coord.draining.swap(true, Ordering::SeqCst) {
-        return;
-    }
-    coord.cancel.store(true, Ordering::Relaxed);
-    let _ = TcpStream::connect(coord.addr);
-}
-
-/// Starts a coordinator.  Workers announce themselves afterwards with
+/// Starts a coordinator on the shared front end configured by
+/// `front`.  Workers announce themselves afterwards with
 /// `{"op":"join","addr":…}` heartbeats.
 ///
 /// # Errors
 ///
-/// Fails when the address cannot be bound.
+/// Fails when the address cannot be bound or the epoll instance cannot
+/// be created.
 pub fn coordinate(
     engine: Arc<dyn Engine>,
+    front: ServerOptions,
     opts: CoordinatorOptions,
-) -> Result<CoordinatorHandle, String> {
-    let listener = TcpListener::bind(&opts.addr)
-        .map_err(|e| format!("cannot bind {}: {e}", opts.addr))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| format!("cannot resolve bound address: {e}"))?;
+) -> Result<ServerHandle, String> {
     let chaos = opts.chaos.map(|seed| ChaosPlan::generate(seed, opts.chaos_horizon));
     if let Some(plan) = &chaos {
         eprintln!(
@@ -250,162 +167,135 @@ pub fn coordinate(
     }
     let coord = Arc::new(Coord {
         engine,
-        addr,
         members: Membership::new(),
-        draining: AtomicBool::new(false),
-        cancel: Arc::new(AtomicBool::new(false)),
-        requests: AtomicU64::new(0),
-        routed: AtomicU64::new(0),
-        local_runs: AtomicU64::new(0),
-        retried: AtomicU64::new(0),
-        hedges: AtomicU64::new(0),
-        hedge_wins: AtomicU64::new(0),
-        hedges_deferred: AtomicU64::new(0),
-        redispatched: AtomicU64::new(0),
-        handoff_entries: AtomicU64::new(0),
-        dispatch_latency: Histogram::default(),
-        flight: Singleflight::new(),
-        replies: Mutex::new(VecDeque::new()),
-        flight_collapsed: AtomicU64::new(0),
+        counters: FleetCounters::default(),
         chaos,
         chaos_state: Mutex::new(ChaosState::default()),
         opts,
     });
-
-    let sweeper = {
-        let coord = Arc::clone(&coord);
-        std::thread::spawn(move || {
-            while !coord.draining.load(Ordering::SeqCst) {
-                std::thread::sleep(Duration::from_millis(coord.opts.heartbeat_ms));
-                let _ = coord
-                    .members
-                    .sweep(Duration::from_millis(coord.opts.fail_after_ms));
-            }
-        })
-    };
-
-    let acceptor = {
-        let coord = Arc::clone(&coord);
-        std::thread::spawn(move || {
-            for conn in listener.incoming() {
-                if coord.draining.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = conn else { continue };
-                let coord = Arc::clone(&coord);
-                std::thread::spawn(move || handle_connection(&coord, stream));
-            }
-        })
-    };
-
-    Ok(CoordinatorHandle {
-        coord,
-        acceptor,
-        sweeper,
-    })
+    let mut handle = start(Arc::clone(&coord) as Arc<dyn Executor>, front)?;
+    let drain = handle.node();
+    handle.attach(std::thread::spawn(move || {
+        while !drain.draining() {
+            std::thread::sleep(Duration::from_millis(coord.opts.heartbeat_ms));
+            let _ = coord
+                .members
+                .sweep(Duration::from_millis(coord.opts.fail_after_ms));
+        }
+    }));
+    Ok(handle)
 }
 
-fn handle_connection(coord: &Arc<Coord>, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    loop {
-        let response = match read_line_capped(&mut reader) {
-            Err(_) | Ok(None) => break,
-            Ok(Some(Err(reason))) => error_response("request", &reason).render_compact(),
-            Ok(Some(Ok(line))) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                handle_line(coord, &line)
-            }
+impl Executor for Coord {
+    fn run(&self, job: &JobRequest, digest: &str, ctl: &RunControl) -> Ran {
+        let idx = self.counters.requests.fetch_add(1, Ordering::SeqCst);
+        apply_chaos(self, idx);
+        let Some(line) = dispatch_job(self, idx, job, digest, ctl) else {
+            return Ran::Drained;
         };
-        if writeln!(writer, "{response}").is_err() {
-            break;
-        }
+        // The coordinator holds no cache, so parked duplicates take the
+        // leader's answer — only a complete one: a failure leaves them
+        // to lead a retry, and so does a job with its own cut-off, since
+        // neither `timeout_secs` nor `deadline_ms` is in the digest and
+        // a reply they cut short is no answer to a duplicate without.
+        let own_cutoff = job.timeout_secs.is_some() || job.deadline_ms.is_some();
+        let share = status_of(&line).as_deref() == Some("ok") && !own_cutoff;
+        Ran::Reply { line, share }
     }
-}
 
-fn handle_line(coord: &Arc<Coord>, line: &str) -> String {
-    match parse_request(line) {
-        Err(e) => error_response("request", &e).render_compact(),
-        Ok(Request::Ping) => ok_response("ping", None, false, Json::Obj(vec![])).render_compact(),
-        Ok(Request::Stats) => stats_response(coord).render_compact(),
-        Ok(Request::Shutdown) => {
-            trigger_drain(coord);
-            ok_response("shutdown", None, false, Json::Obj(vec![])).render_compact()
+    fn control(self: Arc<Self>, request: Request) -> Control {
+        Control::Now(match request {
+            Request::Join { addr, capacity } => handle_join(&self, &addr, capacity),
+            Request::Leave { addr, cache } => {
+                // Off the ring at once; the hand-off dials other
+                // workers, so it runs on the pool, never on the reactor.
+                self.members.mark_dead(&addr);
+                return Control::Pool(
+                    "leave",
+                    Box::new(move || handle_leave(&self, &addr, cache.as_ref())),
+                );
+            }
+            Request::Gossip => error_response(
+                "gossip",
+                "the coordinator holds no result cache; gossip with a worker",
+            ),
+            _ => error_response(
+                "gossip-push",
+                "the coordinator holds no result cache; push to a worker",
+            ),
+        })
+    }
+
+    fn pool_size(&self, configured: usize) -> usize {
+        configured.max(self.members.capacity())
+    }
+
+    fn stats(&self, fields: &mut Vec<(String, Json)>) {
+        let (alive, dead) = self.members.counts();
+        let load = |c: &AtomicU64| Json::count(usize::try_from(c.load(Ordering::SeqCst)).unwrap_or(0));
+        // The shared `collapsed` count, under the name coordinator
+        // clients read it by.
+        let collapsed = fields
+            .iter()
+            .find(|(k, _)| k == "collapsed")
+            .map_or(Json::count(0), |(_, v)| v.clone());
+        fields.extend([
+            ("role".to_string(), Json::str("coordinator")),
+            ("workers_alive".to_string(), Json::count(alive)),
+            ("workers_dead".to_string(), Json::count(dead)),
+            ("requests".to_string(), load(&self.counters.requests)),
+            ("routed".to_string(), load(&self.counters.routed)),
+            ("local_runs".to_string(), load(&self.counters.local_runs)),
+            ("retried".to_string(), load(&self.counters.retried)),
+            ("hedges".to_string(), load(&self.counters.hedges)),
+            ("hedge_wins".to_string(), load(&self.counters.hedge_wins)),
+            ("hedges_deferred".to_string(), load(&self.counters.hedges_deferred)),
+            ("redispatched".to_string(), load(&self.counters.redispatched)),
+            ("handoff_entries".to_string(), load(&self.counters.handoff_entries)),
+            ("flight_collapsed".to_string(), collapsed),
+            ("dispatch_latency".to_string(), self.counters.dispatch_latency.to_json()),
+        ]);
+        if let Some(plan) = &self.chaos {
+            fields.push(("chaos".to_string(), plan.to_json()));
         }
-        Ok(Request::Gossip) => error_response(
-            "gossip",
-            "the coordinator holds no result cache; gossip with a worker",
-        )
-        .render_compact(),
-        Ok(Request::GossipPush { .. }) => error_response(
-            "gossip-push",
-            "the coordinator holds no result cache; push to a worker",
-        )
-        .render_compact(),
-        Ok(Request::Join { addr }) => handle_join(coord, &addr).render_compact(),
-        Ok(Request::Leave { addr, cache }) => handle_leave(coord, &addr, cache.as_ref()).render_compact(),
-        Ok(Request::Job(job)) => handle_job(coord, &job),
     }
 }
 
 /// A worker announcing its drain, optionally handing over its cache
-/// shard.  The coordinator removes it from the ring *now* (no waiting
-/// for the failure detector) and pushes each handed-over entry to the
+/// shard.  The caller has already taken it off the ring (no waiting
+/// for the failure detector); this pushes each handed-over entry to the
 /// worker that now owns its digest — so a drain-then-kill loses no
 /// warm cache entry and the first post-drain request is still a hit.
-fn handle_leave(coord: &Arc<Coord>, addr: &str, cache: Option<&Json>) -> Json {
-    coord.members.mark_dead(addr);
-    let mut handed_off = 0usize;
-    let mut targets = 0usize;
-    if let Some(body) = cache {
-        match crate::gossip::parse_gossip(body) {
-            Err(e) => return error_response("leave", &format!("refusing the handoff: {e}")),
-            Ok(entries) if entries.is_empty() => {}
-            Ok(entries) => {
-                let idx = coord.requests.load(Ordering::SeqCst);
-                let survivors: Vec<String> = reachable_workers(coord, idx)
-                    .into_iter()
-                    .filter(|a| a != addr)
-                    .collect();
-                if !survivors.is_empty() {
-                    // Route each entry to the worker its digest now
-                    // lands on, grouping so each new owner gets one
-                    // digest-guarded push.
-                    let ring = Ring::new(survivors);
-                    let mut per_owner: Vec<(String, crate::snapshot::Entries)> = Vec::new();
-                    for entry in entries {
-                        let Some(owner) = ring.candidates(&entry.0).next() else {
-                            continue;
-                        };
-                        match per_owner.iter_mut().find(|(a, _)| a == owner) {
-                            Some((_, batch)) => batch.push(entry),
-                            None => per_owner.push((owner.to_string(), vec![entry])),
-                        }
-                    }
-                    let connect = Duration::from_millis(coord.opts.connect_timeout_ms);
-                    let read = Duration::from_millis(coord.opts.read_timeout_ms);
-                    for (owner, batch) in per_owner {
-                        match crate::gossip::push_to(&owner, &batch, connect, read) {
-                            Ok(_) => {
-                                handed_off += batch.len();
-                                targets += 1;
-                            }
-                            Err(_) => coord.members.mark_dead(&owner),
-                        }
-                    }
-                    coord
-                        .handoff_entries
-                        .fetch_add(u64::try_from(handed_off).unwrap_or(0), Ordering::SeqCst);
-                }
-            }
+fn handle_leave(coord: &Coord, addr: &str, cache: Option<&Json>) -> Json {
+    let entries = match cache.map(crate::gossip::parse_gossip).transpose() {
+        Err(e) => return error_response("leave", &format!("refusing the handoff: {e}")),
+        Ok(entries) => entries.unwrap_or_default(),
+    };
+    let idx = coord.counters.requests.load(Ordering::SeqCst);
+    let survivors = reachable_workers(coord, idx).into_iter().filter(|a| a != addr);
+    // Route each entry to the worker its digest now lands on, grouping
+    // so each new owner gets one digest-guarded push.
+    let ring = Ring::new(survivors);
+    let mut per_owner: BTreeMap<String, Entries> = BTreeMap::new();
+    for entry in entries {
+        if let Some(owner) = ring.candidates(&entry.0).next() {
+            per_owner.entry(owner.to_string()).or_default().push(entry);
         }
     }
+    let connect = Duration::from_millis(coord.opts.connect_timeout_ms);
+    let read = Duration::from_millis(coord.opts.read_timeout_ms);
+    let (mut handed_off, mut targets) = (0usize, 0usize);
+    for (owner, batch) in per_owner {
+        match crate::gossip::push_to(&owner, &batch, connect, read) {
+            Ok(_) => {
+                handed_off += batch.len();
+                targets += 1;
+            }
+            Err(_) => coord.members.mark_dead(&owner),
+        }
+    }
+    let handed = u64::try_from(handed_off).unwrap_or(0);
+    coord.counters.handoff_entries.fetch_add(handed, Ordering::SeqCst);
     ok_response(
         "leave",
         None,
@@ -417,8 +307,15 @@ fn handle_leave(coord: &Arc<Coord>, addr: &str, cache: Option<&Json>) -> Json {
     )
 }
 
-fn handle_join(coord: &Arc<Coord>, addr: &str) -> Json {
-    let idx = coord.requests.load(Ordering::SeqCst);
+/// The most jobs one `join` may claim its worker admits: each one can
+/// hold a coordinator pool thread, so a bogus announcement must not
+/// spawn without bound.
+const MAX_JOIN_CAPACITY: usize = 1024;
+
+/// A worker's heartbeat.  Its announced capacity (a worker with default
+/// options when it names none) sizes the coordinator's pool.
+fn handle_join(coord: &Coord, addr: &str, capacity: Option<usize>) -> Json {
+    let idx = coord.counters.requests.load(Ordering::SeqCst);
     let deaf = coord
         .chaos_state
         .lock()
@@ -436,7 +333,8 @@ fn handle_join(coord: &Arc<Coord>, addr: &str) -> Json {
             Json::Obj(vec![("ignored".to_string(), Json::Bool(true))]),
         );
     }
-    let rejoined = coord.members.heartbeat(addr);
+    let capacity = capacity.unwrap_or_else(|| ServerOptions::default().capacity());
+    let rejoined = coord.members.heartbeat(addr, Some(capacity.min(MAX_JOIN_CAPACITY)));
     let peers: Vec<String> = coord
         .members
         .alive()
@@ -454,37 +352,8 @@ fn handle_join(coord: &Arc<Coord>, addr: &str) -> Json {
     )
 }
 
-fn stats_response(coord: &Arc<Coord>) -> Json {
-    let (alive, dead) = coord.members.counts();
-    let load = |c: &AtomicU64| Json::count(usize::try_from(c.load(Ordering::SeqCst)).unwrap_or(0));
-    let mut fields = vec![
-        ("role".to_string(), Json::str("coordinator")),
-        ("workers_alive".to_string(), Json::count(alive)),
-        ("workers_dead".to_string(), Json::count(dead)),
-        ("requests".to_string(), load(&coord.requests)),
-        ("routed".to_string(), load(&coord.routed)),
-        ("local_runs".to_string(), load(&coord.local_runs)),
-        ("retried".to_string(), load(&coord.retried)),
-        ("hedges".to_string(), load(&coord.hedges)),
-        ("hedge_wins".to_string(), load(&coord.hedge_wins)),
-        ("hedges_deferred".to_string(), load(&coord.hedges_deferred)),
-        ("redispatched".to_string(), load(&coord.redispatched)),
-        ("handoff_entries".to_string(), load(&coord.handoff_entries)),
-        ("flight_collapsed".to_string(), load(&coord.flight_collapsed)),
-        ("dispatch_latency".to_string(), coord.dispatch_latency.to_json()),
-        (
-            "draining".to_string(),
-            Json::Bool(coord.draining.load(Ordering::SeqCst)),
-        ),
-    ];
-    if let Some(plan) = &coord.chaos {
-        fields.push(("chaos".to_string(), plan.to_json()));
-    }
-    ok_response("stats", None, false, Json::Obj(fields))
-}
-
 /// Applies every chaos event scheduled at this request index.
-fn apply_chaos(coord: &Arc<Coord>, idx: u64) {
+fn apply_chaos(coord: &Coord, idx: u64) {
     let Some(plan) = &coord.chaos else { return };
     let events: Vec<ChaosEvent> = plan
         .at(usize::try_from(idx).unwrap_or(usize::MAX))
@@ -529,7 +398,7 @@ fn apply_chaos(coord: &Arc<Coord>, idx: u64) {
 }
 
 /// Alive workers reachable at this request index (partitions excluded).
-fn reachable_workers(coord: &Arc<Coord>, idx: u64) -> Vec<String> {
+fn reachable_workers(coord: &Coord, idx: u64) -> Vec<String> {
     let partitioned: Vec<String> = {
         let state = coord.chaos_state.lock().expect("chaos lock");
         state
@@ -547,80 +416,39 @@ fn reachable_workers(coord: &Arc<Coord>, idx: u64) -> Vec<String> {
         .collect()
 }
 
+/// An envelope's `status`.
 fn status_of(reply: &str) -> Option<String> {
-    Json::parse(reply)
-        .ok()?
-        .get("status")
-        .and_then(Json::as_str)
-        .map(str::to_owned)
+    let envelope = Json::parse(reply).ok()?;
+    envelope.get("status").and_then(Json::as_str).map(str::to_owned)
 }
 
-fn handle_job(coord: &Arc<Coord>, job: &JobRequest) -> String {
-    let idx = coord.requests.fetch_add(1, Ordering::SeqCst);
-    apply_chaos(coord, idx);
-    let op = job.mode.keyword();
-    let digest = match job.digest() {
-        Ok(d) => d,
-        Err(e) => return error_response(op, &e).render_compact(),
-    };
-    if job.no_cache {
-        // A cache-bypassing request asked for a fresh run; collapsing
-        // it onto a concurrent duplicate would hand it stale bytes.
-        return dispatch_job(coord, idx, job, &digest);
-    }
-    loop {
-        if coord.flight.begin(&digest) {
-            let reply = dispatch_job(coord, idx, job, &digest);
-            if status_of(&reply).as_deref() == Some("ok") {
-                remember_reply(coord, &digest, &reply);
-            }
-            coord.flight.finish(&digest);
-            return reply;
-        }
-        // A concurrent duplicate: park behind the leader, then answer
-        // from its reply.  A miss means the leader failed without an
-        // ok — loop around and become the next leader.
-        coord.flight_collapsed.fetch_add(1, Ordering::SeqCst);
-        coord.flight.wait(&digest);
-        if let Some(reply) = recall_reply(coord, &digest) {
-            return reply;
-        }
-    }
+/// Whether the node is draining: every dispatch wait gives up on it.
+fn draining(ctl: &RunControl) -> bool {
+    ctl.cancel.load(Ordering::SeqCst)
 }
 
-/// The dispatch body shared by flight leaders and `no_cache` bypasses:
-/// campaign fan-out when worthwhile, otherwise ring routing with local
-/// degradation.
-fn dispatch_job(coord: &Arc<Coord>, idx: u64, job: &JobRequest, digest: &str) -> String {
+/// Campaign fan-out when worthwhile, otherwise ring routing with local
+/// degradation.  `None` when a drain cut the job short.
+fn dispatch_job(
+    coord: &Coord,
+    idx: u64,
+    job: &JobRequest,
+    digest: &str,
+    ctl: &RunControl,
+) -> Option<String> {
     if job.mode == Mode::Campaign && job.unit.is_none() {
-        if let Some(response) = campaign_fanout(coord, idx, job, digest) {
+        if let Some(response) = campaign_fanout(coord, idx, job, digest, ctl) {
             return response;
         }
     }
-    match try_route(coord, idx, job, digest) {
+    match try_route(coord, idx, job, digest, ctl) {
         Ok(reply) => {
-            coord.routed.fetch_add(1, Ordering::SeqCst);
-            reply
+            coord.counters.routed.fetch_add(1, Ordering::SeqCst);
+            Some(reply)
         }
-        Err(_) => run_local(coord, job, digest),
+        Err(_) if draining(ctl) => None,
+        Err(_) => run_local(coord, job, digest, ctl),
     }
-}
-
-fn remember_reply(coord: &Arc<Coord>, digest: &str, reply: &str) {
-    let mut memo = coord.replies.lock().expect("reply memo");
-    memo.retain(|(d, _)| d != digest);
-    if memo.len() >= REPLY_MEMO_CAP {
-        memo.pop_front();
-    }
-    memo.push_back((digest.to_string(), reply.to_string()));
-}
-
-fn recall_reply(coord: &Arc<Coord>, digest: &str) -> Option<String> {
-    let memo = coord.replies.lock().expect("reply memo");
-    memo.iter()
-        .rev()
-        .find(|(d, _)| d == digest)
-        .map(|(_, reply)| reply.clone())
 }
 
 /// Routes one job through the ring with retries, backoff, and hedging.
@@ -628,13 +456,19 @@ fn recall_reply(coord: &Arc<Coord>, digest: &str) -> Option<String> {
 /// Returns the worker's reply verbatim (its body bytes untouched) or
 /// an error when no worker could be made to answer — the caller then
 /// degrades to local execution.
-fn try_route(coord: &Arc<Coord>, idx: u64, job: &JobRequest, digest: &str) -> Result<String, String> {
+fn try_route(
+    coord: &Coord,
+    idx: u64,
+    job: &JobRequest,
+    digest: &str,
+    ctl: &RunControl,
+) -> Result<String, String> {
     // Ask the worker for progress heartbeats while it runs, so a busy
     // worker is distinguishable from a dead one: heartbeats defer the
-    // hedge (and keep the read timeout alive).  `progress_ms` is
+    // hedge (and keep the read timeout alive), and their counts feed
+    // the ticket's own progress counters.  `progress_ms` is
     // execution-only — it never enters the digest, so the worker's
-    // cache bytes are untouched.  Heartbeats are consumed here, not
-    // relayed: the coordinator's own clients see one final line.
+    // cache bytes are untouched.
     let mut dispatch = job.clone();
     if dispatch.progress_ms.is_none() {
         dispatch.progress_ms = Some((coord.opts.hedge_after_ms / 2).clamp(50, 1000));
@@ -649,25 +483,27 @@ fn try_route(coord: &Arc<Coord>, idx: u64, job: &JobRequest, digest: &str) -> Re
         let ring = Ring::new(alive);
         let candidates: Vec<String> = ring.candidates(digest).map(str::to_owned).collect();
         for (pos, candidate) in candidates.iter().enumerate() {
+            if draining(ctl) {
+                return Err("coordinator draining".into());
+            }
             if round > 0 || pos > 0 {
-                coord.retried.fetch_add(1, Ordering::SeqCst);
+                coord.counters.retried.fetch_add(1, Ordering::SeqCst);
             }
             let backup = candidates.get(pos + 1).map(String::as_str);
-            match dispatch_hedged(coord, candidate, backup, &line) {
-                Ok(reply) => match status_of(&reply).as_deref() {
-                    // ok and error both relay verbatim: an error here is
-                    // a deterministic request fault every node answers
-                    // identically.
-                    Some("ok") | Some("error") => return Ok(reply),
-                    // rejected (queue full, draining): next candidate.
-                    _ => {}
-                },
-                Err(_) => {
-                    coord.members.mark_dead(candidate);
+            match dispatch_hedged(coord, candidate, backup, &line, ctl) {
+                // ok and error both relay verbatim: an error here is a
+                // deterministic request fault every node answers
+                // identically.  Rejected (queue full, draining): next
+                // candidate.
+                Ok(reply) => {
+                    if let Some("ok" | "error") = status_of(&reply).as_deref() {
+                        return Ok(reply);
+                    }
                 }
+                Err(_) => coord.members.mark_dead(candidate),
             }
         }
-        if round < coord.opts.retry_rounds {
+        if round < coord.opts.retry_rounds && !draining(ctl) {
             std::thread::sleep(backoff);
             backoff = backoff.saturating_mul(2);
         }
@@ -675,16 +511,40 @@ fn try_route(coord: &Arc<Coord>, idx: u64, job: &JobRequest, digest: &str) -> Re
     Err("every candidate failed or rejected".into())
 }
 
+/// Adds a worker heartbeat's advance over the highest counts this
+/// dispatch has relayed so far to the ticket's progress counters.
+/// Across hedged legs the high-water mark keeps the relay monotone;
+/// across campaign units (one dispatch each) the counts add up.
+fn relay_progress(ctl: &RunControl, beat: &str, high: &mut (u64, u64)) {
+    let Some((states, schedules)) = &ctl.progress else {
+        return;
+    };
+    let Ok(beat) = Json::parse(beat) else {
+        return;
+    };
+    let count = |key: &str| {
+        beat.get(key)
+            .and_then(Json::as_int)
+            .and_then(|n| u64::try_from(n).ok())
+            .unwrap_or(0)
+    };
+    let (s, c) = (count("states_explored"), count("schedules_classified"));
+    states.fetch_add(s.saturating_sub(high.0), Ordering::Relaxed);
+    schedules.fetch_add(c.saturating_sub(high.1), Ordering::Relaxed);
+    *high = (high.0.max(s), high.1.max(c));
+}
+
 /// What a dispatch leg reports back: liveness, then the answer.
 enum DispatchMsg {
     /// The worker streamed a progress heartbeat — it is alive and
-    /// working, whatever the wall clock says.
-    Progress(String),
+    /// working, whatever the wall clock says.  Carries the worker
+    /// address and the heartbeat line.
+    Progress(String, String),
     /// The leg finished (reply or transport failure).
     Final(String, Result<String, String>),
 }
 
-fn spawn_dispatch(coord: &Arc<Coord>, addr: String, line: String, tx: mpsc::Sender<DispatchMsg>) {
+fn spawn_dispatch(coord: &Coord, addr: String, line: String, tx: mpsc::Sender<DispatchMsg>) {
     let connect = Duration::from_millis(coord.opts.connect_timeout_ms);
     let read = Duration::from_millis(coord.opts.read_timeout_ms);
     std::thread::spawn(move || {
@@ -692,8 +552,9 @@ fn spawn_dispatch(coord: &Arc<Coord>, addr: String, line: String, tx: mpsc::Send
         let progress_addr = addr.clone();
         let result = Client::connect_with(&addr, Some(connect)).and_then(|mut c| {
             c.read_timeout(Some(read))?;
-            c.roundtrip_streaming(&line, move |_| {
-                let _ = progress_tx.send(DispatchMsg::Progress(progress_addr.clone()));
+            c.roundtrip_streaming(&line, move |beat| {
+                let beat = DispatchMsg::Progress(progress_addr.clone(), beat.to_string());
+                let _ = progress_tx.send(beat);
             })
         });
         // The receiver may be gone (the other leg already answered).
@@ -709,15 +570,18 @@ fn spawn_dispatch(coord: &Arc<Coord>, addr: String, line: String, tx: mpsc::Send
 /// singleflight.  A primary that streams progress heartbeats resets
 /// the hedge timer each time: a long campaign on a healthy worker is
 /// *slow*, not *stuck*, and double-firing it would waste half the
-/// fleet's capacity on duplicates.
+/// fleet's capacity on duplicates.  The wait runs in short slices so a
+/// drain abandons the dispatch (its legs finish detached) instead of
+/// holding the pool until the worker answers.
 fn dispatch_hedged(
-    coord: &Arc<Coord>,
+    coord: &Coord,
     primary: &str,
     backup: Option<&str>,
     line: &str,
+    ctl: &RunControl,
 ) -> Result<String, String> {
     let started = Instant::now();
-    let observed_p99_ms = coord.dispatch_latency.percentile_us(99) / 1000;
+    let observed_p99_ms = coord.counters.dispatch_latency.percentile_us(99) / 1000;
     let hedge_after = Duration::from_millis(coord.opts.hedge_after_ms.max(observed_p99_ms));
     let read_limit = Duration::from_millis(coord.opts.read_timeout_ms);
     let (tx, rx) = mpsc::channel();
@@ -725,24 +589,29 @@ fn dispatch_hedged(
     let mut outstanding = 1usize;
     let mut hedged = false;
     let mut wait = hedge_after;
+    let mut until = started + wait;
+    let mut relayed = (0u64, 0u64);
     loop {
-        match rx.recv_timeout(wait) {
-            Ok(DispatchMsg::Progress(addr)) => {
-                coord.members.heartbeat(&addr);
+        let slice = until.saturating_duration_since(Instant::now());
+        match rx.recv_timeout(slice.min(Duration::from_millis(100))) {
+            Err(mpsc::RecvTimeoutError::Timeout) if draining(ctl) => {
+                return Err("coordinator draining".into());
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) if Instant::now() < until => continue,
+            Ok(DispatchMsg::Progress(addr, beat)) => {
+                coord.members.heartbeat(&addr, None);
+                relay_progress(ctl, &beat, &mut relayed);
                 if !hedged && addr == primary {
                     // Alive and working: push the hedge out by a full
                     // window rather than double-firing on it.
-                    coord.hedges_deferred.fetch_add(1, Ordering::SeqCst);
-                    wait = hedge_after;
+                    coord.counters.hedges_deferred.fetch_add(1, Ordering::SeqCst);
                 }
-                // A heartbeat from a hedged leg just restarts the
-                // (long) read wait, which recv_timeout does anyway.
             }
             Ok(DispatchMsg::Final(addr, Ok(reply))) => {
                 let us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                coord.dispatch_latency.record_us(us);
+                coord.counters.dispatch_latency.record_us(us);
                 if hedged && addr != primary {
-                    coord.hedge_wins.fetch_add(1, Ordering::SeqCst);
+                    coord.counters.hedge_wins.fetch_add(1, Ordering::SeqCst);
                 }
                 return Ok(reply);
             }
@@ -758,7 +627,7 @@ fn dispatch_hedged(
                 if !hedged {
                     hedged = true;
                     if let Some(b) = backup {
-                        coord.hedges.fetch_add(1, Ordering::SeqCst);
+                        coord.counters.hedges.fetch_add(1, Ordering::SeqCst);
                         outstanding += 1;
                         spawn_dispatch(coord, b.to_string(), line.to_string(), tx.clone());
                     }
@@ -771,22 +640,23 @@ fn dispatch_hedged(
                 return Err("dispatch threads died".into());
             }
         }
+        // Every message, and the hedge firing, restarts the wait (a
+        // heartbeat from a hedged leg restarts the long read wait).
+        until = Instant::now() + wait;
     }
 }
 
 /// Runs the job on the coordinator's own engine (quorum lost or every
-/// route exhausted) and marks the envelope `"via":"local"`.
-fn run_local(coord: &Arc<Coord>, job: &JobRequest, digest: &str) -> String {
-    coord.local_runs.fetch_add(1, Ordering::SeqCst);
+/// route exhausted) and marks the envelope `"via":"local"`.  `None`
+/// when a drain cut the run short.
+fn run_local(coord: &Coord, job: &JobRequest, digest: &str, ctl: &RunControl) -> Option<String> {
+    coord.counters.local_runs.fetch_add(1, Ordering::SeqCst);
     let op = job.mode.keyword();
-    let ctl = RunControl {
-        deadline: job
-            .timeout_secs
-            .map(|s| Instant::now() + Duration::from_secs(s)),
-        cancel: Arc::clone(&coord.cancel),
-        progress: None,
-    };
-    match coord.engine.run(job, &ctl).body {
+    let outcome = coord.engine.run(job, ctl);
+    if !outcome.cacheable && draining(ctl) {
+        return None;
+    }
+    Some(match outcome.body {
         Ok(body) => {
             let mut envelope = ok_response(op, Some(digest), false, body);
             if let Json::Obj(fields) = &mut envelope {
@@ -795,7 +665,7 @@ fn run_local(coord: &Arc<Coord>, job: &JobRequest, digest: &str) -> String {
             envelope.render_compact()
         }
         Err(e) => error_response(op, &e).render_compact(),
-    }
+    })
 }
 
 /// Per-unit outcomes, indexed by unit position in the enumeration.
@@ -804,8 +674,15 @@ type UnitSlots = Vec<Option<Result<Json, String>>>;
 /// A campaign split into per-schedule work units, work-stolen across
 /// the fleet, stitched back into the byte-identical single-process
 /// report.  Returns `None` when splitting is not worthwhile (few
-/// schedules or no routable fleet) — the caller routes it whole.
-fn campaign_fanout(coord: &Arc<Coord>, idx: u64, job: &JobRequest, digest: &str) -> Option<String> {
+/// schedules or no routable fleet) — the caller routes it whole — and
+/// `Some(None)` when a drain cut it short.
+fn campaign_fanout(
+    coord: &Coord,
+    idx: u64,
+    job: &JobRequest,
+    digest: &str,
+    ctl: &RunControl,
+) -> Option<Option<String>> {
     let total = multi_fault_schedules(
         job.channels.iter().cloned(),
         &FaultKind::ALL,
@@ -821,53 +698,45 @@ fn campaign_fanout(coord: &Arc<Coord>, idx: u64, job: &JobRequest, digest: &str)
         return None;
     }
     let unit_count = total.div_ceil(unit);
-    let pending: Arc<Mutex<VecDeque<usize>>> =
-        Arc::new(Mutex::new((0..unit_count).collect()));
-    let slots: Arc<Mutex<UnitSlots>> = Arc::new(Mutex::new(vec![None; unit_count]));
+    let pending: Mutex<VecDeque<usize>> = Mutex::new((0..unit_count).collect());
+    let slots: Mutex<UnitSlots> = Mutex::new(vec![None; unit_count]);
     // One dispatcher per worker pulling from the shared unit queue:
     // work-stealing by construction — a fast worker's dispatcher simply
     // comes back for more, and a dead worker's dispatcher re-routes.
-    let dispatchers: Vec<JoinHandle<()>> = workers
-        .iter()
-        .map(|_| {
-            let coord = Arc::clone(coord);
-            let pending = Arc::clone(&pending);
-            let slots = Arc::clone(&slots);
-            let job = job.clone();
-            std::thread::spawn(move || loop {
+    std::thread::scope(|scope| {
+        for _ in &workers {
+            scope.spawn(|| while !draining(ctl) {
                 let next = pending.lock().expect("unit queue").pop_front();
                 let Some(unit_index) = next else { break };
-                let result = run_unit(&coord, idx, &job, unit_index, unit);
+                let result = run_unit(coord, idx, job, unit_index, unit, ctl);
                 slots.lock().expect("unit slots")[unit_index] = Some(result);
-            })
-        })
-        .collect();
-    for d in dispatchers {
-        let _ = d.join();
+            });
+        }
+    });
+    let slots = slots.into_inner().expect("unit slots");
+    match merge_units(job, digest, total, slots) {
+        Some(merged) => Some(Some(merged)),
+        None if draining(ctl) => Some(None),
+        None => Some(run_local(coord, job, digest, ctl)),
     }
-    let slots = Arc::try_unwrap(slots)
-        .expect("dispatchers joined")
-        .into_inner()
-        .expect("unit slots");
-    merge_units(job, digest, total, slots)
-        .or_else(|| Some(run_local(coord, job, digest)))
 }
 
 /// Decides one work unit: routed through the ring when possible, run
 /// on the local engine otherwise.  Either way the body comes from the
 /// same `campaign_body` encoder, so merged bytes cannot differ.
 fn run_unit(
-    coord: &Arc<Coord>,
+    coord: &Coord,
     idx: u64,
     job: &JobRequest,
     unit_index: usize,
     unit: usize,
+    ctl: &RunControl,
 ) -> Result<Json, String> {
     let sub = job.with_unit(unit_index * unit, unit);
     let sub_digest = sub.digest()?;
-    match try_route(coord, idx, &sub, &sub_digest) {
+    match try_route(coord, idx, &sub, &sub_digest, ctl) {
         Ok(reply) => {
-            coord.routed.fetch_add(1, Ordering::SeqCst);
+            coord.counters.routed.fetch_add(1, Ordering::SeqCst);
             let envelope =
                 Json::parse(&reply).map_err(|e| format!("malformed worker reply: {e}"))?;
             match envelope.get("status").and_then(Json::as_str) {
@@ -881,16 +750,9 @@ fn run_unit(
         Err(_) => {
             // The fleet cannot take this unit (quorum lost mid-campaign
             // or every candidate dead): decide it locally.
-            coord.redispatched.fetch_add(1, Ordering::SeqCst);
-            coord.local_runs.fetch_add(1, Ordering::SeqCst);
-            let ctl = RunControl {
-                deadline: sub
-                    .timeout_secs
-                    .map(|s| Instant::now() + Duration::from_secs(s)),
-                cancel: Arc::clone(&coord.cancel),
-                progress: None,
-            };
-            coord.engine.run(&sub, &ctl).body
+            coord.counters.redispatched.fetch_add(1, Ordering::SeqCst);
+            coord.counters.local_runs.fetch_add(1, Ordering::SeqCst);
+            coord.engine.run(&sub, ctl).body
         }
     }
 }

@@ -1,21 +1,30 @@
 //! Singleflight: at most one in-flight execution per cache key.
 //!
 //! When several workers pick up requests with the same digest, one of
-//! them becomes the *leader* and runs the exploration; the others park
-//! on the condvar and, once the leader finishes (filling the cache),
-//! re-check the cache and answer from it.  The worst case — the leader
-//! fails without caching — is handled by the wait/retry loop in the
-//! worker: a parked follower wakes, finds the key free, and becomes
-//! the next leader.
+//! them becomes the *leader* and runs the job; the others park until
+//! it finishes.  The leader may hand its reply to the parked followers
+//! (a coordinator, which holds no cache, does); otherwise a follower
+//! wakes with nothing, re-checks the cache the leader filled, and
+//! answers from it.  The worst case — the leader fails without caching
+//! or handing over — is handled by the wait/retry loop in the worker:
+//! a parked follower wakes, finds the key free, and becomes the next
+//! leader.
 
-use std::collections::HashSet;
-use std::sync::{Condvar, Mutex};
+use std::collections::HashMap;
+use std::sync::{Arc, Condvar, Mutex};
+
+/// One flight: `None` while the leader runs, then the reply it handed
+/// over (itself `None` when it handed nothing).
+#[derive(Debug, Default)]
+struct Flight {
+    outcome: Mutex<Option<Option<String>>>,
+    landed: Condvar,
+}
 
 /// The in-flight key registry.
 #[derive(Debug, Default)]
 pub struct Singleflight {
-    inner: Mutex<HashSet<String>>,
-    done: Condvar,
+    inner: Mutex<HashMap<String, Arc<Flight>>>,
 }
 
 impl Singleflight {
@@ -28,38 +37,45 @@ impl Singleflight {
     /// Tries to become the leader for `key`.  Returns `true` on
     /// success; the caller then *must* call [`Singleflight::finish`].
     pub fn begin(&self, key: &str) -> bool {
-        let mut set = self.inner.lock().expect("flight lock");
-        if set.contains(key) {
+        let mut flights = self.inner.lock().expect("flight lock");
+        if flights.contains_key(key) {
             false
         } else {
-            set.insert(key.to_string());
+            flights.insert(key.to_string(), Arc::default());
             true
         }
     }
 
-    /// Blocks while `key` is in flight.  Returns immediately if it is
-    /// not; after returning, the caller re-checks the cache and may try
+    /// Blocks while `key` is in flight and returns the reply its leader
+    /// handed over.  Returns `None` at once if the key is not in
+    /// flight, and `None` after the wait if the leader handed nothing;
+    /// the caller then re-checks the cache and may try
     /// [`Singleflight::begin`] again.
-    pub fn wait(&self, key: &str) {
-        let mut set = self.inner.lock().expect("flight lock");
-        while set.contains(key) {
-            set = self.done.wait(set).expect("flight lock");
+    pub fn wait(&self, key: &str) -> Option<String> {
+        let flight = self.inner.lock().expect("flight lock").get(key).cloned()?;
+        let mut outcome = flight.outcome.lock().expect("flight lock");
+        loop {
+            if let Some(handed) = outcome.as_ref() {
+                return handed.clone();
+            }
+            outcome = flight.landed.wait(outcome).expect("flight lock");
         }
     }
 
-    /// Releases leadership of `key` and wakes every waiter.
-    pub fn finish(&self, key: &str) {
-        let mut set = self.inner.lock().expect("flight lock");
-        set.remove(key);
-        self.done.notify_all();
+    /// Releases leadership of `key`, hands `reply` to every waiter, and
+    /// wakes them.
+    pub fn finish(&self, key: &str, reply: Option<String>) {
+        let Some(flight) = self.inner.lock().expect("flight lock").remove(key) else {
+            return;
+        };
+        *flight.outcome.lock().expect("flight lock") = Some(reply);
+        flight.landed.notify_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
 
     #[test]
     fn one_leader_per_key() {
@@ -67,31 +83,27 @@ mod tests {
         assert!(f.begin("k"));
         assert!(!f.begin("k"));
         assert!(f.begin("other"));
-        f.finish("k");
+        f.finish("k", None);
         assert!(f.begin("k"));
     }
 
     #[test]
     fn waiters_block_until_finish() {
         let f = Arc::new(Singleflight::new());
-        let woke = Arc::new(AtomicUsize::new(0));
         assert!(f.begin("k"));
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let f = Arc::clone(&f);
-                let woke = Arc::clone(&woke);
-                std::thread::spawn(move || {
-                    f.wait("k");
-                    woke.fetch_add(1, Ordering::SeqCst);
-                })
+                std::thread::spawn(move || f.wait("k"))
             })
             .collect();
         std::thread::sleep(std::time::Duration::from_millis(30));
-        assert_eq!(woke.load(Ordering::SeqCst), 0, "waiters stay parked");
-        f.finish("k");
+        assert!(handles.iter().all(|h| !h.is_finished()), "waiters stay parked");
+        f.finish("k", Some("reply".into()));
         for h in handles {
-            h.join().unwrap();
+            assert_eq!(h.join().unwrap().as_deref(), Some("reply"));
         }
-        assert_eq!(woke.load(Ordering::SeqCst), 4);
+        // The hand-over belongs to that flight only.
+        assert_eq!(f.wait("k"), None);
     }
 }

@@ -18,6 +18,8 @@ use std::time::{Duration, Instant};
 struct WorkerState {
     last_seen: Instant,
     alive: bool,
+    /// Jobs the worker admits before it sheds.
+    capacity: usize,
 }
 
 /// The coordinator's live view of its worker fleet.
@@ -33,30 +35,23 @@ impl Membership {
         Membership::default()
     }
 
-    /// Records a heartbeat from `addr`.  Returns `true` when this is a
-    /// *rejoin* — the worker was previously unknown or declared dead —
-    /// which is the caller's cue to suggest cache warming.
-    pub fn heartbeat(&self, addr: &str) -> bool {
+    /// Records a heartbeat from `addr`, and its `capacity` when it
+    /// announces one (an unknown worker's defaults to 0).  Returns
+    /// `true` when this is a *rejoin* — the worker was previously
+    /// unknown or declared dead — which is the caller's cue to suggest
+    /// cache warming.
+    pub fn heartbeat(&self, addr: &str, capacity: Option<usize>) -> bool {
         let mut workers = self.workers.lock().expect("membership lock");
-        let now = Instant::now();
-        match workers.get_mut(addr) {
-            Some(state) => {
-                let rejoined = !state.alive;
-                state.last_seen = now;
-                state.alive = true;
-                rejoined
-            }
-            None => {
-                workers.insert(
-                    addr.to_string(),
-                    WorkerState {
-                        last_seen: now,
-                        alive: true,
-                    },
-                );
-                true
-            }
-        }
+        let state = workers.entry(addr.to_string()).or_insert(WorkerState {
+            last_seen: Instant::now(),
+            alive: false,
+            capacity: 0,
+        });
+        let rejoined = !state.alive;
+        state.last_seen = Instant::now();
+        state.alive = true;
+        state.capacity = capacity.unwrap_or(state.capacity);
+        rejoined
     }
 
     /// Declares every worker whose last heartbeat is older than
@@ -102,6 +97,13 @@ impl Membership {
         alive
     }
 
+    /// The jobs the alive workers admit before they shed, summed.
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        let workers = self.workers.lock().expect("membership lock");
+        workers.values().filter(|s| s.alive).map(|s| s.capacity).sum()
+    }
+
     /// `(alive, dead)` counts.
     #[must_use]
     pub fn counts(&self) -> (usize, usize) {
@@ -118,22 +120,27 @@ mod tests {
     #[test]
     fn joins_heartbeats_and_rejoins() {
         let m = Membership::new();
-        assert!(m.heartbeat("w1"), "first contact is a join");
-        assert!(!m.heartbeat("w1"), "repeat heartbeat is not a rejoin");
+        assert!(m.heartbeat("w1", None), "first contact is a join");
+        assert!(!m.heartbeat("w1", None), "repeat heartbeat is not a rejoin");
         m.mark_dead("w1");
         assert_eq!(m.alive(), Vec::<String>::new());
-        assert!(m.heartbeat("w1"), "heartbeat after death is a rejoin");
+        assert!(m.heartbeat("w1", None), "heartbeat after death is a rejoin");
         assert_eq!(m.alive(), ["w1"]);
+        assert!(m.heartbeat("w2", Some(18)));
+        assert!(!m.heartbeat("w2", None), "a plain heartbeat keeps the capacity");
+        assert_eq!(m.capacity(), 18);
+        m.mark_dead("w2");
+        assert_eq!(m.capacity(), 0, "only alive workers count");
     }
 
     #[test]
     fn sweep_kills_only_stale_workers() {
         let m = Membership::new();
-        m.heartbeat("w1");
-        m.heartbeat("w2");
+        m.heartbeat("w1", None);
+        m.heartbeat("w2", None);
         assert_eq!(m.sweep(Duration::from_secs(60)), Vec::<String>::new());
         std::thread::sleep(Duration::from_millis(30));
-        m.heartbeat("w2"); // w2 stays fresh
+        m.heartbeat("w2", None); // w2 stays fresh
         assert_eq!(m.sweep(Duration::from_millis(20)), ["w1"]);
         assert_eq!(m.alive(), ["w2"]);
         assert_eq!(m.counts(), (1, 1));

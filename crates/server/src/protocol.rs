@@ -15,6 +15,7 @@
 //! CLI exposes: `channels`, `sessions`, `visible`, `budget` (the
 //! `dimension=count` spelling of [`Budget::parse_spec`]), `faults`
 //! (comma-separated clauses), `intruder`, `faults_depth`, `oracles`,
+//! `reduce` (`none|symmetry|por|full`), `engine` (`trace|bisim|both`),
 //! `timeout_secs`, and `no_cache`.  Campaign jobs may carry a
 //! `"unit":{"offset":N,"count":M}` work-unit restriction (how a fleet
 //! coordinator shards one campaign), plus three execution-only knobs
@@ -24,7 +25,8 @@
 //! `progress_ms` (ask for `{"status":"progress",…}` heartbeat lines at
 //! that interval while the job runs; the final reply is always the
 //! first non-progress line).  Control ops are `ping`, `stats`,
-//! `shutdown`, `join` (worker registration/heartbeat), `leave` (a
+//! `shutdown`, `join` (worker registration/heartbeat, optionally
+//! announcing the worker's `capacity`), `leave` (a
 //! worker announcing drain, optionally handing off its cache), `gossip`
 //! (cache-warming pull), and `gossip-push` (digest-guarded cache
 //! handoff from a coordinator).
@@ -81,6 +83,9 @@ pub enum Request {
     Join {
         /// The address the coordinator should dial the worker back on.
         addr: String,
+        /// How many jobs the worker admits before it sheds (its pool
+        /// plus its queue), when it says.
+        capacity: Option<usize>,
     },
     /// A cache-warming pull: "send me your hottest cache entries".  The
     /// response body reuses the identity-digest-guarded snapshot codec,
@@ -428,6 +433,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 .ok_or("\"join\" needs a string \"addr\" field")?;
             return Ok(Request::Join {
                 addr: addr.to_string(),
+                capacity: v.get("capacity").map(|_| get_usize(&v, "capacity", 0)).transpose()?,
             });
         }
         "leave" => {
@@ -905,7 +911,14 @@ mod tests {
             Request::Gossip
         ));
         match parse_request(r#"{"op":"join","addr":"127.0.0.1:7777"}"#).unwrap() {
-            Request::Join { addr } => assert_eq!(addr, "127.0.0.1:7777"),
+            Request::Join { addr, capacity } => {
+                assert_eq!(addr, "127.0.0.1:7777");
+                assert_eq!(capacity, None);
+            }
+            other => panic!("expected join, got {other:?}"),
+        }
+        match parse_request(r#"{"op":"join","addr":"w","capacity":18}"#).unwrap() {
+            Request::Join { capacity, .. } => assert_eq!(capacity, Some(18)),
             other => panic!("expected join, got {other:?}"),
         }
         assert!(parse_request(r#"{"op":"join"}"#).is_err(), "addr required");

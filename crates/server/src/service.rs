@@ -1,5 +1,5 @@
-//! The daemon: epoll reactor front end, worker pool, admission
-//! control, drain.
+//! The one front end: epoll reactor, admission control, worker pool,
+//! drain — with a per-node executor behind the pool.
 //!
 //! ```text
 //! clients ──TCP──▶ reactor (epoll readiness loop, one thread)
@@ -8,26 +8,32 @@
 //!                    │  bounded write buffer (backpressure)
 //!                    ▼
 //!                  cache probe ──hit──▶ reply (cached:true)
-//!                    │ miss
+//!                    │ miss               (workers only)
 //!                    ▼ admission: tenant token bucket, then
 //!                    │            Governor over queue depth
 //!                  two-priority queue ──▶ worker pool ──▶ singleflight
 //!                    │ quota/queue full        │ leader        │
 //!                    ▼                         ▼               ▼
-//!            reply (rejected +        progress heartbeats   engine run
-//!             retry_after_ms)         via eventfd wake      ──▶ cache
+//!            reply (rejected +        progress heartbeats   executor
+//!             retry_after_ms)         via eventfd wake
 //! ```
 //!
-//! The front end is a single **readiness loop**: every connection is
-//! non-blocking and owned by one reactor thread, so ten thousand idle
-//! connections cost two file descriptors each and zero threads.  Jobs
-//! execute on the fixed worker pool exactly as before; completions
-//! travel back through a queue the workers nudge with the poller's
-//! eventfd.  While a job runs, its connection may subscribe to
-//! `{"status":"progress",…}` heartbeat lines (wire `progress_ms`), fed
-//! by the verifier's live states-explored / schedules-classified
-//! counters — so a caller (or a hedging fleet coordinator) can tell
-//! *working* from *dead* without killing long campaigns.
+//! `spi serve` and `spi fleet` run this same front end and differ only
+//! in the `Executor` behind the pool.  A worker's runs the local
+//! [`Engine`] and fills the result cache the front end probes at
+//! admission; a coordinator's ([`crate::coordinator`]) holds no cache
+//! and routes each job over its fleet.  The executor maps one job to
+//! one reply line, answers the node-specific control ops (`join`,
+//! `leave`, `gossip`, `gossip-push`) and adds its own `stats` fields.
+//!
+//! One reactor thread owns every non-blocking connection, so ten
+//! thousand idle connections cost two file descriptors each and zero
+//! threads.  Completions travel back through a queue the workers nudge
+//! with the poller's eventfd.  While a job runs, its connection may
+//! subscribe to `{"status":"progress",…}` heartbeat lines (wire
+//! `progress_ms`) fed by the live states-explored /
+//! schedules-classified counters, so a caller (or a hedging
+//! coordinator) can tell *working* from *dead*.
 //!
 //! Graceful drain (a `shutdown` request, or stdin-close in the CLI
 //! front-end): stop accepting, reject new jobs, cancel in-flight
@@ -40,7 +46,7 @@
 //! the handle is joined.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, Read as _, Write as _};
+use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::path::PathBuf;
@@ -60,7 +66,7 @@ use crate::protocol::{
     rejected_response, shed_response, verify_body, JobRequest, Mode, Request,
 };
 use crate::reactor::{Event, Poller, WAKE_TOKEN};
-use crate::snapshot::{load_snapshot, write_snapshot};
+use crate::snapshot::{load_snapshot, write_snapshot, Entries};
 
 /// Execution control handed to an [`Engine`] run: the per-request
 /// deadline plus the server-wide cooperative cancel flag (tripped on
@@ -111,9 +117,10 @@ impl EngineOutcome {
     }
 }
 
-/// The pluggable execution back-end.  [`VerifierEngine`] handles
+/// The pluggable local-run back-end.  [`VerifierEngine`] handles
 /// verify and campaign; the `spi` binary assembles a full engine that
-/// adds conformance replay; tests plug in stubs.
+/// adds conformance replay; tests plug in stubs.  A worker runs every
+/// job on it; a coordinator only when its fleet cannot take the job.
 pub trait Engine: Send + Sync {
     /// Executes one job under the given control.
     fn run(&self, job: &JobRequest, ctl: &RunControl) -> EngineOutcome;
@@ -164,14 +171,13 @@ impl VerifierEngine {
 impl Engine for VerifierEngine {
     fn run(&self, job: &JobRequest, ctl: &RunControl) -> EngineOutcome {
         let verifier = self.build_verifier(job, ctl);
+        let sources = || -> Result<_, String> {
+            Ok((parse_source(&job.concrete)?, parse_source(&job.abstract_spec)?))
+        };
         match job.mode {
             Mode::Verify => {
-                let concrete = match parse_source(&job.concrete) {
-                    Ok(p) => p,
-                    Err(e) => return EngineOutcome::error(e),
-                };
-                let spec = match parse_source(&job.abstract_spec) {
-                    Ok(p) => p,
+                let (concrete, spec) = match sources() {
+                    Ok(pair) => pair,
                     Err(e) => return EngineOutcome::error(e),
                 };
                 match verifier.check(&concrete, &spec) {
@@ -192,12 +198,8 @@ impl Engine for VerifierEngine {
                 }
             }
             Mode::Campaign => {
-                let concrete = match parse_source(&job.concrete) {
-                    Ok(p) => p,
-                    Err(e) => return EngineOutcome::error(e),
-                };
-                let spec = match parse_source(&job.abstract_spec) {
-                    Ok(p) => p,
+                let (concrete, spec) = match sources() {
+                    Ok(pair) => pair,
                     Err(e) => return EngineOutcome::error(e),
                 };
                 let mut opts = verifier.campaign_options(job.faults_depth);
@@ -220,16 +222,20 @@ impl Engine for VerifierEngine {
     }
 }
 
-/// Server configuration (the `spi serve` flags).
+/// Front-end configuration: the `spi serve` flags, which `spi fleet`
+/// shares.
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
     /// Listen address; use port 0 for an ephemeral port.
     pub addr: String,
-    /// Worker threads executing jobs.
+    /// Worker threads executing jobs.  A coordinator's pool grows past
+    /// this to the capacity its workers announce, since its threads
+    /// mostly wait on fleet dispatches.
     pub workers: usize,
-    /// Result-cache byte budget.
+    /// Result-cache byte budget (workers only; a coordinator holds no
+    /// cache).
     pub cache_bytes: usize,
-    /// Snapshot path; `None` disables persistence.
+    /// Snapshot path; `None` disables persistence (workers only).
     pub snapshot: Option<PathBuf>,
     /// Bounded-queue capacity; a full queue rejects new jobs.
     pub queue_cap: usize,
@@ -267,21 +273,247 @@ impl Default for ServerOptions {
     }
 }
 
+impl ServerOptions {
+    /// How many jobs a node admits before it sheds: its pool plus its
+    /// queue.  A worker announces it when it joins a fleet.
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.workers.max(1) + self.queue_cap.max(1)
+    }
+}
+
+/// What one admitted job produced.
+pub(crate) enum Ran {
+    /// The reply line.  With `share`, the flight's parked followers
+    /// answer with the same line instead of re-probing a cache.
+    Reply { line: String, share: bool },
+    /// A drain cut the run short.  It is answered `rejected`, never as
+    /// a half-explored verdict: a relaying coordinator must retry
+    /// elsewhere, or the chaos oracle's byte identity would break.
+    Drained,
+}
+
+/// What a node-specific control op produced.
+pub(crate) enum Control {
+    /// The reply, computed in memory on the reactor thread.
+    Now(Json),
+    /// Work for the named op that waits on the network.  It runs on
+    /// the worker pool, never on the reactor, and yields the reply.
+    Pool(&'static str, Box<dyn FnOnce() -> Json + Send>),
+}
+
+/// The per-ticket seam between the shared front end and what answers
+/// the jobs it admits.
+pub(crate) trait Executor: Send + Sync {
+    /// Runs one admitted job under `ctl`.  Only singleflight leaders
+    /// and `no_cache` jobs get here.
+    fn run(&self, job: &JobRequest, digest: &str, ctl: &RunControl) -> Ran;
+    /// Answers `join`, `leave`, `gossip` and `gossip-push` — the only
+    /// ops the front end hands it.
+    fn control(self: Arc<Self>, request: Request) -> Control;
+    /// Appends this node's own `stats` fields after the shared ones.
+    fn stats(&self, fields: &mut Vec<(String, Json)>);
+    /// How many pool threads this node can keep busy, given the
+    /// configured count; the pool grows to it and never shrinks.
+    fn pool_size(&self, configured: usize) -> usize {
+        configured
+    }
+    /// The node's result cache, if it keeps one.
+    fn cache(&self) -> Option<&NodeCache> {
+        None
+    }
+}
+
+/// A worker's content-addressed result cache and the snapshot file
+/// that persists it.
+pub(crate) struct NodeCache {
+    store: Mutex<ResultCache>,
+    snapshot: Option<PathBuf>,
+}
+
+impl NodeCache {
+    /// An empty cache of `opts.cache_bytes`, warmed from the snapshot
+    /// file when one exists and verifies.
+    fn open(opts: &ServerOptions) -> NodeCache {
+        let mut store = ResultCache::new(opts.cache_bytes);
+        if let Some(path) = opts.snapshot.as_ref().filter(|p| p.exists()) {
+            match load_snapshot(path) {
+                Ok(entries) => {
+                    for (key, op, body) in entries {
+                        store.insert(key, op, body);
+                    }
+                }
+                Err(e) => eprintln!("spi-serve: ignoring snapshot: {e}"),
+            }
+        }
+        NodeCache {
+            store: Mutex::new(store),
+            snapshot: opts.snapshot.clone(),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, ResultCache> {
+        self.store.lock().expect("cache lock")
+    }
+
+    /// A `cached:true` reply for `digest`, on a hit.
+    fn probe(&self, op: &str, digest: &str) -> Option<String> {
+        let (_, body) = self.lock().get(digest)?;
+        Some(cached_reply(op, digest, &body))
+    }
+
+    /// Merges entries — fresh results or gossip — and persists eagerly,
+    /// so even an abrupt kill keeps every completed result.  Insertion
+    /// is idempotent: existing keys are refreshed, never corrupted.
+    /// Returns how many entries were offered.
+    fn absorb(&self, entries: Entries) -> usize {
+        let offered = entries.len();
+        {
+            let mut store = self.lock();
+            for (key, op, body) in entries {
+                store.insert(key, op, body);
+            }
+        }
+        self.persist();
+        offered
+    }
+
+    /// The contents in LRU order — the gossip payload.
+    fn entries(&self) -> Entries {
+        self.lock().entries_lru()
+    }
+
+    fn persist(&self) {
+        let Some(path) = &self.snapshot else {
+            return;
+        };
+        if let Err(e) = write_snapshot(path, &self.entries()) {
+            eprintln!("spi-serve: snapshot write failed: {e}");
+        }
+    }
+}
+
+/// A worker's executor: the local engine behind the result cache.
+struct Local {
+    engine: Arc<dyn Engine>,
+    cache: NodeCache,
+    /// Cumulative reduction counters across every fresh engine run (the
+    /// `stats` op reports them so operators can see what the configured
+    /// `reduce` modes are saving fleet-wide).
+    quotiented: AtomicU64,
+    pruned: AtomicU64,
+}
+
+impl Executor for Local {
+    fn run(&self, job: &JobRequest, digest: &str, ctl: &RunControl) -> Ran {
+        let op = job.mode.keyword();
+        let outcome = self.engine.run(job, ctl);
+        if !outcome.cacheable && ctl.cancel.load(Ordering::SeqCst) {
+            return Ran::Drained;
+        }
+        let line = match outcome.body {
+            Ok(body) => {
+                // The reduction counters a fresh verify body reports.
+                if let Some(r) = body.get("reduction") {
+                    for (key, total) in [
+                        ("states_quotiented", &self.quotiented),
+                        ("por_pruned", &self.pruned),
+                    ] {
+                        let n = r.get(key).and_then(Json::as_int).unwrap_or(0);
+                        total.fetch_add(u64::try_from(n).unwrap_or(0), Ordering::SeqCst);
+                    }
+                }
+                // Cache-bypassing requests asked for a private run.
+                if outcome.cacheable && !job.no_cache {
+                    let entry = (digest.to_string(), op.to_string(), body.render_compact());
+                    self.cache.absorb(vec![entry]);
+                }
+                ok_response(op, Some(digest), false, body).render_compact()
+            }
+            Err(e) => error_response(op, &e).render_compact(),
+        };
+        // Followers re-probe the cache this run filled, so they answer
+        // `cached:true`.
+        Ran::Reply { line, share: false }
+    }
+
+    fn control(self: Arc<Self>, request: Request) -> Control {
+        Control::Now(match request {
+            Request::Gossip => {
+                ok_response("gossip", None, false, crate::gossip::gossip_body(&self.cache.entries()))
+            }
+            Request::GossipPush { cache } => match crate::gossip::parse_gossip(&cache) {
+                Ok(entries) => ok_response(
+                    "gossip-push",
+                    None,
+                    false,
+                    Json::Obj(vec![("merged".into(), Json::count(self.cache.absorb(entries)))]),
+                ),
+                Err(e) => error_response("gossip-push", &e),
+            },
+            Request::Join { .. } => error_response(
+                "join",
+                "this node is not a coordinator (join a fleet started with `spi fleet`)",
+            ),
+            _ => error_response(
+                "leave",
+                "this node is not a coordinator (leave announces a drain to `spi fleet`)",
+            ),
+        })
+    }
+
+    fn stats(&self, fields: &mut Vec<(String, Json)>) {
+        let cache = self.cache.lock();
+        // Integer percent: the wire JSON has no floats.
+        let lookups = cache.hits + cache.misses;
+        let hit_rate_pct = (cache.hits * 100)
+            .checked_div(lookups)
+            .and_then(|p| usize::try_from(p).ok())
+            .unwrap_or(0);
+        let count = |n: u64| Json::count(usize::try_from(n).unwrap_or(usize::MAX));
+        fields.extend([
+            ("hits".into(), count(cache.hits)),
+            ("misses".into(), count(cache.misses)),
+            ("evictions".into(), count(cache.evictions)),
+            ("hit_rate_pct".into(), Json::count(hit_rate_pct)),
+            ("entries".into(), Json::count(cache.len())),
+            ("cache_bytes".into(), Json::count(cache.used_bytes())),
+            ("cache_bytes_max".into(), Json::count(cache.max_bytes())),
+            ("states_quotiented".into(), count(self.quotiented.load(Ordering::SeqCst))),
+            ("por_pruned".into(), count(self.pruned.load(Ordering::SeqCst))),
+        ]);
+    }
+
+    fn cache(&self) -> Option<&NodeCache> {
+        Some(&self.cache)
+    }
+}
+
+/// The work a queued ticket carries.
+enum Work {
+    /// An admitted job and its digest, with the shared progress
+    /// counters when the requester subscribed.
+    Job {
+        digest: String,
+        job: Box<JobRequest>,
+        progress: Option<(Arc<AtomicU64>, Arc<AtomicU64>)>,
+    },
+    /// A control op's network leg (see [`Control::Pool`]).
+    Control(Box<dyn FnOnce() -> Json + Send>),
+}
+
 struct Ticket {
-    digest: String,
-    job: JobRequest,
+    work: Work,
     /// The reactor connection waiting for the reply.
     conn: u64,
     /// When the job was admitted — the base of `deadline_ms` and the
     /// latency sample.
     accepted: Instant,
-    /// Shared progress counters, when the requester subscribed.
-    progress: Option<(Arc<AtomicU64>, Arc<AtomicU64>)>,
 }
 
 /// The two-priority job queue: interactive verifies pop ahead of batch
 /// campaign / conformance work.  Priority reorders; it never preempts
-/// a running job.
+/// a running job.  Control work jumps both queues.
 #[derive(Default)]
 struct JobQueues {
     interactive: VecDeque<Ticket>,
@@ -294,9 +526,12 @@ impl JobQueues {
     }
 
     fn push(&mut self, ticket: Ticket) {
-        match Priority::of(ticket.job.mode) {
-            Priority::Interactive => self.interactive.push_back(ticket),
-            Priority::Batch => self.batch.push_back(ticket),
+        match &ticket.work {
+            Work::Control(_) => self.interactive.push_front(ticket),
+            Work::Job { job, .. } => match Priority::of(job.mode) {
+                Priority::Interactive => self.interactive.push_back(ticket),
+                Priority::Batch => self.batch.push_back(ticket),
+            },
         }
     }
 
@@ -330,18 +565,11 @@ impl Histogram {
         self.counts[idx].fetch_add(1, Ordering::Relaxed);
     }
 
-    fn snapshot(&self) -> Vec<u64> {
-        self.counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-
     /// The `pct`-th percentile in microseconds (upper bucket bound);
     /// zero when nothing was recorded.
     #[must_use]
     pub fn percentile_us(&self, pct: u64) -> u64 {
-        let counts = self.snapshot();
+        let counts: Vec<u64> = self.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
         let total: u64 = counts.iter().sum();
         if total == 0 {
             return 0;
@@ -360,61 +588,45 @@ impl Histogram {
     /// Total samples recorded.
     #[must_use]
     pub fn count(&self) -> u64 {
-        self.snapshot().iter().sum()
+        self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
 
     pub(crate) fn to_json(&self) -> Json {
+        let count = |n: u64| Json::count(usize::try_from(n).unwrap_or(usize::MAX));
         Json::Obj(vec![
-            (
-                "count".to_string(),
-                Json::count(usize::try_from(self.count()).unwrap_or(usize::MAX)),
-            ),
-            (
-                "p50_us".to_string(),
-                Json::count(usize::try_from(self.percentile_us(50)).unwrap_or(usize::MAX)),
-            ),
-            (
-                "p99_us".to_string(),
-                Json::count(usize::try_from(self.percentile_us(99)).unwrap_or(usize::MAX)),
-            ),
+            ("count".to_string(), count(self.count())),
+            ("p50_us".to_string(), count(self.percentile_us(50))),
+            ("p99_us".to_string(), count(self.percentile_us(99))),
         ])
     }
 }
+
+/// The ops with a latency histogram of their own; every other op
+/// shares the last one.
+const LATENCY_OPS: [&str; 4] = ["verify", "campaign", "conformance-replay", "control"];
 
 /// One histogram per job op plus one for control ops.
 #[derive(Debug, Default)]
-struct Latency {
-    verify: Histogram,
-    campaign: Histogram,
-    replay: Histogram,
-    control: Histogram,
-}
+struct Latency([Histogram; 4]);
 
 impl Latency {
     fn for_op(&self, op: &str) -> &Histogram {
-        match op {
-            "verify" => &self.verify,
-            "campaign" => &self.campaign,
-            "conformance-replay" => &self.replay,
-            _ => &self.control,
-        }
+        let idx = LATENCY_OPS[..3].iter().position(|o| *o == op);
+        &self.0[idx.unwrap_or(3)]
     }
 
     fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("verify".to_string(), self.verify.to_json()),
-            ("campaign".to_string(), self.campaign.to_json()),
-            ("conformance-replay".to_string(), self.replay.to_json()),
-            ("control".to_string(), self.control.to_json()),
-        ])
+        let per_op = LATENCY_OPS.iter().zip(&self.0);
+        Json::Obj(per_op.map(|(op, h)| (op.to_string(), h.to_json())).collect())
     }
 }
 
 struct Shared {
-    engine: Arc<dyn Engine>,
+    executor: Arc<dyn Executor>,
     opts: ServerOptions,
+    /// The worker pool's threads.
+    pool: Mutex<Vec<JoinHandle<()>>>,
     addr: SocketAddr,
-    cache: Mutex<ResultCache>,
     flight: Singleflight,
     queue: Mutex<JobQueues>,
     queue_cv: Condvar,
@@ -433,6 +645,12 @@ struct Shared {
     /// reactor delivers what is left and closes every connection.
     stopping: AtomicBool,
     cancel: Arc<AtomicBool>,
+    stats: Counters,
+}
+
+/// The front end's `stats` counters.
+#[derive(Debug, Default)]
+struct Counters {
     inflight: AtomicUsize,
     executions: AtomicU64,
     rejected: AtomicU64,
@@ -446,22 +664,54 @@ struct Shared {
     /// Connections currently registered with the reactor.
     active_connections: AtomicUsize,
     /// Duplicate in-flight requests collapsed by singleflight (a parked
-    /// follower answered from the leader's cache fill).
+    /// follower answered from the leader's hand-over or cache fill).
     collapsed: AtomicU64,
-    /// Cumulative reduction counters across every fresh engine run (the
-    /// `stats` op reports them so operators can see what the configured
-    /// `reduce` modes are saving fleet-wide).
-    quotiented: AtomicU64,
-    pruned: AtomicU64,
     latency: Latency,
 }
 
-/// A running server.  Dropping the handle does **not** stop it; call
-/// [`ServerHandle::join`] (or send a `shutdown` request) to drain.
+impl Shared {
+    /// Queues control work unless the node is draining.  Checked under
+    /// the queue lock, so a draining pool cannot exit between the check
+    /// and the push and strand the ticket.
+    fn enqueue(&self, ticket: Ticket) -> bool {
+        let mut queue = self.queue.lock().expect("queue lock");
+        if self.draining.load(Ordering::SeqCst) {
+            return false;
+        }
+        queue.push(ticket);
+        self.queue_cv.notify_one();
+        true
+    }
+}
+
+/// Grows the worker pool to what the executor can keep busy.  Checked
+/// under the pool lock, so no thread starts after `join` took the pool.
+fn grow_pool(shared: &Arc<Shared>) {
+    let target = shared.executor.pool_size(shared.opts.workers.max(1));
+    let mut pool = shared.pool.lock().expect("pool lock");
+    while pool.len() < target && !shared.draining.load(Ordering::SeqCst) {
+        let shared = Arc::clone(shared);
+        pool.push(std::thread::spawn(move || worker_loop(&shared)));
+    }
+}
+
+/// A running `spi serve` worker or `spi fleet` coordinator.  Dropping
+/// the handle does **not** stop it; call [`ServerHandle::join`] (or
+/// send a `shutdown` request) to drain.  It derefs to the node's
+/// [`NodeHandle`] (drain, cache).
 pub struct ServerHandle {
-    shared: Arc<Shared>,
+    node: NodeHandle,
     reactor: JoinHandle<()>,
-    workers: Vec<JoinHandle<()>>,
+    /// Executor threads that exit on drain.
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl std::ops::Deref for ServerHandle {
+    type Target = NodeHandle;
+
+    fn deref(&self) -> &NodeHandle {
+        &self.node
+    }
 }
 
 impl ServerHandle {
@@ -471,63 +721,34 @@ impl ServerHandle {
         self.shared.addr
     }
 
-    /// How many engine runs actually executed — the singleflight /
+    /// How many executor runs actually executed — the singleflight /
     /// cache probe counter tests assert on.
     #[must_use]
     pub fn executions(&self) -> u64 {
-        self.shared.executions.load(Ordering::SeqCst)
+        self.shared.stats.executions.load(Ordering::SeqCst)
     }
 
-    /// Begins a graceful drain: stop accepting, reject new jobs, cancel
-    /// in-flight explorations.  Idempotent; returns immediately.
-    pub fn shutdown(&self) {
-        trigger_drain(&self.shared);
-    }
-
-    /// Whether a drain has been triggered (by [`ServerHandle::shutdown`],
-    /// a `shutdown` request, or a [`ShutdownHandle`]).
+    /// A cheap handle another thread can use to trigger or await the
+    /// drain (the CLI's stdin watcher, the coordinator's failure
+    /// sweeper) or to warm and read the cache (the `--join` heartbeat
+    /// warms through it after a rejoin acknowledgement and hands the
+    /// entries off when it leaves).
     #[must_use]
-    pub fn draining(&self) -> bool {
-        self.shared.draining.load(Ordering::SeqCst)
-    }
-
-    /// Merges gossiped `(key, op, body)` cache entries into this
-    /// node's result cache (insertion is idempotent: existing keys are
-    /// refreshed, never corrupted).  Returns how many entries were
-    /// offered to the cache.
-    pub fn absorb(&self, entries: Vec<(String, String, String)>) -> usize {
-        absorb_entries(&self.shared, entries)
-    }
-
-    /// The current cache contents in LRU order — the gossip payload.
-    #[must_use]
-    pub fn cache_entries(&self) -> Vec<(String, String, String)> {
-        self.shared.cache.lock().expect("cache lock").entries_lru()
-    }
-
-    /// A cheap cloneable handle another thread can use to trigger the
-    /// drain (e.g. the CLI's stdin watcher).
-    #[must_use]
-    pub fn shutdown_handle(&self) -> ShutdownHandle {
-        ShutdownHandle {
+    pub fn node(&self) -> NodeHandle {
+        NodeHandle {
             shared: Arc::clone(&self.shared),
         }
     }
 
-    /// A cheap handle another thread can use to warm this node's cache
-    /// with gossiped entries (the `--join` heartbeat warms through it
-    /// after a rejoin acknowledgement) or to read the entries back (the
-    /// drain-announce handoff).
-    #[must_use]
-    pub fn cache_handle(&self) -> CacheHandle {
-        CacheHandle {
-            shared: Arc::clone(&self.shared),
-        }
+    /// Joins `thread` after the worker pool; it must exit once the node
+    /// drains.
+    pub(crate) fn attach(&mut self, thread: JoinHandle<()>) {
+        self.threads.push(thread);
     }
 
     /// Blocks until *something* triggers the drain — a `shutdown`
-    /// request over the wire, a [`ShutdownHandle`], or a prior
-    /// [`ServerHandle::shutdown`] — then joins and flushes the final
+    /// request over the wire, a [`NodeHandle`], or a prior
+    /// [`NodeHandle::shutdown`] — then joins and flushes the final
     /// snapshot.
     pub fn join_on_drain(self) {
         while !self.draining() {
@@ -540,68 +761,65 @@ impl ServerHandle {
     /// final snapshot.  Open connections receive their pending replies
     /// and are closed.
     pub fn join(self) {
-        self.shutdown();
-        for w in self.workers {
-            let _ = w.join();
+        let ServerHandle { node, reactor, threads } = self;
+        node.shutdown();
+        let shared = node.shared;
+        let pool = std::mem::take(&mut *shared.pool.lock().expect("pool lock"));
+        for t in pool.into_iter().chain(threads) {
+            let _ = t.join();
         }
         // Workers are gone, so every completion is posted; tell the
         // reactor to deliver the leftovers and wind down.
-        self.shared.stopping.store(true, Ordering::SeqCst);
-        self.shared.poller.wake();
-        let _ = self.reactor.join();
-        persist_snapshot(&self.shared);
+        shared.stopping.store(true, Ordering::SeqCst);
+        shared.poller.wake();
+        let _ = reactor.join();
+        if let Some(cache) = shared.executor.cache() {
+            cache.persist();
+        }
     }
 }
 
-/// Triggers a server's drain from any thread (see
-/// [`ServerHandle::shutdown_handle`]).
-pub struct ShutdownHandle {
+/// Drains, or reads and warms the cache of, a running node from any
+/// thread (see [`ServerHandle::node`]).
+pub struct NodeHandle {
     shared: Arc<Shared>,
 }
 
-impl ShutdownHandle {
-    /// Begins the graceful drain.  Idempotent.
+impl NodeHandle {
+    /// Begins a graceful drain: stop accepting, reject new jobs, cancel
+    /// in-flight explorations.  Idempotent; returns immediately.
     pub fn shutdown(&self) {
         trigger_drain(&self.shared);
     }
-}
 
-/// Feeds gossiped entries into a running server's cache from another
-/// thread (see [`ServerHandle::cache_handle`]).
-pub struct CacheHandle {
-    shared: Arc<Shared>,
-}
-
-impl CacheHandle {
-    /// See [`ServerHandle::absorb`].
-    pub fn absorb(&self, entries: Vec<(String, String, String)>) -> usize {
-        absorb_entries(&self.shared, entries)
-    }
-
-    /// The current cache contents in LRU order — what a draining
-    /// worker hands off in its `leave` announcement.
-    #[must_use]
-    pub fn entries(&self) -> Vec<(String, String, String)> {
-        self.shared.cache.lock().expect("cache lock").entries_lru()
-    }
-
-    /// Whether the server is draining — the heartbeat loop's exit cue.
+    /// Whether a drain has been triggered (by any handle or a
+    /// `shutdown` request) — the heartbeat loop's exit cue.
     #[must_use]
     pub fn draining(&self) -> bool {
         self.shared.draining.load(Ordering::SeqCst)
     }
-}
 
-fn absorb_entries(shared: &Arc<Shared>, entries: Vec<(String, String, String)>) -> usize {
-    let offered = entries.len();
-    {
-        let mut cache = shared.cache.lock().expect("cache lock");
-        for (key, op, body) in entries {
-            cache.insert(key, op, body);
-        }
+    /// Merges gossiped `(key, op, body)` cache entries into this
+    /// node's result cache (insertion is idempotent: existing keys are
+    /// refreshed, never corrupted).  Returns how many entries were
+    /// offered to the cache; a coordinator keeps none.
+    pub fn absorb(&self, entries: Entries) -> usize {
+        self.shared
+            .executor
+            .cache()
+            .map_or(0, |cache| cache.absorb(entries))
     }
-    persist_snapshot(shared);
-    offered
+
+    /// The current cache contents in LRU order — the gossip payload,
+    /// and what a draining worker hands off in its `leave`.
+    #[must_use]
+    pub fn cache_entries(&self) -> Entries {
+        self.shared
+            .executor
+            .cache()
+            .map(NodeCache::entries)
+            .unwrap_or_default()
+    }
 }
 
 fn trigger_drain(shared: &Arc<Shared>) {
@@ -614,24 +832,31 @@ fn trigger_drain(shared: &Arc<Shared>) {
     shared.poller.wake();
 }
 
-fn persist_snapshot(shared: &Shared) {
-    let Some(path) = &shared.opts.snapshot else {
-        return;
-    };
-    let entries = shared.cache.lock().expect("cache lock").entries_lru();
-    if let Err(e) = write_snapshot(path, &entries) {
-        eprintln!("spi-serve: snapshot write failed: {e}");
-    }
-}
-
-/// Starts a server.  The listener is bound before this returns, so the
-/// caller may connect to [`ServerHandle::addr`] immediately.
+/// Starts a worker: the shared front end over the local engine and a
+/// result cache (warmed from `opts.snapshot` when it exists).  The
+/// listener is bound before this returns, so the caller may connect to
+/// [`ServerHandle::addr`] immediately.
 ///
 /// # Errors
 ///
 /// Fails when the address cannot be bound or the epoll instance cannot
 /// be created.
 pub fn serve(engine: Arc<dyn Engine>, opts: ServerOptions) -> Result<ServerHandle, String> {
+    let local = Local {
+        engine,
+        cache: NodeCache::open(&opts),
+        quotiented: AtomicU64::new(0),
+        pruned: AtomicU64::new(0),
+    };
+    start(Arc::new(local), opts)
+}
+
+/// Starts the front end — reactor, admission and worker pool — over
+/// `executor`.
+pub(crate) fn start(
+    executor: Arc<dyn Executor>,
+    opts: ServerOptions,
+) -> Result<ServerHandle, String> {
     let listener = TcpListener::bind(&opts.addr)
         .map_err(|e| format!("cannot bind {}: {e}", opts.addr))?;
     let addr = listener
@@ -642,27 +867,12 @@ pub fn serve(engine: Arc<dyn Engine>, opts: ServerOptions) -> Result<ServerHandl
         .map_err(|e| format!("cannot unblock the listener: {e}"))?;
     let poller = Poller::new().map_err(|e| format!("cannot create the epoll reactor: {e}"))?;
 
-    let mut cache = ResultCache::new(opts.cache_bytes);
-    if let Some(path) = &opts.snapshot {
-        if path.exists() {
-            match load_snapshot(path) {
-                Ok(entries) => {
-                    for (key, op, body) in entries {
-                        cache.insert(key, op, body);
-                    }
-                }
-                Err(e) => eprintln!("spi-serve: ignoring snapshot: {e}"),
-            }
-        }
-    }
-
     let queue_cap = opts.queue_cap.max(1);
-    let workers = opts.workers.max(1);
     let quotas = TenantQuotas::new(opts.quota_rate, opts.quota_burst);
     let shared = Arc::new(Shared {
-        engine,
+        executor,
+        pool: Mutex::new(Vec::new()),
         addr,
-        cache: Mutex::new(cache),
         flight: Singleflight::new(),
         queue: Mutex::new(JobQueues::default()),
         queue_cv: Condvar::new(),
@@ -673,36 +883,20 @@ pub fn serve(engine: Arc<dyn Engine>, opts: ServerOptions) -> Result<ServerHandl
         draining: AtomicBool::new(false),
         stopping: AtomicBool::new(false),
         cancel: Arc::new(AtomicBool::new(false)),
-        inflight: AtomicUsize::new(0),
-        executions: AtomicU64::new(0),
-        rejected: AtomicU64::new(0),
-        shed: AtomicU64::new(0),
-        quota_denied: AtomicU64::new(0),
-        heartbeats_sent: AtomicU64::new(0),
-        active_connections: AtomicUsize::new(0),
-        collapsed: AtomicU64::new(0),
-        quotiented: AtomicU64::new(0),
-        pruned: AtomicU64::new(0),
-        latency: Latency::default(),
+        stats: Counters::default(),
         opts,
     });
 
-    let worker_handles: Vec<JoinHandle<()>> = (0..workers)
-        .map(|_| {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || worker_loop(&shared))
-        })
-        .collect();
-
+    grow_pool(&shared);
     let reactor = {
         let shared = Arc::clone(&shared);
         std::thread::spawn(move || Reactor::new(shared, listener).run())
     };
 
     Ok(ServerHandle {
-        shared,
+        node: NodeHandle { shared },
         reactor,
-        workers: worker_handles,
+        threads: Vec::new(),
     })
 }
 
@@ -711,55 +905,6 @@ pub fn serve(engine: Arc<dyn Engine>, opts: ServerOptions) -> Result<ServerHandl
 /// past (never buffered whole), so a hostile 10 MB line costs one
 /// error response, not a worker slot or an allocation spike.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
-
-/// Reads one newline-terminated line with a byte cap (the blocking
-/// variant the fleet coordinator's connection threads use; the
-/// reactor enforces the same cap incrementally).
-///
-/// Returns `Ok(None)` on clean EOF, `Ok(Some(Err(reason)))` for an
-/// oversized or non-UTF-8 line (the offending bytes are consumed so
-/// the connection stays usable), and `Ok(Some(Ok(line)))` otherwise.
-pub(crate) fn read_line_capped(
-    reader: &mut impl BufRead,
-) -> std::io::Result<Option<Result<String, String>>> {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut overflowed = false;
-    let mut saw_any = false;
-    loop {
-        let chunk = reader.fill_buf()?;
-        if chunk.is_empty() {
-            if !saw_any {
-                return Ok(None);
-            }
-            break;
-        }
-        saw_any = true;
-        let newline = chunk.iter().position(|&b| b == b'\n');
-        let take = newline.unwrap_or(chunk.len());
-        if !overflowed {
-            if buf.len() + take <= MAX_LINE_BYTES {
-                buf.extend_from_slice(&chunk[..take]);
-            } else {
-                overflowed = true;
-                buf.clear();
-            }
-        }
-        let consumed = newline.map_or(take, |p| p + 1);
-        reader.consume(consumed);
-        if newline.is_some() {
-            break;
-        }
-    }
-    if overflowed {
-        return Ok(Some(Err(format!(
-            "request line exceeds {MAX_LINE_BYTES} bytes"
-        ))));
-    }
-    match String::from_utf8(buf) {
-        Ok(line) => Ok(Some(Ok(line))),
-        Err(_) => Ok(Some(Err("request line is not valid UTF-8".to_string()))),
-    }
-}
 
 /// A connection's progress subscription: emit a heartbeat from the
 /// shared counters every `interval`.
@@ -886,7 +1031,7 @@ impl Reactor {
         for (_, conn) in self.conns.drain() {
             self.shared.poller.deregister(conn.stream.as_raw_fd());
         }
-        self.shared.active_connections.store(0, Ordering::SeqCst);
+        self.shared.stats.active_connections.store(0, Ordering::SeqCst);
     }
 
     /// The epoll timeout: the soonest read deadline or heartbeat, or
@@ -956,6 +1101,7 @@ impl Reactor {
                         },
                     );
                     self.shared
+                        .stats
                         .active_connections
                         .store(self.conns.len(), Ordering::SeqCst);
                 }
@@ -1094,11 +1240,14 @@ impl Reactor {
     /// Handles one complete request line on connection `token`.
     fn dispatch_line(&mut self, token: u64, line: &str) -> LineOutcome {
         let started = Instant::now();
-        let parsed = parse_request(line);
-        if let Ok(Request::Job(job)) = parsed {
-            return self.dispatch_job(token, *job, started);
-        }
-        let (op, reply) = match parsed {
+        let (op, reply) = match parse_request(line) {
+            Ok(Request::Job(job)) => {
+                let op = job.mode.keyword();
+                return match self.admit(token, job, started) {
+                    Ok((digest, progress)) => self.await_ticket(token, op, started, digest, progress),
+                    Err(reply) => self.reply_now(token, op, started, &reply),
+                };
+            }
             Err(e) => ("request", error_response("request", &e)),
             Ok(Request::Ping) => ("ping", ok_response("ping", None, false, Json::Obj(vec![]))),
             Ok(Request::Stats) => ("stats", stats_response(&self.shared)),
@@ -1109,171 +1258,139 @@ impl Reactor {
                     ok_response("shutdown", None, false, Json::Obj(vec![])),
                 )
             }
-            Ok(Request::Join { .. }) => (
-                "join",
-                error_response(
-                    "join",
-                    "this node is not a coordinator (join a fleet started with `spi fleet`)",
-                ),
-            ),
-            Ok(Request::Leave { .. }) => (
-                "leave",
-                error_response(
-                    "leave",
-                    "this node is not a coordinator (leave announces a drain to `spi fleet`)",
-                ),
-            ),
-            Ok(Request::Gossip) => ("gossip", gossip_response(&self.shared)),
-            Ok(Request::GossipPush { cache }) => (
-                "gossip-push",
-                match crate::gossip::parse_gossip(&cache) {
-                    Ok(entries) => {
-                        let merged = absorb_entries(&self.shared, entries);
-                        ok_response(
-                            "gossip-push",
-                            None,
-                            false,
-                            Json::Obj(vec![("merged".into(), Json::count(merged))]),
-                        )
+            Ok(node_op) => match Arc::clone(&self.shared.executor).control(node_op) {
+                Control::Now(reply) => {
+                    // A `join` may have raised what the pool can keep busy.
+                    grow_pool(&self.shared);
+                    ("control", reply)
+                }
+                Control::Pool(op, task) => {
+                    let ticket = Ticket {
+                        work: Work::Control(task),
+                        conn: token,
+                        accepted: started,
+                    };
+                    if self.shared.enqueue(ticket) {
+                        return self.await_ticket(token, op, started, String::new(), None);
                     }
-                    Err(e) => error_response("gossip-push", &e),
-                },
-            ),
-            Ok(Request::Job(_)) => unreachable!("handled above"),
+                    (op, rejected_response(op, "server is draining"))
+                }
+            },
         };
+        self.reply_now(token, op, started, &reply.render_compact())
+    }
+
+    /// Sends `reply` now and records the op's latency since `started`.
+    fn reply_now(&mut self, token: u64, op: &str, started: Instant, reply: &str) -> LineOutcome {
         let elapsed = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.shared.latency.for_op(op).record_us(elapsed);
+        self.shared.stats.latency.for_op(op).record_us(elapsed);
         if let Some(conn) = self.conns.get_mut(&token) {
-            send_line(conn, &reply.render_compact());
+            send_line(conn, reply);
         }
         LineOutcome::Done
     }
 
-    /// Admits one job: cache probe, drain check, tenant quota, queue
-    /// depth — then either replies immediately or queues a ticket.
-    fn dispatch_job(&mut self, token: u64, job: JobRequest, accepted: Instant) -> LineOutcome {
-        let shared = Arc::clone(&self.shared);
+    /// Parks connection `token` until its queued ticket completes.
+    fn await_ticket(
+        &mut self,
+        token: u64,
+        op: &'static str,
+        accepted: Instant,
+        digest: String,
+        progress: Option<ProgressSub>,
+    ) -> LineOutcome {
+        self.outstanding += 1;
+        if let Some(conn) = self.conns.get_mut(&token) {
+            conn.active = Some(ActiveJob {
+                op,
+                digest,
+                accepted,
+                progress,
+            });
+        }
+        LineOutcome::JobPending
+    }
+
+    /// Admits one job: cache probe (workers), drain check, tenant
+    /// quota, then the governor over queue depth.  `Ok` carries the
+    /// queued job's digest and progress subscription; `Err` is the
+    /// reply to send at once — a cache hit, an error or a rejection.
+    fn admit(
+        &self,
+        token: u64,
+        job: Box<JobRequest>,
+        accepted: Instant,
+    ) -> Result<(String, Option<ProgressSub>), String> {
+        let shared = &self.shared;
         let op = job.mode.keyword();
-        let record = |resp: &str| {
-            let elapsed = u64::try_from(accepted.elapsed().as_micros()).unwrap_or(u64::MAX);
-            shared.latency.for_op(op).record_us(elapsed);
-            resp.to_string()
-        };
-        let digest = match job.digest() {
-            Ok(d) => d,
-            Err(e) => {
-                let reply = record(&error_response(op, &e).render_compact());
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    send_line(conn, &reply);
-                }
-                return LineOutcome::Done;
+        let digest = job
+            .digest()
+            .map_err(|e| error_response(op, &e).render_compact())?;
+        if !job.no_cache {
+            if let Some(hit) = shared.executor.cache().and_then(|c| c.probe(op, &digest)) {
+                return Err(hit);
             }
-        };
-        let immediate: Option<String> = (|| {
-            if !job.no_cache {
-                if let Some((_, body)) = shared.cache.lock().expect("cache lock").get(&digest) {
-                    return Some(cached_reply(op, &digest, &body));
-                }
-            }
-            if shared.draining.load(Ordering::SeqCst) {
-                shared.rejected.fetch_add(1, Ordering::SeqCst);
-                return Some(rejected_response(op, "server is draining").render_compact());
-            }
-            let tenant = job
-                .tenant
-                .clone()
-                .unwrap_or_else(|| self.conns.get(&token).map_or_else(String::new, |c| c.peer.clone()));
-            {
-                let mut quotas = shared.quotas.lock().expect("quota lock");
-                if quotas.enabled() {
-                    if let Err(retry_ms) = quotas.admit(&tenant, Instant::now()) {
-                        shared.rejected.fetch_add(1, Ordering::SeqCst);
-                        shared.quota_denied.fetch_add(1, Ordering::SeqCst);
-                        return Some(
-                            shed_response(
-                                op,
-                                &format!("tenant {tenant:?} is over its admission quota"),
-                                retry_ms,
-                            )
-                            .render_compact(),
-                        );
-                    }
+        }
+        if shared.draining.load(Ordering::SeqCst) {
+            shared.stats.rejected.fetch_add(1, Ordering::SeqCst);
+            return Err(rejected_response(op, "server is draining").render_compact());
+        }
+        let tenant = job
+            .tenant
+            .clone()
+            .unwrap_or_else(|| self.conns.get(&token).map_or_else(String::new, |c| c.peer.clone()));
+        {
+            let mut quotas = shared.quotas.lock().expect("quota lock");
+            if quotas.enabled() {
+                if let Err(retry_ms) = quotas.admit(&tenant, Instant::now()) {
+                    shared.stats.rejected.fetch_add(1, Ordering::SeqCst);
+                    shared.stats.quota_denied.fetch_add(1, Ordering::SeqCst);
+                    let reason = format!("tenant {tenant:?} is over its admission quota");
+                    return Err(shed_response(op, &reason, retry_ms).render_compact());
                 }
             }
-            None
-        })();
-        if let Some(reply) = immediate {
-            let reply = record(&reply);
-            if let Some(conn) = self.conns.get_mut(&token) {
-                send_line(conn, &reply);
-            }
-            return LineOutcome::Done;
         }
         // Queue admission rides the governor over queue depth.
-        let queued: Result<Option<ProgressSub>, String> = {
-            let mut queue = shared.queue.lock().expect("queue lock");
-            let depth = queue.depth();
-            if !shared
-                .admission
-                .lock()
-                .expect("admission lock")
-                .admit_state(depth)
-            {
-                shared.rejected.fetch_add(1, Ordering::SeqCst);
-                shared.shed.fetch_add(1, Ordering::SeqCst);
-                // The hint scales with how much work is already ahead
-                // of the caller.
-                let retry_ms = (u64::try_from(depth).unwrap_or(u64::MAX))
-                    .saturating_mul(50)
-                    .clamp(50, 5_000);
-                Err(
-                    shed_response(op, &format!("queue full ({depth} pending)"), retry_ms)
-                        .render_compact(),
-                )
-            } else {
-                let progress = job.progress_ms.filter(|&ms| ms > 0).map(|ms| {
-                    let interval = Duration::from_millis(ms.max(10));
-                    ProgressSub {
-                        states: Arc::new(AtomicU64::new(0)),
-                        schedules: Arc::new(AtomicU64::new(0)),
-                        interval,
-                        due: Instant::now() + interval,
-                    }
-                });
-                queue.push(Ticket {
-                    digest: digest.clone(),
-                    job,
-                    conn: token,
-                    accepted,
-                    progress: progress
-                        .as_ref()
-                        .map(|p| (Arc::clone(&p.states), Arc::clone(&p.schedules))),
-                });
-                shared.queue_cv.notify_one();
-                Ok(progress)
-            }
-        };
-        match queued {
-            Err(reply) => {
-                let reply = record(&reply);
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    send_line(conn, &reply);
-                }
-                LineOutcome::Done
-            }
-            Ok(progress) => {
-                self.outstanding += 1;
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.active = Some(ActiveJob {
-                        op,
-                        digest,
-                        accepted,
-                        progress,
-                    });
-                }
-                LineOutcome::JobPending
-            }
+        let mut queue = shared.queue.lock().expect("queue lock");
+        let depth = queue.depth();
+        if !shared
+            .admission
+            .lock()
+            .expect("admission lock")
+            .admit_state(depth)
+        {
+            shared.stats.rejected.fetch_add(1, Ordering::SeqCst);
+            shared.stats.shed.fetch_add(1, Ordering::SeqCst);
+            // The hint scales with how much work is already ahead of
+            // the caller.
+            let retry_ms = (u64::try_from(depth).unwrap_or(u64::MAX))
+                .saturating_mul(50)
+                .clamp(50, 5_000);
+            let reason = format!("queue full ({depth} pending)");
+            return Err(shed_response(op, &reason, retry_ms).render_compact());
         }
+        let progress = job.progress_ms.filter(|&ms| ms > 0).map(|ms| {
+            let interval = Duration::from_millis(ms.max(10));
+            ProgressSub {
+                states: Arc::new(AtomicU64::new(0)),
+                schedules: Arc::new(AtomicU64::new(0)),
+                interval,
+                due: Instant::now() + interval,
+            }
+        });
+        queue.push(Ticket {
+            work: Work::Job {
+                digest: digest.clone(),
+                job,
+                progress: progress
+                    .as_ref()
+                    .map(|p| (Arc::clone(&p.states), Arc::clone(&p.schedules))),
+            },
+            conn: token,
+            accepted,
+        });
+        shared.queue_cv.notify_one();
+        Ok((digest, progress))
     }
 
     /// Delivers worker completions to their connections.
@@ -1288,7 +1405,7 @@ impl Reactor {
             if let Some(active) = conn.active.take() {
                 let elapsed =
                     u64::try_from(active.accepted.elapsed().as_micros()).unwrap_or(u64::MAX);
-                self.shared.latency.for_op(active.op).record_us(elapsed);
+                self.shared.stats.latency.for_op(active.op).record_us(elapsed);
             }
             send_line(conn, &reply);
             // The connection may have pipelined more requests while the
@@ -1336,7 +1453,7 @@ impl Reactor {
             touched.push(token);
         }
         if beats > 0 {
-            self.shared.heartbeats_sent.fetch_add(beats, Ordering::SeqCst);
+            self.shared.stats.heartbeats_sent.fetch_add(beats, Ordering::SeqCst);
         }
         for token in touched {
             self.after_io(token);
@@ -1347,6 +1464,7 @@ impl Reactor {
         if let Some(conn) = self.conns.remove(&token) {
             self.shared.poller.deregister(conn.stream.as_raw_fd());
             self.shared
+                .stats
                 .active_connections
                 .store(self.conns.len(), Ordering::SeqCst);
         }
@@ -1405,62 +1523,26 @@ fn flush(conn: &mut Conn) -> bool {
     ok
 }
 
-fn gossip_response(shared: &Shared) -> Json {
-    let entries = shared.cache.lock().expect("cache lock").entries_lru();
-    ok_response("gossip", None, false, crate::gossip::gossip_body(&entries))
-}
-
 fn stats_response(shared: &Shared) -> Json {
-    let cache = shared.cache.lock().expect("cache lock");
+    let c = &shared.stats;
+    let load = |n: &AtomicU64| Json::count(usize::try_from(n.load(Ordering::SeqCst)).unwrap_or(0));
     let queue_depth = shared.queue.lock().expect("queue lock").depth();
-    // Integer percent: the wire JSON has no floats.
-    let lookups = cache.hits + cache.misses;
-    let hit_rate_pct = (cache.hits * 100)
-        .checked_div(lookups)
-        .and_then(|p| usize::try_from(p).ok())
-        .unwrap_or(0);
-    let count_of = |ctr: &AtomicU64| {
-        Json::count(usize::try_from(ctr.load(Ordering::SeqCst)).unwrap_or(0))
-    };
-    let body = Json::Obj(vec![
-        ("hits".into(), Json::count(usize::try_from(cache.hits).unwrap_or(usize::MAX))),
-        (
-            "misses".into(),
-            Json::count(usize::try_from(cache.misses).unwrap_or(usize::MAX)),
-        ),
-        (
-            "evictions".into(),
-            Json::count(usize::try_from(cache.evictions).unwrap_or(usize::MAX)),
-        ),
-        ("hit_rate_pct".into(), Json::count(hit_rate_pct)),
-        ("entries".into(), Json::count(cache.len())),
-        ("cache_bytes".into(), Json::count(cache.used_bytes())),
-        ("cache_bytes_max".into(), Json::count(cache.max_bytes())),
-        (
-            "inflight".into(),
-            Json::count(shared.inflight.load(Ordering::SeqCst)),
-        ),
+    let mut fields = vec![
+        ("inflight".into(), Json::count(c.inflight.load(Ordering::SeqCst))),
         ("queue_depth".into(), Json::count(queue_depth)),
-        ("executions".into(), count_of(&shared.executions)),
-        ("rejected".into(), count_of(&shared.rejected)),
-        ("shed".into(), count_of(&shared.shed)),
-        ("quota_denied".into(), count_of(&shared.quota_denied)),
-        (
-            "active_connections".into(),
-            Json::count(shared.active_connections.load(Ordering::SeqCst)),
-        ),
-        ("heartbeats_sent".into(), count_of(&shared.heartbeats_sent)),
-        ("collapsed".into(), count_of(&shared.collapsed)),
-        ("states_quotiented".into(), count_of(&shared.quotiented)),
-        ("por_pruned".into(), count_of(&shared.pruned)),
-        ("latency".into(), shared.latency.to_json()),
-        ("workers".into(), Json::count(shared.opts.workers)),
-        (
-            "draining".into(),
-            Json::Bool(shared.draining.load(Ordering::SeqCst)),
-        ),
-    ]);
-    ok_response("stats", None, false, body)
+        ("executions".into(), load(&c.executions)),
+        ("rejected".into(), load(&c.rejected)),
+        ("shed".into(), load(&c.shed)),
+        ("quota_denied".into(), load(&c.quota_denied)),
+        ("active_connections".into(), Json::count(c.active_connections.load(Ordering::SeqCst))),
+        ("heartbeats_sent".into(), load(&c.heartbeats_sent)),
+        ("collapsed".into(), load(&c.collapsed)),
+        ("latency".into(), c.latency.to_json()),
+        ("workers".into(), Json::count(shared.pool.lock().expect("pool lock").len())),
+        ("draining".into(), Json::Bool(shared.draining.load(Ordering::SeqCst))),
+    ];
+    shared.executor.stats(&mut fields);
+    ok_response("stats", None, false, Json::Obj(fields))
 }
 
 /// Serves a cached `(op, body)` pair as a `cached:true` envelope.
@@ -1487,9 +1569,16 @@ fn worker_loop(shared: &Arc<Shared>) {
                 queue = shared.queue_cv.wait(queue).expect("queue lock");
             }
         };
-        shared.inflight.fetch_add(1, Ordering::SeqCst);
-        let response = execute(shared, &ticket);
-        shared.inflight.fetch_sub(1, Ordering::SeqCst);
+        shared.stats.inflight.fetch_add(1, Ordering::SeqCst);
+        let response = match ticket.work {
+            Work::Job {
+                digest,
+                job,
+                progress,
+            } => execute(shared, &digest, &job, ticket.accepted, progress),
+            Work::Control(task) => task().render_compact(),
+        };
+        shared.stats.inflight.fetch_sub(1, Ordering::SeqCst);
         shared
             .completions
             .lock()
@@ -1499,112 +1588,71 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Accumulates the reduction counters a fresh verify body reports into
-/// the server-wide `stats` totals.
-fn record_reduction(shared: &Shared, body: &Json) {
-    let Some(r) = body.get("reduction") else {
-        return;
-    };
-    let add = |key: &str, ctr: &AtomicU64| {
-        if let Some(n) = r.get(key).and_then(Json::as_int) {
-            ctr.fetch_add(u64::try_from(n).unwrap_or(0), Ordering::SeqCst);
-        }
-    };
-    add("states_quotiented", &shared.quotiented);
-    add("por_pruned", &shared.pruned);
-}
-
-fn execute(shared: &Arc<Shared>, ticket: &Ticket) -> String {
-    let op = ticket.job.mode.keyword();
-    // `timeout_secs` runs from execution start (as it always has);
-    // `deadline_ms` is end-to-end from admission, so queue time counts
-    // against it.  The engine sees the tighter of the two.
-    let mut deadline = ticket
-        .job
+/// Runs one admitted job to its reply line.  `timeout_secs` runs from
+/// execution start (as it always has); `deadline_ms` is end-to-end from
+/// admission, so queue time counts against it.  The run sees the
+/// tighter of the two.
+fn execute(
+    shared: &Shared,
+    digest: &str,
+    job: &JobRequest,
+    accepted: Instant,
+    progress: Option<(Arc<AtomicU64>, Arc<AtomicU64>)>,
+) -> String {
+    let mut deadline = job
         .timeout_secs
         .or(shared.opts.default_timeout_secs)
         .map(|s| Instant::now() + Duration::from_secs(s));
-    if let Some(ms) = ticket.job.deadline_ms {
-        let wire = ticket.accepted + Duration::from_millis(ms);
+    if let Some(ms) = job.deadline_ms {
+        let wire = accepted + Duration::from_millis(ms);
         deadline = Some(deadline.map_or(wire, |d| d.min(wire)));
     }
     let ctl = RunControl {
         deadline,
         cancel: Arc::clone(&shared.cancel),
-        progress: ticket.progress.clone(),
+        progress,
     };
-    if ticket.job.no_cache {
+    let run = || {
+        shared.stats.executions.fetch_add(1, Ordering::SeqCst);
+        match shared.executor.run(job, digest, &ctl) {
+            Ran::Reply { line, share } => (line, share),
+            Ran::Drained => {
+                shared.stats.rejected.fetch_add(1, Ordering::SeqCst);
+                let op = job.mode.keyword();
+                (
+                    rejected_response(op, "node drained mid-run").render_compact(),
+                    false,
+                )
+            }
+        }
+    };
+    if job.no_cache {
         // Cache-bypassing requests neither join nor lead a flight: the
         // caller explicitly asked for a private run.
-        shared.executions.fetch_add(1, Ordering::SeqCst);
-        let outcome = shared.engine.run(&ticket.job, &ctl);
-        if let Some(r) = drain_truncated_reply(shared, op, &outcome) {
-            return r;
-        }
-        return match outcome.body {
-            Ok(body) => {
-                record_reduction(shared, &body);
-                ok_response(op, Some(&ticket.digest), false, body).render_compact()
-            }
-            Err(e) => error_response(op, &e).render_compact(),
-        };
+        return run().0;
     }
     loop {
         // The cache may have been filled between enqueue and pickup (a
         // duplicate ticket whose leader already finished) — serve that
-        // rather than re-exploring.
-        if let Some((_, body)) = shared
-            .cache
-            .lock()
-            .expect("cache lock")
-            .get(&ticket.digest)
-        {
-            return cached_reply(op, &ticket.digest, &body);
+        // rather than re-running.
+        let cache = shared.executor.cache();
+        if let Some(hit) = cache.and_then(|c| c.probe(job.mode.keyword(), digest)) {
+            return hit;
         }
-        if shared.flight.begin(&ticket.digest) {
-            shared.executions.fetch_add(1, Ordering::SeqCst);
-            let outcome = shared.engine.run(&ticket.job, &ctl);
-            if let Some(r) = drain_truncated_reply(shared, op, &outcome) {
-                shared.flight.finish(&ticket.digest);
-                return r;
-            }
-            let response = match outcome.body {
-                Ok(body) => {
-                    record_reduction(shared, &body);
-                    if outcome.cacheable {
-                        shared.cache.lock().expect("cache lock").insert(
-                            ticket.digest.clone(),
-                            op.to_string(),
-                            body.render_compact(),
-                        );
-                        // Eager persistence: even an abrupt kill keeps
-                        // every completed result.
-                        persist_snapshot(shared);
-                    }
-                    ok_response(op, Some(&ticket.digest), false, body).render_compact()
-                }
-                Err(e) => error_response(op, &e).render_compact(),
-            };
-            shared.flight.finish(&ticket.digest);
-            return response;
+        if shared.flight.begin(digest) {
+            let (line, share) = run();
+            shared
+                .flight
+                .finish(digest, share.then(|| line.clone()));
+            return line;
         }
-        // Someone else is computing this digest: park, then loop — the
-        // re-probe serves from the cache they filled, or this worker
-        // becomes the next leader if they failed without caching.
-        shared.collapsed.fetch_add(1, Ordering::SeqCst);
-        shared.flight.wait(&ticket.digest);
+        // Someone else is running this digest: park, then answer with
+        // the reply they hand over, or loop — the re-probe serves from
+        // the cache they filled, or this worker becomes the next leader
+        // if they failed without either.
+        shared.stats.collapsed.fetch_add(1, Ordering::SeqCst);
+        if let Some(line) = shared.flight.wait(digest) {
+            return line;
+        }
     }
-}
-
-/// Converts a drain-truncated, non-cacheable run into a `rejected`
-/// reply.  A relaying coordinator must see *retry elsewhere*, never a
-/// half-explored inconclusive verdict it would pass back to the client
-/// as if it were the real answer — that would break the byte-identity
-/// guarantee the chaos oracle enforces.
-fn drain_truncated_reply(shared: &Shared, op: &str, outcome: &EngineOutcome) -> Option<String> {
-    if !outcome.cacheable && shared.draining.load(Ordering::SeqCst) {
-        shared.rejected.fetch_add(1, Ordering::SeqCst);
-        return Some(rejected_response(op, "worker drained mid-run").render_compact());
-    }
-    None
 }

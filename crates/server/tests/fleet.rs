@@ -3,11 +3,11 @@
 //! gossip, campaign work-unit stitching, and chaos byte-identity.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::sync::{Arc, Barrier, Mutex};
+use std::time::{Duration, Instant};
 
 use spi_server::client::Client;
-use spi_server::coordinator::{coordinate, CoordinatorHandle, CoordinatorOptions};
+use spi_server::coordinator::{coordinate, CoordinatorOptions};
 use spi_server::gossip::pull_from;
 use spi_server::protocol::JobRequest;
 use spi_server::service::{serve, Engine, EngineOutcome, RunControl, ServerHandle, VerifierEngine};
@@ -38,7 +38,6 @@ fn start_worker() -> ServerHandle {
 
 fn test_opts() -> CoordinatorOptions {
     CoordinatorOptions {
-        addr: "127.0.0.1:0".into(),
         // Sweeper-driven death needs heartbeats the tests do not send;
         // keep it out of the way and rely on dial-failure detection.
         fail_after_ms: 60_000,
@@ -52,14 +51,24 @@ fn test_opts() -> CoordinatorOptions {
     }
 }
 
+/// Starts a coordinator on an ephemeral port with the default front
+/// end.
+fn start_coordinator(engine: Arc<dyn Engine>, opts: CoordinatorOptions) -> ServerHandle {
+    let front = ServerOptions {
+        addr: "127.0.0.1:0".into(),
+        ..ServerOptions::default()
+    };
+    coordinate(engine, front, opts).expect("coordinator starts")
+}
+
 /// Starts a coordinator plus `n` workers, all joined.
 fn start_fleet(
     n: usize,
     configure: impl FnOnce(&mut CoordinatorOptions),
-) -> (CoordinatorHandle, Vec<ServerHandle>) {
+) -> (ServerHandle, Vec<ServerHandle>) {
     let mut opts = test_opts();
     configure(&mut opts);
-    let coordinator = coordinate(engine(), opts).expect("coordinator starts");
+    let coordinator = start_coordinator(engine(), opts);
     let workers: Vec<ServerHandle> = (0..n).map(|_| start_worker()).collect();
     let mut client = Client::connect(&coordinator.addr().to_string()).unwrap();
     for w in &workers {
@@ -67,7 +76,8 @@ fn start_fleet(
         let resp = parsed(&client.roundtrip(&line).unwrap());
         assert_eq!(field(&resp, "status").as_str(), Some("ok"));
     }
-    assert_eq!(coordinator.workers().len(), n);
+    let stats = parsed(&client.roundtrip(r#"{"op":"stats"}"#).unwrap());
+    assert_eq!(field(field(&stats, "body"), "workers_alive").as_int(), Some(n as i64));
     (coordinator, workers)
 }
 
@@ -169,7 +179,7 @@ fn killing_a_worker_reroutes_to_survivors() {
 #[test]
 fn quorum_loss_degrades_to_local_execution() {
     // No workers ever join: every job must still be answered, locally.
-    let coordinator = coordinate(engine(), test_opts()).expect("coordinator starts");
+    let coordinator = start_coordinator(engine(), test_opts());
     let mut client = Client::connect(&coordinator.addr().to_string()).unwrap();
 
     let resp = parsed(&client.roundtrip(&verify_line(P2, 1)).unwrap());
@@ -185,7 +195,7 @@ fn quorum_loss_degrades_to_local_execution() {
 #[test]
 fn local_degradation_matches_fleet_bytes() {
     let reference = single_node_body(&verify_line(P2, 1));
-    let coordinator = coordinate(engine(), test_opts()).expect("coordinator starts");
+    let coordinator = start_coordinator(engine(), test_opts());
     let mut client = Client::connect(&coordinator.addr().to_string()).unwrap();
     let resp = parsed(&client.roundtrip(&verify_line(P2, 1)).unwrap());
     assert_eq!(field(&resp, "body").render_compact(), reference);
@@ -463,8 +473,7 @@ fn concurrent_cold_requests_collapse_into_one_dispatch() {
         delay: Duration::from_millis(400),
         runs: AtomicU64::new(0),
     });
-    let coordinator = coordinate(Arc::clone(&engine) as Arc<dyn Engine>, test_opts())
-        .expect("coordinator starts");
+    let coordinator = start_coordinator(Arc::clone(&engine) as Arc<dyn Engine>, test_opts());
     let addr = coordinator.addr().to_string();
     let mut client = Client::connect(&addr).unwrap();
 
@@ -514,4 +523,257 @@ fn concurrent_cold_requests_collapse_into_one_dispatch() {
     assert_eq!(field(body, "flight_collapsed").as_int(), Some(1));
     assert!(field(body, "local_runs").as_int().unwrap() >= 1);
     coordinator.join();
+}
+
+/// A stub that records the deadline each run was handed.
+struct DeadlineProbe {
+    seen: Mutex<Vec<Option<Instant>>>,
+}
+
+impl Engine for DeadlineProbe {
+    fn run(&self, _job: &JobRequest, ctl: &RunControl) -> EngineOutcome {
+        self.seen.lock().unwrap().push(ctl.deadline);
+        EngineOutcome {
+            body: Ok(Json::Obj(vec![("answer".into(), Json::Int(1))])),
+            cacheable: true,
+        }
+    }
+}
+
+#[test]
+fn quorum_loss_local_runs_honour_the_wire_deadline() {
+    let engine = Arc::new(DeadlineProbe {
+        seen: Mutex::new(Vec::new()),
+    });
+    let coordinator = start_coordinator(Arc::clone(&engine) as Arc<dyn Engine>, test_opts());
+    let mut client = Client::connect(&coordinator.addr().to_string()).unwrap();
+
+    // No workers joined: the job runs on the coordinator's own engine.
+    let sent = Instant::now();
+    let line = format!(
+        r#"{{"op":"verify","concrete":"{P2}","abstract":"{P_ABS}","sessions":1,"deadline_ms":60000}}"#
+    );
+    let resp = parsed(&client.roundtrip(&line).unwrap());
+    assert_eq!(field(&resp, "via").as_str(), Some("local"), "{resp:?}");
+
+    let seen = engine.seen.lock().unwrap().clone();
+    assert_eq!(seen.len(), 1);
+    let deadline = seen[0].expect("the local run must carry the wire deadline_ms");
+    let horizon = deadline.saturating_duration_since(sent);
+    assert!(
+        (Duration::from_secs(60)..Duration::from_secs(61)).contains(&horizon),
+        "deadline lands ~60s after admission, got {horizon:?}"
+    );
+    coordinator.join();
+}
+
+/// A slow stub that reports some exploration progress first.
+struct ProgressingEngine(Duration);
+
+impl Engine for ProgressingEngine {
+    fn run(&self, _job: &JobRequest, ctl: &RunControl) -> EngineOutcome {
+        if let Some((states, _)) = &ctl.progress {
+            states.fetch_add(5, Ordering::Relaxed);
+        }
+        std::thread::sleep(self.0);
+        EngineOutcome {
+            body: Ok(Json::Obj(vec![("answer".into(), Json::Int(3))])),
+            cacheable: true,
+        }
+    }
+}
+
+#[test]
+fn progress_heartbeats_relay_through_the_fleet() {
+    let slow: Arc<dyn Engine> = Arc::new(ProgressingEngine(Duration::from_millis(800)));
+    let worker = serve(
+        Arc::clone(&slow),
+        ServerOptions {
+            addr: "127.0.0.1:0".into(),
+            ..ServerOptions::default()
+        },
+    )
+    .expect("worker starts");
+    let coordinator = start_coordinator(slow, test_opts());
+    let mut client = Client::connect(&coordinator.addr().to_string()).unwrap();
+    let join = format!(r#"{{"op":"join","addr":"{}"}}"#, worker.addr());
+    assert_eq!(field(&parsed(&client.roundtrip(&join).unwrap()), "status").as_str(), Some("ok"));
+
+    let line = format!(
+        r#"{{"op":"verify","concrete":"{P2}","abstract":"{P_ABS}","sessions":1,"progress_ms":100}}"#
+    );
+    let mut beats: Vec<Json> = Vec::new();
+    let final_line = client
+        .roundtrip_streaming(&line, |beat| beats.push(parsed(beat)))
+        .unwrap();
+    let resp = parsed(&final_line);
+    assert_eq!(field(&resp, "status").as_str(), Some("ok"), "{resp:?}");
+    assert!(resp.get("via").is_none(), "the worker answered: {resp:?}");
+    assert!(!beats.is_empty(), "progress must stream through the coordinator");
+    assert!(
+        beats
+            .iter()
+            .any(|b| field(b, "states_explored").as_int() == Some(5)),
+        "the worker's counts are relayed: {beats:?}"
+    );
+
+    coordinator.join();
+    worker.join();
+}
+
+/// A slow stub that stops early when its run trips (deadline passed or
+/// drain), reporting whether it was cut short.
+struct TrippableEngine(Duration);
+
+impl Engine for TrippableEngine {
+    fn run(&self, _job: &JobRequest, ctl: &RunControl) -> EngineOutcome {
+        let started = Instant::now();
+        while started.elapsed() < self.0 && !ctl.tripped() {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let truncated = ctl.tripped();
+        EngineOutcome {
+            body: Ok(Json::Obj(vec![("truncated".into(), Json::Bool(truncated))])),
+            cacheable: !truncated,
+        }
+    }
+}
+
+#[test]
+fn a_cut_short_reply_is_never_handed_to_a_follower_without_the_cut_off() {
+    // Neither per-request cut-off is in the digest.
+    for (cutoff, runs_for) in [(r#""deadline_ms":50"#, 400), (r#""timeout_secs":1"#, 1400)] {
+        let engine: Arc<dyn Engine> = Arc::new(TrippableEngine(Duration::from_millis(runs_for)));
+        let coordinator = start_coordinator(engine, test_opts());
+        let addr = coordinator.addr().to_string();
+        let question =
+            format!(r#""op":"verify","concrete":"{P2}","abstract":"{P_ABS}","sessions":1"#);
+
+        // No workers: both run on the coordinator's local engine.  The
+        // leader's cut-off ends its run early while the follower,
+        // asking the same question without one, is parked on its flight.
+        let leader = {
+            let (addr, line) = (addr.clone(), format!("{{{question},{cutoff}}}"));
+            std::thread::spawn(move || Client::connect(&addr).unwrap().roundtrip(&line).unwrap())
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        let mut client = Client::connect(&addr).unwrap();
+        let follower = parsed(&client.roundtrip(&format!("{{{question}}}")).unwrap());
+        let leader = parsed(&leader.join().unwrap());
+
+        assert_eq!(field(field(&leader, "body"), "truncated").as_bool(), Some(true), "{cutoff}");
+        assert_eq!(
+            field(field(&follower, "body"), "truncated").as_bool(),
+            Some(false),
+            "the follower set no {cutoff} and must get the full answer: {follower:?}"
+        );
+        let stats = parsed(&client.roundtrip(r#"{"op":"stats"}"#).unwrap());
+        assert_eq!(
+            field(field(&stats, "body"), "flight_collapsed").as_int(),
+            Some(1),
+            "the follower really parked on the leader's flight ({cutoff})"
+        );
+        coordinator.join();
+    }
+}
+
+#[test]
+fn draining_a_coordinator_abandons_a_slow_dispatch() {
+    let worker = serve(
+        Arc::new(TrippableEngine(Duration::from_secs(20))),
+        ServerOptions {
+            addr: "127.0.0.1:0".into(),
+            ..ServerOptions::default()
+        },
+    )
+    .expect("worker starts");
+    let coordinator = start_coordinator(engine(), test_opts());
+    let addr = coordinator.addr().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+    let join = format!(r#"{{"op":"join","addr":"{}"}}"#, worker.addr());
+    assert_eq!(field(&parsed(&client.roundtrip(&join).unwrap()), "status").as_str(), Some("ok"));
+
+    let pending = {
+        let line = verify_line(P2, 1);
+        std::thread::spawn(move || Client::connect(&addr).unwrap().roundtrip(&line).unwrap())
+    };
+    // Let the dispatch reach the worker, then drain mid-dispatch.
+    std::thread::sleep(Duration::from_millis(300));
+    let drain_started = Instant::now();
+    coordinator.join();
+    assert!(
+        drain_started.elapsed() < Duration::from_secs(1),
+        "the drain waited {:?} on a worker that answers in 20s",
+        drain_started.elapsed()
+    );
+    let resp = parsed(&pending.join().unwrap());
+    assert_eq!(field(&resp, "status").as_str(), Some("rejected"), "{resp:?}");
+    worker.join();
+}
+
+/// A slow stub that records how many of its runs overlapped.
+#[derive(Default)]
+struct OverlapProbe {
+    running: AtomicU64,
+    peak: AtomicU64,
+}
+
+impl Engine for OverlapProbe {
+    fn run(&self, _job: &JobRequest, _ctl: &RunControl) -> EngineOutcome {
+        let now = self.running.fetch_add(1, Ordering::SeqCst) + 1;
+        self.peak.fetch_max(now, Ordering::SeqCst);
+        std::thread::sleep(Duration::from_millis(300));
+        self.running.fetch_sub(1, Ordering::SeqCst);
+        EngineOutcome {
+            body: Ok(Json::Obj(vec![("answer".into(), Json::Int(5))])),
+            cacheable: true,
+        }
+    }
+}
+
+#[test]
+fn a_coordinators_pool_grows_to_the_capacity_its_workers_announce() {
+    let worker_opts = ServerOptions {
+        addr: "127.0.0.1:0".into(),
+        workers: 4,
+        ..ServerOptions::default()
+    };
+    let capacity = worker_opts.capacity();
+    let probe = Arc::new(OverlapProbe::default());
+    let worker = serve(Arc::clone(&probe) as Arc<dyn Engine>, worker_opts).expect("worker starts");
+    // One pool thread of its own: without growing, the coordinator
+    // would dispatch the jobs below one at a time.
+    let front = ServerOptions {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        ..ServerOptions::default()
+    };
+    let coordinator = coordinate(engine(), front, test_opts()).expect("coordinator starts");
+    let addr = coordinator.addr().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+    let join = format!(r#"{{"op":"join","addr":"{}","capacity":{capacity}}}"#, worker.addr());
+    assert_eq!(field(&parsed(&client.roundtrip(&join).unwrap()), "status").as_str(), Some("ok"));
+    let stats = parsed(&client.roundtrip(r#"{"op":"stats"}"#).unwrap());
+    assert_eq!(field(field(&stats, "body"), "workers").as_int(), Some(capacity as i64));
+
+    let threads: Vec<_> = (1..=4)
+        .map(|sessions| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let mut c = Client::connect(&addr).unwrap();
+                parsed(&c.roundtrip(&verify_line(P2, sessions)).unwrap())
+            })
+        })
+        .collect();
+    for t in threads {
+        let r = t.join().unwrap();
+        assert_eq!(field(&r, "status").as_str(), Some("ok"), "{r:?}");
+    }
+    assert!(
+        probe.peak.load(Ordering::SeqCst) >= 2,
+        "the coordinator dispatched concurrently, beyond its one configured thread"
+    );
+
+    coordinator.join();
+    worker.join();
 }

@@ -408,6 +408,36 @@ fn the_real_engine_verifies_and_caches_real_verdicts() {
 }
 
 #[test]
+fn one_requests_timeout_never_cancels_the_next_requests_run() {
+    use spi_server::service::VerifierEngine;
+
+    let handle = start(
+        Arc::new(VerifierEngine {
+            explore_workers: Some(1),
+        }),
+        |_| {},
+    );
+    let mut client = Client::connect(&handle.addr().to_string()).unwrap();
+    let timed = verify_line(P2, 2).replace(
+        "\"op\":\"verify\"",
+        "\"op\":\"verify\",\"timeout_secs\":0",
+    );
+    let t = parsed(&client.roundtrip(&timed).unwrap());
+    assert_eq!(field(field(&t, "body"), "exhausted").as_str(), Some("wall-clock"));
+
+    // A different question afterwards gets a real verdict: the first
+    // run's deadline belonged to it alone.
+    let next = parsed(&client.roundtrip(&verify_line(P2, 1)).unwrap());
+    assert_eq!(
+        field(field(&next, "body"), "verdict").as_str(),
+        Some("securely-implements"),
+        "{next:?}"
+    );
+
+    handle.join();
+}
+
+#[test]
 fn the_real_engine_runs_campaigns() {
     use spi_server::service::VerifierEngine;
 

@@ -244,22 +244,26 @@ impl Default for ExploreOptions {
 }
 
 /// The wall-clock cut-off shared between the merge loop and the workers:
-/// a cancellation flag plus an optional deadline that trips it.
+/// a cancellation flag plus an optional deadline.
 struct WallClock<'f> {
     cancel: &'f AtomicBool,
     deadline: Option<Instant>,
+    /// Latched once the deadline passes, so every worker sees the
+    /// overrun without re-reading the clock.  The caller's `cancel`
+    /// flag is never written: a server shares it across every run, and
+    /// one run's deadline must not cancel the others.
+    expired: AtomicBool,
 }
 
 impl WallClock<'_> {
     /// Returns `true` once the exploration should stop — because the
-    /// caller cancelled or the deadline passed (which latches the flag,
-    /// so every worker sees the overrun without re-reading the clock).
+    /// caller cancelled or the deadline passed.
     fn overrun(&self) -> bool {
-        if self.cancel.load(Ordering::Relaxed) {
+        if self.cancel.load(Ordering::Relaxed) || self.expired.load(Ordering::Relaxed) {
             return true;
         }
         if self.deadline.is_some_and(|d| Instant::now() >= d) {
-            self.cancel.store(true, Ordering::Relaxed);
+            self.expired.store(true, Ordering::Relaxed);
             return true;
         }
         false
@@ -1084,6 +1088,7 @@ impl Explorer {
         let clock = WallClock {
             cancel: self.opts.cancel.as_deref().unwrap_or(&own_cancel),
             deadline: self.opts.deadline,
+            expired: AtomicBool::new(false),
         };
         let mut gov = Governor::new(self.opts.budget);
         // Any reduction forces iso tracking: merges stop being identity
@@ -2355,6 +2360,20 @@ mod tests {
         assert_eq!(lts.exhausted, Some(ResourceKind::WallClock));
         assert!(!lts.complete());
         assert_eq!(lts.states.len(), 1, "only the initial state is kept");
+    }
+
+    #[test]
+    fn an_expired_deadline_leaves_the_shared_cancel_flag_alone() {
+        let flag = Arc::new(AtomicBool::new(false));
+        let lts = Explorer::new(ExploreOptions {
+            deadline: Some(Instant::now()),
+            cancel: Some(Arc::clone(&flag)),
+            ..ExploreOptions::default()
+        })
+        .explore(&parse("(^m)(c<m> | c(x).observe<x>)").unwrap())
+        .expect("partial result");
+        assert_eq!(lts.exhausted, Some(ResourceKind::WallClock));
+        assert!(!flag.load(Ordering::Relaxed), "other runs share the flag");
     }
 
     #[test]

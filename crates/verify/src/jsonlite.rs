@@ -172,6 +172,7 @@ impl Json {
     /// Returns a byte-positioned description of the first syntax error.
     pub fn parse(src: &str) -> Result<Json, String> {
         let mut p = Parser {
+            src,
             bytes: src.as_bytes(),
             pos: 0,
         };
@@ -214,6 +215,7 @@ fn write_escaped(s: &str, out: &mut String) {
 }
 
 struct Parser<'s> {
+    src: &'s str,
     bytes: &'s [u8],
     pos: usize,
 }
@@ -326,13 +328,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through unescaped).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape at
+                    // once.  Both are ASCII, so the run ends on a char
+                    // boundary of the (already valid UTF-8) source.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.src[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -437,6 +441,14 @@ mod tests {
         assert!(!text.contains('\n'), "{text}");
         assert!(!text.contains(": "), "no space after colons: {text}");
         assert_eq!(Json::parse(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn long_and_multibyte_strings_round_trip() {
+        // A megabyte-sized string parses in one pass over its bytes.
+        let text = format!("é✓ {} \"q\" 🦀\\ {}", "x".repeat(1 << 20), "ü".repeat(1000));
+        let v = Json::Obj(vec![("s".into(), Json::Str(text))]);
+        assert_eq!(Json::parse(&v.render_compact()).unwrap(), v);
     }
 
     #[test]
