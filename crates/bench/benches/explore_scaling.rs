@@ -11,9 +11,10 @@
 use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use spi_auth::Verifier;
+use spi_auth::{ReduceOptions, Verifier};
 use spi_bench::independent_pairs;
 use spi_protocols::multi;
+use spi_syntax::Process;
 use spi_verify::{Budget, ExploreOptions, Explorer};
 
 fn bench_sessions(c: &mut Criterion) {
@@ -119,51 +120,75 @@ fn bench_governor_overhead(c: &mut Criterion) {
     );
 }
 
-/// Smoke check for the parallel frontier: on the three-session naive
-/// protocol (the largest Pm2 instance in this suite), exploring with all
-/// available workers must not be slower than exploring sequentially —
-/// and both must agree exactly on the explored system.  The assertion
-/// makes `cargo bench --bench explore_scaling` fail loudly if the
-/// parallel engine ever regresses below the sequential one.
+/// Smoke check for the parallel frontier, on two legs: the three-session
+/// naive protocol unreduced (the largest Pm2 instance in this suite) and
+/// the two-session challenge-response under the full reduction (where
+/// canonicalization and the symmetry search dominate, so the pool must
+/// carry them).  On each, exploring with all available workers must not
+/// be slower than exploring sequentially — and both must agree exactly
+/// on the explored system.  The assertions make
+/// `cargo bench --bench explore_scaling` fail loudly if the parallel
+/// engine ever regresses below the sequential one.
 fn bench_parallel_frontier(c: &mut Criterion) {
     let pm2 = multi::shared_key("c", "observe");
-    let sequential = Verifier::new(["c"]).sessions(3).workers(1);
-    let parallel = Verifier::new(["c"]).sessions(3);
-
+    let pm3 = multi::challenge_response("c", "observe");
+    let legs = [
+        ("pm2_s3", &pm2, 3, ReduceOptions::none()),
+        ("pm3_s2_full", &pm3, 2, ReduceOptions::full()),
+    ];
     let mut group = c.benchmark_group("parallel_frontier");
     group.sample_size(10);
-    group.bench_function("sequential_pm2_s3", |b| {
-        b.iter(|| sequential.explore(&pm2).expect("explores").stats)
-    });
-    group.bench_function("parallel_pm2_s3", |b| {
-        b.iter(|| parallel.explore(&pm2).expect("explores").stats)
-    });
+    for (name, protocol, sessions, reduce) in legs {
+        let sequential = Verifier::new(["c"])
+            .sessions(sessions)
+            .reduce(reduce)
+            .workers(1);
+        let parallel = Verifier::new(["c"]).sessions(sessions).reduce(reduce);
+        group.bench_function(format!("sequential_{name}"), |b| {
+            b.iter(|| sequential.explore(protocol).expect("explores").stats)
+        });
+        group.bench_function(format!("parallel_{name}"), |b| {
+            b.iter(|| parallel.explore(protocol).expect("explores").stats)
+        });
+        frontier_smoke(name, protocol, &sequential, &parallel);
+    }
     group.finish();
+}
 
+/// The determinism and "parallel no slower than sequential" assertions
+/// of one [`bench_parallel_frontier`] leg.
+fn frontier_smoke(name: &str, protocol: &Process, sequential: &Verifier, parallel: &Verifier) {
     // Determinism: worker count must not change the explored system.
-    let seq_lts = sequential.explore(&pm2).expect("explores");
-    let par_lts = parallel.explore(&pm2).expect("explores");
-    assert_eq!(seq_lts.stats, par_lts.stats, "worker count changed the LTS");
+    let seq_lts = sequential.explore(protocol).expect("explores");
+    let par_lts = parallel.explore(protocol).expect("explores");
+    assert_eq!(
+        seq_lts.stats, par_lts.stats,
+        "{name}: worker count changed the LTS"
+    );
     assert!(
         seq_lts
             .states
             .iter()
             .zip(&par_lts.states)
             .all(|(s, p)| s.key == p.key && s.edges == p.edges),
-        "worker count changed state numbering or edges"
+        "{name}: worker count changed state numbering or edges"
+    );
+    assert_eq!(
+        seq_lts.edge_isos, par_lts.edge_isos,
+        "{name}: worker count changed the merge isomorphisms"
     );
 
     // Interleaved medians so frequency drift hits both sides equally.
     let time = |v: &Verifier| {
         let start = Instant::now();
-        black_box(v.explore(&pm2).expect("explores"));
+        black_box(v.explore(protocol).expect("explores"));
         start.elapsed()
     };
     let mut seq = Vec::new();
     let mut par = Vec::new();
     for _ in 0..7 {
-        seq.push(time(&sequential));
-        par.push(time(&parallel));
+        seq.push(time(sequential));
+        par.push(time(parallel));
     }
     seq.sort();
     par.sort();
@@ -173,10 +198,10 @@ fn bench_parallel_frontier(c: &mut Criterion) {
     let limit = seq_med.mul_f64(1.10) + Duration::from_millis(1);
     assert!(
         par_med <= limit,
-        "parallel frontier slower than sequential: parallel {par_med:?} vs sequential {seq_med:?}"
+        "{name}: parallel frontier slower than sequential: parallel {par_med:?} vs sequential {seq_med:?}"
     );
     println!(
-        "parallel_frontier/smoke: parallel {par_med:?} vs sequential {seq_med:?} (limit {limit:?}) — ok"
+        "parallel_frontier/smoke {name}: parallel {par_med:?} vs sequential {seq_med:?} (limit {limit:?}) — ok"
     );
 }
 

@@ -2,7 +2,7 @@
 //! resource governor, and an optional faulty network.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -144,8 +144,10 @@ pub struct ExploreOptions {
     /// Worker threads for frontier expansion.  `1` recovers the
     /// sequential engine exactly; any value produces a bit-for-bit
     /// identical [`Lts`] (state numbering, edges, governor accounting),
-    /// because successors are computed speculatively in parallel and
-    /// merged in the sequential visit order.  `0` is normalized to `1`.
+    /// because each state's expansion — its successors *and* their
+    /// canonical keys, symmetry search included — is computed
+    /// speculatively on the pool, and only the key lookups and interning
+    /// run in the sequential visit order.  `0` is normalized to `1`.
     pub workers: usize,
     /// Differential key verification: intern states by their full
     /// canonical strings *alongside* the 128-bit hashes and panic on any
@@ -242,6 +244,12 @@ impl Default for ExploreOptions {
         }
     }
 }
+
+/// How many states of a frontier layer each explorer worker expands per
+/// pool dispatch.  Bounds the speculative successors held for the merge:
+/// expanding whole layers at once held them all (most are duplicates) and
+/// slowed canonicalization by about 40% on the largest instances.
+const WINDOW_PER_WORKER: usize = 128;
 
 /// The wall-clock cut-off shared between the merge loop and the workers:
 /// a cancellation flag plus an optional deadline.
@@ -817,18 +825,29 @@ struct CanonOut {
     annot: SymAnnot,
 }
 
-/// The state store: LTS states, their exploration payloads, and the
+/// What the store keeps of one state besides its payload: the
+/// [`LtsState`] fields exploration fills in.  The configuration and
+/// knowledge join them only when the finished [`Lts`] is assembled, so
+/// no state is held twice.
+#[derive(Debug)]
+struct Node {
+    key: u128,
+    barbs: BTreeSet<Barb>,
+    edges: Vec<(Label, usize)>,
+}
+
+/// The state store: LTS nodes, their exploration payloads, and the
 /// canonical-key index (hashed, with an optional parallel string index
 /// for differential verification).
 #[derive(Debug, Default)]
 struct StateStore {
-    states: Vec<LtsState>,
+    nodes: Vec<Node>,
     data: Vec<StateData>,
     index: HashMap<u128, usize>,
     /// Present iff [`ExploreOptions::verify_keys`]: the same interning
     /// decisions re-derived from full canonical strings.
     strings: Option<HashMap<String, usize>>,
-    /// Canonicalization annotations, parallel to `states` (empty
+    /// Canonicalization annotations, parallel to `nodes` (empty
     /// annotations when not tracking).
     annots: Vec<SymAnnot>,
     isos: IsoTable,
@@ -846,6 +865,8 @@ impl StateStore {
     }
 
     /// The canonical identity of `sd` under the configured reductions.
+    /// A pure function of `sd` and the store's fixed switches, so the
+    /// explorer's workers compute it while the store is shared.
     ///
     /// Without tracking this is the historical raw key.  With the
     /// symmetry quotient, the key is the minimum over the
@@ -966,13 +987,11 @@ impl StateStore {
     /// used for the initial state, which is always kept so a partial
     /// answer is never empty.
     fn push(&mut self, out: CanonOut, sd: StateData, queue: &mut VecDeque<usize>) -> usize {
-        let i = self.states.len();
-        self.states.push(LtsState {
+        let i = self.nodes.len();
+        self.nodes.push(Node {
             key: out.key,
             barbs: sd.cfg.barbs(),
             edges: Vec::new(),
-            config: sd.cfg.clone(),
-            knowledge: sd.knowledge.clone(),
         });
         if let Some(strings) = &mut self.strings {
             if let Some(s) = out.string {
@@ -986,17 +1005,18 @@ impl StateStore {
         i
     }
 
-    /// Interns `sd`, returning its index plus the id of the isomorphism
-    /// mapping the stored representative's coordinates to `sd`'s (`0`,
-    /// the identity, for new states and untracked stores), or `None` when
-    /// the state budget is already spent (noted on the governor).
+    /// Interns `sd`, whose canonical identity is `out`, returning its
+    /// index plus the id of the isomorphism mapping the stored
+    /// representative's coordinates to `sd`'s (`0`, the identity, for new
+    /// states and untracked stores), or `None` when the state budget is
+    /// already spent (noted on the governor).
     fn intern(
         &mut self,
+        out: CanonOut,
         sd: StateData,
         gov: &mut Governor,
         queue: &mut VecDeque<usize>,
     ) -> Option<(usize, u32)> {
-        let out = self.canonical(&sd);
         let hit = self.index.get(&out.key).copied();
         if let Some(strings) = &self.strings {
             let string_hit = out
@@ -1020,10 +1040,28 @@ impl StateStore {
             };
             return Some((i, iso));
         }
-        if !gov.admit_state(self.states.len()) {
+        if !gov.admit_state(self.nodes.len()) {
             return None;
         }
         Some((self.push(out, sd, queue), 0))
+    }
+
+    /// The finished states — each node joined with the configuration and
+    /// knowledge moved out of its payload — and the interned isomorphisms.
+    fn finish(self) -> (Vec<LtsState>, Vec<Iso>) {
+        let states = self
+            .nodes
+            .into_iter()
+            .zip(self.data)
+            .map(|(node, sd)| LtsState {
+                key: node.key,
+                barbs: node.barbs,
+                edges: node.edges,
+                config: sd.cfg,
+                knowledge: sd.knowledge,
+            })
+            .collect();
+        (states, self.isos.into_isos())
     }
 
     /// The isomorphism from the representative state `rep`'s raw
@@ -1110,9 +1148,9 @@ impl Explorer {
         store.push(out, initial, &mut queue);
         // Fully-expanded flags, parallel to `states`.
         let mut expanded: Vec<bool> = Vec::new();
-        // The sequential engine's derivation memo (each parallel worker
-        // owns its own — see `compute_layer`).
-        let mut cache = DeriveCache::new();
+        // One derivation memo per worker, kept for the whole exploration;
+        // the calling thread (and the on-demand path) uses the first.
+        let mut caches: Vec<DeriveCache> = (0..workers).map(|_| DeriveCache::new()).collect();
 
         let mut edges_total = 0usize;
         let mut edge_isos: BTreeMap<(usize, usize), u32> = BTreeMap::new();
@@ -1122,13 +1160,22 @@ impl Explorer {
         // Layered BFS.  Draining the queue one layer at a time visits
         // states in exactly the order the one-at-a-time loop would (pop
         // front, intern new states at the back), which lets the workers
-        // compute a whole layer's successors speculatively while the
-        // merge below replays the sequential governor decisions
+        // expand the layer speculatively — successors and their
+        // canonical keys — while the merge below only looks keys up,
+        // interns, and replays the sequential governor decisions
         // verbatim — same numbering, same accounting, same cut-offs.
+        // The pool takes the layer a window at a time, so only one
+        // window of speculative successors (mostly duplicates the merge
+        // drops) is alive at once.
+        let window = WINDOW_PER_WORKER * workers;
         'bfs: while !queue.is_empty() {
             let layer: Vec<usize> = queue.drain(..).collect();
-            let mut computed = self.compute_layer(&layer, &store, workers, &clock);
+            let mut computed = Vec::new();
             for (pos, &cur) in layer.iter().enumerate() {
+                if pos % window == 0 {
+                    let end = layer.len().min(pos + window);
+                    computed = self.expand_window(&layer[pos..end], &store, &mut caches, &clock);
+                }
                 // Restores the queue as the sequential engine would have
                 // left it: the interrupted state first, then the rest of
                 // its layer, then everything interned meanwhile.
@@ -1158,12 +1205,9 @@ impl Explorer {
                 // consumes the state, exactly as in the sequential
                 // engine; errors in speculative work past a cut-off are
                 // dropped with it.
-                let succ = match computed[pos].take() {
+                let succ = match computed[pos % window].take() {
                     Some(result) => result?,
-                    None => {
-                        let sd = store.data[cur].clone();
-                        self.caught_successors(cur, &sd, &mut cache)?
-                    }
+                    None => self.expand(cur, &store, &mut caches[0])?,
                 };
                 if !gov.charge_steps(succ.moves.len().max(1)) {
                     cut_off!();
@@ -1172,14 +1216,17 @@ impl Explorer {
                 // consumed, so the counter is worker-count independent.
                 por_pruned += succ.pruned;
                 sym_prechecked += succ.prechecked;
-                for (label, next) in succ.moves {
+                for (label, next, out) in succ.moves {
                     if !gov.admit_transition(edges_total) {
                         cut_off!();
                     }
-                    match store.intern(next, &mut gov, &mut queue) {
+                    // A failed `verify_symmetry` audit re-raises here,
+                    // where the sequential engine canonicalized.
+                    let out = out.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                    match store.intern(out, next, &mut gov, &mut queue) {
                         Some((tgt, iso)) => {
-                            let edge_pos = store.states[cur].edges.len();
-                            store.states[cur].edges.push((label, tgt));
+                            let edge_pos = store.nodes[cur].edges.len();
+                            store.nodes[cur].edges.push((label, tgt));
                             edges_total += 1;
                             if iso != 0 {
                                 edge_isos.insert((cur, edge_pos), iso);
@@ -1194,7 +1241,7 @@ impl Explorer {
                     }
                 }
                 if expanded.len() <= cur {
-                    expanded.resize(store.states.len(), false);
+                    expanded.resize(store.nodes.len(), false);
                 }
                 expanded[cur] = true;
                 if let Some(p) = &self.opts.progress {
@@ -1203,7 +1250,7 @@ impl Explorer {
             }
         }
 
-        let states = store.states;
+        let (states, isos) = store.finish();
         expanded.resize(states.len(), false);
         let mut frontier: Vec<usize> = (0..states.len()).filter(|&i| !expanded[i]).collect();
         frontier.sort_unstable();
@@ -1224,7 +1271,6 @@ impl Explorer {
             frontier: frontier.len(),
             steps: gov.steps_spent(),
         };
-        let isos = store.isos.into_isos();
         Ok(Lts {
             states,
             stats,
@@ -1238,46 +1284,97 @@ impl Explorer {
         })
     }
 
-    /// Speculatively computes successors for every state of a frontier
-    /// layer on a scoped worker pool.  Returns `None` slots when the
-    /// layer is too small (or `workers == 1`) to be worth fanning out —
-    /// the merge loop then computes those successors on demand, which is
-    /// literally the sequential engine.
+    /// Speculatively expands every state of a window of a frontier layer
+    /// on a scoped pool of `caches.len()` workers, the calling thread
+    /// among them, each with the derivation memo it keeps for the whole
+    /// exploration.  Workers claim states from a shared cursor, so one
+    /// expensive state holds up only the worker expanding it.  Returns
+    /// `None` slots when the window is too small (or there is one worker)
+    /// to be worth fanning out — the merge loop then expands those states
+    /// on demand, which is literally the sequential engine.
     ///
     /// Speculation never affects results: the merge consumes the slots
     /// in sequential order and discards anything past a budget cut-off.
-    #[allow(clippy::type_complexity)]
-    fn compute_layer(
+    fn expand_window(
         &self,
-        layer: &[usize],
+        window: &[usize],
         store: &StateStore,
-        workers: usize,
+        caches: &mut [DeriveCache],
         clock: &WallClock<'_>,
-    ) -> Vec<Option<Result<SuccSet, VerifyError>>> {
-        let mut computed: Vec<Option<Result<SuccSet, VerifyError>>> =
-            (0..layer.len()).map(|_| None).collect();
-        let pool = workers.min(layer.len());
-        if pool > 1 {
-            let chunk = layer.len().div_ceil(pool);
-            let data = &store.data;
-            std::thread::scope(|scope| {
-                for (slots, indices) in computed.chunks_mut(chunk).zip(layer.chunks(chunk)) {
-                    scope.spawn(move || {
-                        let mut cache = DeriveCache::new();
-                        for (slot, &cur) in slots.iter_mut().zip(indices) {
-                            // A tripped deadline drains the layer early:
-                            // the merge loop cuts off before it would
-                            // consume the missing slots.
-                            if clock.overrun() {
-                                break;
-                            }
-                            *slot = Some(self.caught_successors(cur, &data[cur], &mut cache));
-                        }
-                    });
-                }
-            });
+    ) -> Vec<Option<Result<Expansion, VerifyError>>> {
+        let mut computed: Vec<Option<Result<Expansion, VerifyError>>> =
+            (0..window.len()).map(|_| None).collect();
+        let pool = caches.len().min(window.len());
+        if pool < 2 {
+            return computed;
+        }
+        let cursor = AtomicUsize::new(0);
+        let work = |cache: &mut DeriveCache| {
+            let mut done = Vec::new();
+            // A tripped deadline drains the window early: the merge loop
+            // cuts off before it would consume the missing slots.
+            while !clock.overrun() {
+                let pos = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(&cur) = window.get(pos) else {
+                    break;
+                };
+                done.push((pos, self.expand(cur, store, cache)));
+            }
+            done
+        };
+        let (own, others) = caches[..pool].split_at_mut(1);
+        let done = std::thread::scope(|scope| {
+            let work = &work;
+            let handles: Vec<_> = others
+                .iter_mut()
+                .map(|cache| scope.spawn(move || work(cache)))
+                .collect();
+            let mut done = work(&mut own[0]);
+            for handle in handles {
+                // `expand` catches its own panics; anything else unwinds
+                // on as it would have in the worker.
+                done.extend(
+                    handle
+                        .join()
+                        .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+                );
+            }
+            done
+        });
+        for (pos, result) in done {
+            computed[pos] = Some(result);
         }
         computed
+    }
+
+    /// One state's expansion, the unit of work of both the pool and the
+    /// on-demand path: its successors, then the canonical identity of
+    /// each.  Canonicalization runs outside the successor panic boundary
+    /// — a failed `verify_symmetry` audit is a panic, not a
+    /// [`VerifyError::WorkerPanic`] — and is kept per move, so the merge
+    /// re-raises it only on reaching that move.
+    fn expand(
+        &self,
+        cur: usize,
+        store: &StateStore,
+        cache: &mut DeriveCache,
+    ) -> Result<Expansion, VerifyError> {
+        let succ = self.caught_successors(cur, &store.data[cur], cache)?;
+        let moves = succ
+            .moves
+            .into_iter()
+            .map(|(label, next)| {
+                let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    store.canonical(&next)
+                }));
+                (label, next, out)
+            })
+            .collect();
+        Ok(Expansion {
+            moves,
+            pruned: succ.pruned,
+            prechecked: succ.prechecked,
+        })
     }
 
     /// [`Explorer::successors`] behind a panic boundary: a panicking
@@ -1820,12 +1917,16 @@ impl Explorer {
 /// A state's successor moves, plus how many sibling moves the
 /// partial-order reduction pruned to get there.
 #[derive(Debug)]
-struct SuccSet {
-    moves: Vec<(Label, StateData)>,
+struct SuccSet<M = (Label, StateData)> {
+    moves: Vec<M>,
     pruned: u64,
     /// Successors audited by the pre-POR `verify_symmetry` pass.
     prechecked: u64,
 }
+
+/// A state's expansion as the merge consumes it: each successor move with
+/// its canonical identity (or the panic its canonicalization raised).
+type Expansion = SuccSet<(Label, StateData, std::thread::Result<CanonOut>)>;
 
 /// Counts the occurrences of name `id` across the entire state: every
 /// leaf (channel subjects, payloads, continuations), the intruder
@@ -2530,6 +2631,43 @@ mod tests {
             )
             .fingerprint();
             assert_eq!(fp, base, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn full_reduction_under_the_intruder_is_deterministic_across_worker_counts() {
+        // The paper's Pm2 at three sessions under the most-general
+        // intruder, with every reduction and both key audits on: the
+        // pool canonicalizes and runs the symmetry search, so any
+        // worker-count dependence would show in the keys, the merge
+        // isomorphisms or the reduction counters.
+        let src = "(^c)((^kAB)(!(^m)c<{m}kAB> | !c(z).case z of {w}kAB in observe<w>) | 0)";
+        let run = |workers| {
+            explore(
+                src,
+                ExploreOptions {
+                    unfold_bound: 3,
+                    intruder: Some(IntruderSpec::new("1".parse().unwrap(), ["c"])),
+                    reduce: ReduceOptions::full(),
+                    verify_symmetry: true,
+                    verify_keys: true,
+                    workers,
+                    ..ExploreOptions::default()
+                },
+            )
+        };
+        let base = run(1);
+        assert!(base.complete());
+        assert!(base.stats.states_quotiented > 0, "{:?}", base.stats);
+        assert!(base.stats.por_pruned > 0, "{:?}", base.stats);
+        assert!(base.stats.sym_prechecked > 0, "{:?}", base.stats);
+        assert!(!base.edge_isos.is_empty());
+        for workers in [2, 8] {
+            let lts = run(workers);
+            assert_eq!(lts.fingerprint(), base.fingerprint(), "workers={workers}");
+            assert_eq!(lts.stats, base.stats, "workers={workers}");
+            assert_eq!(lts.edge_isos, base.edge_isos, "workers={workers}");
+            assert_eq!(lts.isos, base.isos, "workers={workers}");
         }
     }
 
