@@ -12,6 +12,7 @@
 
 use std::time::Instant;
 
+use spi_auth::verify::ExploreStats;
 use spi_auth::{ReduceOptions, Verifier};
 use spi_protocols::multi;
 use spi_syntax::Process;
@@ -20,10 +21,7 @@ const RUNS: usize = 7;
 
 struct Measured {
     median_ms: f64,
-    states: usize,
-    transitions: usize,
-    quotiented: u64,
-    pruned: u64,
+    stats: ExploreStats,
 }
 
 fn median_ms(verifier: &Verifier, protocol: &Process) -> Measured {
@@ -39,10 +37,7 @@ fn median_ms(verifier: &Verifier, protocol: &Process) -> Measured {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     Measured {
         median_ms: samples[samples.len() / 2],
-        states: lts.stats.states,
-        transitions: lts.stats.edges,
-        quotiented: lts.stats.states_quotiented,
-        pruned: lts.stats.por_pruned,
+        stats: lts.stats,
     }
 }
 
@@ -87,16 +82,21 @@ fn main() {
     for &(name, protocol, sessions) in instances {
         let verifier = configure(Verifier::new(["c"]).sessions(sessions), workers, reduce);
         let m = median_ms(&verifier, protocol);
+        let s = m.stats;
         println!(
             "{{\"engine\": \"{label}\", \"instance\": \"{name}\", \"sessions\": {sessions}, \
              \"reduce\": \"{}\", \"median_ms\": {:.2}, \"states\": {}, \"transitions\": {}, \
-             \"states_quotiented\": {}, \"por_pruned\": {}, \"runs\": {RUNS}}}",
+             \"states_quotiented\": {}, \"por_pruned\": {}, \"sym_canonicalizations\": {}, \
+             \"sym_candidates\": {}, \"sym_overflows\": {}, \"runs\": {RUNS}}}",
             reduce.mode(),
             m.median_ms,
-            m.states,
-            m.transitions,
-            m.quotiented,
-            m.pruned,
+            s.states,
+            s.edges,
+            s.states_quotiented,
+            s.por_pruned,
+            s.sym_canonicalizations,
+            s.sym_candidates,
+            s.sym_overflows,
         );
     }
 }

@@ -8,19 +8,72 @@
 //! Free names are serialized by spelling (their identity), restricted
 //! names by their creator position (which is part of the semantics — it
 //! is what the authentication primitives observe).
+//!
+//! The serializer is generic over a [`Lens`], which decides how absolute
+//! paths (and, optionally, restricted names) are written and, for a copy
+//! permutation, which subtree is written where.  The plain key uses
+//! [`Verbatim`], which writes the tree as it is; the session-symmetry
+//! search writes copy signatures through a masking lens and scores a
+//! candidate copy arrangement through its [`PathPerm`](crate::PathPerm),
+//! which serializes the *unpermuted* state exactly as the permuted one
+//! would serialize.
 
 use std::fmt::Write;
 
 use spi_addr::{Path, ProcTree};
 
-use crate::{Config, LeafState, NameId, NameTable, RtChanIndex, RtChannel, RtProcess, RtTerm};
+use crate::{
+    Config, LeafState, NameEntry, NameId, NameTable, RtChanIndex, RtChannel, RtProcess, RtTerm,
+};
+
+/// How a canonical serialization writes the parts of a state that a copy
+/// permutation moves: absolute paths, and the subtrees at copy roots.
+pub trait Lens {
+    /// Writes an absolute path: a restricted name's creator, a composite
+    /// creator stamp, or an `AtAbs` localization index.
+    fn path<S: Write>(&mut self, p: &Path, out: &mut S);
+
+    /// Writes restricted name `id` when the lens identifies it by
+    /// something other than its canonical number, returning `true`; the
+    /// default leaves it to the canonicalizer's first-occurrence
+    /// numbering.
+    fn name<S: Write>(&mut self, _id: NameId, _entry: &NameEntry, _out: &mut S) -> bool {
+        false
+    }
+
+    /// Writes the configuration's process tree.  The default writes it
+    /// as it is; a lens that moves subtrees overrides it.
+    fn tree<S: Write>(&mut self, canon: &mut Canonicalizer, cfg: &Config, out: &mut S)
+    where
+        Self: Sized,
+    {
+        canon.write_tree(&cfg.tree, &cfg.names, self, out);
+    }
+
+    /// Called for every construct that resolves a relative address
+    /// against its holder's depth: an unresolved `At` channel index, a
+    /// located literal, or an address matching against a literal.
+    fn depth_dependent(&mut self) {}
+}
+
+/// The plain canonical serialization: paths written as they are, nothing
+/// moved.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Verbatim;
+
+impl Lens for Verbatim {
+    #[inline]
+    fn path<S: Write>(&mut self, p: &Path, out: &mut S) {
+        let _ = p.write_bits(out);
+    }
+}
 
 /// Serializes a composite node's creator stamp.
-fn write_creator<S: Write>(creator: &Option<Path>, out: &mut S) {
+fn write_creator<L: Lens, S: Write>(creator: &Option<Path>, lens: &mut L, out: &mut S) {
     match creator {
         Some(p) => {
             let _ = out.write_char('#');
-            let _ = p.write_bits(out);
+            lens.path(p, out);
         }
         None => { let _ = out.write_str("#-"); }
     }
@@ -69,9 +122,18 @@ impl Canonicalizer {
         Canonicalizer::default()
     }
 
-    fn canon_id<S: Write>(&mut self, id: NameId, names: &NameTable, out: &mut S) {
+    fn canon_id<L: Lens, S: Write>(
+        &mut self,
+        id: NameId,
+        names: &NameTable,
+        lens: &mut L,
+        out: &mut S,
+    ) {
         let e = names.entry(id);
         if e.restricted {
+            if lens.name(id, e, out) {
+                return;
+            }
             let slot = id.index();
             if slot >= self.map.len() {
                 self.map.resize(slot + 1, 0);
@@ -87,9 +149,7 @@ impl Canonicalizer {
             write_decimal(k, out);
             let _ = out.write_char('@');
             match &e.creator {
-                Some(p) => {
-                    let _ = p.write_bits(out);
-                }
+                Some(p) => lens.path(p, out),
                 None => {
                     let _ = out.write_char('-');
                 }
@@ -97,6 +157,19 @@ impl Canonicalizer {
         } else {
             let _ = out.write_str("f:");
             let _ = out.write_str(e.base.as_str());
+        }
+    }
+
+    /// Forgets every numbering, keeping the allocations — a fresh
+    /// canonicalizer for the next serialization.
+    pub fn clear(&mut self) {
+        self.forget(0);
+    }
+
+    /// Forgets the numberings from the `from`-th on.
+    fn forget(&mut self, from: usize) {
+        for id in self.order.drain(from..) {
+            self.map[id.index()] = 0;
         }
     }
 
@@ -118,18 +191,22 @@ impl Canonicalizer {
     /// whose serialization order must not depend on the set's internal
     /// ([`NameId`]-based, allocation-history-dependent) order.
     #[must_use]
-    pub fn probe_term(&mut self, t: &RtTerm, names: &NameTable) -> String {
+    pub fn probe_term<L: Lens>(&mut self, t: &RtTerm, names: &NameTable, lens: &mut L) -> String {
         let saved = self.order.len();
         let mut out = String::new();
-        self.write_term(t, names, &mut out);
-        for id in self.order.drain(saved..) {
-            self.map[id.index()] = 0;
-        }
+        self.write_term(t, names, lens, &mut out);
+        self.forget(saved);
         out
     }
 
     /// Serializes a term into `out` with canonical name numbering.
-    pub fn write_term<S: Write>(&mut self, t: &RtTerm, names: &NameTable, out: &mut S) {
+    pub fn write_term<L: Lens, S: Write>(
+        &mut self,
+        t: &RtTerm,
+        names: &NameTable,
+        lens: &mut L,
+        out: &mut S,
+    ) {
         match t {
             RtTerm::Var(v) => {
                 let _ = out.write_str("v:");
@@ -139,14 +216,14 @@ impl Canonicalizer {
                 let _ = out.write_str("s:");
                 let _ = out.write_str(n.as_str());
             }
-            RtTerm::Id(id) => self.canon_id(*id, names, out),
+            RtTerm::Id(id) => self.canon_id(*id, names, lens, out),
             RtTerm::Pair { fst, snd, creator } => {
                 let _ = out.write_char('(');
-                self.write_term(fst, names, out);
+                self.write_term(fst, names, lens, out);
                 let _ = out.write_char(',');
-                self.write_term(snd, names, out);
+                self.write_term(snd, names, lens, out);
                 let _ = out.write_char(')');
-                write_creator(creator, out);
+                write_creator(creator, lens, out);
             }
             RtTerm::Enc { body, key, creator } => {
                 let _ = out.write_char('{');
@@ -154,28 +231,36 @@ impl Canonicalizer {
                     if i > 0 {
                         let _ = out.write_char(',');
                     }
-                    self.write_term(x, names, out);
+                    self.write_term(x, names, lens, out);
                 }
                 let _ = out.write_char('}');
-                self.write_term(key, names, out);
-                write_creator(creator, out);
+                self.write_term(key, names, lens, out);
+                write_creator(creator, lens, out);
             }
             RtTerm::LocatedLit { addr, inner } => {
+                lens.depth_dependent();
                 let _ = out.write_str("L[");
                 let _ = addr.observer().write_bits(out);
                 let _ = out.write_char('.');
                 let _ = addr.target().write_bits(out);
                 let _ = out.write_char(']');
-                self.write_term(inner, names, out);
+                self.write_term(inner, names, lens, out);
             }
         }
     }
 
-    fn write_channel<S: Write>(&mut self, ch: &RtChannel, names: &NameTable, out: &mut S) {
-        self.write_term(&ch.subject, names, out);
+    fn write_channel<L: Lens, S: Write>(
+        &mut self,
+        ch: &RtChannel,
+        names: &NameTable,
+        lens: &mut L,
+        out: &mut S,
+    ) {
+        self.write_term(&ch.subject, names, lens, out);
         match &ch.index {
             RtChanIndex::Plain => {}
             RtChanIndex::At(a) => {
+                lens.depth_dependent();
                 let _ = out.write_str("@?");
                 let _ = a.observer().write_bits(out);
                 let _ = out.write_char('.');
@@ -183,7 +268,7 @@ impl Canonicalizer {
             }
             RtChanIndex::AtAbs(p) => {
                 let _ = out.write_char('@');
-                let _ = p.write_bits(out);
+                lens.path(p, out);
             }
             RtChanIndex::Loc(l) => {
                 let _ = write!(out, "@^{l}");
@@ -192,64 +277,71 @@ impl Canonicalizer {
     }
 
     /// Serializes a residual process into `out`.
-    pub fn write_process<S: Write>(&mut self, p: &RtProcess, names: &NameTable, out: &mut S) {
+    pub fn write_process<L: Lens, S: Write>(
+        &mut self,
+        p: &RtProcess,
+        names: &NameTable,
+        lens: &mut L,
+        out: &mut S,
+    ) {
         match p {
             RtProcess::Nil => { let _ = out.write_char('0'); }
             RtProcess::Output(ch, t, cont) => {
                 let _ = out.write_char('O');
-                self.write_channel(ch, names, out);
+                self.write_channel(ch, names, lens, out);
                 let _ = out.write_char('<');
-                self.write_term(t, names, out);
+                self.write_term(t, names, lens, out);
                 let _ = out.write_char('>');
-                self.write_process(cont, names, out);
+                self.write_process(cont, names, lens, out);
             }
             RtProcess::Input(ch, x, cont) => {
                 let _ = out.write_char('I');
-                self.write_channel(ch, names, out);
+                self.write_channel(ch, names, lens, out);
                 let _ = out.write_char('(');
                 let _ = out.write_str(x.as_str());
                 let _ = out.write_char(')');
-                self.write_process(cont, names, out);
+                self.write_process(cont, names, lens, out);
             }
             RtProcess::Restrict(n, body) => {
                 let _ = out.write_str("N(");
                 let _ = out.write_str(n.as_str());
                 let _ = out.write_char(')');
-                self.write_process(body, names, out);
+                self.write_process(body, names, lens, out);
             }
             RtProcess::Par(l, r) => {
                 let _ = out.write_char('[');
-                self.write_process(l, names, out);
+                self.write_process(l, names, lens, out);
                 let _ = out.write_char('|');
-                self.write_process(r, names, out);
+                self.write_process(r, names, lens, out);
                 let _ = out.write_char(']');
             }
             RtProcess::Match(a, b, cont) => {
                 let _ = out.write_char('M');
-                self.write_term(a, names, out);
+                self.write_term(a, names, lens, out);
                 let _ = out.write_char('=');
-                self.write_term(b, names, out);
-                self.write_process(cont, names, out);
+                self.write_term(b, names, lens, out);
+                self.write_process(cont, names, lens, out);
             }
             RtProcess::AddrMatchT(a, b, cont) => {
                 let _ = out.write_char('A');
-                self.write_term(a, names, out);
+                self.write_term(a, names, lens, out);
                 let _ = out.write_char('~');
-                self.write_term(b, names, out);
-                self.write_process(cont, names, out);
+                self.write_term(b, names, lens, out);
+                self.write_process(cont, names, lens, out);
             }
             RtProcess::AddrMatchL(a, l, cont) => {
+                lens.depth_dependent();
                 let _ = out.write_char('A');
-                self.write_term(a, names, out);
+                self.write_term(a, names, lens, out);
                 let _ = out.write_str("~@");
                 let _ = l.observer().write_bits(out);
                 let _ = out.write_char('.');
                 let _ = l.target().write_bits(out);
-                self.write_process(cont, names, out);
+                self.write_process(cont, names, lens, out);
             }
             RtProcess::Bang(body) => {
                 let _ = out.write_char('!');
-                self.write_process(body, names, out);
+                self.write_process(body, names, lens, out);
             }
             RtProcess::Split {
                 pair,
@@ -258,13 +350,13 @@ impl Canonicalizer {
                 body,
             } => {
                 let _ = out.write_char('S');
-                self.write_term(pair, names, out);
+                self.write_term(pair, names, lens, out);
                 let _ = out.write_char('(');
                 let _ = out.write_str(fst.as_str());
                 let _ = out.write_char(',');
                 let _ = out.write_str(snd.as_str());
                 let _ = out.write_char(')');
-                self.write_process(body, names, out);
+                self.write_process(body, names, lens, out);
             }
             RtProcess::Case {
                 scrutinee,
@@ -273,7 +365,7 @@ impl Canonicalizer {
                 body,
             } => {
                 let _ = out.write_char('C');
-                self.write_term(scrutinee, names, out);
+                self.write_term(scrutinee, names, lens, out);
                 let _ = out.write_char('{');
                 for (i, b) in binders.iter().enumerate() {
                     if i > 0 {
@@ -282,14 +374,20 @@ impl Canonicalizer {
                     let _ = out.write_str(b.as_str());
                 }
                 let _ = out.write_char('}');
-                self.write_term(key, names, out);
+                self.write_term(key, names, lens, out);
                 let _ = out.write_char(':');
-                self.write_process(body, names, out);
+                self.write_process(body, names, lens, out);
             }
         }
     }
 
-    fn write_leaf<S: Write>(&mut self, leaf: &LeafState, names: &NameTable, out: &mut S) {
+    pub(crate) fn write_leaf<L: Lens, S: Write>(
+        &mut self,
+        leaf: &LeafState,
+        names: &NameTable,
+        lens: &mut L,
+        out: &mut S,
+    ) {
         match leaf {
             LeafState::Dead => { let _ = out.write_char('D'); }
             LeafState::Out {
@@ -298,36 +396,42 @@ impl Canonicalizer {
                 cont,
             } => {
                 let _ = out.write_char('o');
-                self.write_channel(chan, names, out);
+                self.write_channel(chan, names, lens, out);
                 let _ = out.write_char('<');
-                self.write_term(payload, names, out);
+                self.write_term(payload, names, lens, out);
                 let _ = out.write_char('>');
-                self.write_process(cont, names, out);
+                self.write_process(cont, names, lens, out);
             }
             LeafState::In { chan, var, cont } => {
                 let _ = out.write_char('i');
-                self.write_channel(chan, names, out);
+                self.write_channel(chan, names, lens, out);
                 let _ = out.write_char('(');
                 let _ = out.write_str(var.as_str());
                 let _ = out.write_char(')');
-                self.write_process(cont, names, out);
+                self.write_process(cont, names, lens, out);
             }
             LeafState::Bang { body, unfolded } => {
                 let _ = out.write_char('b');
                 write_decimal(*unfolded as usize, out);
-                self.write_process(body, names, out);
+                self.write_process(body, names, lens, out);
             }
         }
     }
 
-    fn write_tree<S: Write>(&mut self, tree: &ProcTree<LeafState>, names: &NameTable, out: &mut S) {
+    pub(crate) fn write_tree<L: Lens, S: Write>(
+        &mut self,
+        tree: &ProcTree<LeafState>,
+        names: &NameTable,
+        lens: &mut L,
+        out: &mut S,
+    ) {
         match tree {
-            ProcTree::Leaf(l) => self.write_leaf(l, names, out),
+            ProcTree::Leaf(l) => self.write_leaf(l, names, lens, out),
             ProcTree::Node(l, r) => {
                 let _ = out.write_char('(');
-                self.write_tree(l, names, out);
+                self.write_tree(l, names, lens, out);
                 let _ = out.write_char(';');
-                self.write_tree(r, names, out);
+                self.write_tree(r, names, lens, out);
                 let _ = out.write_char(')');
             }
         }
@@ -340,7 +444,20 @@ impl Config {
     /// intruder knowledge) with the same canonicalizer to form a full
     /// state key.
     pub fn write_canonical<S: Write>(&self, canon: &mut Canonicalizer, out: &mut S) {
-        canon.write_tree(&self.tree, &self.names, out);
+        canon.write_tree(&self.tree, &self.names, &mut Verbatim, out);
+    }
+
+    /// [`Config::write_canonical`] through `lens`: the serialization of
+    /// the configuration the lens describes — for a
+    /// [`PathPerm`](crate::PathPerm), byte-for-byte the serialization of
+    /// the physically permuted configuration.
+    pub fn write_canonical_with<L: Lens, S: Write>(
+        &self,
+        canon: &mut Canonicalizer,
+        lens: &mut L,
+        out: &mut S,
+    ) {
+        lens.tree(canon, self, out);
     }
 
     /// The canonical key of this configuration alone.
@@ -429,6 +546,12 @@ impl CanonHasher {
         s = s.wrapping_mul(Self::PRIME);
         s ^= s >> 61;
         s
+    }
+
+    /// Absorbs a 128-bit value (a nested digest) as 16 little-endian
+    /// bytes.
+    pub fn write_u128(&mut self, v: u128) {
+        self.write_bytes(&v.to_le_bytes());
     }
 
     fn write_bytes(&mut self, bytes: &[u8]) {

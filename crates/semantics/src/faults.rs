@@ -20,7 +20,7 @@ use std::str::FromStr;
 use spi_addr::{Branch, Path};
 use spi_syntax::Name;
 
-use crate::{Canonicalizer, NameTable, RtTerm};
+use crate::{Canonicalizer, Lens, NameTable, RtTerm};
 
 /// One kind of network fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -328,11 +328,13 @@ impl NetworkState {
 
     /// Writes a canonical rendering of this network state, using `canon`
     /// for machine-generated name identity (shared with the rendering of
-    /// the configuration this state travels with).
-    pub fn write_canonical<S: std::fmt::Write>(
+    /// the configuration this state travels with) and `lens` for its
+    /// absolute paths.
+    pub fn write_canonical<L: Lens, S: std::fmt::Write>(
         &self,
         canon: &mut Canonicalizer,
         names: &NameTable,
+        lens: &mut L,
         out: &mut S,
     ) {
         let _ = out.write_str("net[");
@@ -343,14 +345,14 @@ impl NetworkState {
         for (chan, msg) in &self.buffer {
             let _ = out.write_str(chan.as_str());
             let _ = out.write_char(':');
-            canon.write_term(msg, names, out);
+            canon.write_term(msg, names, lens, out);
             let _ = out.write_char(',');
         }
         let _ = out.write_char(';');
         for (chan, msg) in &self.log {
             let _ = out.write_str(chan.as_str());
             let _ = out.write_char(':');
-            canon.write_term(msg, names, out);
+            canon.write_term(msg, names, lens, out);
             let _ = out.write_char(',');
         }
         let _ = out.write_char(']');

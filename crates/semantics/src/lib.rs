@@ -72,7 +72,7 @@ pub mod symmetry;
 mod value;
 mod walk;
 
-pub use canon::{CanonHasher, Canonicalizer};
+pub use canon::{CanonHasher, Canonicalizer, Lens, Verbatim};
 pub use config::{Barb, Config, LeafState};
 pub use error::MachineError;
 pub use faults::{FaultClause, FaultKind, FaultParseError, FaultSpec, NetworkState};

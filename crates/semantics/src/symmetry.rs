@@ -1,5 +1,6 @@
-//! Session-symmetry: interchangeable replica groups and the physical
-//! application of copy permutations.
+//! Session-symmetry: interchangeable replica groups, the canonical-form
+//! search over their arrangements, and the physical application of copy
+//! permutations.
 //!
 //! A replication `!P` that has unfolded `k ≥ 2` times leaves `k` copies at
 //! the roots `base·‖1^t·‖0` along its right spine.  The copies started
@@ -11,6 +12,29 @@
 //! state keys by these permutations to collapse the factorially many
 //! session interleavings into one representative per orbit.
 //!
+//! The quotient key is a canonical form of the orbit, found the way graph
+//! canonizers find one (McKay and Piperno, *Practical Graph Isomorphism,
+//! II*, 2014) and normalizing states as Murφ's scalarsets do (Ip and
+//! Dill, *Better Verification Through Symmetry*, 1996), in
+//! [`candidates`]:
+//!
+//! 1. **One walk** renders every copy's subtree, every process leaf
+//!    outside the copies and every term the state holds outside the tree
+//!    relative to each copy it touches, hashed, never as a `String`.
+//! 2. **Colour refinement** starts each copy from its signature and the
+//!    parts of the state that touch it alone, and folds in the colours of
+//!    the copies it shares a part with until the partition is stable.
+//!    Ties left over are broken by individualize-and-refine, trying one
+//!    copy per automorphism class: copies in components (copies linked
+//!    through shared names and paths) that render identically once names
+//!    made outside the copies are pinned by identity — idle or finished
+//!    sessions, among others — are interchangeable, so their arrangements
+//!    count as one candidate.
+//! 3. **Scoring under a path map.**  The explorer serializes the
+//!    unpermuted state through each candidate's [`PathPerm`], a
+//!    [`Lens`] that visits copy subtrees in permuted order and rewrites
+//!    paths as it writes them, and keeps the least key.
+//!
 //! Soundness rests on the machine being *equivariant* under copy
 //! permutations: every runtime path computation either stays inside one
 //! copy (relative addresses between two positions under the same copy
@@ -21,13 +45,15 @@
 //! spine), so [`sym_eligible`] refuses any state that still carries one —
 //! explorers fall back to the unquotiented key there.
 
-use std::collections::HashMap;
 use std::fmt::Write;
 use std::sync::Arc;
 
 use spi_addr::{Branch, Path, ProcTree};
 
-use crate::{Config, LeafState, NameTable, RtChanIndex, RtChannel, RtProcess, RtTerm};
+use crate::{
+    CanonHasher, Canonicalizer, Config, LeafState, Lens, NameEntry, NameId, RtChanIndex, RtChannel,
+    RtProcess, RtTerm,
+};
 
 /// One group of interchangeable session replicas: the copies spawned by a
 /// single replication leaf.
@@ -131,31 +157,37 @@ impl PathPerm {
 /// fault model's seat must not move).
 #[must_use]
 pub fn session_groups(cfg: &Config, pinned: &[Path]) -> Vec<SessionGroup> {
-    let mut groups = Vec::new();
-    for (path, leaf) in cfg.tree().leaves() {
-        let LeafState::Bang { unfolded, .. } = leaf else {
-            continue;
-        };
-        let k = *unfolded as usize;
-        if k < 2 {
-            continue;
-        }
-        let tags: Vec<Branch> = path.iter().collect();
-        if tags.len() < k || tags[tags.len() - k..].iter().any(|b| *b != Branch::Right) {
-            continue;
-        }
-        let base = path.prefix(tags.len() - k);
-        let roots: Vec<Path> = (0..k)
-            .map(|t| {
-                let mut p = base.clone();
-                for _ in 0..t {
-                    p.push(Branch::Right);
+    fn unfolded(t: &ProcTree<LeafState>, at: &mut Path, out: &mut Vec<SessionGroup>) {
+        match t {
+            ProcTree::Leaf(LeafState::Bang { unfolded, .. }) => {
+                let k = *unfolded as usize;
+                if k < 2 || at.len() < k || (1..=k).any(|i| at[at.len() - i] != Branch::Right) {
+                    return;
                 }
-                p.child(Branch::Left)
-            })
-            .collect();
-        groups.push(SessionGroup { base, roots });
+                let base = at.prefix(at.len() - k);
+                let mut spine = base.clone();
+                let roots = (0..k)
+                    .map(|_| {
+                        let root = spine.child(Branch::Left);
+                        spine.push(Branch::Right);
+                        root
+                    })
+                    .collect();
+                out.push(SessionGroup { base, roots });
+            }
+            ProcTree::Leaf(_) => {}
+            ProcTree::Node(l, r) => {
+                at.push(Branch::Left);
+                unfolded(l, at, out);
+                at.pop();
+                at.push(Branch::Right);
+                unfolded(r, at, out);
+                at.pop();
+            }
+        }
     }
+    let mut groups = Vec::new();
+    unfolded(cfg.tree(), &mut Path::root(), &mut groups);
     let kept: Vec<SessionGroup> = groups
         .iter()
         .enumerate()
@@ -177,64 +209,32 @@ pub fn session_groups(cfg: &Config, pinned: &[Path]) -> Vec<SessionGroup> {
     kept
 }
 
-/// Returns `true` when the configuration contains no construct whose
-/// behaviour depends on a position's *depth* rather than its identity —
-/// unresolved relative-address channel indexes, literal address
-/// matchings, and located-literal patterns all resolve a stored relative
-/// address against the holder's position, which copy permutations change.
-/// Ineligible states keep their unquotiented keys (sound, just unmerged).
+/// Returns `true` when the state — the configuration plus the terms it
+/// holds outside the tree, as `held` lists them for [`candidates`] —
+/// contains no construct whose behaviour depends on a position's *depth*
+/// rather than its identity: unresolved relative-address channel
+/// indexes, literal address matchings, and located-literal patterns all
+/// resolve a stored relative address against the holder's position,
+/// which copy permutations change.  Ineligible states keep their
+/// unquotiented keys (sound, just unmerged); [`candidates`] makes the
+/// same check on its own walk.
 #[must_use]
-pub fn sym_eligible(cfg: &Config) -> bool {
-    cfg.tree().leaves().all(|(_, leaf)| leaf_eligible(leaf))
-}
-
-fn leaf_eligible(leaf: &LeafState) -> bool {
-    match leaf {
-        LeafState::Dead => true,
-        LeafState::Out {
-            chan,
-            payload,
-            cont,
-        } => chan_eligible(chan) && term_eligible(payload) && proc_eligible(cont),
-        LeafState::In { chan, cont, .. } => chan_eligible(chan) && proc_eligible(cont),
-        LeafState::Bang { body, .. } => proc_eligible(body),
-    }
-}
-
-fn chan_eligible(ch: &RtChannel) -> bool {
-    term_eligible(&ch.subject) && !matches!(ch.index, RtChanIndex::At(_))
-}
-
-fn term_eligible(t: &RtTerm) -> bool {
-    match t {
-        RtTerm::Var(_) | RtTerm::Sym(_) | RtTerm::Id(_) => true,
-        RtTerm::Pair { fst, snd, .. } => term_eligible(fst) && term_eligible(snd),
-        RtTerm::Enc { body, key, .. } => body.iter().all(term_eligible) && term_eligible(key),
-        RtTerm::LocatedLit { .. } => false,
-    }
-}
-
-fn proc_eligible(p: &RtProcess) -> bool {
-    match p {
-        RtProcess::Nil => true,
-        RtProcess::Output(ch, t, cont) => {
-            chan_eligible(ch) && term_eligible(t) && proc_eligible(cont)
+pub fn sym_eligible(cfg: &Config, held: &[(u128, &RtTerm)]) -> bool {
+    /// Notes depth-dependent constructs; the paths do not matter.
+    struct Depth(bool);
+    impl Lens for Depth {
+        fn path<S: Write>(&mut self, _: &Path, _: &mut S) {}
+        fn depth_dependent(&mut self) {
+            self.0 = true;
         }
-        RtProcess::Input(ch, _, cont) => chan_eligible(ch) && proc_eligible(cont),
-        RtProcess::Restrict(_, body) | RtProcess::Bang(body) => proc_eligible(body),
-        RtProcess::Par(l, r) => proc_eligible(l) && proc_eligible(r),
-        RtProcess::Match(a, b, cont) | RtProcess::AddrMatchT(a, b, cont) => {
-            term_eligible(a) && term_eligible(b) && proc_eligible(cont)
-        }
-        RtProcess::AddrMatchL(..) => false,
-        RtProcess::Split { pair, body, .. } => term_eligible(pair) && proc_eligible(body),
-        RtProcess::Case {
-            scrutinee,
-            key,
-            body,
-            ..
-        } => term_eligible(scrutinee) && term_eligible(key) && proc_eligible(body),
     }
+    let mut depth = Depth(false);
+    let (mut canon, mut sink) = (Canonicalizer::new(), CanonHasher::new());
+    canon.write_tree(cfg.tree(), cfg.names(), &mut depth, &mut sink);
+    for (_, t) in held {
+        canon.write_term(t, cfg.names(), &mut depth, &mut sink);
+    }
+    !depth.0
 }
 
 /// Rewrites every absolute path inside a term (composite creator stamps)
@@ -388,268 +388,639 @@ pub fn apply_perm(cfg: &Config, perm: &PathPerm) -> Config {
     }
 }
 
-/// How many candidate arrangements the quotient will try before giving up
-/// on a state (falling back to its unquotiented key).
+/// How many candidate arrangements the quotient will score before giving
+/// up on a state (falling back to its unquotiented key).
 pub const MAX_CANDIDATES: usize = 256;
 
-/// A permutation-invariant signature of one copy, used to sort a group's
-/// copies into a canonical order.
-///
-/// The copy subtree is serialized with fresh first-occurrence name
-/// numbering; every absolute path under the copy's own root is masked to
-/// `~suffix`, every path under *any* group's copy root is masked to
-/// `?g.suffix` (the group's index, with the copy index erased), and paths
-/// outside all copies are serialized verbatim.  Masking makes the
-/// signature invariant under joint copy permutations: copies whose
-/// signatures tie are genuinely interchangeable as far as sorting can
-/// tell, and the quotient enumerates their arrangements explicitly.
-fn copy_signature(cfg: &Config, groups: &[SessionGroup], self_root: &Path) -> String {
-    let sub = match cfg.tree().subtree(self_root) {
-        Ok(s) => s,
-        Err(_) => return String::new(),
-    };
-    let mut ctx = SigCtx {
-        names: cfg.names(),
-        groups,
-        self_root,
-        local: HashMap::new(),
-    };
-    let mut out = String::new();
-    ctx.tree(sub, &mut out);
-    out
-}
-
-struct SigCtx<'a> {
-    names: &'a NameTable,
-    groups: &'a [SessionGroup],
-    self_root: &'a Path,
-    /// `NameId` index → local first-occurrence number.
-    local: HashMap<usize, usize>,
-}
-
-impl SigCtx<'_> {
-    fn mask(&self, p: &Path, out: &mut String) {
-        if self.self_root.is_prefix_of(p) {
-            if let Some(suffix) = p.strip_prefix(self.self_root) {
-                out.push('~');
-                let _ = suffix.write_bits(out);
+/// A [`PathPerm`] as a serialization lens: writing the *unpermuted*
+/// configuration through it yields, byte for byte, the serialization of
+/// [`apply_perm`]'s result — copy subtrees are visited in their
+/// destination order and every absolute path is rewritten as it is
+/// written — without building the permuted configuration.
+impl Lens for &PathPerm {
+    fn path<S: Write>(&mut self, p: &Path, out: &mut S) {
+        for (s, d) in &self.pairs {
+            if s.is_prefix_of(p) {
+                let _ = d.write_bits(out);
+                write_tail(p, s.len(), out);
                 return;
-            }
-        }
-        for (gi, g) in self.groups.iter().enumerate() {
-            for r in &g.roots {
-                if r.is_prefix_of(p) {
-                    if let Some(suffix) = p.strip_prefix(r) {
-                        let _ = write!(out, "?{gi}.");
-                        let _ = suffix.write_bits(out);
-                        return;
-                    }
-                }
             }
         }
         let _ = p.write_bits(out);
     }
 
-    fn term(&mut self, t: &RtTerm, out: &mut String) {
-        match t {
-            RtTerm::Var(v) => {
-                let _ = write!(out, "v:{v}");
+    fn tree<S: Write>(&mut self, canon: &mut Canonicalizer, cfg: &Config, out: &mut S) {
+        self.write_moved(canon, cfg, cfg.tree(), &mut Path::root(), out);
+    }
+}
+
+impl PathPerm {
+    /// Writes `node`, found at position `at` of `cfg`'s tree, as the
+    /// permuted configuration holds it: wherever a destination root
+    /// lands, the subtree of its source.  Positions are tracked only
+    /// along the routes to destination roots.
+    fn write_moved<S: Write>(
+        &self,
+        canon: &mut Canonicalizer,
+        cfg: &Config,
+        node: &ProcTree<LeafState>,
+        at: &mut Path,
+        out: &mut S,
+    ) {
+        let mut lens = self;
+        let moved_in = self.pairs.iter().find(|(_, d)| d == at);
+        if let Some(sub) = moved_in.and_then(|(src, _)| cfg.tree().subtree(src).ok()) {
+            return canon.write_tree(sub, cfg.names(), &mut lens, out);
+        }
+        let ProcTree::Node(l, r) = node else {
+            return canon.write_tree(node, cfg.names(), &mut lens, out);
+        };
+        if !self.pairs.iter().any(|(_, d)| at.is_prefix_of(d)) {
+            return canon.write_tree(node, cfg.names(), &mut lens, out);
+        }
+        let _ = out.write_char('(');
+        at.push(Branch::Left);
+        self.write_moved(canon, cfg, l, at, out);
+        at.pop();
+        let _ = out.write_char(';');
+        at.push(Branch::Right);
+        self.write_moved(canon, cfg, r, at, out);
+        at.pop();
+        let _ = out.write_char(')');
+    }
+}
+
+/// Writes the tags of `p` from position `from` on as bits.
+fn write_tail<S: Write>(p: &Path, from: usize, out: &mut S) {
+    for b in p.iter().skip(from) {
+        let _ = out.write_char(if b.bit() == 0 { '0' } else { '1' });
+    }
+}
+
+/// The copies of a state's session groups, numbered group by group.
+struct Copies<'g> {
+    groups: &'g [SessionGroup],
+    /// `group[x]`: the group of copy `x`; `slot[x]`: its index there.
+    group: Vec<usize>,
+    slot: Vec<usize>,
+}
+
+impl<'g> Copies<'g> {
+    fn new(groups: &'g [SessionGroup]) -> Copies<'g> {
+        let (group, slot) = groups
+            .iter()
+            .enumerate()
+            .flat_map(|(g, grp)| (0..grp.roots.len()).map(move |t| (g, t)))
+            .unzip();
+        Copies {
+            groups,
+            group,
+            slot,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.group.len()
+    }
+
+    fn root(&self, x: usize) -> &Path {
+        &self.groups[self.group[x]].roots[self.slot[x]]
+    }
+
+    /// The copy whose subtree holds position `p`, with the length of its
+    /// root.  Copy roots sit at `base·‖1^t·‖0`, so one scan of `p` past a
+    /// group's base finds the copy.
+    fn holding(&self, p: &Path) -> Option<(usize, usize)> {
+        let mut first = 0;
+        for g in self.groups {
+            let k = g.roots.len();
+            if g.base.is_prefix_of(p) {
+                let rights = p
+                    .iter()
+                    .skip(g.base.len())
+                    .take_while(|b| *b == Branch::Right);
+                let t = rights.count();
+                let at = g.base.len() + t;
+                return (at < p.len() && t < k).then_some((first + t, at + 1));
             }
-            RtTerm::Sym(n) => {
-                let _ = write!(out, "s:{n}");
+            first += k;
+        }
+        None
+    }
+}
+
+/// How the symmetry search writes paths.  By default relative to one
+/// copy (the *own* copy, if any): `~suffix` inside it, `?g.suffix` inside
+/// any other copy of group `g`, verbatim elsewhere — invariant under copy
+/// permutations — recording the other copies met.  With `colour` set
+/// (a *strict* rendering): paths inside a copy by the copy's colour, and
+/// restricted names made outside every copy by their raw identity, so two
+/// components that render equally are related by a copy permutation and
+/// a renaming of the names their copies made, which fixes everything
+/// else: swapping them is an automorphism of the state.
+struct Mask<'a> {
+    copies: &'a Copies<'a>,
+    own: Option<usize>,
+    colour: Option<&'a [u128]>,
+    met: Vec<usize>,
+    /// Whether the rendering met a depth-dependent construct.
+    depth: bool,
+}
+
+impl<'a> Mask<'a> {
+    fn new(copies: &'a Copies<'a>, own: Option<usize>) -> Mask<'a> {
+        Mask {
+            copies,
+            own,
+            colour: None,
+            met: Vec::new(),
+            depth: false,
+        }
+    }
+}
+
+impl Lens for Mask<'_> {
+    fn path<S: Write>(&mut self, p: &Path, out: &mut S) {
+        let Some((x, at)) = self.copies.holding(p) else {
+            let _ = p.write_bits(out);
+            return;
+        };
+        match self.colour {
+            Some(colour) => {
+                let _ = write!(out, "{:x}.", colour[x]);
             }
-            RtTerm::Id(id) => {
-                let e = self.names.entry(*id);
-                if e.restricted {
-                    let next = self.local.len();
-                    let k = *self.local.entry(id.index()).or_insert(next);
-                    let _ = write!(out, "r{k}@");
-                    match &e.creator {
-                        Some(p) => self.mask(p, out),
-                        None => out.push('-'),
-                    }
-                } else {
-                    let _ = write!(out, "f:{}", e.base);
+            None if Some(x) == self.own => {
+                let _ = out.write_char('~');
+            }
+            None => {
+                if !self.met.contains(&x) {
+                    self.met.push(x);
+                }
+                let _ = write!(out, "?{}.", self.copies.group[x]);
+            }
+        }
+        write_tail(p, at, out);
+    }
+
+    fn name<S: Write>(&mut self, id: NameId, entry: &NameEntry, out: &mut S) -> bool {
+        let raw = self.colour.is_some()
+            && entry
+                .creator
+                .as_ref()
+                .is_none_or(|c| self.copies.holding(c).is_none());
+        if raw {
+            let _ = write!(out, "x{}", id.index());
+        }
+        raw
+    }
+
+    fn depth_dependent(&mut self) {
+        self.depth = true;
+    }
+}
+
+/// What one part of the state is: a copy's subtree, a process leaf
+/// outside every copy, or a term held outside the tree.
+#[derive(Clone, Copy)]
+enum Body<'a> {
+    Copy(usize),
+    Leaf(&'a LeafState),
+    Term(&'a RtTerm),
+}
+
+/// One part of the state that touches at least one copy: where it sits
+/// (a permutation-invariant tag), what it is, and, for every copy it
+/// touches, its rendering relative to that copy (its *role*).
+struct Unit<'a> {
+    place: u128,
+    body: Body<'a>,
+    touches: Vec<(usize, u128)>,
+}
+
+/// Serializes one part of the state through `canon` and `lens`.
+fn write_body<L: Lens, S: Write>(
+    cfg: &Config,
+    copies: &Copies<'_>,
+    body: Body<'_>,
+    canon: &mut Canonicalizer,
+    lens: &mut L,
+    out: &mut S,
+) {
+    match body {
+        Body::Copy(x) => {
+            if let Ok(sub) = cfg.tree().subtree(copies.root(x)) {
+                canon.write_tree(sub, cfg.names(), lens, out);
+            }
+        }
+        Body::Leaf(l) => canon.write_leaf(l, cfg.names(), lens, out),
+        Body::Term(t) => canon.write_term(t, cfg.names(), lens, out),
+    }
+}
+
+/// Folds a sequence of digests into one.
+fn mix(parts: impl IntoIterator<Item = u128>) -> u128 {
+    let mut h = CanonHasher::new();
+    for p in parts {
+        h.write_u128(p);
+    }
+    h.finish()
+}
+
+/// The number of distinct colours.
+fn classes(colour: &[u128]) -> usize {
+    let mut c = colour.to_vec();
+    c.sort_unstable();
+    c.dedup();
+    c.len()
+}
+
+/// Marks an individualized copy's colour (with the individualization
+/// depth, so copies individualized in turn never tie again).
+const INDIVIDUALIZED: u128 = 0x1d;
+
+/// Why a state keeps its unquotiented key (always sound, just unmerged).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fallback {
+    /// The state holds a construct that resolves a relative address
+    /// against its holder's depth (see [`sym_eligible`]): permuting
+    /// copies could change its behaviour.
+    Ineligible,
+    /// The ties refinement left would take more candidates than the cap.
+    Overflow,
+}
+
+/// The session-symmetry search over one state: its copies, the parts of
+/// the state that touch them, and the colours refinement derives.
+struct Search<'a> {
+    cfg: &'a Config,
+    copies: &'a Copies<'a>,
+    units: Vec<Unit<'a>>,
+    /// Per copy: the units touching it and some other copy.
+    links: Vec<Vec<usize>>,
+    /// Per copy: its linked component (copies joined by shared units).
+    comp: Vec<usize>,
+    /// The refined colours before any individualization.
+    root: Vec<u128>,
+    /// Scratch for the walk: one canonicalizer reused for every
+    /// rendering, and whether any rendering met a depth-dependent
+    /// construct.
+    canon: Canonicalizer,
+    depth: bool,
+}
+
+impl<'a> Search<'a> {
+    /// The one walk over the state: every copy subtree, every process
+    /// leaf outside the copies and every held term is rendered relative
+    /// to each copy it touches.
+    fn new(
+        cfg: &'a Config,
+        copies: &'a Copies<'a>,
+        held: &[(u128, &'a RtTerm)],
+    ) -> Result<Search<'a>, Fallback> {
+        let mut search = Search {
+            cfg,
+            copies,
+            units: Vec::new(),
+            links: vec![Vec::new(); copies.len()],
+            comp: (0..copies.len()).collect(),
+            root: Vec::new(),
+            canon: Canonicalizer::new(),
+            depth: false,
+        };
+        for x in 0..copies.len() {
+            search.add(0, Body::Copy(x));
+        }
+        for (at, leaf) in cfg.tree().leaves() {
+            if copies.holding(&at).is_none() {
+                let mut h = CanonHasher::new();
+                let _ = h.write_char('T');
+                let _ = at.write_bits(&mut h);
+                search.add(h.finish(), Body::Leaf(leaf));
+            }
+        }
+        for &(place, t) in held {
+            search.add(place, Body::Term(t));
+        }
+        if search.depth {
+            return Err(Fallback::Ineligible);
+        }
+        // A copy's first colour: its group and, as a multiset (the held
+        // terms come in raw-id order), the parts touching it alone.
+        let mut alone: Vec<Vec<u128>> = vec![Vec::new(); copies.len()];
+        for (u, unit) in search.units.iter().enumerate() {
+            if let [(x, role)] = unit.touches[..] {
+                alone[x].push(mix([unit.place, role]));
+            } else {
+                for &(x, _) in &unit.touches {
+                    search.links[x].push(u);
                 }
             }
-            RtTerm::Pair { fst, snd, creator } => {
-                out.push('(');
-                self.term(fst, out);
-                out.push(',');
-                self.term(snd, out);
-                out.push(')');
-                self.creator(creator, out);
-            }
-            RtTerm::Enc { body, key, creator } => {
-                out.push('{');
-                for (i, x) in body.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    self.term(x, out);
+        }
+        let mut colour: Vec<u128> = alone
+            .into_iter()
+            .enumerate()
+            .map(|(x, mut parts)| {
+                parts.sort_unstable();
+                mix(std::iter::once(copies.group[x] as u128).chain(parts))
+            })
+            .collect();
+        for unit in search.units.iter().filter(|u| u.touches.len() > 1) {
+            let labels: Vec<usize> = unit.touches.iter().map(|&(x, _)| search.comp[x]).collect();
+            let least = labels.iter().copied().min().unwrap_or(0);
+            for c in &mut search.comp {
+                if labels.contains(c) {
+                    *c = least;
                 }
-                out.push('}');
-                self.term(key, out);
-                self.creator(creator, out);
-            }
-            RtTerm::LocatedLit { addr, inner } => {
-                let _ = write!(out, "L[{addr}]");
-                self.term(inner, out);
             }
         }
+        search.refine(&mut colour);
+        search.root = colour;
+        Ok(search)
     }
 
-    fn creator(&self, c: &Option<Path>, out: &mut String) {
-        out.push('#');
-        match c {
-            Some(p) => self.mask(p, out),
-            None => out.push('-'),
+    /// The digest of `body` rendered relative to copy `own`, and the
+    /// other copies it meets.
+    fn render(&mut self, body: Body<'_>, own: Option<usize>) -> (u128, Vec<usize>) {
+        let mut mask = Mask::new(self.copies, own);
+        let mut h = CanonHasher::new();
+        self.canon.clear();
+        write_body(
+            self.cfg,
+            self.copies,
+            body,
+            &mut self.canon,
+            &mut mask,
+            &mut h,
+        );
+        self.depth |= mask.depth;
+        (h.finish(), mask.met)
+    }
+
+    /// Records `body` as a unit if it touches some copy.  A copy's own
+    /// subtree always touches it, and its role there is the copy's
+    /// signature.
+    fn add(&mut self, place: u128, body: Body<'a>) {
+        let own = match body {
+            Body::Copy(x) => Some(x),
+            _ => None,
+        };
+        let (digest, met) = self.render(body, own);
+        let mut touches: Vec<(usize, u128)> = own.map(|x| (x, digest)).into_iter().collect();
+        if own.is_none() && met.len() == 1 {
+            touches.push((met[0], digest));
+        } else {
+            for &y in &met {
+                touches.push((y, self.render(body, Some(y)).0));
+            }
         }
-    }
-
-    fn chan(&mut self, ch: &RtChannel, out: &mut String) {
-        self.term(&ch.subject, out);
-        match &ch.index {
-            RtChanIndex::Plain => {}
-            RtChanIndex::At(a) => {
-                let _ = write!(out, "@?{a}");
-            }
-            RtChanIndex::AtAbs(p) => {
-                out.push('@');
-                self.mask(p, out);
-            }
-            RtChanIndex::Loc(l) => {
-                let _ = write!(out, "@^{l}");
-            }
-        }
-    }
-
-    fn proc(&mut self, p: &RtProcess, out: &mut String) {
-        match p {
-            RtProcess::Nil => out.push('0'),
-            RtProcess::Output(ch, t, cont) => {
-                out.push('O');
-                self.chan(ch, out);
-                out.push('<');
-                self.term(t, out);
-                out.push('>');
-                self.proc(cont, out);
-            }
-            RtProcess::Input(ch, x, cont) => {
-                out.push('I');
-                self.chan(ch, out);
-                let _ = write!(out, "({x})");
-                self.proc(cont, out);
-            }
-            RtProcess::Restrict(n, body) => {
-                let _ = write!(out, "N({n})");
-                self.proc(body, out);
-            }
-            RtProcess::Par(l, r) => {
-                out.push('[');
-                self.proc(l, out);
-                out.push('|');
-                self.proc(r, out);
-                out.push(']');
-            }
-            RtProcess::Match(a, b, cont) => {
-                out.push('M');
-                self.term(a, out);
-                out.push('=');
-                self.term(b, out);
-                self.proc(cont, out);
-            }
-            RtProcess::AddrMatchT(a, b, cont) => {
-                out.push('A');
-                self.term(a, out);
-                out.push('~');
-                self.term(b, out);
-                self.proc(cont, out);
-            }
-            RtProcess::AddrMatchL(a, l, cont) => {
-                out.push('A');
-                self.term(a, out);
-                let _ = write!(out, "~@{l}");
-                self.proc(cont, out);
-            }
-            RtProcess::Bang(body) => {
-                out.push('!');
-                self.proc(body, out);
-            }
-            RtProcess::Split {
-                pair,
-                fst,
-                snd,
+        if !touches.is_empty() {
+            self.units.push(Unit {
+                place,
                 body,
-            } => {
-                out.push('S');
-                self.term(pair, out);
-                let _ = write!(out, "({fst},{snd})");
-                self.proc(body, out);
+                touches,
+            });
+        }
+    }
+
+    /// 1-dimensional colour refinement to a fixpoint: a copy's next
+    /// colour folds in, for every unit linking it to other copies, its
+    /// role there and the roles and colours of the others.
+    fn refine(&self, colour: &mut Vec<u128>) {
+        if self.links.iter().all(Vec::is_empty) {
+            return;
+        }
+        let mut count = classes(colour);
+        loop {
+            let next: Vec<u128> = (0..colour.len())
+                .map(|x| {
+                    let mut parts: Vec<u128> = self.links[x]
+                        .iter()
+                        .map(|&u| {
+                            let unit = &self.units[u];
+                            let mut seen: Vec<u128> = Vec::new();
+                            let mut role = 0;
+                            for &(y, r) in &unit.touches {
+                                if y == x {
+                                    role = r;
+                                } else {
+                                    seen.push(mix([r, colour[y]]));
+                                }
+                            }
+                            seen.sort_unstable();
+                            mix([unit.place, role].into_iter().chain(seen))
+                        })
+                        .collect();
+                    parts.sort_unstable();
+                    mix(std::iter::once(colour[x]).chain(parts))
+                })
+                .collect();
+            *colour = next;
+            let refined = classes(colour);
+            if refined == count {
+                return;
             }
-            RtProcess::Case {
-                scrutinee,
-                binders,
-                key,
-                body,
-            } => {
-                out.push('C');
-                self.term(scrutinee, out);
-                out.push('{');
-                for (i, b) in binders.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
+            count = refined;
+        }
+    }
+
+    /// The digest of component `c` rendered through a strict [`Mask`], or
+    /// `None` when two of its copies share a root colour (the rendering
+    /// would not pin down which copy maps to which).
+    fn strict(&self, c: usize) -> Option<u128> {
+        let mut members: Vec<usize> = (0..self.copies.len())
+            .filter(|&x| self.comp[x] == c)
+            .collect();
+        members.sort_unstable_by_key(|&x| self.root[x]);
+        if members
+            .windows(2)
+            .any(|w| self.root[w[0]] == self.root[w[1]])
+        {
+            return None;
+        }
+        let mut rest: Vec<(u128, usize)> = self
+            .units
+            .iter()
+            .enumerate()
+            .filter(|(_, u)| !matches!(u.body, Body::Copy(_)) && self.comp[u.touches[0].0] == c)
+            .map(|(i, u)| {
+                let mut roles: Vec<(u128, u128)> =
+                    u.touches.iter().map(|&(y, r)| (self.root[y], r)).collect();
+                roles.sort_unstable();
+                (
+                    mix([u.place]
+                        .into_iter()
+                        .chain(roles.into_iter().flat_map(|(a, b)| [a, b]))),
+                    i,
+                )
+            })
+            .collect();
+        rest.sort_by_key(|&(key, _)| key);
+        let mut lens = Mask {
+            colour: Some(&self.root),
+            ..Mask::new(self.copies, None)
+        };
+        let mut canon = Canonicalizer::new();
+        let mut h = CanonHasher::new();
+        for x in members {
+            let _ = write!(h, "C{:x}:", self.root[x]);
+            write_body(
+                self.cfg,
+                self.copies,
+                Body::Copy(x),
+                &mut canon,
+                &mut lens,
+                &mut h,
+            );
+        }
+        for (_, i) in rest {
+            let _ = write!(h, "U{:x}:", self.units[i].place);
+            let body = self.units[i].body;
+            write_body(self.cfg, self.copies, body, &mut canon, &mut lens, &mut h);
+        }
+        Some(h.finish())
+    }
+
+    /// The first cell of tied copies: the lowest-coloured run of equal
+    /// colours in the first group that has one.
+    fn first_tie(&self, colour: &[u128]) -> Option<Vec<usize>> {
+        let mut start = 0;
+        for g in self.copies.groups {
+            let mut members: Vec<usize> = (start..start + g.roots.len()).collect();
+            start += g.roots.len();
+            members.sort_by_key(|&x| colour[x]);
+            if let Some(w) = members
+                .windows(2)
+                .position(|w| colour[w[0]] == colour[w[1]])
+            {
+                let c = colour[members[w]];
+                return Some(members.into_iter().filter(|&x| colour[x] == c).collect());
+            }
+        }
+        None
+    }
+
+    /// Individualize-and-refine from `colour`, pushing the arrangement of
+    /// every discrete leaf onto `out`; `false` once `out` passes `cap`.
+    ///
+    /// Of the tied copies, only one per automorphism class is tried: two
+    /// copies whose components render equally under a strict [`Mask`] (and hold
+    /// no individualized copy) are swapped by an automorphism fixing
+    /// everything individualized so far, so their subtrees of the search
+    /// score the same keys.
+    fn leaves(
+        &self,
+        colour: Vec<u128>,
+        fixed: &mut Vec<bool>,
+        strict: &mut Vec<Option<Option<u128>>>,
+        out: &mut Vec<Vec<usize>>,
+        cap: usize,
+    ) -> bool {
+        let Some(cell) = self.first_tie(&colour) else {
+            let mut order: Vec<usize> = (0..colour.len()).collect();
+            order.sort_by_key(|&x| (self.copies.group[x], colour[x]));
+            out.push(order);
+            return out.len() <= cap;
+        };
+        let mut tried: Vec<(u128, u128)> = Vec::new();
+        for x in cell {
+            let c = self.comp[x];
+            if !(0..fixed.len()).any(|y| fixed[y] && self.comp[y] == c) {
+                if let Some(h) = *strict[c].get_or_insert_with(|| self.strict(c)) {
+                    if tried.contains(&(h, self.root[x])) {
+                        continue;
                     }
-                    let _ = write!(out, "{b}");
+                    tried.push((h, self.root[x]));
                 }
-                out.push('}');
-                self.term(key, out);
-                out.push(':');
-                self.proc(body, out);
+            }
+            let depth = fixed.iter().filter(|f| **f).count() as u128;
+            let mut next = colour.clone();
+            next[x] = mix([next[x], INDIVIDUALIZED, depth]);
+            self.refine(&mut next);
+            fixed[x] = true;
+            let within = self.leaves(next, fixed, strict, out, cap);
+            fixed[x] = false;
+            if !within {
+                return false;
             }
         }
+        true
     }
+}
 
-    fn leaf(&mut self, leaf: &LeafState, out: &mut String) {
-        match leaf {
-            LeafState::Dead => out.push('D'),
-            LeafState::Out {
-                chan,
-                payload,
-                cont,
-            } => {
-                out.push('o');
-                self.chan(chan, out);
-                out.push('<');
-                self.term(payload, out);
-                out.push('>');
-                self.proc(cont, out);
-            }
-            LeafState::In { chan, var, cont } => {
-                out.push('i');
-                self.chan(chan, out);
-                let _ = write!(out, "({var})");
-                self.proc(cont, out);
-            }
-            LeafState::Bang { body, unfolded } => {
-                let _ = write!(out, "b{unfolded}");
-                self.proc(body, out);
-            }
-        }
+/// The candidate arrangements of a state's session copies, as the
+/// permutations that put them there, or why the state keeps its raw key:
+/// it is not symmetry-eligible, or its candidates would pass `cap`.
+///
+/// `held` lists the terms the state keeps outside the process tree (the
+/// intruder's knowledge, the network's buffer and log), each tagged with
+/// a permutation-invariant digest of where it sits.
+///
+/// Every copy gets a colour from permutation-invariant features only —
+/// its signature, the parts of the state that touch it, and by colour
+/// refinement the colours of the copies those parts also touch — and
+/// each group's copies are arranged in colour order.  Ties refinement
+/// cannot break are enumerated by individualize-and-refine, trying one
+/// copy per automorphism class.  The candidate set of a state and of any
+/// copy permutation of it therefore score the same set of keys, so the
+/// minimum is a canonical form of the orbit; and every candidate is a
+/// real member of the orbit, so the minimum never merges two orbits.
+pub fn candidates(
+    cfg: &Config,
+    groups: &[SessionGroup],
+    held: &[(u128, &RtTerm)],
+    cap: usize,
+) -> Result<Vec<PathPerm>, Fallback> {
+    let copies = Copies::new(groups);
+    let search = Search::new(cfg, &copies, held)?;
+    let mut orders = Vec::new();
+    let mut strict = vec![None; copies.len()];
+    let mut fixed = vec![false; copies.len()];
+    if !search.leaves(
+        search.root.clone(),
+        &mut fixed,
+        &mut strict,
+        &mut orders,
+        cap,
+    ) {
+        return Err(Fallback::Overflow);
     }
+    Ok(orders
+        .into_iter()
+        .map(|order| {
+            PathPerm::from_pairs(order.iter().enumerate().map(|(pos, &x)| {
+                // Copies are numbered group by group and `order` keeps
+                // each group's run where the numbering has it, so the
+                // run of `x`'s group starts at its first copy's number.
+                let slot = pos - (x - copies.slot[x]);
+                (
+                    copies.root(x).clone(),
+                    copies.groups[copies.group[x]].roots[slot].clone(),
+                )
+            }))
+        })
+        .collect())
+}
 
-    fn tree(&mut self, t: &ProcTree<LeafState>, out: &mut String) {
-        match t {
-            ProcTree::Leaf(l) => self.leaf(l, out),
-            ProcTree::Node(l, r) => {
-                out.push('(');
-                self.tree(l, out);
-                out.push(';');
-                self.tree(r, out);
-                out.push(')');
-            }
-        }
+/// The sorted multiset of copy signatures per group — what an *erasing*
+/// pseudo-quotient would consider the whole identity of a group.  Used by
+/// the conformance suite's fault injection (`sym-no-perm`): hashing the
+/// erased state plus these signatures is permutation-invariant but
+/// conflates states whose copies relate to the rest of the system
+/// differently, and the reduce oracle must catch the overmerge.
+#[must_use]
+pub fn group_signatures(cfg: &Config, groups: &[SessionGroup]) -> Vec<Vec<String>> {
+    let copies = Copies::new(groups);
+    let mut sigs: Vec<Vec<String>> = vec![Vec::new(); groups.len()];
+    for x in 0..copies.len() {
+        let mut sig = String::new();
+        let (mut canon, mut mask) = (Canonicalizer::new(), Mask::new(&copies, Some(x)));
+        write_body(cfg, &copies, Body::Copy(x), &mut canon, &mut mask, &mut sig);
+        sigs[copies.group[x]].push(sig);
     }
+    for s in &mut sigs {
+        s.sort();
+    }
+    sigs
 }
 
 /// Enumerates the permutations of `0..n` into `out` (each as an image
@@ -684,107 +1055,6 @@ fn factorial_capped(n: usize, cap: usize) -> usize {
         }
     }
     f
-}
-
-/// The candidate arrangements of a configuration's copies: every joint
-/// permutation that sorts each group's copies by signature, with ties
-/// broken every possible way.  The canonical key is the minimum key over
-/// these candidates; because signatures are permutation-invariant, two
-/// permutation-related states enumerate the same candidate orbit and land
-/// on the same minimum.
-///
-/// Returns `None` when the tie classes multiply past `cap` — callers fall
-/// back to the unquotiented key (sound, just unmerged).
-#[must_use]
-pub fn candidate_perms(
-    cfg: &Config,
-    groups: &[SessionGroup],
-    cap: usize,
-) -> Option<Vec<PathPerm>> {
-    // Per group: sort copies by signature, then split the sorted order
-    // into tie classes (runs of equal signatures).  Each class contributes
-    // every arrangement of its members over its slot range; the overall
-    // candidate set is the cartesian product over all classes.
-    //
-    // One arrangement is a list of `(original copy, slot)` assignments.
-    type Arrangement = Vec<(usize, usize)>;
-    let mut all_classes: Vec<(usize, Vec<Arrangement>)> = Vec::new();
-    let mut total = 1usize;
-    for (gi, g) in groups.iter().enumerate() {
-        let sigs: Vec<String> = g
-            .roots
-            .iter()
-            .map(|r| copy_signature(cfg, groups, r))
-            .collect();
-        let mut order: Vec<usize> = (0..g.roots.len()).collect();
-        order.sort_by(|&a, &b| sigs[a].cmp(&sigs[b]).then(a.cmp(&b)));
-        let mut i = 0;
-        while i < order.len() {
-            let mut j = i + 1;
-            while j < order.len() && sigs[order[j]] == sigs[order[i]] {
-                j += 1;
-            }
-            let members: Vec<usize> = order[i..j].to_vec();
-            let slots: Vec<usize> = (i..j).collect();
-            total = total.saturating_mul(factorial_capped(members.len(), cap));
-            if total > cap {
-                return None;
-            }
-            let arrangements: Vec<Vec<(usize, usize)>> = permutations(members.len())
-                .into_iter()
-                .map(|perm| {
-                    members
-                        .iter()
-                        .zip(perm.iter())
-                        .map(|(&m, &p)| (m, slots[p]))
-                        .collect()
-                })
-                .collect();
-            all_classes.push((gi, arrangements));
-            i = j;
-        }
-    }
-    let mut candidates: Vec<Vec<(Path, Path)>> = vec![Vec::new()];
-    for (gi, arrangements) in &all_classes {
-        let g = &groups[*gi];
-        let mut next = Vec::with_capacity(candidates.len() * arrangements.len());
-        for base in &candidates {
-            for arr in arrangements {
-                let mut pairs = base.clone();
-                for (copy, slot) in arr {
-                    pairs.push((g.roots[*copy].clone(), g.roots[*slot].clone()));
-                }
-                next.push(pairs);
-            }
-        }
-        candidates = next;
-        if candidates.len() > cap {
-            return None;
-        }
-    }
-    Some(candidates.into_iter().map(PathPerm::from_pairs).collect())
-}
-
-/// The sorted multiset of copy signatures per group — what an *erasing*
-/// pseudo-quotient would consider the whole identity of a group.  Used by
-/// the conformance suite's fault injection (`sym-no-perm`): hashing the
-/// erased state plus these signatures is permutation-invariant but
-/// conflates states whose copies relate to the rest of the system
-/// differently, and the reduce oracle must catch the overmerge.
-#[must_use]
-pub fn group_signatures(cfg: &Config, groups: &[SessionGroup]) -> Vec<Vec<String>> {
-    groups
-        .iter()
-        .map(|g| {
-            let mut sigs: Vec<String> = g
-                .roots
-                .iter()
-                .map(|r| copy_signature(cfg, groups, r))
-                .collect();
-            sigs.sort();
-            sigs
-        })
-        .collect()
 }
 
 /// Erases every copy subtree to a dead leaf and rewrites the remaining
@@ -931,11 +1201,11 @@ mod tests {
 
     #[test]
     fn eligibility_rejects_relative_address_constructs() {
-        assert!(sym_eligible(&cfg("(^m)(c<m> | c(x).d<x>)")));
-        assert!(!sym_eligible(&cfg("c(x).[x ~ @(1.0)] d<x>")));
+        assert!(sym_eligible(&cfg("(^m)(c<m> | c(x).d<x>)"), &[]));
+        assert!(!sym_eligible(&cfg("c(x).[x ~ @(1.0)] d<x>"), &[]));
         // An unresolved relative channel literal (it cannot resolve at its
         // leaf) keeps an `At` index.
-        assert!(!sym_eligible(&cfg("c@(11.0)<m>")));
+        assert!(!sym_eligible(&cfg("c@(11.0)<m>"), &[]));
     }
 
     #[test]
@@ -978,28 +1248,66 @@ mod tests {
             b.canonical_key(),
             "raw keys see the copy positions"
         );
-        let qkey = |c: &Config| {
-            let groups = session_groups(c, &[]);
-            let perms = candidate_perms(c, &groups, MAX_CANDIDATES).expect("under cap");
-            perms
-                .iter()
-                .map(|perm| apply_perm(c, perm).canonical_key())
-                .min()
-                .expect("non-empty")
-        };
-        assert_eq!(qkey(&a), qkey(&b), "quotient keys collapse the orbit");
-        // And the quotient agrees with the brute-force orbit minimum.
-        let brute = |c: &Config| {
-            let groups = session_groups(c, &[]);
-            let perms = all_perms(&groups, MAX_CANDIDATES).expect("under cap");
-            perms
-                .iter()
-                .map(|perm| apply_perm(c, perm).canonical_key())
-                .min()
-                .expect("non-empty")
-        };
-        assert_eq!(qkey(&a), brute(&a));
-        assert_eq!(qkey(&b), brute(&b));
+        assert_eq!(
+            qkey(&a, &[]),
+            qkey(&b, &[]),
+            "quotient keys collapse the orbit"
+        );
+        // Every permuted variant lands on the same key: a canonical form
+        // of the orbit, not merely the minimum over some candidates.
+        let groups = session_groups(&a, &[]);
+        for perm in all_perms(&groups, MAX_CANDIDATES).expect("under cap") {
+            assert_eq!(qkey(&apply_perm(&a, &perm), &[]), qkey(&a, &[]), "{perm:?}");
+        }
+    }
+
+    /// The key of the configuration `perm` leads to, written through the
+    /// permutation's path map.
+    fn mapped_key(c: &Config, perm: &PathPerm) -> String {
+        let mut out = String::new();
+        c.write_canonical_with(&mut Canonicalizer::new(), &mut &*perm, &mut out);
+        out
+    }
+
+    /// The symmetry quotient key of a configuration (with `held` terms
+    /// informing the search only): the minimum path-mapped key over the
+    /// candidate arrangements.
+    fn qkey(c: &Config, held: &[(u128, &RtTerm)]) -> String {
+        let groups = session_groups(c, &[]);
+        candidates(c, &groups, held, MAX_CANDIDATES)
+            .expect("eligible, under cap")
+            .iter()
+            .map(|perm| mapped_key(c, perm))
+            .min()
+            .expect("non-empty")
+    }
+
+    /// How many arrangements the search leaves to score.
+    fn scored(c: &Config, held: &[(u128, &RtTerm)]) -> usize {
+        let groups = session_groups(c, &[]);
+        candidates(c, &groups, held, MAX_CANDIDATES)
+            .expect("eligible, under cap")
+            .len()
+    }
+
+    #[test]
+    fn the_path_map_serializes_the_permuted_configuration() {
+        let src = "!((^m) c<m> | c(x).d<x>) | d(y)";
+        let mut c = cfg(src);
+        unfold_n(&mut c, "0", 3);
+        c.fire(&Action::Comm {
+            out_path: p("000"),
+            in_path: p("0101"),
+        })
+        .unwrap();
+        let groups = session_groups(&c, &[]);
+        for perm in all_perms(&groups, MAX_CANDIDATES).expect("under cap") {
+            assert_eq!(
+                mapped_key(&c, &perm),
+                apply_perm(&c, &perm).canonical_key(),
+                "{perm:?}"
+            );
+        }
     }
 
     #[test]
@@ -1033,15 +1341,10 @@ mod tests {
         assert_ne!(before, after, "the swap moved at least one creator");
     }
 
-    #[test]
-    fn erased_pseudo_quotient_conflates_inequivalent_states() {
-        // Three copies, each creating two nonces and receiving two.  In
-        // world A copy i receives both nonces of its predecessor; in world
-        // B it receives its predecessor's first and its successor's
-        // second.  The correlation pattern (c,c) vs (c,c⁻¹) is not fixed
-        // by any simultaneous relabeling of the copies, so no copy
-        // permutation equates the worlds — but erasing the copies and
-        // keeping only the signature multiset cannot see the difference.
+    /// Three copies, each creating two nonces and receiving two.  In
+    /// world A copy i receives both nonces of its predecessor; in world B
+    /// it receives its predecessor's first and its successor's second.
+    fn correlated_worlds() -> (Config, Config) {
         let src = "!((^m)(^n)(c<m>.c<n> | c(x).c(y).d<x>.d<y>)) | d(z)";
         let mut a = cfg(src);
         unfold_n(&mut a, "0", 3);
@@ -1068,6 +1371,16 @@ mod tests {
         comm(&mut b, "000", "01101");
         comm(&mut b, "0100", "001");
         comm(&mut b, "01100", "0101");
+        (a, b)
+    }
+
+    #[test]
+    fn erased_pseudo_quotient_conflates_inequivalent_states() {
+        // The correlation pattern (c,c) vs (c,c⁻¹) is not fixed by any
+        // simultaneous relabeling of the copies, so no copy permutation
+        // equates the worlds — but erasing the copies and keeping only
+        // the signature multiset cannot see the difference.
+        let (a, b) = correlated_worlds();
         assert_ne!(a.canonical_key(), b.canonical_key());
         let ga = session_groups(&a, &[]);
         let gb = session_groups(&b, &[]);
@@ -1095,14 +1408,89 @@ mod tests {
     }
 
     #[test]
-    fn candidate_count_caps_out() {
-        let mut c = cfg("!c<m> | c(x)");
-        unfold_n(&mut c, "0", 6);
-        let groups = session_groups(&c, &[]);
+    fn candidates_past_the_cap_fall_back_to_the_raw_key() {
+        let (a, _) = correlated_worlds();
+        let groups = session_groups(&a, &[]);
+        let n = scored(&a, &[]);
+        assert!(n > 1);
+        assert_eq!(candidates(&a, &groups, &[], 1), Err(Fallback::Overflow));
+        assert_eq!(candidates(&a, &groups, &[], n - 1), Err(Fallback::Overflow));
+        assert_eq!(candidates(&a, &groups, &[], n).map(|c| c.len()), Ok(n));
+    }
+
+    #[test]
+    fn idle_and_finished_self_contained_copies_collapse_to_one_candidate() {
+        // Four sessions: two idle, two finished.  Each idle copy holds
+        // only its own nonce, each finished one nothing, so any
+        // arrangement of either kind is the same state.
+        let mut c = cfg("!((^m)(c<m> | c(x))) | d(y)");
+        unfold_n(&mut c, "0", 4);
+        for root in ["00", "0110"] {
+            c.fire(&Action::Comm {
+                out_path: p(&format!("{root}0")),
+                in_path: p(&format!("{root}1")),
+            })
+            .unwrap();
+        }
+        assert_eq!(scored(&c, &[]), 1);
+        // Six identical copies (720 arrangements) are one candidate too.
+        let mut six = cfg("!c<m> | c(x)");
+        unfold_n(&mut six, "0", 6);
+        let groups = session_groups(&six, &[]);
         assert_eq!(groups[0].roots.len(), 6);
-        // 6! = 720 identical copies overflow a cap of 256.
-        assert!(candidate_perms(&c, &groups, 256).is_none());
-        assert!(all_perms(&groups, 256).is_none());
-        assert!(candidate_perms(&c, &groups, 1000).is_some());
+        assert_eq!(scored(&six, &[]), 1);
+        assert!(
+            all_perms(&groups, 256).is_none(),
+            "the orbit itself overflows"
+        );
+    }
+
+    #[test]
+    fn copies_tied_through_the_knowledge_or_each_other_are_not_collapsed() {
+        let mut c = cfg("!(^m) c<m> | d(y)");
+        unfold_n(&mut c, "0", 2);
+        let ids: Vec<NameId> = c
+            .names()
+            .iter()
+            .filter(|(_, e)| e.restricted && e.base.as_str() == "m")
+            .map(|(id, _)| id)
+            .collect();
+        assert_eq!(ids.len(), 2);
+        let pair = |a: NameId, b: NameId| RtTerm::Pair {
+            fst: Box::new(RtTerm::Id(a)),
+            snd: Box::new(RtTerm::Id(b)),
+            creator: None,
+        };
+        // Alone, the two idle copies are interchangeable.
+        assert_eq!(scored(&c, &[]), 1);
+        // Knowing both ordered pairs ties the copies to each other: the
+        // tie survives refinement and both arrangements are scored.
+        let (ab, ba) = (pair(ids[0], ids[1]), pair(ids[1], ids[0]));
+        assert_eq!(scored(&c, &[(0, &ab), (0, &ba)]), 2);
+        // One ordered pair breaks the tie instead.
+        assert_eq!(scored(&c, &[(0, &ab)]), 1);
+        // Held terms form a multiset: their order (raw ids, for the
+        // knowledge) must not change the arrangement chosen.
+        let groups = session_groups(&c, &[]);
+        let (a, aa) = (RtTerm::Id(ids[0]), pair(ids[0], ids[0]));
+        for place in 0..8 {
+            assert_eq!(
+                candidates(&c, &groups, &[(place, &a), (place, &aa)], MAX_CANDIDATES),
+                candidates(&c, &groups, &[(place, &aa), (place, &a)], MAX_CANDIDATES),
+                "place {place}"
+            );
+        }
+
+        // The cyclic and the alternating worlds of the erased
+        // pseudo-quotient's test: every copy holds names of another, so
+        // nothing collapses, and the worlds keep distinct keys.
+        let (a, b) = correlated_worlds();
+        assert!(scored(&a, &[]) > 1);
+        assert_ne!(qkey(&a, &[]), qkey(&b, &[]));
+        let groups = session_groups(&a, &[]);
+        for perm in all_perms(&groups, MAX_CANDIDATES).expect("small orbit") {
+            assert_eq!(qkey(&apply_perm(&a, &perm), &[]), qkey(&a, &[]));
+            assert_eq!(qkey(&apply_perm(&b, &perm), &[]), qkey(&b, &[]));
+        }
     }
 }

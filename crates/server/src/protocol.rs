@@ -39,7 +39,8 @@ use spi_semantics::{FaultClause, FaultSpec};
 use spi_syntax::Process;
 use spi_verify::jsonlite::Json;
 use spi_verify::{
-    Budget, CampaignReport, CoverageStats, Engine, ReduceOptions, Verdict, VerificationReport,
+    Budget, CampaignReport, CoverageStats, Engine, ExploreStats, ReduceOptions, Verdict,
+    VerificationReport,
 };
 
 use crate::digest::digest;
@@ -706,21 +707,22 @@ pub fn verify_body(report: &VerificationReport) -> Json {
         fields.push(("engine".into(), Json::str(report.engine.mode())));
     }
     if report.reduce.enabled() {
-        let quotiented = report.concrete_stats.states_quotiented
-            + report.abstract_stats.states_quotiented;
-        let pruned = report.concrete_stats.por_pruned + report.abstract_stats.por_pruned;
+        let (c, a) = (&report.concrete_stats, &report.abstract_stats);
+        let sum = |field: fn(&ExploreStats) -> u64| {
+            Json::Int(i64::try_from(field(c) + field(a)).unwrap_or(i64::MAX))
+        };
         fields.push((
             "reduction".into(),
             Json::Obj(vec![
                 ("mode".into(), Json::str(report.reduce.mode())),
+                ("states_quotiented".into(), sum(|s| s.states_quotiented)),
+                ("por_pruned".into(), sum(|s| s.por_pruned)),
                 (
-                    "states_quotiented".into(),
-                    Json::Int(i64::try_from(quotiented).unwrap_or(i64::MAX)),
+                    "sym_canonicalizations".into(),
+                    sum(|s| s.sym_canonicalizations),
                 ),
-                (
-                    "por_pruned".into(),
-                    Json::Int(i64::try_from(pruned).unwrap_or(i64::MAX)),
-                ),
+                ("sym_candidates".into(), sum(|s| s.sym_candidates)),
+                ("sym_overflows".into(), sum(|s| s.sym_overflows)),
             ]),
         ));
     }

@@ -8,8 +8,9 @@ use std::time::Instant;
 
 use spi_addr::Path;
 use spi_semantics::{
-    symmetry, Barb, CanonHasher, Canonicalizer, Config, FaultKind, FaultSpec, LeafState,
-    NameTable, NetworkState, PathPerm, RtChanIndex, RtProcess, RtTerm, StepInfo,
+    symmetry::{self, Fallback},
+    Barb, CanonHasher, Canonicalizer, Config, FaultKind, FaultSpec, LeafState, Lens,
+    NameTable, NetworkState, PathPerm, RtChanIndex, RtProcess, RtTerm, StepInfo, Verbatim,
 };
 use spi_syntax::{Name, Process};
 
@@ -443,6 +444,15 @@ pub struct ExploreStats {
     /// unless `verify_symmetry`, POR and the symmetry quotient are all
     /// on.
     pub sym_prechecked: u64,
+    /// How many states went through the session-symmetry search (the
+    /// state was symmetry-eligible and had at least one session group).
+    pub sym_canonicalizations: u64,
+    /// How many copy arrangements that search scored, summed over those
+    /// canonicalizations.
+    pub sym_candidates: u64,
+    /// How many of those canonicalizations overflowed the candidate cap
+    /// and kept the state's raw key.
+    pub sym_overflows: u64,
 }
 
 /// The labelled transition system produced by an [`Explorer`].
@@ -618,45 +628,79 @@ impl StateData {
     /// stream).
     fn write_key<S: std::fmt::Write>(&self, out: &mut S) {
         let mut canon = Canonicalizer::new();
-        self.write_key_with(&mut canon, out);
+        self.write_key_with(&mut canon, &mut Verbatim, out);
     }
 
     /// [`StateData::write_key`] through a caller-supplied canonicalizer,
     /// whose journal afterwards maps canonical name slots back to raw
-    /// [`spi_semantics::NameId`]s — the id half of a merge isomorphism.
-    fn write_key_with<S: std::fmt::Write>(&self, canon: &mut Canonicalizer, out: &mut S) {
-        self.cfg.write_canonical(canon, out);
+    /// [`spi_semantics::NameId`]s — the id half of a merge isomorphism —
+    /// and a lens: through a [`PathPerm`], the key of the state that
+    /// permutation leads to, without building it.
+    fn write_key_with<L: Lens, S: std::fmt::Write>(
+        &self,
+        canon: &mut Canonicalizer,
+        lens: &mut L,
+        out: &mut S,
+    ) {
+        let names = self.cfg.names();
+        self.cfg.write_canonical_with(canon, lens, out);
         let _ = out.write_char('|');
         let mut fragments: Vec<(String, &RtTerm)> = self
             .knowledge
             .iter()
-            .map(|t| (canon.probe_term(t, self.cfg.names()), t))
+            .map(|t| (canon.probe_term(t, names, lens), t))
             .collect();
         fragments.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         for (_, t) in fragments {
-            canon.write_term(t, self.cfg.names(), out);
+            canon.write_term(t, names, lens, out);
             let _ = out.write_char(',');
         }
         let _ = out.write_char('|');
         let _ = write!(out, "{}", self.fresh_made);
         if let Some(net) = &self.net {
             let _ = out.write_char('|');
-            net.write_canonical(canon, self.cfg.names(), out);
+            net.write_canonical(canon, names, lens, out);
         }
+    }
+
+    /// The key written through `lens` — through a [`PathPerm`], the key
+    /// of the state it leads to — with its canonicalizer, whose journal
+    /// maps canonical slots back to raw name ids.
+    fn key_through<L: Lens>(&self, lens: &mut L) -> (u128, Canonicalizer) {
+        let mut canon = Canonicalizer::new();
+        let mut h = CanonHasher::new();
+        self.write_key_with(&mut canon, lens, &mut h);
+        (h.finish(), canon)
     }
 
     /// The key plus the canonicalizer journal (canonical slot → raw name
     /// id), captured in one serialization pass.
     fn key_and_journal(&self) -> (u128, Vec<u32>) {
-        let mut canon = Canonicalizer::new();
-        let mut h = CanonHasher::new();
-        self.write_key_with(&mut canon, &mut h);
-        let journal = canon
-            .journal()
-            .iter()
-            .map(|id| u32::try_from(id.index()).unwrap_or(u32::MAX))
-            .collect();
-        (h.finish(), journal)
+        let (key, canon) = self.key_through(&mut Verbatim);
+        (key, journal(&canon))
+    }
+
+    /// The terms this state holds outside the process tree, each tagged
+    /// with where it sits: the intruder knowledge (a set, so one tag),
+    /// and the network buffer and log (sequences, so tagged by position
+    /// and channel).
+    fn held(&self) -> Vec<(u128, &RtTerm)> {
+        use std::fmt::Write as _;
+        /// The intruder knowledge's place tag.
+        const KNOWN: u128 = b'K' as u128;
+        let mut held: Vec<(u128, &RtTerm)> = self.knowledge.iter().map(|t| (KNOWN, t)).collect();
+        if let Some(net) = &self.net {
+            for (kind, entries) in [(b'B', &net.buffer), (b'L', &net.log)] {
+                for (i, (chan, t)) in entries.iter().enumerate() {
+                    let mut place = CanonHasher::new();
+                    place.write_u128(u128::from(kind));
+                    place.write_u128(i as u128);
+                    let _ = place.write_str(chan.as_str());
+                    held.push((place.finish(), t));
+                }
+            }
+        }
+        held
     }
 
     /// This state with a copy permutation physically applied everywhere:
@@ -684,29 +728,6 @@ impl StateData {
         }
     }
 
-    /// Whether the whole state (configuration, knowledge, network) is
-    /// free of depth-dependent constructs, making copy permutations
-    /// behaviour-preserving here.
-    fn sym_eligible(&self) -> bool {
-        if !symmetry::sym_eligible(&self.cfg) {
-            return false;
-        }
-        if self.knowledge.iter().any(term_tracks_depth) {
-            return false;
-        }
-        if let Some(net) = &self.net {
-            if net
-                .buffer
-                .iter()
-                .chain(net.log.iter())
-                .any(|(_, t)| term_tracks_depth(t))
-            {
-                return false;
-            }
-        }
-        true
-    }
-
     /// The 128-bit canonical key: the serialization stream folded through
     /// a [`CanonHasher`], no heap allocation for the key itself.
     fn key(&self) -> u128 {
@@ -724,43 +745,43 @@ impl StateData {
     }
 }
 
-/// Returns `true` when a term contains a located literal — the one term
-/// construct whose meaning depends on its holder's depth.
-fn term_tracks_depth(t: &RtTerm) -> bool {
-    match t {
-        RtTerm::Var(_) | RtTerm::Sym(_) | RtTerm::Id(_) => false,
-        RtTerm::Pair { fst, snd, .. } => term_tracks_depth(fst) || term_tracks_depth(snd),
-        RtTerm::Enc { body, key, .. } => {
-            body.iter().any(term_tracks_depth) || term_tracks_depth(key)
-        }
-        RtTerm::LocatedLit { .. } => true,
-    }
+/// A canonicalizer's journal as raw name indices.
+fn journal(canon: &Canonicalizer) -> Vec<u32> {
+    canon
+        .journal()
+        .iter()
+        .map(|id| u32::try_from(id.index()).unwrap_or(u32::MAX))
+        .collect()
 }
 
-/// The signature-guided quotient key: the minimum raw key over the
-/// candidate permutations, together with the winning candidate's
-/// canonicalization journal and the candidate itself.  `None` when the
-/// candidate set overflows [`symmetry::MAX_CANDIDATES`] (the caller falls
-/// back to the raw key, which is always sound).
+/// The symmetry quotient key: the minimum key over the copy arrangements
+/// [`symmetry::candidates`] leaves after colour refinement, each scored
+/// by serializing the unpermuted state through the arrangement's path
+/// map.  Returns the winning candidate's journal, the candidate itself
+/// and how many candidates were scored — or why the state keeps its raw
+/// key (always sound): it is not symmetry-eligible, or the candidates
+/// overflow [`symmetry::MAX_CANDIDATES`].
 fn signature_min(
     sd: &StateData,
     groups: &[symmetry::SessionGroup],
-) -> Option<(u128, Vec<u32>, PathPerm)> {
-    let perms = symmetry::candidate_perms(&sd.cfg, groups, symmetry::MAX_CANDIDATES)?;
+) -> Result<(u128, Vec<u32>, PathPerm, u64), Fallback> {
+    let perms = symmetry::candidates(&sd.cfg, groups, &sd.held(), symmetry::MAX_CANDIDATES)?;
+    let scored = perms.len() as u64;
     let mut best: Option<(u128, Vec<u32>, PathPerm)> = None;
     for perm in perms {
-        let (key, journal) = sd.permuted(&perm).key_and_journal();
+        let (key, canon) = sd.key_through(&mut &perm);
         if best.as_ref().is_none_or(|(k, _, _)| key < *k) {
-            best = Some((key, journal, perm));
+            best = Some((key, journal(&canon), perm));
         }
     }
-    best
+    best.map(|(key, journal, perm)| (key, journal, perm, scored))
+        .ok_or(Fallback::Overflow)
 }
 
-/// The `verify_symmetry` debug check.  The signature-guided key is a
-/// *canonical form*, not the orbit's hash minimum (copies with distinct
-/// signatures are ordered by signature, not by hash), so the property to
-/// verify is orbit invariance: every permuted variant of the state must
+/// The `verify_symmetry` debug check.  The refined key is a *canonical
+/// form*, not the orbit's hash minimum (copies with distinct colours are
+/// ordered by colour, not by hash), so the property to verify is orbit
+/// invariance: every physically permuted variant of the state must
 /// quotient to the same key, or permuted duplicates would survive.
 fn verify_orbit_invariance(
     sd: &StateData,
@@ -774,7 +795,7 @@ fn verify_orbit_invariance(
     for perm in &orbit {
         let variant = sd.permuted(perm);
         let vgroups = symmetry::session_groups(&variant.cfg, pinned);
-        let Some((vkey, _, _)) = signature_min(&variant, &vgroups) else {
+        let Ok((vkey, ..)) = signature_min(&variant, &vgroups) else {
             continue; // Capped variant falls back to raw keys anyway.
         };
         assert_eq!(
@@ -823,6 +844,25 @@ struct CanonOut {
     /// The full canonical string, present iff `verify_keys`.
     string: Option<String>,
     annot: SymAnnot,
+    /// What the symmetry search did for this state.
+    tally: SymTally,
+}
+
+/// The symmetry search's work on one state, summed into
+/// [`ExploreStats`] in the merge's sequential order.
+#[derive(Debug, Clone, Copy, Default)]
+struct SymTally {
+    canonicalizations: u64,
+    candidates: u64,
+    overflows: u64,
+}
+
+impl SymTally {
+    fn add_to(self, stats: &mut ExploreStats) {
+        stats.sym_canonicalizations += self.canonicalizations;
+        stats.sym_candidates += self.candidates;
+        stats.sym_overflows += self.overflows;
+    }
 }
 
 /// What the store keeps of one state besides its payload: the
@@ -869,11 +909,15 @@ impl StateStore {
     /// explorer's workers compute it while the store is shared.
     ///
     /// Without tracking this is the historical raw key.  With the
-    /// symmetry quotient, the key is the minimum over the
-    /// signature-guided candidate permutations of the *physically
-    /// permuted* state's raw key — each candidate is a real state of the
-    /// orbit, so the quotient can never conflate two states a plain
-    /// exploration would distinguish.
+    /// symmetry quotient, colour refinement over the session copies
+    /// leaves a few candidate arrangements (usually one), and the key is
+    /// the least of their raw keys, each scored by serializing the
+    /// unpermuted state through the arrangement's path map (see
+    /// [`signature_min`]).  The candidates depend only on
+    /// permutation-invariant features, so permuted states meet at one
+    /// key; and each scored key is that of a real state of the orbit, so
+    /// the quotient can never conflate two states a plain exploration
+    /// would distinguish.
     fn canonical(&self, sd: &StateData) -> CanonOut {
         let want_string = self.strings.is_some();
         if !self.sym.tracking {
@@ -881,6 +925,7 @@ impl StateStore {
                 key: sd.key(),
                 string: want_string.then(|| sd.key_string()),
                 annot: SymAnnot::default(),
+                tally: SymTally::default(),
             };
         }
         let names_len = u32::try_from(sd.cfg.names().len()).unwrap_or(u32::MAX);
@@ -894,9 +939,10 @@ impl StateStore {
                     journal,
                     names_len,
                 },
+                tally: SymTally::default(),
             }
         };
-        if !self.sym.symmetry || !sd.sym_eligible() {
+        if !self.sym.symmetry {
             return raw();
         }
         let groups = symmetry::session_groups(&sd.cfg, &self.sym.pinned);
@@ -904,12 +950,25 @@ impl StateStore {
             return raw();
         }
         if self.sym.conflate {
+            if !symmetry::sym_eligible(&sd.cfg, &sd.held()) {
+                return raw();
+            }
             return self.conflated(sd, &groups, want_string);
         }
         // A candidate-cap overflow keeps the raw key: sound, because
         // permuted siblings overflow identically and fall back alike.
-        let Some((key, journal, perm)) = signature_min(sd, &groups) else {
-            return raw();
+        let (key, journal, perm, scored) = match signature_min(sd, &groups) {
+            Ok(found) => found,
+            Err(Fallback::Ineligible) => return raw(),
+            Err(Fallback::Overflow) => {
+                let mut out = raw();
+                out.tally = SymTally {
+                    canonicalizations: 1,
+                    candidates: 0,
+                    overflows: 1,
+                };
+                return out;
+            }
         };
         if self.sym.verify {
             verify_orbit_invariance(sd, &groups, key, &self.sym.pinned);
@@ -926,6 +985,11 @@ impl StateStore {
                 perm,
                 journal,
                 names_len,
+            },
+            tally: SymTally {
+                canonicalizations: 1,
+                candidates: scored,
+                overflows: 0,
             },
         }
     }
@@ -980,6 +1044,7 @@ impl StateStore {
                 journal,
                 names_len: u32::try_from(sd.cfg.names().len()).unwrap_or(u32::MAX),
             },
+            tally: SymTally::default(),
         }
     }
 
@@ -1144,7 +1209,9 @@ impl Explorer {
         let mut queue: VecDeque<usize> = VecDeque::new();
         // The initial state is always interned, even under a zero
         // budget, so a partial answer is never empty.
+        let mut stats = ExploreStats::default();
         let out = store.canonical(&initial);
+        out.tally.add_to(&mut stats);
         store.push(out, initial, &mut queue);
         // Fully-expanded flags, parallel to `states`.
         let mut expanded: Vec<bool> = Vec::new();
@@ -1154,9 +1221,6 @@ impl Explorer {
 
         let mut edges_total = 0usize;
         let mut edge_isos: BTreeMap<(usize, usize), u32> = BTreeMap::new();
-        let mut states_quotiented = 0u64;
-        let mut por_pruned = 0u64;
-        let mut sym_prechecked = 0u64;
         // Layered BFS.  Draining the queue one layer at a time visits
         // states in exactly the order the one-at-a-time loop would (pop
         // front, intern new states at the back), which lets the workers
@@ -1214,8 +1278,8 @@ impl Explorer {
                 }
                 // Pruning is accounted only when the state is actually
                 // consumed, so the counter is worker-count independent.
-                por_pruned += succ.pruned;
-                sym_prechecked += succ.prechecked;
+                stats.por_pruned += succ.pruned;
+                stats.sym_prechecked += succ.prechecked;
                 for (label, next, out) in succ.moves {
                     if !gov.admit_transition(edges_total) {
                         cut_off!();
@@ -1223,6 +1287,7 @@ impl Explorer {
                     // A failed `verify_symmetry` audit re-raises here,
                     // where the sequential engine canonicalized.
                     let out = out.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                    out.tally.add_to(&mut stats);
                     match store.intern(out, next, &mut gov, &mut queue) {
                         Some((tgt, iso)) => {
                             let edge_pos = store.nodes[cur].edges.len();
@@ -1231,7 +1296,7 @@ impl Explorer {
                             if iso != 0 {
                                 edge_isos.insert((cur, edge_pos), iso);
                                 if store.isos.get(iso).permutes_paths() {
-                                    states_quotiented += 1;
+                                    stats.states_quotiented += 1;
                                 }
                             }
                         }
@@ -1257,13 +1322,8 @@ impl Explorer {
         // A knowledge-capped state skipped above never re-enters the
         // queue, so anything unexpanded is genuinely frontier.
         let expanded_count = states.len() - frontier.len();
-        let stats = ExploreStats {
-            states: states.len(),
-            edges: edges_total,
-            states_quotiented,
-            por_pruned,
-            sym_prechecked,
-        };
+        stats.states = states.len();
+        stats.edges = edges_total;
         let coverage = CoverageStats {
             states: states.len(),
             transitions: edges_total,
@@ -1517,16 +1577,14 @@ impl Explorer {
         let pinned = self.pinned_positions();
         let mut prechecked = 0u64;
         for (_, next) in out {
-            if !next.sym_eligible() {
-                continue;
-            }
             let groups = symmetry::session_groups(&next.cfg, &pinned);
             if groups.is_empty() {
                 continue;
             }
-            // A candidate-cap overflow falls back to raw keys at intern
-            // time; there is nothing quotient-specific to audit then.
-            if let Some((key, _, _)) = signature_min(next, &groups) {
+            // An ineligible state or a candidate-cap overflow keeps its
+            // raw key at intern time; there is nothing quotient-specific
+            // to audit then.
+            if let Ok((key, ..)) = signature_min(next, &groups) {
                 verify_orbit_invariance(next, &groups, key, &pinned);
                 prechecked += 1;
             }
@@ -2669,6 +2727,117 @@ mod tests {
             assert_eq!(lts.edge_isos, base.edge_isos, "workers={workers}");
             assert_eq!(lts.isos, base.isos, "workers={workers}");
         }
+    }
+
+    #[test]
+    fn path_mapped_keys_equal_the_physically_permuted_states() {
+        // Every symmetry-eligible state of reduced Pm2 at three sessions
+        // under the intruder, under every joint copy permutation: scoring
+        // through the path map must serialize exactly the permuted state,
+        // and name its canonical slots with the same raw ids.
+        let src = "(^c)((^kAB)(!(^m)c<{m}kAB> | !c(z).case z of {w}kAB in observe<w>) | 0)";
+        let seat: Path = "1".parse().unwrap();
+        let lts = explore(
+            src,
+            ExploreOptions {
+                unfold_bound: 3,
+                intruder: Some(IntruderSpec::new(seat.clone(), ["c"])),
+                reduce: ReduceOptions::full(),
+                ..ExploreOptions::default()
+            },
+        );
+        let mut checked = 0;
+        for state in &lts.states {
+            let sd = StateData {
+                cfg: state.config.clone(),
+                knowledge: state.knowledge.clone(),
+                fresh_made: 0,
+                net: None,
+            };
+            let groups = symmetry::session_groups(&sd.cfg, std::slice::from_ref(&seat));
+            if !symmetry::sym_eligible(&sd.cfg, &sd.held()) || groups.is_empty() {
+                continue;
+            }
+            for perm in symmetry::all_perms(&groups, symmetry::MAX_CANDIDATES).unwrap() {
+                let moved = sd.permuted(&perm);
+                let (key, canon) = sd.key_through(&mut &perm);
+                assert_eq!((key, journal(&canon)), moved.key_and_journal(), "{perm:?}");
+                let mut mapped = String::new();
+                sd.write_key_with(&mut Canonicalizer::new(), &mut &perm, &mut mapped);
+                assert_eq!(mapped, moved.key_string(), "{perm:?}");
+                checked += 1;
+            }
+        }
+        assert!(checked > 100, "{checked}");
+    }
+
+    #[test]
+    fn a_candidate_overflow_keeps_the_raw_key_and_is_counted() {
+        // k idle copies whose nonces the intruder knows in every ordered
+        // pair: all k copies stay tied and share one linked component, so
+        // the search enumerates all k! arrangements.
+        let store = StateStore::new(
+            false,
+            SymCtx {
+                tracking: true,
+                symmetry: true,
+                verify: false,
+                conflate: false,
+                pinned: Vec::new(),
+            },
+        );
+        let state = |k: usize| {
+            use spi_addr::Branch;
+            use spi_semantics::Action;
+            let mut cfg = Config::from_process(&parse("!(^m) c<m>").unwrap()).unwrap();
+            let mut at = Path::root();
+            for _ in 0..k {
+                cfg.fire(&Action::Unfold { path: at.clone() }).unwrap();
+                at.push(Branch::Right);
+            }
+            let nonces: Vec<RtTerm> = cfg
+                .names()
+                .iter()
+                .filter(|(_, e)| e.restricted)
+                .map(|(id, _)| RtTerm::Id(id))
+                .collect();
+            assert_eq!(nonces.len(), k);
+            let mut knowledge = Knowledge::new();
+            for a in &nonces {
+                for b in nonces.iter().filter(|b| *b != a) {
+                    knowledge.learn(RtTerm::Pair {
+                        fst: Box::new(a.clone()),
+                        snd: Box::new(b.clone()),
+                        creator: None,
+                    });
+                }
+            }
+            StateData {
+                cfg,
+                knowledge,
+                fresh_made: 0,
+                net: None,
+            }
+        };
+        let tally = |out: &CanonOut| {
+            let mut stats = ExploreStats::default();
+            out.tally.add_to(&mut stats);
+            (
+                stats.sym_canonicalizations,
+                stats.sym_candidates,
+                stats.sym_overflows,
+            )
+        };
+        // 5! = 120 arrangements fit under the cap ...
+        let five = store.canonical(&state(5));
+        assert_eq!(tally(&five), (1, 120, 0));
+        // ... 6! = 720 do not: the raw key, one canonicalization, one
+        // overflow and nothing scored.
+        let six = state(6);
+        let out = store.canonical(&six);
+        assert_eq!(out.key, six.key());
+        assert!(out.annot.perm.is_identity());
+        assert_eq!(tally(&out), (1, 0, 1));
     }
 
     #[test]

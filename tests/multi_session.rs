@@ -105,3 +105,57 @@ fn pm_simulates_pm3_but_not_pm2_with_and_without_reduction() {
         );
     }
 }
+
+#[test]
+fn the_symmetry_search_scores_about_one_arrangement_per_state() {
+    // The `--reduce full` quotient on the paper's replicated sessions,
+    // pinned at every worker count: the state and edge counts belong to
+    // the quotient (no symmetry search may move them), the counters to
+    // this search.  A change to the search must update them on purpose.
+    use spi_auth_repro::auth::ReduceOptions;
+    let cases = [
+        (
+            "pm2",
+            multi::shared_key("c", "observe"),
+            3,
+            (143, 749),
+            (748, 838, 0),
+        ),
+        (
+            "pm3",
+            multi::challenge_response("c", "observe"),
+            2,
+            (1_287, 6_532),
+            (6_531, 6_653, 0),
+        ),
+    ];
+    for (name, protocol, sessions, (states, edges), (canon, scored, overflows)) in cases {
+        let mut fingerprint = None;
+        for workers in [1, 2, 8] {
+            let lts = Verifier::new(["c"])
+                .sessions(sessions)
+                .workers(workers)
+                .reduce(ReduceOptions::full())
+                .explore(&protocol)
+                .unwrap();
+            let fp = *fingerprint.get_or_insert(lts.fingerprint());
+            assert_eq!(lts.fingerprint(), fp, "{name} s{sessions} w{workers}");
+            let s = lts.stats;
+            assert_eq!(
+                (s.states, s.edges),
+                (states, edges),
+                "{name} s{sessions} w{workers}"
+            );
+            assert_eq!(
+                (s.sym_canonicalizations, s.sym_candidates, s.sym_overflows),
+                (canon, scored, overflows),
+                "{name} s{sessions} w{workers}"
+            );
+            assert_eq!(s.sym_overflows, 0);
+            assert!(
+                2 * s.sym_candidates <= 3 * s.sym_canonicalizations,
+                "{name}: {s:?}"
+            );
+        }
+    }
+}
