@@ -1,6 +1,8 @@
 //! Downward paths in the tree of sequential processes.
 
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::Index;
 use std::str::FromStr;
 
@@ -12,6 +14,12 @@ use crate::{AddrError, Branch};
 /// Paths are used both as *absolute positions* (the path from the root of
 /// the tree down to a sequential process) and as the two components of a
 /// [`RelAddr`](crate::RelAddr).
+///
+/// Every restricted name, creator stamp and transition label carries a
+/// path, so a path up to [`Path::INLINE_CAPACITY`] arcs long lives
+/// inline and cloning it never allocates; only a longer one spills to a
+/// boxed slice.  Equality, ordering and hashing are those of the tag
+/// sequence, whichever way it is stored.
 ///
 /// # Example
 ///
@@ -26,89 +34,205 @@ use crate::{AddrError, Branch};
 /// # use std::str::FromStr;
 /// # Ok::<(), spi_addr::AddrError>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone)]
 pub struct Path {
-    tags: Vec<Branch>,
+    tags: Tags,
+}
+
+/// A path's storage: inline up to [`Path::INLINE_CAPACITY`] arcs, a
+/// boxed slice past that.
+#[derive(Clone)]
+enum Tags {
+    Inline {
+        len: u8,
+        buf: [Branch; Path::INLINE_CAPACITY],
+    },
+    Spilled(Box<[Branch]>),
+}
+
+// Paths sit in every name entry, stamped term and label: no bigger than
+// the `Vec` they replaced, with or without an `Option` around them.
+const _: () = assert!(std::mem::size_of::<Path>() <= 24);
+const _: () = assert!(std::mem::size_of::<Option<Path>>() <= 24);
+
+impl Default for Path {
+    fn default() -> Path {
+        Path::root()
+    }
+}
+
+impl PartialEq for Path {
+    fn eq(&self, other: &Path) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Path {}
+
+impl PartialOrd for Path {
+    fn partial_cmp(&self, other: &Path) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Path {
+    fn cmp(&self, other: &Path) -> Ordering {
+        self.as_slice().cmp(other.as_slice())
+    }
+}
+
+impl Hash for Path {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl fmt::Debug for Path {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Path")
+            .field("tags", &self.as_slice())
+            .finish()
+    }
 }
 
 impl Path {
+    /// The longest path stored without a heap allocation: the inline
+    /// buffer, its length byte and the enum tag fill exactly the 24
+    /// bytes a spilled boxed slice needs anyway.
+    pub const INLINE_CAPACITY: usize = 22;
+
     /// The empty path `ε`, denoting the root of the tree.
     #[must_use]
-    pub fn root() -> Path {
-        Path::default()
+    pub const fn root() -> Path {
+        Path {
+            tags: Tags::Inline {
+                len: 0,
+                buf: [Branch::Left; Path::INLINE_CAPACITY],
+            },
+        }
     }
 
     /// Builds a path from its arc tags, outermost first.
     #[must_use]
     pub fn new(tags: Vec<Branch>) -> Path {
-        Path { tags }
+        Path::from_slice(&tags)
+    }
+
+    /// Builds a path from a slice of arc tags, outermost first.
+    #[must_use]
+    pub fn from_slice(tags: &[Branch]) -> Path {
+        if tags.len() <= Path::INLINE_CAPACITY {
+            let mut buf = [Branch::Left; Path::INLINE_CAPACITY];
+            buf[..tags.len()].copy_from_slice(tags);
+            Path {
+                tags: Tags::Inline {
+                    // Lossless: bounded by Path::INLINE_CAPACITY.
+                    len: tags.len() as u8,
+                    buf,
+                },
+            }
+        } else {
+            Path {
+                tags: Tags::Spilled(tags.into()),
+            }
+        }
+    }
+
+    /// The arc tags, outermost first.
+    #[must_use]
+    pub fn as_slice(&self) -> &[Branch] {
+        match &self.tags {
+            Tags::Inline { len, buf } => &buf[..usize::from(*len)],
+            Tags::Spilled(tags) => tags,
+        }
     }
 
     /// Returns `true` when the path is `ε`.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.tags.is_empty()
+        self.as_slice().is_empty()
     }
 
     /// The number of arcs in the path.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.tags.len()
+        self.as_slice().len()
     }
 
     /// The first (outermost) tag, if any.
     #[must_use]
     pub fn first(&self) -> Option<Branch> {
-        self.tags.first().copied()
+        self.as_slice().first().copied()
     }
 
     /// The last (innermost) tag, if any.
     #[must_use]
     pub fn last(&self) -> Option<Branch> {
-        self.tags.last().copied()
+        self.as_slice().last().copied()
     }
 
     /// Iterates over the tags, outermost first.
     pub fn iter(&self) -> impl Iterator<Item = Branch> + '_ {
-        self.tags.iter().copied()
+        self.as_slice().iter().copied()
     }
 
     /// Extends the path downward by one arc, in place.
     pub fn push(&mut self, b: Branch) {
-        self.tags.push(b);
+        match &mut self.tags {
+            Tags::Inline { len, buf } if usize::from(*len) < Path::INLINE_CAPACITY => {
+                buf[usize::from(*len)] = b;
+                *len += 1;
+            }
+            _ => {
+                let mut tags = Vec::with_capacity(self.len() + 1);
+                tags.extend_from_slice(self.as_slice());
+                tags.push(b);
+                self.tags = Tags::Spilled(tags.into_boxed_slice());
+            }
+        }
     }
 
     /// Removes and returns the innermost arc, if any.
     pub fn pop(&mut self) -> Option<Branch> {
-        self.tags.pop()
+        let last = self.last()?;
+        match &mut self.tags {
+            Tags::Inline { len, .. } => *len -= 1,
+            Tags::Spilled(tags) => {
+                let shorter = Path::from_slice(&tags[..tags.len() - 1]);
+                *self = shorter;
+            }
+        }
+        Some(last)
     }
 
     /// Returns the path extended downward by one arc.
     #[must_use]
     pub fn child(&self, b: Branch) -> Path {
-        let mut tags = self.tags.clone();
-        tags.push(b);
-        Path { tags }
+        let mut child = self.clone();
+        child.push(b);
+        child
     }
 
     /// Returns the path of the parent node, or `None` at the root.
     #[must_use]
     pub fn parent(&self) -> Option<Path> {
-        if self.tags.is_empty() {
-            None
-        } else {
-            Some(Path {
-                tags: self.tags[..self.tags.len() - 1].to_vec(),
-            })
-        }
+        let mut parent = self.clone();
+        parent.pop().map(|_| parent)
     }
 
     /// Concatenates two paths: `self` followed by `rest`.
     #[must_use]
     pub fn join(&self, rest: &Path) -> Path {
-        let mut tags = self.tags.clone();
-        tags.extend_from_slice(&rest.tags);
-        Path { tags }
+        let (a, b) = (self.as_slice(), rest.as_slice());
+        if a.len() + b.len() <= Path::INLINE_CAPACITY {
+            let mut joined = self.clone();
+            joined.extend(b.iter().copied());
+            joined
+        } else {
+            Path {
+                tags: Tags::Spilled([a, b].concat().into_boxed_slice()),
+            }
+        }
     }
 
     /// Returns `true` when `self` is a (possibly equal) prefix of `other`:
@@ -116,23 +240,21 @@ impl Path {
     /// `other`.
     #[must_use]
     pub fn is_prefix_of(&self, other: &Path) -> bool {
-        other.tags.len() >= self.tags.len() && other.tags[..self.tags.len()] == self.tags[..]
+        other.as_slice().starts_with(self.as_slice())
     }
 
     /// Returns `true` when `self` is a (possibly equal) suffix of `other`.
     #[must_use]
     pub fn is_suffix_of(&self, other: &Path) -> bool {
-        other.tags.len() >= self.tags.len()
-            && other.tags[other.tags.len() - self.tags.len()..] == self.tags[..]
+        other.as_slice().ends_with(self.as_slice())
     }
 
     /// The number of leading arcs shared by `self` and `other`, i.e. the
     /// depth of their minimal common ancestor.
     #[must_use]
     pub fn common_prefix_len(&self, other: &Path) -> usize {
-        self.tags
-            .iter()
-            .zip(other.tags.iter())
+        self.iter()
+            .zip(other.iter())
             .take_while(|(a, b)| a == b)
             .count()
     }
@@ -140,9 +262,7 @@ impl Path {
     /// The path of the minimal common ancestor of `self` and `other`.
     #[must_use]
     pub fn common_ancestor(&self, other: &Path) -> Path {
-        Path {
-            tags: self.tags[..self.common_prefix_len(other)].to_vec(),
-        }
+        self.prefix(self.common_prefix_len(other))
     }
 
     /// The suffix of the path after dropping its first `n` arcs.
@@ -152,9 +272,7 @@ impl Path {
     /// Panics if `n > self.len()`.
     #[must_use]
     pub fn suffix_from(&self, n: usize) -> Path {
-        Path {
-            tags: self.tags[n..].to_vec(),
-        }
+        Path::from_slice(&self.as_slice()[n..])
     }
 
     /// The prefix consisting of the first `n` arcs.
@@ -164,11 +282,8 @@ impl Path {
     /// Panics if `n > self.len()`.
     #[must_use]
     pub fn prefix(&self, n: usize) -> Path {
-        Path {
-            tags: self.tags[..n].to_vec(),
-        }
+        Path::from_slice(&self.as_slice()[..n])
     }
-
     /// Strips `prefix` from the front of the path, returning the rest, or
     /// `None` when `prefix` is not a prefix of `self`.
     #[must_use]
@@ -196,7 +311,7 @@ impl Path {
     /// `"e"` (for `ε`).
     #[must_use]
     pub fn to_bits(&self) -> String {
-        let mut out = String::with_capacity(self.tags.len().max(1));
+        let mut out = String::with_capacity(self.len().max(1));
         let _ = self.write_bits(&mut out);
         out
     }
@@ -209,10 +324,10 @@ impl Path {
     ///
     /// Propagates the sink's write error.
     pub fn write_bits<S: fmt::Write>(&self, out: &mut S) -> fmt::Result {
-        if self.tags.is_empty() {
+        if self.is_empty() {
             return out.write_char('e');
         }
-        for b in &self.tags {
+        for b in self.iter() {
             out.write_char(if b.bit() == 0 { '0' } else { '1' })?;
         }
         Ok(())
@@ -223,27 +338,29 @@ impl Index<usize> for Path {
     type Output = Branch;
 
     fn index(&self, i: usize) -> &Branch {
-        &self.tags[i]
+        &self.as_slice()[i]
     }
 }
 
 impl FromIterator<Branch> for Path {
     fn from_iter<I: IntoIterator<Item = Branch>>(iter: I) -> Path {
-        Path {
-            tags: iter.into_iter().collect(),
-        }
+        let mut path = Path::root();
+        path.extend(iter);
+        path
     }
 }
 
 impl Extend<Branch> for Path {
     fn extend<I: IntoIterator<Item = Branch>>(&mut self, iter: I) {
-        self.tags.extend(iter);
+        for b in iter {
+            self.push(b);
+        }
     }
 }
 
 impl From<Vec<Branch>> for Path {
     fn from(tags: Vec<Branch>) -> Path {
-        Path { tags }
+        Path::from_slice(&tags)
     }
 }
 
@@ -251,10 +368,10 @@ impl fmt::Display for Path {
     /// Renders in the paper's notation: `‖1‖1‖0`; the empty path renders
     /// as `ε`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.tags.is_empty() {
+        if self.is_empty() {
             return write!(f, "\u{3b5}");
         }
-        for t in &self.tags {
+        for t in self.iter() {
             write!(f, "{t}")?;
         }
         Ok(())
@@ -270,15 +387,15 @@ impl FromStr for Path {
         if s == "e" || s == "\u{3b5}" {
             return Ok(Path::root());
         }
-        let mut tags = Vec::with_capacity(s.len());
+        let mut path = Path::root();
         for ch in s.chars() {
             match ch {
-                '0' => tags.push(Branch::Left),
-                '1' => tags.push(Branch::Right),
+                '0' => path.push(Branch::Left),
+                '1' => path.push(Branch::Right),
                 _ => return Err(AddrError::BadPathChar { ch }),
             }
         }
-        Ok(Path { tags })
+        Ok(path)
     }
 }
 

@@ -137,15 +137,14 @@ impl<T> ProcTree<T> {
     where
         T: Clone,
     {
-        let slot = self.slot_at_mut(path)?;
+        let slot = self.slot_at_mut(path.as_slice())?;
         match slot {
             ProcTree::Leaf(v) => Ok(v),
             ProcTree::Node(_, _) => Err(AddrError::PathOutOfTree { path: path.clone() }),
         }
     }
 
-    /// Replaces the subtree at `path` with `replacement`, returning the
-    /// subtree that was there.
+    /// Replaces the subtree at `path` with `replacement`.
     ///
     /// This is how the machine grows the tree in place: a leaf `P|Q`
     /// becomes a node with two fresh leaves, and an unfolding replication
@@ -153,26 +152,39 @@ impl<T> ProcTree<T> {
     /// leaves never change and previously captured relative addresses
     /// remain valid.
     ///
+    /// Shared spine nodes above `path` are copied on write; the replaced
+    /// subtree itself is released, never copied, so replacing a leaf
+    /// costs nothing beyond the spine.
+    ///
     /// # Errors
     ///
     /// Returns [`AddrError::PathOutOfTree`] when `path` descends below a
     /// leaf.
-    pub fn replace(
-        &mut self,
-        path: &Path,
-        replacement: ProcTree<T>,
-    ) -> Result<ProcTree<T>, AddrError>
+    pub fn replace(&mut self, path: &Path, replacement: ProcTree<T>) -> Result<(), AddrError>
     where
         T: Clone,
     {
-        let slot = self.slot_at_mut(path)?;
-        Ok(std::mem::replace(slot, replacement))
+        let Some((last, spine)) = path.as_slice().split_last() else {
+            *self = replacement;
+            return Ok(());
+        };
+        match self.slot_at_mut(spine)? {
+            ProcTree::Leaf(_) => Err(AddrError::PathOutOfTree { path: path.clone() }),
+            ProcTree::Node(l, r) => {
+                *(match last {
+                    Branch::Left => l,
+                    Branch::Right => r,
+                }) = Arc::new(replacement);
+                Ok(())
+            }
+        }
     }
 
     /// Iterates over `(path, leaf)` pairs in left-to-right order.
     pub fn leaves(&self) -> Leaves<'_, T> {
         Leaves {
-            stack: vec![(Path::root(), self)],
+            root: self,
+            next: Some(Path::root()),
         }
     }
 
@@ -225,7 +237,7 @@ impl<T> ProcTree<T> {
     /// Descends to the slot at `path`, copying shared spine nodes on the
     /// way down (copy-on-write): siblings of the path stay shared with
     /// every other clone of this tree.
-    fn slot_at_mut(&mut self, path: &Path) -> Result<&mut ProcTree<T>, AddrError>
+    fn slot_at_mut(&mut self, path: &[Branch]) -> Result<&mut ProcTree<T>, AddrError>
     where
         T: Clone,
     {
@@ -234,7 +246,7 @@ impl<T> ProcTree<T> {
             match cur {
                 ProcTree::Leaf(_) => {
                     return Err(AddrError::PathOutOfTree {
-                        path: path.prefix(i + 1),
+                        path: Path::from_slice(&path[..=i]),
                     })
                 }
                 ProcTree::Node(l, r) => {
@@ -262,26 +274,42 @@ impl<T: fmt::Display> fmt::Display for ProcTree<T> {
 
 /// Iterator over the `(path, value)` pairs of a tree's leaves, produced by
 /// [`ProcTree::leaves`].
+///
+/// It keeps only the position of the subtree whose leftmost leaf comes
+/// next and walks down from the root for each leaf: no stack, so a walk
+/// never touches the heap.
 #[derive(Debug)]
 pub struct Leaves<'a, T> {
-    stack: Vec<(Path, &'a ProcTree<T>)>,
+    root: &'a ProcTree<T>,
+    /// The root of the subtree whose leftmost leaf is next, if any.
+    next: Option<Path>,
 }
 
 impl<'a, T> Iterator for Leaves<'a, T> {
     type Item = (Path, &'a T);
 
     fn next(&mut self) -> Option<(Path, &'a T)> {
-        while let Some((path, tree)) = self.stack.pop() {
-            match tree {
-                ProcTree::Leaf(v) => return Some((path, v)),
-                ProcTree::Node(l, r) => {
-                    // Push right first so the left leaf pops first.
-                    self.stack.push((path.child(Branch::Right), r));
-                    self.stack.push((path.child(Branch::Left), l));
+        let mut path = self.next.take()?;
+        let mut node = self.root.subtree(&path).ok()?;
+        let leaf = loop {
+            match node {
+                ProcTree::Leaf(v) => break v,
+                ProcTree::Node(l, _) => {
+                    path.push(Branch::Left);
+                    node = l;
                 }
             }
+        };
+        // The next subtree is the right sibling of the deepest left arc.
+        let mut after = path.clone();
+        while let Some(b) = after.pop() {
+            if b == Branch::Left {
+                after.push(Branch::Right);
+                self.next = Some(after);
+                break;
+            }
         }
-        None
+        Some((path, leaf))
     }
 }
 
@@ -348,17 +376,60 @@ mod tests {
     fn replace_grows_in_place_without_moving_others() {
         let mut t = fig1();
         // Unfold "P3" into (P3' | !P3): other leaves keep their paths.
-        let old = t
-            .replace(
-                &p("110"),
-                ProcTree::node(ProcTree::leaf("P3'"), ProcTree::leaf("!P3")),
-            )
-            .unwrap();
-        assert_eq!(old, ProcTree::leaf("P3"));
+        t.replace(
+            &p("110"),
+            ProcTree::node(ProcTree::leaf("P3'"), ProcTree::leaf("!P3")),
+        )
+        .unwrap();
         assert_eq!(t.leaf_at(&p("01")).unwrap(), &"P1");
         assert_eq!(t.leaf_at(&p("1100")).unwrap(), &"P3'");
         assert_eq!(t.leaf_at(&p("1101")).unwrap(), &"!P3");
         assert_eq!(t.leaf_count(), 6);
+    }
+
+    #[test]
+    fn replace_on_a_clone_copies_only_the_spine() {
+        let original = fig1();
+        let mut t = original.clone();
+        t.replace(&p("110"), ProcTree::leaf("Q3")).unwrap();
+        assert_eq!(original.leaf_at(&p("110")).unwrap(), &"P3");
+        assert_eq!(t.leaf_at(&p("110")).unwrap(), &"Q3");
+        // Subtrees off the path stay shared with the original.
+        let (ProcTree::Node(l0, r0), ProcTree::Node(l1, r1)) = (&original, &t) else {
+            panic!("root is a node");
+        };
+        assert!(Arc::ptr_eq(l0, l1));
+        assert!(!Arc::ptr_eq(r0, r1));
+        let (Some((l0, _)), Some((l1, _))) = (r0.children(), r1.children()) else {
+            panic!("‖1 is a node");
+        };
+        assert!(std::ptr::eq(l0, l1));
+        // Replacing the root swaps the whole tree.
+        t.replace(&Path::root(), ProcTree::leaf("R")).unwrap();
+        assert_eq!(t, ProcTree::leaf("R"));
+        assert!(matches!(
+            t.replace(&p("0"), ProcTree::leaf("S")),
+            Err(AddrError::PathOutOfTree { .. })
+        ));
+    }
+
+    #[test]
+    fn leaves_of_a_deep_tree_walk_past_the_inline_path_capacity() {
+        // A right comb 40 deep: leaf k sits at ‖1^k‖0, the last at ‖1^40.
+        let depth = 40;
+        let mut t = ProcTree::leaf(depth);
+        for k in (0..depth).rev() {
+            t = ProcTree::node(ProcTree::leaf(k), t);
+        }
+        let got: Vec<(String, i32)> = t.leaves().map(|(path, v)| (path.to_bits(), *v)).collect();
+        assert_eq!(got.len(), 41);
+        for (k, (bits, v)) in got.iter().enumerate() {
+            let mut want = "1".repeat(k);
+            if k < 40 {
+                want.push('0');
+            }
+            assert_eq!((bits.as_str(), *v), (want.as_str(), k as i32));
+        }
     }
 
     #[test]

@@ -6,6 +6,12 @@
 //! the forwarding composition of Section 3.2 is *coherent*: composing the
 //! creator tag with the communication address always yields the direct
 //! creator-receiver address.
+//!
+//! The last group checks [`Path`]'s inline storage against a plain
+//! `Vec<Branch>` model, on both sides of the inline/spill boundary.
+
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 
 use proptest::prelude::*;
 use spi_addr::{Branch, Path, RelAddr};
@@ -127,5 +133,83 @@ proptest! {
         if a.len() > k && b.len() > k {
             prop_assert_ne!(a[k], b[k]);
         }
+    }
+}
+
+/// Arc tags on both sides of the inline/spill boundary: up to three
+/// times the inline capacity.
+fn arb_tags() -> impl Strategy<Value = Vec<Branch>> {
+    prop::collection::vec(arb_branch(), 0..=3 * Path::INLINE_CAPACITY)
+}
+
+fn hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
+    let mut h = DefaultHasher::new();
+    value.hash(&mut h);
+    h.finish()
+}
+
+proptest! {
+    #[test]
+    fn path_order_equality_and_hash_are_the_tag_sequences(
+        a in arb_tags(),
+        b in arb_tags(),
+        cut in 0..=3 * Path::INLINE_CAPACITY,
+    ) {
+        // A second operand sharing a prefix with the first, so equal and
+        // prefix-related pairs come up as often as unrelated ones.
+        let mut c = a[..cut.min(a.len())].to_vec();
+        c.extend_from_slice(&b[..b.len() % 3]);
+        for other in [&b, &c, &a] {
+            let (pa, po) = (Path::new(a.clone()), Path::new(other.clone()));
+            prop_assert_eq!(pa.cmp(&po), a.cmp(other));
+            prop_assert_eq!(pa == po, &a == other);
+            prop_assert_eq!(hash_of(&po), hash_of(other));
+        }
+    }
+
+    #[test]
+    fn path_operations_match_the_vec_model(a in arb_tags(), b in arb_tags(), n in 0..=66usize) {
+        let pa = Path::new(a.clone());
+        prop_assert_eq!(pa.len(), a.len());
+        prop_assert_eq!(pa.iter().collect::<Vec<_>>(), a.clone());
+        prop_assert_eq!(pa.as_slice(), &a[..]);
+        // push, one arc at a time across the boundary, then pop back.
+        let mut grown = Path::root();
+        for (i, &t) in a.iter().enumerate() {
+            grown.push(t);
+            prop_assert_eq!(grown.as_slice(), &a[..=i]);
+        }
+        prop_assert_eq!(&grown, &pa);
+        let mut model = a.clone();
+        while let Some(t) = model.pop() {
+            prop_assert_eq!(grown.pop(), Some(t));
+            prop_assert_eq!(grown.as_slice(), &model[..]);
+        }
+        prop_assert_eq!(grown.pop(), None);
+        // join
+        let joined: Vec<Branch> = a.iter().chain(b.iter()).copied().collect();
+        let pj = pa.join(&Path::new(b.clone()));
+        prop_assert_eq!(pj.as_slice(), &joined[..]);
+        prop_assert_eq!(pj, Path::new(joined));
+        // prefix, suffix_from and the strips
+        let n = n.min(a.len());
+        let (front, back) = (pa.prefix(n), pa.suffix_from(n));
+        prop_assert_eq!(front.as_slice(), &a[..n]);
+        prop_assert_eq!(back.as_slice(), &a[n..]);
+        prop_assert_eq!(pa.strip_prefix(&front), Some(back.clone()));
+        prop_assert_eq!(pa.strip_suffix(&back), Some(front.clone()));
+        prop_assert_eq!(&front.join(&back), &pa);
+        let foreign = Path::new(b.clone());
+        prop_assert_eq!(pa.strip_prefix(&foreign).is_some(), a.starts_with(&b));
+        prop_assert_eq!(pa.strip_suffix(&foreign).is_some(), a.ends_with(&b));
+        // child and parent
+        let child = pa.child(Branch::Right);
+        prop_assert_eq!(child.last(), Some(Branch::Right));
+        prop_assert_eq!(child.parent(), Some(pa.clone()));
+        prop_assert_eq!(child.len(), a.len() + 1);
+        // rendering
+        let bits: String = a.iter().map(|t| if t.bit() == 0 { '0' } else { '1' }).collect();
+        prop_assert_eq!(pa.to_bits(), if a.is_empty() { "e".to_string() } else { bits });
+        prop_assert_eq!(pa.to_bits().parse::<Path>().unwrap(), pa);
     }
 }

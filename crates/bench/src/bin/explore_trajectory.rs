@@ -9,7 +9,13 @@
 //! measured the same way.  A reduce mode other than `none` switches to the
 //! deeper instance ladder (sessions 3 and 4) that only completes in
 //! reasonable time under reduction, and reports the reduction counters.
+//!
+//! Each record also carries `allocs_per_edge`: heap allocations per
+//! explored edge during the untimed warm-up run, counted by this binary's
+//! global allocator (all threads; switched off for the timed runs).
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 use spi_auth::verify::ExploreStats;
@@ -19,14 +25,59 @@ use spi_syntax::Process;
 
 const RUNS: usize = 7;
 
+/// The system allocator, counting allocations while `COUNTING` is on.
+struct Counting;
+
+static COUNTING: AtomicBool = AtomicBool::new(false);
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+fn count() {
+    if COUNTING.load(Ordering::Relaxed) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// so `System`'s guarantees are the caller's; counting touches only
+// two atomics.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
 struct Measured {
     median_ms: f64,
+    allocs_per_edge: f64,
     stats: ExploreStats,
 }
 
 fn median_ms(verifier: &Verifier, protocol: &Process) -> Measured {
-    // Warm-up run (also gives us the state/transition counts).
+    // Warm-up run (also gives us the state/transition counts and the
+    // allocation count).
+    ALLOCS.store(0, Ordering::Relaxed);
+    COUNTING.store(true, Ordering::Relaxed);
     let lts = verifier.explore(protocol).expect("explores");
+    COUNTING.store(false, Ordering::Relaxed);
+    let allocs = ALLOCS.load(Ordering::Relaxed);
     let mut samples: Vec<f64> = (0..RUNS)
         .map(|_| {
             let start = Instant::now();
@@ -37,6 +88,7 @@ fn median_ms(verifier: &Verifier, protocol: &Process) -> Measured {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     Measured {
         median_ms: samples[samples.len() / 2],
+        allocs_per_edge: allocs as f64 / lts.stats.edges.max(1) as f64,
         stats: lts.stats,
     }
 }
@@ -84,10 +136,11 @@ fn main() {
         let m = median_ms(&verifier, protocol);
         let s = m.stats;
         println!(
-            "{{\"engine\": \"{label}\", \"instance\": \"{name}\", \"sessions\": {sessions}, \
-             \"reduce\": \"{}\", \"median_ms\": {:.2}, \"states\": {}, \"transitions\": {}, \
-             \"states_quotiented\": {}, \"por_pruned\": {}, \"sym_canonicalizations\": {}, \
-             \"sym_candidates\": {}, \"sym_overflows\": {}, \"runs\": {RUNS}}}",
+            "{{\"engine\": \"{label}\", \"workers\": {workers}, \"instance\": \"{name}\", \
+             \"sessions\": {sessions}, \"reduce\": \"{}\", \"median_ms\": {:.2}, \
+             \"states\": {}, \"transitions\": {}, \"states_quotiented\": {}, \
+             \"por_pruned\": {}, \"sym_canonicalizations\": {}, \"sym_candidates\": {}, \
+             \"sym_overflows\": {}, \"allocs_per_edge\": {:.1}, \"runs\": {RUNS}}}",
             reduce.mode(),
             m.median_ms,
             s.states,
@@ -97,6 +150,7 @@ fn main() {
             s.sym_canonicalizations,
             s.sym_candidates,
             s.sym_overflows,
+            m.allocs_per_edge,
         );
     }
 }

@@ -122,6 +122,16 @@ impl Canonicalizer {
         Canonicalizer::default()
     }
 
+    /// A fresh canonicalizer sized for a table of `names` names, so
+    /// numbering them never reallocates.
+    #[must_use]
+    pub fn with_capacity(names: usize) -> Canonicalizer {
+        Canonicalizer {
+            map: vec![0; names],
+            order: Vec::with_capacity(names),
+        }
+    }
+
     fn canon_id<L: Lens, S: Write>(
         &mut self,
         id: NameId,
@@ -184,19 +194,24 @@ impl Canonicalizer {
         &self.order
     }
 
-    /// Renders `t` as a canonical *probe*: ids already numbered keep
-    /// their numbers, ids first seen during this rendering are numbered
-    /// as usual but **forgotten afterwards**, leaving the canonicalizer
-    /// exactly as it was.  Probes give order keys for sets of terms
-    /// whose serialization order must not depend on the set's internal
-    /// ([`NameId`]-based, allocation-history-dependent) order.
-    #[must_use]
-    pub fn probe_term<L: Lens>(&mut self, t: &RtTerm, names: &NameTable, lens: &mut L) -> String {
+    /// Appends `t`'s canonical *probe* rendering to `out`: ids already
+    /// numbered keep their numbers, ids first seen during this rendering
+    /// are numbered as usual but **forgotten afterwards**, leaving the
+    /// canonicalizer exactly as it was.  Probes give order keys for sets
+    /// of terms whose serialization order must not depend on the set's
+    /// internal ([`NameId`]-based, allocation-history-dependent) order;
+    /// a caller ordering many terms renders them all into one buffer and
+    /// sorts the slices.
+    pub fn probe_term<L: Lens>(
+        &mut self,
+        t: &RtTerm,
+        names: &NameTable,
+        lens: &mut L,
+        out: &mut String,
+    ) {
         let saved = self.order.len();
-        let mut out = String::new();
-        self.write_term(t, names, lens, &mut out);
+        self.write_term(t, names, lens, out);
         self.forget(saved);
-        out
     }
 
     /// Serializes a term into `out` with canonical name numbering.

@@ -6,8 +6,8 @@ use std::sync::Arc;
 use spi_addr::{Path, ProcTree};
 use spi_syntax::{Name, Process, Var};
 
-use crate::value::{addr_match_lit, addr_match_terms, match_eq};
-use crate::{MachineError, NameTable, RtChanIndex, RtChannel, RtProcess, RtTerm};
+use crate::place::{place, Subst};
+use crate::{MachineError, NameId, NameTable, RtChannel, RtProcess, RtTerm};
 
 /// The state of one sequential component (a leaf of the tree).
 ///
@@ -48,6 +48,10 @@ pub enum LeafState {
         unfolded: u32,
     },
 }
+
+// Leaves are materialized on every step; inline paths must not make them
+// grow.
+const _: () = assert!(std::mem::size_of::<LeafState>() <= 360);
 
 impl LeafState {
     /// Returns `true` for an exhausted or stuck component.
@@ -117,15 +121,20 @@ impl Config {
             });
         }
         let mut names = NameTable::new();
-        let mut rt = RtProcess::from_static(p);
-        for n in p.free_names() {
-            let id = names.intern_free(&n);
-            rt = rt.subst_sym(&n, id);
-        }
-        let tree = place(rt, Path::root(), &mut names)?;
+        let frees: Vec<(Name, NameId)> = p
+            .free_names()
+            .into_iter()
+            .map(|n| {
+                let id = names.intern_free(&n);
+                (n, id)
+            })
+            .collect();
+        let mut names = Arc::new(names);
+        let rt = RtProcess::from_static(p);
+        let tree = place(&rt, &Subst::syms(&frees), Path::root(), &mut names)?;
         Ok(Config {
             tree: Arc::new(tree),
-            names: Arc::new(names),
+            names,
         })
     }
 
@@ -225,132 +234,10 @@ impl Config {
     }
 }
 
-/// Places a residual at `path`, normalizing it: executes restrictions,
-/// evaluates matchings and decryptions, splits parallels.
-pub(crate) fn place(
-    proc: RtProcess,
-    path: Path,
-    names: &mut NameTable,
-) -> Result<ProcTree<LeafState>, MachineError> {
-    match proc {
-        RtProcess::Nil => Ok(ProcTree::leaf(LeafState::Dead)),
-        RtProcess::Par(l, r) => {
-            let left = place(*l, path.child(spi_addr::Branch::Left), names)?;
-            let right = place(*r, path.child(spi_addr::Branch::Right), names)?;
-            Ok(ProcTree::node(left, right))
-        }
-        RtProcess::Restrict(n, body) => {
-            let id = names.alloc_restricted(&n, path.clone());
-            place(body.subst_sym(&n, id), path, names)
-        }
-        RtProcess::Match(a, b, cont) => {
-            if match_eq(&a, &b, &path, names) {
-                place(*cont, path, names)
-            } else {
-                Ok(ProcTree::leaf(LeafState::Dead))
-            }
-        }
-        RtProcess::AddrMatchT(a, b, cont) => {
-            if addr_match_terms(&a, &b, names) {
-                place(*cont, path, names)
-            } else {
-                Ok(ProcTree::leaf(LeafState::Dead))
-            }
-        }
-        RtProcess::AddrMatchL(a, l, cont) => {
-            if addr_match_lit(&a, &l, &path, names) {
-                place(*cont, path, names)
-            } else {
-                Ok(ProcTree::leaf(LeafState::Dead))
-            }
-        }
-        RtProcess::Case {
-            scrutinee,
-            binders,
-            key,
-            body,
-        } => {
-            let RtTerm::Enc {
-                body: parts,
-                key: actual_key,
-                ..
-            } = &scrutinee
-            else {
-                return Ok(ProcTree::leaf(LeafState::Dead));
-            };
-            if **actual_key != key || parts.len() != binders.len() {
-                return Ok(ProcTree::leaf(LeafState::Dead));
-            }
-            let mut cont = *body;
-            for (x, v) in binders.iter().zip(parts.iter()) {
-                cont = cont.subst_var(x, v);
-            }
-            place(cont, path, names)
-        }
-        RtProcess::Split {
-            pair,
-            fst,
-            snd,
-            body,
-        } => {
-            let RtTerm::Pair { fst: a, snd: b, .. } = &pair else {
-                return Ok(ProcTree::leaf(LeafState::Dead));
-            };
-            let cont = body.subst_var(&fst, a).subst_var(&snd, b);
-            place(cont, path, names)
-        }
-        RtProcess::Output(chan, payload, cont) => {
-            if !payload.is_message() {
-                return Err(MachineError::NotAMessage {
-                    term: payload.display(names),
-                });
-            }
-            let chan = resolve_channel(chan, &path)?;
-            Ok(ProcTree::leaf(LeafState::Out {
-                chan,
-                payload,
-                cont: *cont,
-            }))
-        }
-        RtProcess::Input(chan, var, cont) => {
-            let chan = resolve_channel(chan, &path)?;
-            Ok(ProcTree::leaf(LeafState::In {
-                chan,
-                var,
-                cont: *cont,
-            }))
-        }
-        RtProcess::Bang(body) => Ok(ProcTree::leaf(LeafState::Bang {
-            body: *body,
-            unfolded: 0,
-        })),
-    }
-}
-
-/// Resolves a channel's localization at the leaf that owns it: a relative
-/// address literal becomes the absolute position of the intended partner.
-/// An unresolvable literal yields an index no position satisfies — the
-/// prefix can never fire, matching the paper's semantics where a channel
-/// localized at a non-existent path is unusable.
-fn resolve_channel(ch: RtChannel, path: &Path) -> Result<RtChannel, MachineError> {
-    let index = match ch.index {
-        RtChanIndex::At(rel) => match rel.resolve_at(path) {
-            Ok(abs) => RtChanIndex::AtAbs(abs),
-            // Unresolvable: keep a relative index that no partner check
-            // will ever satisfy (see `index_allows`).
-            Err(_) => RtChanIndex::At(rel),
-        },
-        other => other,
-    };
-    Ok(RtChannel {
-        subject: ch.subject,
-        index,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RtChanIndex;
     use spi_syntax::parse;
 
     fn cfg(src: &str) -> Config {

@@ -67,6 +67,9 @@ pub mod refstep;
 mod machine;
 mod names;
 mod narrate;
+mod place;
+#[cfg(test)]
+mod refplace;
 mod rtproc;
 pub mod symmetry;
 mod value;

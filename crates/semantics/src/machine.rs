@@ -1,8 +1,10 @@
 //! Actions of the proved semantics and their firing.
 
+use std::sync::Arc;
+
 use spi_addr::{Branch, Path, ProcTree};
 
-use crate::config::place;
+use crate::place::{place, Subst};
 use crate::{Config, LeafState, MachineError, RtChanIndex, RtTerm};
 
 /// An action the proved semantics offers in a configuration.
@@ -50,7 +52,7 @@ pub enum StepInfo {
 }
 
 /// Does this localization index let `partner` synchronize?
-fn index_allows(index: &RtChanIndex, partner: &Path) -> bool {
+pub(crate) fn index_allows(index: &RtChanIndex, partner: &Path) -> bool {
     match index {
         RtChanIndex::Plain | RtChanIndex::Loc(_) => true,
         RtChanIndex::AtAbs(q) => q == partner,
@@ -70,8 +72,8 @@ impl Config {
         let mut actions = Vec::new();
         for (path, leaf) in self.tree.leaves() {
             match leaf {
-                LeafState::Out { chan, .. } => outs.push((path, chan.clone())),
-                LeafState::In { chan, .. } => ins.push((path, chan.clone())),
+                LeafState::Out { chan, .. } => outs.push((path, chan)),
+                LeafState::In { chan, .. } => ins.push((path, chan)),
                 LeafState::Bang { unfolded, .. } => {
                     if *unfolded < unfold_bound {
                         actions.push(Action::Unfold { path });
@@ -110,40 +112,31 @@ impl Config {
         match action {
             Action::Comm { out_path, in_path } => {
                 // Validate both sides before mutating anything.
-                let (subject, oc_index) = match self.tree.leaf_at(out_path)? {
-                    LeafState::Out { chan, .. } => (chan.subject.clone(), chan.index.clone()),
-                    _ => {
-                        return Err(MachineError::NotALeaf {
-                            path: out_path.clone(),
-                        })
-                    }
+                let LeafState::Out { chan: oc, .. } = self.tree.leaf_at(out_path)? else {
+                    return Err(MachineError::NotALeaf {
+                        path: out_path.clone(),
+                    });
                 };
-                let ic = match self.tree.leaf_at(in_path)? {
-                    LeafState::In { chan, .. } => chan.clone(),
-                    _ => {
-                        return Err(MachineError::NotALeaf {
-                            path: in_path.clone(),
-                        })
-                    }
+                let LeafState::In { chan: ic, .. } = self.tree.leaf_at(in_path)? else {
+                    return Err(MachineError::NotALeaf {
+                        path: in_path.clone(),
+                    });
                 };
-                if subject != ic.subject {
+                if oc.subject != ic.subject {
                     return Err(MachineError::NotEnabled {
                         reason: "channel subjects differ".into(),
                     });
                 }
-                if !index_allows(&oc_index, in_path) || !index_allows(&ic.index, out_path) {
+                if !index_allows(&oc.index, in_path) || !index_allows(&ic.index, out_path) {
                     return Err(MachineError::NotEnabled {
                         reason: "localization forbids this pairing".into(),
                     });
                 }
-                let (payload, _) = self.take_output(out_path, in_path)?;
-                self.deliver(in_path, payload.clone(), out_path.clone())?;
-                Ok(StepInfo::Comm(CommInfo {
-                    sender: out_path.clone(),
-                    receiver: in_path.clone(),
-                    subject,
-                    payload,
-                }))
+                let info = self.take_output(out_path, in_path)?;
+                // The payload is stamped already: stamping again with the
+                // same sender changes nothing.
+                self.receive(in_path, &info.payload, out_path)?;
+                Ok(StepInfo::Comm(info))
             }
             Action::Unfold { path } => self.unfold(path),
         }
@@ -166,12 +159,12 @@ impl Config {
         &mut self,
         out_path: &Path,
         receiver: &Path,
-    ) -> Result<(RtTerm, StepInfo), MachineError> {
+    ) -> Result<CommInfo, MachineError> {
         let LeafState::Out {
             chan,
             payload,
             cont,
-        } = self.tree.leaf_at(out_path)?.clone()
+        } = self.tree.leaf_at(out_path)?
         else {
             return Err(MachineError::NotALeaf {
                 path: out_path.clone(),
@@ -182,22 +175,18 @@ impl Config {
                 reason: format!("output localization at {out_path} refuses partner {receiver}"),
             });
         }
-        let payload = payload.stamp(out_path);
-        let cont = match &chan.index {
-            RtChanIndex::Loc(lam) => cont.subst_loc(lam, receiver),
-            _ => cont,
-        };
-        let placed = place(cont, out_path.clone(), std::sync::Arc::make_mut(&mut self.names))?;
-        std::sync::Arc::make_mut(&mut self.tree).replace(out_path, placed)?;
-        Ok((
-            payload.clone(),
-            StepInfo::Comm(CommInfo {
-                sender: out_path.clone(),
-                receiver: receiver.clone(),
-                subject: chan.subject,
-                payload,
-            }),
-        ))
+        let mut payload = payload.clone();
+        payload.stamp(out_path);
+        let subject = chan.subject.clone();
+        let subst = Subst::EMPTY.with_loc(&chan.index, receiver);
+        let placed = place(cont, &subst, out_path.clone(), &mut self.names)?;
+        Arc::make_mut(&mut self.tree).replace(out_path, placed)?;
+        Ok(CommInfo {
+            sender: out_path.clone(),
+            receiver: receiver.clone(),
+            subject,
+            payload,
+        })
     }
 
     /// Delivers `payload` to the input at `in_path` as if sent by the
@@ -218,7 +207,7 @@ impl Config {
     pub fn deliver(
         &mut self,
         in_path: &Path,
-        payload: RtTerm,
+        mut payload: RtTerm,
         sender: Path,
     ) -> Result<StepInfo, MachineError> {
         if !payload.is_message() {
@@ -226,43 +215,60 @@ impl Config {
                 term: payload.display(&self.names),
             });
         }
-        let LeafState::In { chan, var, cont } = self.tree.leaf_at(in_path)?.clone() else {
+        payload.stamp(&sender);
+        let subject = self.receive(in_path, &payload, &sender)?;
+        Ok(StepInfo::Comm(CommInfo {
+            sender,
+            receiver: in_path.clone(),
+            subject,
+            payload,
+        }))
+    }
+
+    /// The receiving half of [`Config::deliver`], for a stamped message:
+    /// checks the localization, places the continuation with the payload
+    /// bound, and returns the channel subject.
+    fn receive(
+        &mut self,
+        in_path: &Path,
+        payload: &RtTerm,
+        sender: &Path,
+    ) -> Result<RtTerm, MachineError> {
+        let LeafState::In { chan, var, cont } = self.tree.leaf_at(in_path)? else {
             return Err(MachineError::NotALeaf {
                 path: in_path.clone(),
             });
         };
-        if !index_allows(&chan.index, &sender) {
+        if !index_allows(&chan.index, sender) {
             return Err(MachineError::NotEnabled {
                 reason: format!("input localization at {in_path} refuses partner {sender}"),
             });
         }
-        let payload = payload.stamp(&sender);
-        let mut cont = cont.subst_var(&var, &payload);
-        if let RtChanIndex::Loc(lam) = &chan.index {
-            cont = cont.subst_loc(lam, &sender);
-        }
-        let placed = place(cont, in_path.clone(), std::sync::Arc::make_mut(&mut self.names))?;
-        std::sync::Arc::make_mut(&mut self.tree).replace(in_path, placed)?;
-        Ok(StepInfo::Comm(CommInfo {
-            sender,
-            receiver: in_path.clone(),
-            subject: chan.subject,
-            payload,
-        }))
+        let subject = chan.subject.clone();
+        let bound = Subst::var(var, payload);
+        let subst = bound.with_loc(&chan.index, sender);
+        let placed = place(cont, &subst, in_path.clone(), &mut self.names)?;
+        Arc::make_mut(&mut self.tree).replace(in_path, placed)?;
+        Ok(subject)
     }
 
     /// Unfolds the replication at `path`: the leaf `!P` becomes the node
     /// `(P, !P)`, leaving every other position untouched.
     fn unfold(&mut self, path: &Path) -> Result<StepInfo, MachineError> {
-        let LeafState::Bang { body, unfolded } = self.tree.leaf_at(path)?.clone() else {
+        let LeafState::Bang { body, unfolded } = self.tree.leaf_at(path)? else {
             return Err(MachineError::NotALeaf { path: path.clone() });
         };
-        let copy = place(body.clone(), path.child(Branch::Left), std::sync::Arc::make_mut(&mut self.names))?;
-        let replica = ProcTree::leaf(LeafState::Bang {
+        let copy = place(
             body,
+            &Subst::EMPTY,
+            path.child(Branch::Left),
+            &mut self.names,
+        )?;
+        let replica = ProcTree::leaf(LeafState::Bang {
+            body: body.clone(),
             unfolded: unfolded + 1,
         });
-        std::sync::Arc::make_mut(&mut self.tree).replace(path, ProcTree::node(copy, replica))?;
+        Arc::make_mut(&mut self.tree).replace(path, ProcTree::node(copy, replica))?;
         Ok(StepInfo::Unfold { path: path.clone() })
     }
 }

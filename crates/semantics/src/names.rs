@@ -41,6 +41,10 @@ pub struct NameEntry {
     pub creator: Option<Path>,
 }
 
+// The table is copied on write once per step that allocates a name; inline
+// creator paths must not make its entries grow.
+const _: () = assert!(std::mem::size_of::<NameEntry>() <= 48);
+
 /// The table of all names a configuration has ever created.
 ///
 /// Free names are interned when a process is loaded; restricted names are

@@ -3,7 +3,7 @@
 use spi_addr::{Path, RelAddr};
 use spi_syntax::{AddrSide, ChanIndex, LocVar, Name, Process, Var};
 
-use crate::{NameId, NameTable, RtTerm};
+use crate::{NameTable, RtTerm};
 
 /// The localization index of a run-time channel.
 ///
@@ -91,13 +91,6 @@ impl RtChannel {
         }
     }
 
-    fn map_terms(&self, f: &mut impl FnMut(&RtTerm) -> RtTerm) -> RtChannel {
-        RtChannel {
-            subject: f(&self.subject),
-            index: self.index.clone(),
-        }
-    }
-
     /// Renders the channel using the table's display names.
     #[must_use]
     pub fn display(&self, names: &NameTable) -> String {
@@ -178,231 +171,6 @@ impl RtProcess {
         }
     }
 
-    /// Applies `f` to every term of the process, stopping descent when
-    /// `stop` says a construct shadows what `f` substitutes.
-    fn map<S, F>(&self, stop: &S, f: &mut F) -> RtProcess
-    where
-        S: Fn(&RtProcess) -> bool,
-        F: FnMut(&RtTerm) -> RtTerm,
-    {
-        if stop(self) {
-            return self.clone();
-        }
-        match self {
-            RtProcess::Nil => RtProcess::Nil,
-            RtProcess::Output(ch, t, cont) => {
-                RtProcess::Output(ch.map_terms(f), f(t), Box::new(cont.map(stop, f)))
-            }
-            RtProcess::Input(ch, x, cont) => {
-                RtProcess::Input(ch.map_terms(f), x.clone(), Box::new(cont.map(stop, f)))
-            }
-            RtProcess::Restrict(n, body) => {
-                RtProcess::Restrict(n.clone(), Box::new(body.map(stop, f)))
-            }
-            RtProcess::Par(l, r) => {
-                RtProcess::Par(Box::new(l.map(stop, f)), Box::new(r.map(stop, f)))
-            }
-            RtProcess::Match(a, b, cont) => {
-                RtProcess::Match(f(a), f(b), Box::new(cont.map(stop, f)))
-            }
-            RtProcess::AddrMatchT(a, b, cont) => {
-                RtProcess::AddrMatchT(f(a), f(b), Box::new(cont.map(stop, f)))
-            }
-            RtProcess::AddrMatchL(a, l, cont) => {
-                RtProcess::AddrMatchL(f(a), l.clone(), Box::new(cont.map(stop, f)))
-            }
-            RtProcess::Bang(body) => RtProcess::Bang(Box::new(body.map(stop, f))),
-            RtProcess::Split {
-                pair,
-                fst,
-                snd,
-                body,
-            } => RtProcess::Split {
-                pair: f(pair),
-                fst: fst.clone(),
-                snd: snd.clone(),
-                body: Box::new(body.map(stop, f)),
-            },
-            RtProcess::Case {
-                scrutinee,
-                binders,
-                key,
-                body,
-            } => RtProcess::Case {
-                scrutinee: f(scrutinee),
-                binders: binders.clone(),
-                key: f(key),
-                body: Box::new(body.map(stop, f)),
-            },
-        }
-    }
-
-    /// Substitutes a (closed) message for a variable.  Messages contain no
-    /// variables and no symbolic names, so no capture can occur; descent
-    /// stops below binders that shadow `var` (their channel subject and
-    /// scrutinee are still substituted, as they lie outside the binder's
-    /// scope).
-    #[must_use]
-    pub fn subst_var(&self, var: &Var, value: &RtTerm) -> RtProcess {
-        debug_assert!(value.is_message(), "only messages are substituted");
-        match self {
-            RtProcess::Nil => RtProcess::Nil,
-            RtProcess::Output(ch, t, cont) => RtProcess::Output(
-                ch.map_terms(&mut |x| x.subst_var(var, value)),
-                t.subst_var(var, value),
-                Box::new(cont.subst_var(var, value)),
-            ),
-            RtProcess::Input(ch, x, cont) => {
-                let ch = ch.map_terms(&mut |t| t.subst_var(var, value));
-                if x == var {
-                    RtProcess::Input(ch, x.clone(), cont.clone())
-                } else {
-                    RtProcess::Input(ch, x.clone(), Box::new(cont.subst_var(var, value)))
-                }
-            }
-            RtProcess::Restrict(n, body) => {
-                RtProcess::Restrict(n.clone(), Box::new(body.subst_var(var, value)))
-            }
-            RtProcess::Par(l, r) => RtProcess::Par(
-                Box::new(l.subst_var(var, value)),
-                Box::new(r.subst_var(var, value)),
-            ),
-            RtProcess::Match(a, b, cont) => RtProcess::Match(
-                a.subst_var(var, value),
-                b.subst_var(var, value),
-                Box::new(cont.subst_var(var, value)),
-            ),
-            RtProcess::AddrMatchT(a, b, cont) => RtProcess::AddrMatchT(
-                a.subst_var(var, value),
-                b.subst_var(var, value),
-                Box::new(cont.subst_var(var, value)),
-            ),
-            RtProcess::AddrMatchL(a, l, cont) => RtProcess::AddrMatchL(
-                a.subst_var(var, value),
-                l.clone(),
-                Box::new(cont.subst_var(var, value)),
-            ),
-            RtProcess::Bang(body) => RtProcess::Bang(Box::new(body.subst_var(var, value))),
-            RtProcess::Split {
-                pair,
-                fst,
-                snd,
-                body,
-            } => RtProcess::Split {
-                pair: pair.subst_var(var, value),
-                fst: fst.clone(),
-                snd: snd.clone(),
-                body: if fst == var || snd == var {
-                    body.clone()
-                } else {
-                    Box::new(body.subst_var(var, value))
-                },
-            },
-            RtProcess::Case {
-                scrutinee,
-                binders,
-                key,
-                body,
-            } => RtProcess::Case {
-                scrutinee: scrutinee.subst_var(var, value),
-                binders: binders.clone(),
-                key: key.subst_var(var, value),
-                body: if binders.contains(var) {
-                    body.clone()
-                } else {
-                    Box::new(body.subst_var(var, value))
-                },
-            },
-        }
-    }
-
-    /// Substitutes an allocated name for a symbolic one, stopping below
-    /// restrictions that rebind the same spelling.
-    #[must_use]
-    pub fn subst_sym(&self, sym: &Name, id: NameId) -> RtProcess {
-        if let RtProcess::Restrict(n, _) = self {
-            if n == sym {
-                return self.clone();
-            }
-        }
-        match self {
-            RtProcess::Restrict(n, body) => {
-                RtProcess::Restrict(n.clone(), Box::new(body.subst_sym(sym, id)))
-            }
-            _ => self.map(
-                &|p| matches!(p, RtProcess::Restrict(n, _) if n == sym),
-                &mut |t| t.subst_sym(sym, id),
-            ),
-        }
-    }
-
-    /// Instantiates a location variable with the partner's absolute
-    /// position — the effect of a first contact on a channel `c_λ`.
-    #[must_use]
-    pub fn subst_loc(&self, lam: &LocVar, partner: &Path) -> RtProcess {
-        fn fix(ch: &RtChannel, lam: &LocVar, partner: &Path) -> RtChannel {
-            RtChannel {
-                subject: ch.subject.clone(),
-                index: match &ch.index {
-                    RtChanIndex::Loc(l) if l == lam => RtChanIndex::AtAbs(partner.clone()),
-                    other => other.clone(),
-                },
-            }
-        }
-        match self {
-            RtProcess::Nil => RtProcess::Nil,
-            RtProcess::Output(ch, t, cont) => RtProcess::Output(
-                fix(ch, lam, partner),
-                t.clone(),
-                Box::new(cont.subst_loc(lam, partner)),
-            ),
-            RtProcess::Input(ch, x, cont) => RtProcess::Input(
-                fix(ch, lam, partner),
-                x.clone(),
-                Box::new(cont.subst_loc(lam, partner)),
-            ),
-            RtProcess::Restrict(n, body) => {
-                RtProcess::Restrict(n.clone(), Box::new(body.subst_loc(lam, partner)))
-            }
-            RtProcess::Par(l, r) => RtProcess::Par(
-                Box::new(l.subst_loc(lam, partner)),
-                Box::new(r.subst_loc(lam, partner)),
-            ),
-            RtProcess::Match(a, b, cont) => {
-                RtProcess::Match(a.clone(), b.clone(), Box::new(cont.subst_loc(lam, partner)))
-            }
-            RtProcess::AddrMatchT(a, b, cont) => {
-                RtProcess::AddrMatchT(a.clone(), b.clone(), Box::new(cont.subst_loc(lam, partner)))
-            }
-            RtProcess::AddrMatchL(a, l, cont) => {
-                RtProcess::AddrMatchL(a.clone(), l.clone(), Box::new(cont.subst_loc(lam, partner)))
-            }
-            RtProcess::Bang(body) => RtProcess::Bang(Box::new(body.subst_loc(lam, partner))),
-            RtProcess::Split {
-                pair,
-                fst,
-                snd,
-                body,
-            } => RtProcess::Split {
-                pair: pair.clone(),
-                fst: fst.clone(),
-                snd: snd.clone(),
-                body: Box::new(body.subst_loc(lam, partner)),
-            },
-            RtProcess::Case {
-                scrutinee,
-                binders,
-                key,
-                body,
-            } => RtProcess::Case {
-                scrutinee: scrutinee.clone(),
-                binders: binders.clone(),
-                key: key.clone(),
-                body: Box::new(body.subst_loc(lam, partner)),
-            },
-        }
-    }
-
     /// Renders the residual using the table's display names (for
     /// diagnostics).
     #[must_use]
@@ -478,78 +246,6 @@ mod tests {
     fn conversion_mirrors_shape() {
         let p = rt("(^m) c<{m}k> | d(x)");
         assert!(matches!(p, RtProcess::Par(_, _)));
-    }
-
-    #[test]
-    fn subst_sym_respects_shadowing() {
-        let mut names = NameTable::new();
-        let id = names.intern_free(&Name::new("m"));
-        let p = rt("c<m>.(^m) d<m>");
-        let q = p.subst_sym(&Name::new("m"), id);
-        match q {
-            RtProcess::Output(_, payload, cont) => {
-                assert_eq!(payload, RtTerm::Id(id));
-                match *cont {
-                    RtProcess::Restrict(_, body) => match *body {
-                        RtProcess::Output(_, inner, _) => {
-                            assert_eq!(inner, RtTerm::Sym(Name::new("m")), "shadowed m untouched");
-                        }
-                        other => panic!("unexpected {other:?}"),
-                    },
-                    other => panic!("unexpected {other:?}"),
-                }
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn subst_var_respects_shadowing() {
-        let mut names = NameTable::new();
-        let id = names.intern_free(&Name::new("v"));
-        // c(x).d<x> — substituting for x outside must not touch the bound one.
-        let p = rt("c(x).d<x>");
-        let q = p.subst_var(&Var::new("x"), &RtTerm::Id(id));
-        assert_eq!(q, p, "x is bound at the top level");
-    }
-
-    #[test]
-    fn subst_var_replaces_in_open_continuation() {
-        let mut names = NameTable::new();
-        let id = names.intern_free(&Name::new("v"));
-        // Build d<x> directly (x free).
-        let open = RtProcess::Output(
-            RtChannel {
-                subject: RtTerm::Sym(Name::new("d")),
-                index: RtChanIndex::Plain,
-            },
-            RtTerm::Var(Var::new("x")),
-            Box::new(RtProcess::Nil),
-        );
-        let q = open.subst_var(&Var::new("x"), &RtTerm::Id(id));
-        match q {
-            RtProcess::Output(_, payload, _) => assert_eq!(payload, RtTerm::Id(id)),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn subst_loc_instantiates_to_absolute_position() {
-        let p = rt("c@lam(x).c@lam<x>");
-        let partner: Path = "00".parse().unwrap();
-        let q = p.subst_loc(&LocVar::new("lam"), &partner);
-        match q {
-            RtProcess::Input(ch, _, cont) => {
-                assert_eq!(ch.index, RtChanIndex::AtAbs(partner.clone()));
-                match *cont {
-                    RtProcess::Output(ch2, _, _) => {
-                        assert_eq!(ch2.index, RtChanIndex::AtAbs(partner));
-                    }
-                    other => panic!("unexpected {other:?}"),
-                }
-            }
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]

@@ -54,6 +54,9 @@ pub enum RtTerm {
     },
 }
 
+// Terms are copied on every step; inline paths must not make them grow.
+const _: () = assert!(std::mem::size_of::<RtTerm>() <= 64);
+
 impl RtTerm {
     /// Converts a source term; every name becomes [`RtTerm::Sym`] (free
     /// names are interned by the configuration loader afterwards).
@@ -93,74 +96,26 @@ impl RtTerm {
         }
     }
 
-    /// Substitutes a message for a variable.
-    #[must_use]
-    pub fn subst_var(&self, var: &Var, value: &RtTerm) -> RtTerm {
+    /// Stamps missing creators on composite nodes with `sender`, in
+    /// place — the "a datum belonging to A" rule: a composite message
+    /// belongs to the process that first outputs it.  Names keep the
+    /// creator of their restriction; already-stamped composites are
+    /// forwarded unchanged, so "the identity of names is maintained".
+    pub fn stamp(&mut self, sender: &Path) {
         match self {
-            RtTerm::Var(v) if v == var => value.clone(),
-            RtTerm::Var(_) | RtTerm::Sym(_) | RtTerm::Id(_) => self.clone(),
-            RtTerm::Pair { fst, snd, creator } => RtTerm::Pair {
-                fst: Box::new(fst.subst_var(var, value)),
-                snd: Box::new(snd.subst_var(var, value)),
-                creator: creator.clone(),
-            },
-            RtTerm::Enc { body, key, creator } => RtTerm::Enc {
-                body: body.iter().map(|t| t.subst_var(var, value)).collect(),
-                key: Box::new(key.subst_var(var, value)),
-                creator: creator.clone(),
-            },
-            RtTerm::LocatedLit { addr, inner } => RtTerm::LocatedLit {
-                addr: addr.clone(),
-                inner: Box::new(inner.subst_var(var, value)),
-            },
-        }
-    }
-
-    /// Substitutes an allocated name for a symbolic one (executing a
-    /// restriction, or interning a free name).
-    #[must_use]
-    pub fn subst_sym(&self, sym: &Name, id: NameId) -> RtTerm {
-        match self {
-            RtTerm::Sym(n) if n == sym => RtTerm::Id(id),
-            RtTerm::Var(_) | RtTerm::Sym(_) | RtTerm::Id(_) => self.clone(),
-            RtTerm::Pair { fst, snd, creator } => RtTerm::Pair {
-                fst: Box::new(fst.subst_sym(sym, id)),
-                snd: Box::new(snd.subst_sym(sym, id)),
-                creator: creator.clone(),
-            },
-            RtTerm::Enc { body, key, creator } => RtTerm::Enc {
-                body: body.iter().map(|t| t.subst_sym(sym, id)).collect(),
-                key: Box::new(key.subst_sym(sym, id)),
-                creator: creator.clone(),
-            },
-            RtTerm::LocatedLit { addr, inner } => RtTerm::LocatedLit {
-                addr: addr.clone(),
-                inner: Box::new(inner.subst_sym(sym, id)),
-            },
-        }
-    }
-
-    /// Stamps missing creators on composite nodes with `sender` — the
-    /// "a datum belonging to A" rule: a composite message belongs to the
-    /// process that first outputs it.  Names keep the creator of their
-    /// restriction; already-stamped composites are forwarded unchanged, so
-    /// "the identity of names is maintained".
-    #[must_use]
-    pub fn stamp(&self, sender: &Path) -> RtTerm {
-        match self {
-            RtTerm::Var(_) | RtTerm::Sym(_) | RtTerm::Id(_) | RtTerm::LocatedLit { .. } => {
-                self.clone()
+            RtTerm::Var(_) | RtTerm::Sym(_) | RtTerm::Id(_) | RtTerm::LocatedLit { .. } => {}
+            RtTerm::Pair { fst, snd, creator } => {
+                fst.stamp(sender);
+                snd.stamp(sender);
+                creator.get_or_insert_with(|| sender.clone());
             }
-            RtTerm::Pair { fst, snd, creator } => RtTerm::Pair {
-                fst: Box::new(fst.stamp(sender)),
-                snd: Box::new(snd.stamp(sender)),
-                creator: creator.clone().or_else(|| Some(sender.clone())),
-            },
-            RtTerm::Enc { body, key, creator } => RtTerm::Enc {
-                body: body.iter().map(|t| t.stamp(sender)).collect(),
-                key: Box::new(key.stamp(sender)),
-                creator: creator.clone().or_else(|| Some(sender.clone())),
-            },
+            RtTerm::Enc { body, key, creator } => {
+                for t in body {
+                    t.stamp(sender);
+                }
+                key.stamp(sender);
+                creator.get_or_insert_with(|| sender.clone());
+            }
         }
     }
 
@@ -290,11 +245,11 @@ mod tests {
     }
 
     #[test]
-    fn subst_sym_allocates_identity() {
+    fn substituting_allocated_names_makes_a_message() {
         let mut names = NameTable::new();
         let m = names.alloc_restricted(&Name::new("m"), p("0"));
         let t = RtTerm::from_static(&parse_term("{m}m").unwrap());
-        let t = t.subst_sym(&Name::new("m"), m);
+        let t = crate::place::Subst::syms(&[(Name::new("m"), m)]).term(&t);
         assert!(t.is_message());
         match t {
             RtTerm::Enc { body, key, .. } => {
@@ -314,11 +269,13 @@ mod tests {
             key: Box::new(RtTerm::Id(k)),
             creator: None,
         };
-        let stamped = cipher.stamp(&p("00"));
+        let mut stamped = cipher;
+        stamped.stamp(&p("00"));
         assert_eq!(stamped.creator(&names), Some(&p("00")));
         // Forwarding through another sender does not change the creator.
-        let forwarded = stamped.stamp(&p("1"));
-        assert_eq!(forwarded.creator(&names), Some(&p("00")));
+        let mut forwarded = stamped.clone();
+        forwarded.stamp(&p("1"));
+        assert_eq!(forwarded, stamped);
     }
 
     #[test]
@@ -328,7 +285,9 @@ mod tests {
         assert_eq!(RtTerm::Id(m).creator(&names), Some(&p("00")));
         assert_eq!(RtTerm::Id(c).creator(&names), None);
         // Stamping never retags names.
-        assert_eq!(RtTerm::Id(m).stamp(&p("1")).creator(&names), Some(&p("00")));
+        let mut name = RtTerm::Id(m);
+        name.stamp(&p("1"));
+        assert_eq!(name.creator(&names), Some(&p("00")));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::time::Instant;
 use spi_addr::Path;
 use spi_semantics::{
     symmetry::{self, Fallback},
-    Barb, CanonHasher, Canonicalizer, Config, FaultKind, FaultSpec, LeafState, Lens,
+    Barb, CanonHasher, Canonicalizer, CommInfo, Config, FaultKind, FaultSpec, LeafState, Lens,
     NameTable, NetworkState, PathPerm, RtChanIndex, RtProcess, RtTerm, StepInfo, Verbatim,
 };
 use spi_syntax::{Name, Process};
@@ -625,9 +625,11 @@ impl StateData {
     /// states.  Each term's sort key is a [`Canonicalizer::probe_term`]
     /// rendering against the post-configuration numbering (ties between
     /// equal renderings are symmetric, so either order yields the same
-    /// stream).
+    /// stream).  The keys are rendered into one buffer and compared as
+    /// slices of it, so string order — and every key byte — is what it
+    /// was with one `String` per term.
     fn write_key<S: std::fmt::Write>(&self, out: &mut S) {
-        let mut canon = Canonicalizer::new();
+        let mut canon = Canonicalizer::with_capacity(self.cfg.names().len());
         self.write_key_with(&mut canon, &mut Verbatim, out);
     }
 
@@ -645,12 +647,18 @@ impl StateData {
         let names = self.cfg.names();
         self.cfg.write_canonical_with(canon, lens, out);
         let _ = out.write_char('|');
-        let mut fragments: Vec<(String, &RtTerm)> = self
+        // Every order key goes into one buffer; the sort compares slices.
+        let mut keys = String::with_capacity(32 * self.knowledge.len());
+        let mut fragments: Vec<(std::ops::Range<usize>, &RtTerm)> = self
             .knowledge
             .iter()
-            .map(|t| (canon.probe_term(t, names, lens), t))
+            .map(|t| {
+                let start = keys.len();
+                canon.probe_term(t, names, lens, &mut keys);
+                (start..keys.len(), t)
+            })
             .collect();
-        fragments.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        fragments.sort_unstable_by(|(a, _), (b, _)| keys[a.clone()].cmp(&keys[b.clone()]));
         for (_, t) in fragments {
             canon.write_term(t, names, lens, out);
             let _ = out.write_char(',');
@@ -667,7 +675,7 @@ impl StateData {
     /// of the state it leads to — with its canonicalizer, whose journal
     /// maps canonical slots back to raw name ids.
     fn key_through<L: Lens>(&self, lens: &mut L) -> (u128, Canonicalizer) {
-        let mut canon = Canonicalizer::new();
+        let mut canon = Canonicalizer::with_capacity(self.cfg.names().len());
         let mut h = CanonHasher::new();
         self.write_key_with(&mut canon, lens, &mut h);
         (h.finish(), canon)
@@ -1504,7 +1512,7 @@ impl Explorer {
                 }
             }
             let mut next = sd.clone();
-            let (payload, _) = next.cfg.take_output(&path, &path)?;
+            let payload = next.cfg.take_output(&path, &path)?.payload;
             let ev = ObsEvent {
                 chan: chan_base.clone(),
                 payload: ObsTerm::from_rt(&payload, next.cfg.names()),
@@ -1694,7 +1702,9 @@ impl Explorer {
                         let mut next = sd.clone();
                         // A refused take_output means the channel is
                         // localized away from the network: no fault move.
-                        let Ok((payload, _)) = next.cfg.take_output(&path, &fspec.position) else {
+                        let Ok(CommInfo { payload, .. }) =
+                            next.cfg.take_output(&path, &fspec.position)
+                        else {
                             continue;
                         };
                         let nn = next.net.get_or_insert_with(NetworkState::default);
@@ -1720,9 +1730,10 @@ impl Explorer {
                         // preserve origin, or replays would be invisible
                         // to origin-aware testers.
                         let mut probe = sd.cfg.clone();
-                        let Ok((stamped, _)) = probe.take_output(&out_path, &fspec.position) else {
+                        let Ok(taken) = probe.take_output(&out_path, &fspec.position) else {
                             continue;
                         };
+                        let stamped = taken.payload;
                         for (in_path, in_leaf) in sd.cfg.tree().leaves() {
                             let LeafState::In { chan: in_chan, .. } = in_leaf else {
                                 continue;
@@ -1762,7 +1773,9 @@ impl Explorer {
                             continue;
                         }
                         let mut next = sd.clone();
-                        let Ok((payload, _)) = next.cfg.take_output(&path, &fspec.position) else {
+                        let Ok(CommInfo { payload, .. }) =
+                            next.cfg.take_output(&path, &fspec.position)
+                        else {
                             continue;
                         };
                         let nn = next.net.get_or_insert_with(NetworkState::default);
@@ -1783,9 +1796,10 @@ impl Explorer {
                             continue;
                         }
                         let mut probe = sd.cfg.clone();
-                        let Ok((stamped, _)) = probe.take_output(&out_path, &fspec.position) else {
+                        let Ok(taken) = probe.take_output(&out_path, &fspec.position) else {
                             continue;
                         };
+                        let stamped = taken.payload;
                         if net.log.contains(&(clause.chan.clone(), stamped.clone())) {
                             continue;
                         }
@@ -1872,7 +1886,9 @@ impl Explorer {
                     let mut next = sd.clone();
                     // A failed take_output means the localization refused
                     // the intruder — simply no intercept move.
-                    if let Ok((payload, _)) = next.cfg.take_output(&path, &spec.position) {
+                    if let Ok(CommInfo { payload, .. }) =
+                        next.cfg.take_output(&path, &spec.position)
+                    {
                         next.knowledge.learn(payload.clone());
                         out.push((
                             Label::Tau(StepDesc::Intercept {

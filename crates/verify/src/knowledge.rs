@@ -266,13 +266,14 @@ impl Knowledge {
 }
 
 /// A memo table for [`Knowledge::can_derive`], keyed on the knowledge
-/// base's [`generation`](Knowledge::generation) and the goal term, so the
-/// intruder's derivation closure is not recomputed once per candidate
-/// successor.  Each explorer worker owns one; entries never go stale
-/// because generations are never reused for different contents.
+/// base's [`generation`](Knowledge::generation) and then the goal term,
+/// so the intruder's derivation closure is not recomputed once per
+/// candidate successor.  Each explorer worker owns one; entries never go
+/// stale because generations are never reused for different contents.
+/// A probe looks the goal up by reference; only a miss copies it.
 #[derive(Debug, Clone, Default)]
 pub struct DeriveCache {
-    map: HashMap<(u64, RtTerm), bool>,
+    map: HashMap<u64, HashMap<RtTerm, bool>>,
 }
 
 impl DeriveCache {
@@ -284,11 +285,12 @@ impl DeriveCache {
 
     /// Memoized [`Knowledge::can_derive`].
     pub fn can_derive(&mut self, kn: &Knowledge, goal: &RtTerm) -> bool {
-        if let Some(&hit) = self.map.get(&(kn.generation, goal.clone())) {
+        let memo = self.map.entry(kn.generation).or_default();
+        if let Some(&hit) = memo.get(goal) {
             return hit;
         }
         let answer = kn.can_derive(goal);
-        self.map.insert((kn.generation, goal.clone()), answer);
+        memo.insert(goal.clone(), answer);
         answer
     }
 
@@ -442,5 +444,27 @@ mod tests {
         let mut kn = Knowledge::new();
         kn.learn(k);
         assert!(kn.display(&names).contains("k'"));
+    }
+
+    #[test]
+    fn the_derive_cache_answers_per_generation() {
+        let (_, k, m, c) = setup();
+        let goal = enc(vec![m.clone()], k.clone());
+        let mut cache = DeriveCache::new();
+        let mut kn = Knowledge::new();
+        kn.learn(m.clone());
+        assert!(!cache.can_derive(&kn, &goal));
+        // A hit answers from the memo, by reference.
+        assert!(!cache.can_derive(&kn, &goal));
+        assert_eq!(cache.map.len(), 1);
+        assert_eq!(cache.map[&kn.generation()].len(), 1);
+        // Learning the key is a new generation: the stale answer is
+        // never consulted.
+        kn.learn(k);
+        assert!(cache.can_derive(&kn, &goal));
+        assert!(cache.can_derive(&kn, &m));
+        assert!(!cache.can_derive(&kn, &c));
+        assert_eq!(cache.map.len(), 2);
+        assert_eq!(cache.map[&kn.generation()].len(), 3);
     }
 }
