@@ -258,7 +258,6 @@ fn fleet_record(n: usize, questions: &[String], cache_bytes: usize) -> FleetReco
             ..ServerOptions::default()
         },
         CoordinatorOptions {
-            heartbeat_ms: 100,
             fail_after_ms: 60_000,
             connect_timeout_ms: 1000,
             read_timeout_ms: 120_000,

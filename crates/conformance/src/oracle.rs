@@ -703,7 +703,6 @@ impl Fleet {
                 // case.
                 chaos: Some(case.seed ^ case.index),
                 chaos_horizon: 6,
-                heartbeat_ms: 50,
                 fail_after_ms: 60_000,
                 connect_timeout_ms: 500,
                 read_timeout_ms: 30_000,

@@ -1,63 +1,30 @@
 //! `spi` — command-line front-end for the authentication-primitives
-//! toolkit.
+//! toolkit.  `spi help` prints every subcommand with its flags.
 //!
-//! ```text
-//! spi parse <file>                          check & pretty-print a process
-//! spi run <file> [--steps N] [--unfold N]   run a process, narrating steps
-//! spi verify <concrete> <abstract>          check secure implementation
-//!            [--chan c]... [--sessions N] [--visible N]
-//!            [--budget states=N,fuel=N,...] [--fault kind:chan[:max]]...
-//!            [--intruder on|off] [--workers N] [--timeout-secs S]
-//!            [--reduce none|symmetry|por|full]
-//!            [--engine trace|bisim|both]
-//! spi campaign <concrete> <abstract>        sweep every fault schedule up
-//!            [--faults-depth K] [--chan c]...  to K unit firings, shrink
-//!            [--checkpoint FILE] [--resume FILE]  failures to 1-minimal
-//!            [--checkpoint-every N] [--stop-after N]  counterexamples
-//!            (plus all verify flags)
-//! spi explore <file> [--chan c]... [--sessions N] [--dot out.dot]
-//!                                           explore under the intruder
-//! spi narrate <narration> [--sessions N]    compile a narration both ways
-//!                                           and check the implementation
-//! spi conformance [--seed N] [--cases N]    differential conformance
-//!            [--size small|medium|large]    fuzzing: generated specs vs
-//!            [--oracles a,b,...]            the oracle suite, failures
-//!            [--regressions DIR]            shrunk to .spi reproducers
-//!            [--inject NAME]                plant a known bug (harness
-//!                                           self-test: expect failures)
-//! spi paper [--sessions N]                  re-derive the paper's results
-//! spi serve [--addr HOST:PORT] [--workers N]  run the verification daemon
-//!           [--cache-bytes N] [--snapshot FILE] (newline-delimited JSON
-//!           [--queue N] [--timeout-secs S]      over TCP); stdin-close or
-//!           [--explore-workers N]               a shutdown request drains
-//!           [--read-deadline-ms N]              slowloris reap for partial
-//!           [--write-buf-bytes N]               lines, write-buffer cap,
-//!           [--quota-rate N] [--quota-burst N]  per-tenant admission quotas
-//!           [--join COORD] [--advertise ADDR]   join a fleet: heartbeat the
-//!           [--heartbeat-ms N]                  coordinator, gossip-warm on
-//!                                               (re)join, hand the cache
-//!                                               shard off on drain
-//! spi fleet [--addr HOST:PORT] [--quorum N]   run a fleet coordinator that
-//!           [--unit-size N] [--hedge-ms N]      shards requests over joined
-//!           [--heartbeat-ms N] [--fail-after-ms N]  workers by content
-//!           [--retry-rounds N] [--chaos SEED]   digest, splitting campaigns
-//!           [--chaos-horizon N] [--explore-workers N]  into work units;
-//!           [--workers N] [--queue N]           the same front end,
-//!           [--timeout-secs S]                  admission and drain
-//!           [--read-deadline-ms N]              as `spi serve`
-//!           [--write-buf-bytes N]
-//!           [--quota-rate N] [--quota-burst N]
-//! spi client [--addr HOST:PORT] [REQUEST]...  send request lines (args or
-//!            [--connect-timeout MS] [--read-timeout MS]  stdin) and print
-//!            [--retries N] [--backoff-ms N]    responses; bare words like
-//!            [--fallback local|off]            `ping`/`stats`/`shutdown`
-//!            [--progress MS]                   expand to request lines;
-//!                                              --progress streams heartbeats
-//! ```
+//! * `parse`, `run`: check and pretty-print a process, or run it and
+//!   narrate the steps.
+//! * `verify`, `campaign`: check secure implementation, or sweep every
+//!   fault schedule up to `--faults-depth` unit firings and shrink the
+//!   failures to 1-minimal counterexamples (checkpointed, resumable).
+//! * `explore`, `narrate`: explore under the intruder (`--dot` writes
+//!   the LTS), or compile a narration both ways and check the result.
+//! * `conformance`: differential fuzzing of generated specs against the
+//!   oracle suite, failures shrunk to `.spi` reproducers; `--inject`
+//!   plants a known bug to self-test the harness.
+//! * `paper`: re-derive the paper's results.
+//! * `serve`, `fleet`, `client`: the verification daemon
+//!   (newline-delimited JSON over TCP), a fleet coordinator sharding
+//!   requests over joined workers, and a client for either.
 //!
+//! The flags `verify`, `campaign`, `explore` and `narrate` share are
+//! the job options of the `spi serve` wire protocol, read through the
+//! same table (`JOB_OPTIONS` in `spi-server`), so a question asked
+//! on the command line and over the wire gets the same defaults and the
+//! same checks.  Every subcommand rejects flags it does not know.
 //! `--budget` dimensions: `states`, `transitions`, `fuel`, `knowledge`,
-//! `steps`.  `--fault` kinds: `drop`, `duplicate`, `reorder`, `replay`
-//! (repeatable, and each occurrence may hold several comma-separated
+//! `steps`, over the default 200 000-state budget.  `--fault` kinds:
+//! `drop`, `duplicate`, `reorder`, `replay` (repeatable, and each
+//! occurrence may hold several comma-separated
 //! clauses; `max` defaults to 1).  `--workers` sets the exploration
 //! thread count (default: available parallelism); results are
 //! bit-for-bit identical for any worker count.  `--timeout-secs` sets a
@@ -98,8 +65,8 @@ use std::process::ExitCode;
 use spi_auth::protocols::compile::{compile_abstract, compile_concrete, CompileOptions};
 use spi_auth::protocols::narration::Narration;
 use spi_auth::semantics::{Config, Narrator, RoleMap};
-use spi_auth::syntax::parse;
-use spi_auth::{propositions, Budget, FaultClause, FaultSpec, Verdict, Verifier};
+use spi_auth::server::{job_flags, parse_source, JobRequest, Mode, RunControl, VerifierEngine};
+use spi_auth::{propositions, Verdict, Verifier};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -138,16 +105,17 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn print_usage() {
+    let shared: Vec<&str> = job_flags(Mode::Verify).map(|(_, usage)| usage).collect();
+    let verify_own = ["[--workers N]", "[--timeout-secs S]", "[--format text|json]"];
+    let campaign_own = ["[--checkpoint FILE]", "[--resume FILE]", "[--checkpoint-every N]",
+        "[--stop-after N]", "(plus verify flags)"];
+    let campaign = job_flags(Mode::Campaign).map(|(_, usage)| usage);
+    let campaign = campaign.filter(|usage| !shared.contains(usage));
+    let campaign: Vec<&str> = campaign.chain(campaign_own).collect();
     eprintln!(
-        "usage:\n  spi parse <file>\n  spi run <file> [--steps N] [--unfold N]\n  \
-         spi verify <concrete> <abstract> [--chan NAME]... [--sessions N] [--visible N]\n    \
-         [--budget states=N,transitions=N,fuel=N,knowledge=N,steps=N]\n    \
-         [--fault kind:chan[:max],...]... [--intruder on|off] [--workers N] [--timeout-secs S]\n    \
-         [--reduce none|symmetry|por|full] [--engine trace|bisim|both]\n  \
-         spi campaign <concrete> <abstract> [--faults-depth K] [--checkpoint FILE]\n    \
-         [--resume FILE] [--checkpoint-every N] [--stop-after N] (plus verify flags)\n  \
-         spi explore <file> [--chan NAME]... [--sessions N] [--dot FILE]\n  \
-         spi narrate <narration-file> [--sessions N]\n  \
+        "usage:\n  spi parse <file>\n  spi run <file> [--steps N] [--unfold N]\n{}\n{}\n  \
+         spi explore <file> [--dot FILE] (plus verify flags)\n  \
+         spi narrate <narration-file> (plus verify flags)\n  \
          spi conformance [--seed N] [--cases N] [--size small|medium|large]\n    \
          [--oracles NAME,...] [--regressions DIR] [--unfold N] [--max-states N]\n    \
          [--inject truncate-keys:N|sym-no-perm|bisim-skip-analysis]\n  \
@@ -157,25 +125,39 @@ fn print_usage() {
          [--read-deadline-ms N] [--write-buf-bytes N] [--quota-rate N] [--quota-burst N]\n    \
          [--join COORD] [--advertise ADDR] [--heartbeat-ms N]\n  \
          spi fleet [--addr HOST:PORT] [--quorum N] [--unit-size N] [--hedge-ms N]\n    \
-         [--heartbeat-ms N] [--fail-after-ms N] [--retry-rounds N]\n    \
+         [--fail-after-ms N] [--retry-rounds N]\n    \
          [--chaos SEED] [--chaos-horizon N] [--explore-workers N]\n    \
          [--workers N] [--queue N] [--timeout-secs S]\n    \
          [--read-deadline-ms N] [--write-buf-bytes N] [--quota-rate N] [--quota-burst N]\n  \
          spi client [--addr HOST:PORT] [--connect-timeout MS] [--read-timeout MS]\n    \
-         [--retries N] [--backoff-ms N] [--fallback local|off] [--progress MS] [REQUEST]..."
+         [--retries N] [--backoff-ms N] [--fallback local|off] [--progress MS] [REQUEST]...",
+        entry("spi verify <concrete> <abstract>", &[&shared[..], &verify_own].concat()),
+        entry("spi campaign <concrete> <abstract>", &campaign),
     );
+}
+
+/// One usage entry: `head`, then `items` two to a line.
+fn entry(head: &str, items: &[&str]) -> String {
+    let lines: Vec<String> = items.chunks(2).map(|pair| pair.join(" ")).collect();
+    format!("  {head} {}", lines.join("\n    "))
 }
 
 /// Positional arguments and `--flag value` pairs, as borrowed slices.
 type SplitArgs<'a> = (Vec<&'a str>, Vec<(&'a str, &'a str)>);
 
-/// Splits positional arguments from `--flag value` options.
-fn split_flags(args: &[String]) -> Result<SplitArgs<'_>, String> {
+/// Splits positional arguments from `--flag value` options.  A flag
+/// not in `known` is a usage error, so a misspelling never runs with
+/// the default.
+fn split_flags<'a>(args: &'a [String], known: &[&str]) -> Result<SplitArgs<'a>, String> {
     let mut pos = Vec::new();
     let mut flags = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
+            if !known.contains(&name) {
+                let known: Vec<String> = known.iter().map(|k| format!("--{k}")).collect();
+                return Err(format!("unknown flag --{name} (known flags: {})", known.join(" ")));
+            }
             let value = it
                 .next()
                 .ok_or_else(|| format!("flag --{name} needs a value"))?;
@@ -185,6 +167,12 @@ fn split_flags(args: &[String]) -> Result<SplitArgs<'_>, String> {
         }
     }
     Ok((pos, flags))
+}
+
+/// The flags of a subcommand that runs a job: the shared job options
+/// of `mode`, plus the subcommand's `own`.
+fn job_known(mode: Mode, own: &[&'static str]) -> Vec<&'static str> {
+    job_flags(mode).map(|(flag, _)| flag).chain(own.iter().copied()).collect()
 }
 
 fn flag<'a>(flags: &[(&str, &'a str)], name: &str) -> Option<&'a str> {
@@ -200,74 +188,60 @@ fn numeric_flag<T: std::str::FromStr>(
     name: &str,
     default: T,
 ) -> Result<T, String> {
-    match flag(flags, name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("flag --{name} expects a number, got {v:?}")),
-    }
+    Ok(optional_flag(flags, name)?.unwrap_or(default))
+}
+
+/// A numeric flag with no default: `None` when absent.
+fn optional_flag<T: std::str::FromStr>(
+    flags: &[(&str, &str)],
+    name: &str,
+) -> Result<Option<T>, String> {
+    let parse = |v: &str| {
+        v.parse()
+            .map_err(|_| format!("flag --{name} expects a number, got {v:?}"))
+    };
+    flag(flags, name).map(parse).transpose()
 }
 
 fn read(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
-/// Parses either a bare process or a program file (`def … system …`).
-fn parse_any(src: &str) -> Result<spi_auth::syntax::Process, spi_auth::syntax::SyntaxError> {
-    if src
-        .lines()
-        .any(|l| l.trim_start().starts_with("def ") || l.trim_start().starts_with("system"))
-    {
-        spi_auth::syntax::parse_program(src).map(|prog| prog.system)
-    } else {
-        parse(src)
-    }
-}
-
-/// Parses a process source, rendering any error to stderr.  A failed
-/// parse is exit code 1 (like `spi parse`), not a usage error.
-fn parse_or_fail(src: &str) -> Result<spi_auth::syntax::Process, ExitCode> {
-    match parse_any(src) {
-        Ok(p) => Ok(p),
-        Err(e) => {
-            eprintln!("{}", e.render(src));
-            Err(ExitCode::FAILURE)
-        }
-    }
+/// Reads and parses a process file, rendering any syntax error to
+/// stderr.  A failed parse is exit code 1 (like `spi parse`), not a
+/// usage error.
+fn parse_file(path: &str) -> Result<Result<spi_auth::syntax::Process, ExitCode>, String> {
+    Ok(parse_source(&read(path)?).map_err(|rendered| {
+        eprintln!("{rendered}");
+        ExitCode::FAILURE
+    }))
 }
 
 fn cmd_parse(args: &[String]) -> Result<ExitCode, String> {
-    let (pos, _) = split_flags(args)?;
+    let (pos, _) = split_flags(args, &[])?;
     let [path] = pos.as_slice() else {
         return Err("parse expects one file".into());
     };
-    let src = read(path)?;
-    match parse_any(&src) {
-        Ok(p) => {
-            println!("{p}");
-            let free = p.free_names();
-            if !free.is_empty() {
-                let names: Vec<String> = free.iter().map(ToString::to_string).collect();
-                println!("-- free names: {}", names.join(", "));
-            }
-            Ok(ExitCode::SUCCESS)
-        }
-        Err(e) => {
-            eprintln!("{}", e.render(&src));
-            Ok(ExitCode::FAILURE)
-        }
+    let Ok(p) = parse_file(path)? else {
+        return Ok(ExitCode::FAILURE);
+    };
+    println!("{p}");
+    let free = p.free_names();
+    if !free.is_empty() {
+        let names: Vec<String> = free.iter().map(ToString::to_string).collect();
+        println!("-- free names: {}", names.join(", "));
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
-    let (pos, flags) = split_flags(args)?;
+    let (pos, flags) = split_flags(args, &["steps", "unfold"])?;
     let [path] = pos.as_slice() else {
         return Err("run expects one file".into());
     };
     let steps: usize = numeric_flag(&flags, "steps", 64)?;
     let unfold: u32 = numeric_flag(&flags, "unfold", 2)?;
-    let src = read(path)?;
-    let Ok(p) = parse_or_fail(&src) else {
+    let Ok(p) = parse_file(path)? else {
         return Ok(ExitCode::FAILURE);
     };
     let mut cfg = Config::from_process(&p).map_err(|e| e.to_string())?;
@@ -291,104 +265,22 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Parses the `--budget` value: comma-separated `dimension=count` pairs
-/// over the default budget (e.g. `states=5000,fuel=100000`).  The
-/// grammar lives in [`Budget::parse_spec`] — the one spelling shared
-/// with the `spi serve` wire protocol.
-fn parse_budget(spec: &str) -> Result<Budget, String> {
-    // parse_spec's messages all start with the word "budget"; prefix
-    // the dashes so they read as flag errors here.
-    Budget::parse_spec(spec).map_err(|e| format!("--{e}"))
-}
-
-fn build_verifier(flags: &[(&str, &str)]) -> Result<Verifier, String> {
-    let channels: Vec<&str> = flags
-        .iter()
-        .filter(|(n, _)| *n == "chan")
-        .map(|(_, v)| *v)
-        .collect();
-    let channels = if channels.is_empty() {
-        vec!["c"]
-    } else {
-        channels
+/// The job the shared flags describe, and the verifier that answers it:
+/// the one `spi serve` builds, with `--workers` explorer threads and a
+/// `--timeout-secs` deadline.
+fn job_verifier(mode: Mode, flags: &[(&str, &str)]) -> Result<(JobRequest, Verifier), String> {
+    let job = JobRequest::from_flags(mode, flags)?;
+    let engine = VerifierEngine {
+        explore_workers: optional_flag(flags, "workers")?,
     };
-    let mut verifier = Verifier::new(channels.iter().copied())
-        .sessions(numeric_flag(flags, "sessions", 2)?)
-        .max_visible(numeric_flag(flags, "visible", 6)?)
-        .max_states(numeric_flag(flags, "max-states", 200_000)?);
-    if let Some(n) = flag(flags, "workers") {
-        let n: usize = n
-            .parse()
-            .map_err(|_| format!("flag --workers expects a number, got {n:?}"))?;
-        verifier = verifier.workers(n);
-    }
-    if let Some(spec) = flag(flags, "budget") {
-        verifier = verifier.budget(parse_budget(spec)?);
-    }
-    // Each --fault may carry several comma-separated clauses, so a whole
-    // schedule pastes into one flag: --fault drop:c,replay:c:2
-    let raw_clauses: Vec<&str> = flags
-        .iter()
-        .filter(|(n, _)| *n == "fault")
-        .flat_map(|(_, v)| v.split(','))
-        .filter(|c| !c.is_empty())
-        .collect();
-    let total = raw_clauses.len();
-    let mut clauses = Vec::with_capacity(total);
-    for (i, c) in raw_clauses.iter().enumerate() {
-        let clause = c.parse::<FaultClause>().map_err(|e| {
-            // The parse error already lists the valid kinds; only append
-            // what it cannot know — the channel alphabet.
-            let kinds = if e.reason.contains("valid kinds") {
-                String::new()
-            } else {
-                format!("; valid kinds: {}", spi_auth::FaultKind::keywords().join(", "))
-            };
-            format!(
-                "--fault clause {} of {total} (`{c}`): {}{kinds}; channels in C: {}",
-                i + 1,
-                e.reason,
-                channels.join(", ")
-            )
-        })?;
-        if !channels.iter().any(|ch| *ch == clause.chan.as_str()) {
-            return Err(format!(
-                "--fault clause {} of {total} (`{c}`): channel `{}` is not in C \
-                 (channels in C: {}; add --chan {} to include it)",
-                i + 1,
-                clause.chan,
-                channels.join(", "),
-                clause.chan
-            ));
-        }
-        clauses.push(clause);
-    }
-    if !clauses.is_empty() {
-        verifier = verifier.faults(FaultSpec::new(clauses));
-    }
-    match flag(flags, "intruder") {
-        None | Some("on") => {}
-        Some("off") => verifier = verifier.no_intruder(),
-        Some(other) => return Err(format!("--intruder expects on|off, got {other:?}")),
-    }
-    if let Some(mode) = flag(flags, "reduce") {
-        let reduce = spi_auth::ReduceOptions::parse(mode)
-            .ok_or_else(|| format!("--reduce expects none|symmetry|por|full, got {mode:?}"))?;
-        verifier = verifier.reduce(reduce);
-    }
-    if let Some(mode) = flag(flags, "engine") {
-        let engine = spi_auth::Engine::parse(mode)
-            .ok_or_else(|| format!("--engine expects trace|bisim|both, got {mode:?}"))?;
-        verifier = verifier.engine(engine);
-    }
-    if let Some(s) = flag(flags, "timeout-secs") {
-        let secs: u64 = s
-            .parse()
-            .map_err(|_| format!("flag --timeout-secs expects a number, got {s:?}"))?;
-        verifier = verifier
-            .deadline(std::time::Instant::now() + std::time::Duration::from_secs(secs));
-    }
-    Ok(verifier)
+    let ctl = RunControl {
+        deadline: optional_flag(flags, "timeout-secs")?
+            .map(|secs| std::time::Instant::now() + std::time::Duration::from_secs(secs)),
+        cancel: std::sync::Arc::default(),
+        progress: None,
+    };
+    let verifier = engine.build_verifier(&job, &ctl);
+    Ok((job, verifier))
 }
 
 /// The exit code a verdict maps to, shared by text and JSON output.
@@ -440,17 +332,15 @@ fn output_format(flags: &[(&str, &str)]) -> Result<Format, String> {
 }
 
 fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
-    let (pos, flags) = split_flags(args)?;
+    let known = job_known(Mode::Verify, &["workers", "timeout-secs", "format"]);
+    let (pos, flags) = split_flags(args, &known)?;
     let [concrete_path, abstract_path] = pos.as_slice() else {
         return Err("verify expects <concrete> <abstract>".into());
     };
-    let concrete_src = read(concrete_path)?;
-    let abstract_src = read(abstract_path)?;
-    let (Ok(concrete), Ok(spec)) = (parse_or_fail(&concrete_src), parse_or_fail(&abstract_src))
-    else {
+    let (Ok(concrete), Ok(spec)) = (parse_file(concrete_path)?, parse_file(abstract_path)?) else {
         return Ok(ExitCode::FAILURE);
     };
-    let verifier = build_verifier(&flags)?;
+    let (_, verifier) = job_verifier(Mode::Verify, &flags)?;
     let format = output_format(&flags)?;
     let report = verifier
         .check(&concrete, &spec)
@@ -476,18 +366,17 @@ fn show_schedule(key: &str) -> &str {
 }
 
 fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
-    let (pos, flags) = split_flags(args)?;
+    let own = ["workers", "timeout-secs", "format", "checkpoint", "resume", "checkpoint-every",
+        "stop-after"];
+    let (pos, flags) = split_flags(args, &job_known(Mode::Campaign, &own))?;
     let [concrete_path, abstract_path] = pos.as_slice() else {
         return Err("campaign expects <concrete> <abstract>".into());
     };
-    let concrete_src = read(concrete_path)?;
-    let abstract_src = read(abstract_path)?;
-    let (Ok(concrete), Ok(spec)) = (parse_or_fail(&concrete_src), parse_or_fail(&abstract_src))
-    else {
+    let (Ok(concrete), Ok(spec)) = (parse_file(concrete_path)?, parse_file(abstract_path)?) else {
         return Ok(ExitCode::FAILURE);
     };
-    let verifier = build_verifier(&flags)?;
-    let depth: usize = numeric_flag(&flags, "faults-depth", 2)?;
+    let (job, verifier) = job_verifier(Mode::Campaign, &flags)?;
+    let depth = job.faults_depth;
     let mut opts = verifier.campaign_options(depth);
     opts.checkpoint_every = numeric_flag(&flags, "checkpoint-every", 8)?;
     if let Some(path) = flag(&flags, "checkpoint") {
@@ -497,23 +386,14 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
         opts.checkpoint_path = Some(path.into());
         opts.resume = true;
     }
-    if flag(&flags, "stop-after").is_some() {
-        opts.stop_after = Some(numeric_flag(&flags, "stop-after", 0)?);
-    }
+    opts.stop_after = optional_flag(&flags, "stop-after")?;
     let format = output_format(&flags)?;
     let report = verifier
         .run_campaign(&concrete, &spec, &opts)
         .map_err(|e| e.to_string())?;
     if format == Format::Json {
         println!("{}", spi_auth::server::campaign_body(&report).render());
-        let (attacks, _, inconclusive) = report.tally();
-        return Ok(if attacks > 0 {
-            ExitCode::FAILURE
-        } else if inconclusive > 0 || report.interrupted {
-            ExitCode::from(3)
-        } else {
-            ExitCode::SUCCESS
-        });
+        return Ok(campaign_code(&report));
     }
 
     println!(
@@ -569,25 +449,31 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
         }
         println!("  distinguishing trace: {:?}", cex.trace);
     }
-    Ok(if attacks > 0 {
+    Ok(campaign_code(&report))
+}
+
+/// The exit code a campaign maps to, shared by text and JSON output.
+fn campaign_code(report: &spi_auth::CampaignReport) -> ExitCode {
+    let (attacks, _, inconclusive) = report.tally();
+    if attacks > 0 {
         ExitCode::FAILURE
     } else if inconclusive > 0 || report.interrupted {
         ExitCode::from(3)
     } else {
         ExitCode::SUCCESS
-    })
+    }
 }
 
 fn cmd_explore(args: &[String]) -> Result<ExitCode, String> {
-    let (pos, flags) = split_flags(args)?;
+    let known = job_known(Mode::Verify, &["workers", "timeout-secs", "dot"]);
+    let (pos, flags) = split_flags(args, &known)?;
     let [path] = pos.as_slice() else {
         return Err("explore expects one file".into());
     };
-    let src = read(path)?;
-    let Ok(p) = parse_or_fail(&src) else {
+    let Ok(p) = parse_file(path)? else {
         return Ok(ExitCode::FAILURE);
     };
-    let verifier = build_verifier(&flags)?;
+    let (_, verifier) = job_verifier(Mode::Verify, &flags)?;
     let lts = verifier.explore(&p).map_err(|e| e.to_string())?;
     println!("{} states, {} edges", lts.stats.states, lts.stats.edges);
     let barbs = lts.weak_barbs();
@@ -607,11 +493,12 @@ fn cmd_explore(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_narrate(args: &[String]) -> Result<ExitCode, String> {
-    let (pos, flags) = split_flags(args)?;
+    let known = job_known(Mode::Verify, &["workers", "timeout-secs"]);
+    let (pos, flags) = split_flags(args, &known)?;
     let [path] = pos.as_slice() else {
         return Err("narrate expects one narration file".into());
     };
-    let sessions: u32 = numeric_flag(&flags, "sessions", 2)?;
+    let (job, verifier) = job_verifier(Mode::Verify, &flags)?;
     let src = read(path)?;
     let narration = match Narration::parse(&src) {
         Ok(n) => n,
@@ -621,14 +508,13 @@ fn cmd_narrate(args: &[String]) -> Result<ExitCode, String> {
         }
     };
     let opts = CompileOptions {
-        replicate: sessions > 1,
+        replicate: job.sessions > 1,
         ..CompileOptions::default()
     };
     let concrete = compile_concrete(&narration, &opts).map_err(|e| e.to_string())?;
     println!("concrete  = {concrete}");
     let spec = compile_abstract(&narration, &opts).map_err(|e| e.to_string())?;
     println!("abstract  = {spec}");
-    let verifier = build_verifier(&flags)?.sessions(sessions);
     let report = verifier
         .check(&concrete, &spec)
         .map_err(|e| e.to_string())?;
@@ -637,7 +523,9 @@ fn cmd_narrate(args: &[String]) -> Result<ExitCode, String> {
 
 fn cmd_conformance(args: &[String]) -> Result<ExitCode, String> {
     use spi_auth::conformance::{self, ConformanceOptions, GenSize, Injection, OracleEnv};
-    let (pos, flags) = split_flags(args)?;
+    let known = ["seed", "cases", "size", "oracles", "regressions", "unfold", "max-states",
+        "inject"];
+    let (pos, flags) = split_flags(args, &known)?;
     if !pos.is_empty() {
         return Err(format!("conformance takes no positional arguments, got {pos:?}"));
     }
@@ -671,6 +559,10 @@ fn cmd_conformance(args: &[String]) -> Result<ExitCode, String> {
     ))
 }
 
+/// The front-end flags `spi serve` and `spi fleet` share.
+const FRONT_FLAGS: [&str; 8] = ["addr", "workers", "queue", "timeout-secs", "read-deadline-ms",
+    "write-buf-bytes", "quota-rate", "quota-burst"];
+
 /// The front-end flags `spi serve` and `spi fleet` share, on top of
 /// `defaults`.
 fn front_options(
@@ -683,9 +575,7 @@ fn front_options(
     }
     opts.workers = numeric_flag(flags, "workers", opts.workers)?;
     opts.queue_cap = numeric_flag(flags, "queue", opts.queue_cap)?;
-    if flag(flags, "timeout-secs").is_some() {
-        opts.default_timeout_secs = Some(numeric_flag(flags, "timeout-secs", 0u64)?);
-    }
+    opts.default_timeout_secs = optional_flag(flags, "timeout-secs")?.or(opts.default_timeout_secs);
     opts.read_deadline_ms = numeric_flag(flags, "read-deadline-ms", opts.read_deadline_ms)?;
     opts.write_buf_bytes = numeric_flag(flags, "write-buf-bytes", opts.write_buf_bytes)?;
     opts.quota_rate = numeric_flag(flags, "quota-rate", opts.quota_rate)?;
@@ -720,7 +610,8 @@ fn run_until_drained(handle: spi_auth::server::ServerHandle) {
 
 fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     use spi_auth::server::{serve, ServerOptions};
-    let (pos, flags) = split_flags(args)?;
+    let own = ["explore-workers", "cache-bytes", "snapshot", "join", "advertise", "heartbeat-ms"];
+    let (pos, flags) = split_flags(args, &[&FRONT_FLAGS[..], &own].concat())?;
     if !pos.is_empty() {
         return Err(format!("serve takes no positional arguments, got {pos:?}"));
     }
@@ -836,7 +727,9 @@ fn heartbeat_loop(
 
 fn cmd_fleet(args: &[String]) -> Result<ExitCode, String> {
     use spi_auth::server::{coordinate, CoordinatorOptions, ServerOptions};
-    let (pos, flags) = split_flags(args)?;
+    let own = ["explore-workers", "quorum", "fail-after-ms", "unit-size", "hedge-ms",
+        "connect-timeout", "read-timeout", "retry-rounds", "chaos", "chaos-horizon"];
+    let (pos, flags) = split_flags(args, &[&FRONT_FLAGS[..], &own].concat())?;
     if !pos.is_empty() {
         return Err(format!("fleet takes no positional arguments, got {pos:?}"));
     }
@@ -849,16 +742,13 @@ fn cmd_fleet(args: &[String]) -> Result<ExitCode, String> {
     )?;
     let mut opts = CoordinatorOptions::default();
     opts.quorum = numeric_flag(&flags, "quorum", opts.quorum)?;
-    opts.heartbeat_ms = numeric_flag(&flags, "heartbeat-ms", opts.heartbeat_ms)?;
     opts.fail_after_ms = numeric_flag(&flags, "fail-after-ms", opts.fail_after_ms)?;
     opts.unit_size = numeric_flag(&flags, "unit-size", opts.unit_size)?;
     opts.hedge_after_ms = numeric_flag(&flags, "hedge-ms", opts.hedge_after_ms)?;
     opts.connect_timeout_ms = numeric_flag(&flags, "connect-timeout", opts.connect_timeout_ms)?;
     opts.read_timeout_ms = numeric_flag(&flags, "read-timeout", opts.read_timeout_ms)?;
     opts.retry_rounds = numeric_flag(&flags, "retry-rounds", opts.retry_rounds)?;
-    if flag(&flags, "chaos").is_some() {
-        opts.chaos = Some(numeric_flag(&flags, "chaos", 0u64)?);
-    }
+    opts.chaos = optional_flag(&flags, "chaos")?.or(opts.chaos);
     opts.chaos_horizon = numeric_flag(&flags, "chaos-horizon", opts.chaos_horizon)?;
     let handle = coordinate(local_engine(&flags)?, front, opts)?;
     println!("spi-fleet: coordinating on {}", handle.addr());
@@ -937,11 +827,14 @@ fn client_send(
 /// The response envelope matches the daemon's, marked `"via":"local"`.
 fn run_job_locally(line: &str) -> Result<String, String> {
     use spi_auth::server::{
-        error_response, ok_response, parse_request, Engine, FullEngine, Request, RunControl,
+        error_response, ok_response, parse_request, Engine, FullEngine, Request,
     };
     use spi_auth::verify::jsonlite::Json;
-    let Request::Job(job) = parse_request(line)? else {
-        return Err("only verify/campaign/replay requests can fall back to local".into());
+    // A bad request gets the error envelope a server would send.
+    let job = match parse_request(line) {
+        Ok(Request::Job(job)) => job,
+        Ok(_) => return Err("only verify/campaign/replay requests can fall back to local".into()),
+        Err(e) => return Ok(error_response("request", &e).render_compact()),
     };
     let digest = job.digest()?;
     let op = job.mode.keyword();
@@ -975,25 +868,21 @@ fn inject_progress(line: &str, ms: u64) -> String {
     let Ok(Json::Obj(mut fields)) = Json::parse(line) else {
         return line.to_string();
     };
-    let op = fields
-        .iter()
-        .find(|(k, _)| k == "op")
-        .and_then(|(_, v)| v.as_str());
-    if !matches!(op, Some("verify" | "campaign" | "conformance-replay"))
-        || fields.iter().any(|(k, _)| k == "progress_ms")
-    {
+    let job = |(k, v): &(String, Json)| {
+        k == "op" && matches!(v.as_str(), Some("verify" | "campaign" | "conformance-replay"))
+    };
+    if !fields.iter().any(job) || fields.iter().any(|(k, _)| k == "progress_ms") {
         return line.to_string();
     }
-    fields.push((
-        "progress_ms".to_string(),
-        Json::count(usize::try_from(ms).unwrap_or(usize::MAX)),
-    ));
+    fields.push(("progress_ms".to_string(), Json::Int(i64::try_from(ms).unwrap_or(i64::MAX))));
     Json::Obj(fields).render_compact()
 }
 
 fn cmd_client(args: &[String]) -> Result<ExitCode, String> {
     use spi_auth::verify::jsonlite::Json;
-    let (pos, flags) = split_flags(args)?;
+    let known = ["addr", "connect-timeout", "read-timeout", "retries", "backoff-ms", "fallback",
+        "progress"];
+    let (pos, flags) = split_flags(args, &known)?;
     let net = ClientNet {
         addr: flag(&flags, "addr").unwrap_or("127.0.0.1:7970").to_string(),
         connect_timeout: Some(std::time::Duration::from_millis(
@@ -1074,7 +963,7 @@ fn cmd_client(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_paper(args: &[String]) -> Result<ExitCode, String> {
-    let (_, flags) = split_flags(args)?;
+    let (_, flags) = split_flags(args, &["sessions"])?;
     let sessions: u32 = numeric_flag(&flags, "sessions", 2)?;
 
     let p1 = propositions::proposition_1().map_err(|e| e.to_string())?;
@@ -1128,14 +1017,14 @@ mod tests {
     #[test]
     fn split_flags_separates_positionals() {
         let args = strs(&["a.spi", "--sessions", "3", "b.spi", "--chan", "net"]);
-        let (pos, flags) = split_flags(&args).unwrap();
+        let (pos, flags) = split_flags(&args, &["sessions", "chan"]).unwrap();
         assert_eq!(pos, vec!["a.spi", "b.spi"]);
         assert_eq!(flags, vec![("sessions", "3"), ("chan", "net")]);
     }
 
     #[test]
     fn split_flags_rejects_dangling_flags() {
-        let err = split_flags(&strs(&["--sessions"])).unwrap_err();
+        let err = split_flags(&strs(&["--sessions"]), &["sessions"]).unwrap_err();
         assert!(err.contains("--sessions"));
     }
 
@@ -1162,26 +1051,77 @@ mod tests {
     }
 
     #[test]
-    fn build_verifier_defaults_to_channel_c() {
-        assert!(build_verifier(&[]).is_ok());
+    fn misspelled_and_retired_flags_are_usage_errors() {
+        // A misspelling must not run silently with the default.
+        let err = run(&strs(&["verify", "a.spi", "b.spi", "--sesions", "3"])).unwrap_err();
+        assert!(err.contains("unknown flag --sesions"), "{err}");
+        assert!(err.contains("--sessions"), "the error lists the known flags: {err}");
+        // The state cap is spelled `--budget states=N`.
+        for cmd in ["verify", "campaign", "narrate"] {
+            let args = strs(&[cmd, "a.spi", "b.spi", "--max-states", "10"]);
+            assert!(run(&args).unwrap_err().contains("unknown flag --max-states"));
+        }
+        let err = run(&strs(&["explore", "a.spi", "--max-states", "10"])).unwrap_err();
+        assert!(err.contains("unknown flag --max-states"), "{err}");
+        // A campaign-only option is not a verify flag.
+        let err = run(&strs(&["verify", "a.spi", "b.spi", "--faults-depth", "3"])).unwrap_err();
+        assert!(err.contains("unknown flag --faults-depth"), "{err}");
+        // The coordinator judges staleness when it consults membership.
+        let err = run(&strs(&["fleet", "--heartbeat-ms", "50"])).unwrap_err();
+        assert!(err.contains("unknown flag --heartbeat-ms"), "{err}");
+    }
+
+    /// The verifier `spi serve` builds for a wire request line.
+    fn wire_verifier(line: &str) -> Verifier {
+        let Ok(spi_auth::server::Request::Job(job)) = spi_auth::server::parse_request(line) else {
+            panic!("{line} is a job");
+        };
+        let ctl = RunControl {
+            deadline: None,
+            cancel: std::sync::Arc::default(),
+            progress: None,
+        };
+        VerifierEngine::default().build_verifier(&job, &ctl)
     }
 
     #[test]
-    fn budget_flag_parses_dimensions() {
-        let b = parse_budget("states=10,fuel=20,steps=30").unwrap();
-        assert_eq!(b.max_states, 10);
-        assert_eq!(b.max_fuel, 20);
-        assert_eq!(b.deadline_steps, 30);
-        assert!(parse_budget("states=x").is_err());
-        assert!(parse_budget("bogus=1").is_err());
-        assert!(parse_budget("states").is_err());
+    fn the_cli_and_the_wire_build_the_same_verifier() {
+        // No options at all: one set of defaults.
+        let (_, cli) = job_verifier(Mode::Verify, &[]).unwrap();
+        let wire = wire_verifier(r#"{"op":"verify","concrete":"0","abstract":"0"}"#);
+        assert_eq!(format!("{cli:?}"), format!("{wire:?}"));
+        // A budget pair overlays the same default on both paths.
+        let flags = [("sessions", "4"), ("budget", "fuel=100000000"), ("chan", "c"), ("chan", "d")];
+        let (_, cli) = job_verifier(Mode::Verify, &flags).unwrap();
+        let wire = wire_verifier(
+            r#"{"op":"verify","concrete":"0","abstract":"0","sessions":4,"budget":"fuel=100000000","channels":["c","d"]}"#,
+        );
+        assert_eq!(format!("{cli:?}"), format!("{wire:?}"));
+    }
+
+    #[test]
+    fn job_verifier_defaults_to_channel_c() {
+        let (job, _) = job_verifier(Mode::Verify, &[]).unwrap();
+        assert_eq!(job.channels, ["c"]);
+    }
+
+    #[test]
+    fn budget_flag_overlays_the_default() {
+        let (job, _) = job_verifier(Mode::Verify, &[("budget", "fuel=20,steps=30")]).unwrap();
+        assert_eq!(job.budget.max_states, spi_auth::Budget::default().max_states);
+        assert_eq!(job.budget.max_fuel, 20);
+        assert_eq!(job.budget.deadline_steps, 30);
+        for bad in ["states=x", "bogus=1", "states"] {
+            let err = job_verifier(Mode::Verify, &[("budget", bad)]).unwrap_err();
+            assert!(err.starts_with("--budget "), "{err}");
+        }
     }
 
     #[test]
     fn fault_and_intruder_flags_build() {
-        assert!(build_verifier(&[("fault", "duplicate:c:1")]).is_ok());
-        assert!(build_verifier(&[("fault", "mangle:c")]).is_err());
-        assert!(build_verifier(&[("intruder", "off")]).is_ok());
-        assert!(build_verifier(&[("intruder", "sometimes")]).is_err());
+        assert!(job_verifier(Mode::Verify, &[("fault", "duplicate:c:1")]).is_ok());
+        assert!(job_verifier(Mode::Verify, &[("fault", "mangle:c")]).is_err());
+        assert!(job_verifier(Mode::Verify, &[("intruder", "off")]).is_ok());
+        assert!(job_verifier(Mode::Verify, &[("intruder", "sometimes")]).is_err());
     }
 }

@@ -9,9 +9,9 @@
 //! the response body.
 
 pub use spi_server::{
-    campaign_body, coordinate, error_response, ok_response, oneshot, parse_request,
-    progress_response, pull_from, push_to, rejected_response, serve, shed_response, verify_body,
-    ChaosEvent, ChaosPlan, Client, CoordinatorOptions, Engine, EngineOutcome,
+    campaign_body, coordinate, error_response, job_flags, ok_response, oneshot, parse_request,
+    parse_source, progress_response, pull_from, push_to, rejected_response, serve, shed_response,
+    verify_body, ChaosEvent, ChaosPlan, Client, CoordinatorOptions, Engine, EngineOutcome,
     JobRequest, Membership, Mode, Priority, Request,
     NodeHandle, ResultCache, Ring, RunControl, ServerHandle, ServerOptions, Singleflight,
     TenantQuotas, VerifierEngine,
@@ -48,7 +48,7 @@ impl FullEngine {
     }
 
     fn replay(&self, job: &JobRequest, ctl: &RunControl) -> EngineOutcome {
-        let process = match spi_server::parse_source(&job.concrete) {
+        let process = match parse_source(&job.concrete) {
             Ok(p) => p,
             Err(e) => return EngineOutcome::error(e),
         };

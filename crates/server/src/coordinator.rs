@@ -25,7 +25,8 @@
 //!   candidate — exactly the node the key would move to if the first
 //!   died;
 //! * a **dial or read failure** marks the worker dead immediately and
-//!   moves on; heartbeat sweeps catch silent deaths between requests;
+//!   moves on; a worker whose heartbeats stop counts as dead from then
+//!   on, so silent deaths between requests are caught too;
 //! * a **slow** worker gets a hedged second request to the next
 //!   candidate once the wait passes the observed p99 dispatch latency
 //!   (never below the configured floor), first answer wins;
@@ -67,8 +68,6 @@ pub struct CoordinatorOptions {
     /// Minimum alive workers for fleet routing; below it, jobs run on
     /// the coordinator's local engine.
     pub quorum: usize,
-    /// Failure-detection sweep interval.
-    pub heartbeat_ms: u64,
     /// A worker whose last heartbeat is older than this is dead.
     pub fail_after_ms: u64,
     /// Schedules per campaign work unit.
@@ -93,7 +92,6 @@ impl Default for CoordinatorOptions {
     fn default() -> CoordinatorOptions {
         CoordinatorOptions {
             quorum: 1,
-            heartbeat_ms: 200,
             fail_after_ms: 1500,
             unit_size: 4,
             hedge_after_ms: 500,
@@ -167,23 +165,13 @@ pub fn coordinate(
     }
     let coord = Arc::new(Coord {
         engine,
-        members: Membership::new(),
+        members: Membership::new(Duration::from_millis(opts.fail_after_ms)),
         counters: FleetCounters::default(),
         chaos,
         chaos_state: Mutex::new(ChaosState::default()),
         opts,
     });
-    let mut handle = start(Arc::clone(&coord) as Arc<dyn Executor>, front)?;
-    let drain = handle.node();
-    handle.attach(std::thread::spawn(move || {
-        while !drain.draining() {
-            std::thread::sleep(Duration::from_millis(coord.opts.heartbeat_ms));
-            let _ = coord
-                .members
-                .sweep(Duration::from_millis(coord.opts.fail_after_ms));
-        }
-    }));
-    Ok(handle)
+    start(coord as Arc<dyn Executor>, front)
 }
 
 impl Executor for Coord {

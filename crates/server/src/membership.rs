@@ -2,13 +2,13 @@
 //!
 //! Workers register with the coordinator by sending `{"op":"join",
 //! "addr":…}` and keep re-sending it on a timer — the join *is* the
-//! heartbeat.  The coordinator marks a worker dead when its last
-//! heartbeat is older than the configured window, or immediately when
-//! a dial fails (a refused connection is faster evidence than a
-//! missed timer).  Death is not eviction: a worker that heartbeats
-//! again after being declared dead rejoins, and the coordinator's
-//! join acknowledgement tells it so, which is the cue to warm its
-//! cache shard from peers via [`crate::gossip`].
+//! heartbeat.  A worker counts as dead when its last heartbeat is
+//! older than the configured window, judged whenever the table is
+//! consulted, or as soon as a dial fails (a refused connection is
+//! faster evidence than a missed timer).  Death is not eviction: a
+//! worker that heartbeats again after being declared dead rejoins, and
+//! the coordinator's join acknowledgement tells it so, which is the
+//! cue to warm its cache shard from peers via [`crate::gossip`].
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -17,22 +17,35 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 struct WorkerState {
     last_seen: Instant,
+    /// Cleared by a failed dial; a heartbeat sets it again.
     alive: bool,
     /// Jobs the worker admits before it sheds.
     capacity: usize,
 }
 
 /// The coordinator's live view of its worker fleet.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Membership {
     workers: Mutex<HashMap<String, WorkerState>>,
+    /// A worker whose last heartbeat is older than this is dead.
+    fail_after: Duration,
 }
 
 impl Membership {
-    /// An empty membership table.
+    /// An empty membership table that declares a worker dead once its
+    /// last heartbeat is older than `fail_after`.
     #[must_use]
-    pub fn new() -> Membership {
-        Membership::default()
+    pub fn new(fail_after: Duration) -> Membership {
+        Membership {
+            workers: Mutex::new(HashMap::new()),
+            fail_after,
+        }
+    }
+
+    /// Whether `state` is alive at `now`: not marked dead, and heard
+    /// from within the window.
+    fn live(&self, state: &WorkerState, now: Instant) -> bool {
+        state.alive && now.duration_since(state.last_seen) <= self.fail_after
     }
 
     /// Records a heartbeat from `addr`, and its `capacity` when it
@@ -42,33 +55,17 @@ impl Membership {
     /// cache warming.
     pub fn heartbeat(&self, addr: &str, capacity: Option<usize>) -> bool {
         let mut workers = self.workers.lock().expect("membership lock");
+        let now = Instant::now();
         let state = workers.entry(addr.to_string()).or_insert(WorkerState {
-            last_seen: Instant::now(),
+            last_seen: now,
             alive: false,
             capacity: 0,
         });
-        let rejoined = !state.alive;
-        state.last_seen = Instant::now();
+        let rejoined = !self.live(state, now);
+        state.last_seen = now;
         state.alive = true;
         state.capacity = capacity.unwrap_or(state.capacity);
         rejoined
-    }
-
-    /// Declares every worker whose last heartbeat is older than
-    /// `fail_after` dead.  Returns the addresses that died in this
-    /// sweep (for re-dispatch of their work units).
-    pub fn sweep(&self, fail_after: Duration) -> Vec<String> {
-        let mut workers = self.workers.lock().expect("membership lock");
-        let now = Instant::now();
-        let mut died = Vec::new();
-        for (addr, state) in workers.iter_mut() {
-            if state.alive && now.duration_since(state.last_seen) > fail_after {
-                state.alive = false;
-                died.push(addr.clone());
-            }
-        }
-        died.sort();
-        died
     }
 
     /// Declares `addr` dead right now (a failed dial).
@@ -88,9 +85,10 @@ impl Membership {
     #[must_use]
     pub fn alive(&self) -> Vec<String> {
         let workers = self.workers.lock().expect("membership lock");
+        let now = Instant::now();
         let mut alive: Vec<String> = workers
             .iter()
-            .filter(|(_, s)| s.alive)
+            .filter(|(_, s)| self.live(s, now))
             .map(|(a, _)| a.clone())
             .collect();
         alive.sort();
@@ -101,14 +99,16 @@ impl Membership {
     #[must_use]
     pub fn capacity(&self) -> usize {
         let workers = self.workers.lock().expect("membership lock");
-        workers.values().filter(|s| s.alive).map(|s| s.capacity).sum()
+        let now = Instant::now();
+        workers.values().filter(|s| self.live(s, now)).map(|s| s.capacity).sum()
     }
 
     /// `(alive, dead)` counts.
     #[must_use]
     pub fn counts(&self) -> (usize, usize) {
         let workers = self.workers.lock().expect("membership lock");
-        let alive = workers.values().filter(|s| s.alive).count();
+        let now = Instant::now();
+        let alive = workers.values().filter(|s| self.live(s, now)).count();
         (alive, workers.len() - alive)
     }
 }
@@ -119,7 +119,7 @@ mod tests {
 
     #[test]
     fn joins_heartbeats_and_rejoins() {
-        let m = Membership::new();
+        let m = Membership::new(Duration::from_secs(60));
         assert!(m.heartbeat("w1", None), "first contact is a join");
         assert!(!m.heartbeat("w1", None), "repeat heartbeat is not a rejoin");
         m.mark_dead("w1");
@@ -134,17 +134,27 @@ mod tests {
     }
 
     #[test]
-    fn sweep_kills_only_stale_workers() {
-        let m = Membership::new();
-        m.heartbeat("w1", None);
+    fn stale_workers_count_as_dead_when_consulted() {
+        // A generous window: nobody goes stale.
+        let patient = Membership::new(Duration::from_secs(60));
+        patient.heartbeat("w1", None);
+        patient.heartbeat("w2", None);
+        assert_eq!(patient.alive(), ["w1", "w2"]);
+
+        // w1 falls silent for longer than the window; w2 stays fresh
+        // (the window leaves it 100 ms of scheduling slack).
+        let m = Membership::new(Duration::from_millis(100));
+        m.heartbeat("w1", Some(3));
+        m.heartbeat("w2", Some(5));
+        std::thread::sleep(Duration::from_millis(150));
         m.heartbeat("w2", None);
-        assert_eq!(m.sweep(Duration::from_secs(60)), Vec::<String>::new());
-        std::thread::sleep(Duration::from_millis(30));
-        m.heartbeat("w2", None); // w2 stays fresh
-        assert_eq!(m.sweep(Duration::from_millis(20)), ["w1"]);
         assert_eq!(m.alive(), ["w2"]);
         assert_eq!(m.counts(), (1, 1));
-        // A second sweep reports nothing new.
-        assert_eq!(m.sweep(Duration::from_millis(20)), Vec::<String>::new());
+        assert_eq!(m.capacity(), 5, "a stale worker's capacity does not count");
+        // Consulting again changes nothing...
+        assert_eq!(m.alive(), ["w2"]);
+        // ...and a stale worker's next heartbeat is a rejoin.
+        assert!(m.heartbeat("w1", None));
+        assert_eq!(m.alive(), ["w1", "w2"]);
     }
 }

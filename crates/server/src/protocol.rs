@@ -11,36 +11,37 @@
 //!
 //! Job ops (`verify`, `campaign`, `conformance-replay`) carry their
 //! specs inline (`"concrete"`, `"abstract"`, `"spec"`) or as
-//! server-side paths (`"concrete_path"`, …), plus the same knobs the
-//! CLI exposes: `channels`, `sessions`, `visible`, `budget` (the
-//! `dimension=count` spelling of [`Budget::parse_spec`]), `faults`
-//! (comma-separated clauses), `intruder`, `faults_depth`, `oracles`,
-//! `reduce` (`none|symmetry|por|full`), `engine` (`trace|bisim|both`),
-//! `timeout_secs`, and `no_cache`.  Campaign jobs may carry a
-//! `"unit":{"offset":N,"count":M}` work-unit restriction (how a fleet
-//! coordinator shards one campaign), plus three execution-only knobs
-//! that never enter the content digest: `tenant` (the quota-accounting
-//! id, defaulting to the peer address), `deadline_ms` (a relative
-//! wall-clock deadline folded into the server-side cut-off), and
-//! `progress_ms` (ask for `{"status":"progress",…}` heartbeat lines at
-//! that interval while the job runs; the final reply is always the
-//! first non-progress line).  Control ops are `ping`, `stats`,
+//! server-side paths (`"concrete_path"`, …), plus job options, each
+//! one row of `JOB_OPTIONS` (wire key, CLI flag, default, digest rule,
+//! parser, [`Verifier`] setter): `channels`, `sessions`, `visible`,
+//! `budget` (`dimension=count` pairs over the default 200 000-state
+//! budget), `intruder`, `faults` (comma-separated clauses on channels
+//! of C), `reduce`, `engine`, `faults_depth`, `oracles`, a campaign's
+//! `"unit":{"offset":N,"count":M}` (how a fleet coordinator shards it),
+//! and, never in the content digest, `timeout_secs`, `no_cache`,
+//! `tenant` (quota accounting), `deadline_ms` and `progress_ms`
+//! (heartbeat interval).  The wire, the CLI's shared flags, the digest
+//! and the verifier the service builds all walk that table.  Control ops are `ping`, `stats`,
 //! `shutdown`, `join` (worker registration/heartbeat, optionally
-//! announcing the worker's `capacity`), `leave` (a
-//! worker announcing drain, optionally handing off its cache), `gossip`
-//! (cache-warming pull), and `gossip-push` (digest-guarded cache
-//! handoff from a coordinator).
+//! announcing the worker's `capacity`), `leave` (a worker announcing
+//! drain, optionally handing off its cache), `gossip` (cache-warming
+//! pull), and `gossip-push` (digest-guarded cache handoff from a
+//! coordinator).
 //!
 //! The verify/campaign **body encoders** here are the single source of
 //! the JSON result shapes: the daemon, the cache snapshot, and the
 //! CLI's `--format json` all call [`verify_body`] / [`campaign_body`].
 
-use spi_semantics::{FaultClause, FaultSpec};
+use std::borrow::Cow;
+use std::fmt::Write as _;
+use std::sync::OnceLock;
+
+use spi_semantics::{FaultClause, FaultKind, FaultSpec};
 use spi_syntax::Process;
 use spi_verify::jsonlite::Json;
 use spi_verify::{
     Budget, CampaignReport, CoverageStats, Engine, ExploreStats, ReduceOptions, Verdict,
-    VerificationReport,
+    VerificationReport, Verifier,
 };
 
 use crate::digest::digest;
@@ -114,7 +115,8 @@ pub enum Request {
     Job(Box<JobRequest>),
 }
 
-/// A fully resolved job: spec sources loaded, options defaulted.
+/// A fully resolved job: spec sources loaded, options defaulted.  Each
+/// option field is described by its row of `JOB_OPTIONS`.
 #[derive(Debug, Clone)]
 pub struct JobRequest {
     /// What to run.
@@ -139,44 +141,322 @@ pub struct JobRequest {
     pub faults_depth: usize,
     /// Conformance-replay oracle selection (empty = the default suite).
     pub oracles: Vec<String>,
-    /// Which state-space reductions the explorations run under.  Part
-    /// of the canonical description (the reduced and unreduced state
-    /// spaces answer the same question, but cached bodies carry
-    /// reduction statistics, so the digests must differ).
+    /// Which state-space reductions the explorations run under.
     pub reduce: ReduceOptions,
-    /// Which decision procedure(s) answer the job.  Part of the
-    /// canonical description — the trace and bisimulation engines agree
-    /// on verdicts, but cached bodies differ (engine tag, early-reject
-    /// counters), so a bisim result must never be served for a trace
-    /// request or vice versa.  Old clients never send the field; it
-    /// defaults to [`Engine::Trace`] and stays out of the digest there,
-    /// so pre-engine cache entries remain addressable.
+    /// Which decision procedure(s) answer the job.
     pub engine: Engine,
     /// Per-request wall-clock limit.
     pub timeout_secs: Option<u64>,
     /// Bypass the result cache (both lookup and fill).
     pub no_cache: bool,
-    /// The quota-accounting tenant id.  Execution-only: it decides
-    /// *whether* the server admits the job, never what the answer is,
-    /// so it stays out of the content digest.  Defaults server-side to
-    /// the peer address when absent.
+    /// The quota-accounting tenant id; the server defaults it to the
+    /// peer address.
     pub tenant: Option<String>,
     /// Relative wall-clock deadline in milliseconds, folded into the
     /// server-side cut-off as `min(timeout_secs, deadline_ms)`.
-    /// Execution-only, like `timeout_secs`.
     pub deadline_ms: Option<u64>,
     /// Heartbeat interval in milliseconds: while the job runs, the
     /// server emits `{"status":"progress",…}` lines at this cadence.
-    /// `None` (or 0) streams nothing.  Execution-only.
+    /// `None` (or 0) streams nothing.
     pub progress_ms: Option<u64>,
     /// Campaign work unit: decide only the schedules at enumeration
     /// indices `[offset, offset + count)`.  This is how a fleet
-    /// coordinator shards one campaign across workers; units are part
-    /// of the canonical description, so each unit's result is
-    /// content-addressed independently and re-dispatching a unit after
-    /// a worker death is idempotent.
+    /// coordinator shards one campaign across workers; each unit's
+    /// result is content-addressed independently, so re-dispatching a
+    /// unit after a worker death is idempotent.
     pub unit: Option<(usize, usize)>,
 }
+
+/// When a job option enters the content digest, and under which label.
+#[derive(Clone, Copy)]
+enum InDigest {
+    /// Always.
+    Always(&'static str),
+    /// Always, spelled by the function rather than as the option's
+    /// text.
+    Spelled(&'static str, fn(&JobRequest, &mut String)),
+    /// Only when it differs from the default, so digests from before
+    /// the option existed (and the caches keyed by them) stay valid.
+    NonDefault(&'static str),
+    /// Always in jobs of this mode, never in the others.
+    InMode(Mode, &'static str),
+    /// Never: the option changes when (or whether) an answer arrives,
+    /// never what it is.
+    Never,
+}
+
+/// The JSON type an option takes on the wire.  Each maps to and from
+/// the option's text spelling, the one its parser reads.
+#[derive(Clone, Copy)]
+enum Shape {
+    /// An integer, spelled in decimal.
+    Int,
+    /// A boolean, spelled `true` or `false`.
+    Bool,
+    /// A string, spelled as itself.
+    Str,
+    /// An array of strings, spelled comma-separated; empty is absent.
+    List,
+    /// `{"offset":N,"count":M}`, spelled `N+M`.
+    Unit,
+}
+
+impl Shape {
+    /// A request line's wire value in the text spelling.
+    fn text<'a>(self, key: &str, value: &'a Json) -> Result<Option<Cow<'a, str>>, String> {
+        let int = |k: &str| value.get(k).and_then(Json::as_int);
+        let text = match (self, value) {
+            (Shape::Int, Json::Int(n)) => Some(Cow::Owned(n.to_string())),
+            (Shape::Bool, Json::Bool(b)) => Some(Cow::Borrowed(if *b { "true" } else { "false" })),
+            (Shape::Str, Json::Str(s)) => Some(Cow::Borrowed(s.as_str())),
+            (Shape::List, Json::Arr(items)) if items.is_empty() => return Ok(None),
+            (Shape::List, Json::Arr(items)) => {
+                let strs: Option<Vec<&str>> = items.iter().map(Json::as_str).collect();
+                strs.map(|strs| Cow::Owned(strs.join(",")))
+            }
+            (Shape::Unit, Json::Obj(_)) => match (int("offset"), int("count")) {
+                (Some(offset), Some(count)) => Some(Cow::Owned(format!("{offset}+{count}"))),
+                _ => None,
+            },
+            _ => None,
+        };
+        let expects = match self {
+            Shape::Int => "a non-negative integer",
+            Shape::Bool => "a boolean",
+            Shape::Str => "a string",
+            Shape::List => "an array of strings",
+            Shape::Unit => "{\"offset\":N,\"count\":M}",
+        };
+        text.map(Some).ok_or_else(|| format!("{key:?} expects {expects}"))
+    }
+
+    /// The wire value of an option's text spelling.
+    fn json(self, text: &str) -> Json {
+        let int = |t: &str| Json::Int(t.parse().unwrap_or(i64::MAX));
+        match self {
+            Shape::Int => int(text),
+            Shape::Bool => Json::Bool(text == "true"),
+            Shape::Str => Json::str(text),
+            Shape::List => Json::str_arr(text.split(',')),
+            Shape::Unit => {
+                let (offset, count) = text.split_once('+').unwrap_or((text, "0"));
+                Json::Obj(vec![("offset".into(), int(offset)), ("count".into(), int(count))])
+            }
+        }
+    }
+}
+
+/// One job option: everything the wire, the CLI, the digest and the
+/// verifier need to know about it.
+struct JobOption {
+    /// The wire key.
+    key: &'static str,
+    /// The usage item of the `spi verify`/`spi campaign` flag, if the
+    /// CLI takes one.  A flag's occurrences join with commas, so a
+    /// repeated list flag (marked `...`) adds items and a repeated
+    /// single-valued one is refused by its parser.
+    cli: Option<&'static str>,
+    /// The one default, in the text spelling.
+    default: &'static str,
+    /// The JSON type on the wire.
+    shape: Shape,
+    /// When the option enters the content digest.
+    digest: InDigest,
+    /// Parses and validates the text spelling onto a job.  Rows run in
+    /// table order, so a row may check against the ones above it.
+    parse: fn(&mut JobRequest, &str) -> Result<(), String>,
+    /// Writes the option's value in the text spelling.
+    text: fn(&JobRequest, &mut String),
+    /// Applies the option to the verifier that answers the job; `None`
+    /// for options the campaign, the replay or the server reads instead.
+    apply: Option<fn(&JobRequest, Verifier) -> Verifier>,
+}
+
+impl JobOption {
+    /// The CLI flag this option answers to in `mode`: options whose
+    /// digest only counts in one mode are only accepted there.
+    fn flag_in(&self, mode: Mode) -> Option<&'static str> {
+        match self.digest {
+            InDigest::InMode(only, _) if only != mode => None,
+            _ => self.cli?.strip_prefix("[--")?.split([' ', ']']).next(),
+        }
+    }
+}
+
+fn number<T: std::str::FromStr>(text: &str) -> Result<T, String> {
+    text.parse().map_err(|_| format!("expects a number, got {text:?}"))
+}
+
+/// The empty text spelling is "none given".
+fn optional<T: std::str::FromStr>(text: &str) -> Result<Option<T>, String> {
+    (!text.is_empty()).then(|| number(text)).transpose()
+}
+
+fn boolean(text: &str) -> Result<bool, String> {
+    match text {
+        "on" | "true" => Ok(true),
+        "off" | "false" => Ok(false),
+        _ => Err(format!("expects on|off, got {text:?}")),
+    }
+}
+
+/// Writes `items` comma-separated (an `Option` is zero or one item).
+fn spell<T: std::fmt::Display>(out: &mut String, items: impl IntoIterator<Item = T>) {
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{item}");
+    }
+}
+
+fn list(text: &str) -> Vec<String> {
+    text.split(',').filter(|s| !s.is_empty()).map(str::to_owned).collect()
+}
+
+/// Parses comma-separated fault clauses, each on a channel of C.
+fn parse_faults(text: &str, channels: &[String]) -> Result<Option<FaultSpec>, String> {
+    let raw: Vec<&str> = text.split(',').filter(|c| !c.is_empty()).collect();
+    let at = |i: usize| format!("clause {} of {} (`{}`)", i + 1, raw.len(), raw[i]);
+    let in_c = || channels.join(", ");
+    let mut clauses = Vec::with_capacity(raw.len());
+    for (i, c) in raw.iter().enumerate() {
+        let clause = c.parse::<FaultClause>().map_err(|e| {
+            // The parse error may already list the valid kinds; only
+            // append what it cannot know — the channel alphabet.
+            let kinds = if e.reason.contains("valid kinds") {
+                String::new()
+            } else {
+                format!("; valid kinds: {}", FaultKind::keywords().join(", "))
+            };
+            format!("{}: {}{kinds}; channels in C: {}", at(i), e.reason, in_c())
+        })?;
+        if !channels.iter().any(|ch| ch == clause.chan.as_str()) {
+            let (at, chan, in_c) = (at(i), &clause.chan, in_c());
+            return Err(format!(
+                "{at}: channel `{chan}` is not in C (channels in C: {in_c}; add --chan {chan} to include it)"
+            ));
+        }
+        clauses.push(clause);
+    }
+    Ok((!clauses.is_empty()).then(|| FaultSpec::new(clauses)))
+}
+
+/// Every job option, in digest order.  A new option is one new row,
+/// plus its [`Verifier`] setter if it configures the verifier.
+#[rustfmt::skip] // one row per option, laid out as a table
+static JOB_OPTIONS: &[JobOption] = &[
+    JobOption {
+        key: "channels", cli: Some("[--chan NAME]..."), default: "c", shape: Shape::List,
+        digest: InDigest::Always("C"),
+        parse: |j, t| { j.channels = list(t); Ok(()) },
+        text: |j, out| spell(out, &j.channels),
+        apply: Some(|j, v| v.channels(j.channels.iter().map(String::as_str))),
+    },
+    JobOption {
+        key: "sessions", cli: Some("[--sessions N]"), default: "2", shape: Shape::Int,
+        digest: InDigest::Always("sessions"),
+        parse: |j, t| { j.sessions = number(t)?; Ok(()) },
+        text: |j, out| spell(out, [j.sessions]), apply: Some(|j, v| v.sessions(j.sessions)),
+    },
+    JobOption {
+        key: "visible", cli: Some("[--visible N]"), default: "6", shape: Shape::Int,
+        digest: InDigest::Always("visible"),
+        parse: |j, t| { j.visible = number(t)?; Ok(()) },
+        text: |j, out| spell(out, [j.visible]), apply: Some(|j, v| v.max_visible(j.visible)),
+    },
+    JobOption {
+        // The empty spelling is `Budget::default()`; pairs overlay it.
+        key: "budget", cli: Some("[--budget states=N,transitions=N,fuel=N,knowledge=N,steps=N]"),
+        default: "", shape: Shape::Str, digest: InDigest::Always("budget"),
+        parse: |j, t| { j.budget = Budget::parse_spec(t)?; Ok(()) },
+        text: |j, out| out.push_str(&j.budget.canonical_spec()), apply: Some(|j, v| v.budget(j.budget)),
+    },
+    JobOption {
+        key: "intruder", cli: Some("[--intruder on|off]"), default: "true", shape: Shape::Bool,
+        digest: InDigest::Always("intruder"),
+        parse: |j, t| { j.intruder = boolean(t)?; Ok(()) },
+        text: |j, out| spell(out, [j.intruder]),
+        apply: Some(|j, v| if j.intruder { v } else { v.no_intruder() }),
+    },
+    JobOption {
+        key: "faults", cli: Some("[--fault kind:chan[:max],...]..."), default: "",
+        // The digest spells the schedule by its canonical key.
+        shape: Shape::Str, digest: InDigest::Spelled("faults", |j, out| spell(out, &j.faults)),
+        parse: |j, t| { j.faults = parse_faults(t, &j.channels)?; Ok(()) },
+        text: |j, out| spell(out, j.faults.iter().flat_map(|f| &f.clauses)),
+        apply: Some(|j, v| match &j.faults { Some(f) => v.faults(f.clone()), None => v }),
+    },
+    JobOption {
+        key: "reduce", cli: Some("[--reduce none|symmetry|por|full]"), default: "none",
+        shape: Shape::Str, digest: InDigest::NonDefault("reduce"),
+        parse: |j, t| {
+            let parsed = ReduceOptions::parse(t);
+            j.reduce = parsed.ok_or_else(|| format!("expects none|symmetry|por|full, got {t:?}"))?;
+            Ok(())
+        },
+        text: |j, out| out.push_str(j.reduce.mode()), apply: Some(|j, v| v.reduce(j.reduce)),
+    },
+    JobOption {
+        key: "engine", cli: Some("[--engine trace|bisim|both]"), default: "trace",
+        shape: Shape::Str, digest: InDigest::NonDefault("engine"),
+        parse: |j, t| {
+            j.engine = Engine::parse(t).ok_or_else(|| format!("expects trace|bisim|both, got {t:?}"))?;
+            Ok(())
+        },
+        text: |j, out| out.push_str(j.engine.mode()), apply: Some(|j, v| v.engine(j.engine)),
+    },
+    JobOption {
+        key: "faults_depth", cli: Some("[--faults-depth K]"), default: "2", shape: Shape::Int,
+        digest: InDigest::InMode(Mode::Campaign, "depth"),
+        parse: |j, t| { j.faults_depth = number(t)?; Ok(()) },
+        text: |j, out| spell(out, [j.faults_depth]), apply: None,
+    },
+    JobOption {
+        key: "oracles", cli: None, default: "", shape: Shape::List,
+        digest: InDigest::InMode(Mode::ConformanceReplay, "oracles"),
+        parse: |j, t| { j.oracles = list(t); Ok(()) },
+        text: |j, out| spell(out, &j.oracles), apply: None,
+    },
+    JobOption {
+        key: "unit", cli: None, default: "", shape: Shape::Unit, digest: InDigest::NonDefault("unit"),
+        parse: |j, t| {
+            j.unit = match t.split_once('+') {
+                Some((offset, count)) => Some((number(offset)?, number(count)?)),
+                None if t.is_empty() => None,
+                None => return Err(format!("expects offset+count, got {t:?}")),
+            };
+            Ok(())
+        },
+        text: |j, out| spell(out, j.unit.map(|(offset, count)| format!("{offset}+{count}"))),
+        apply: None,
+    },
+    JobOption {
+        key: "timeout_secs", cli: None, default: "", shape: Shape::Int, digest: InDigest::Never,
+        parse: |j, t| { j.timeout_secs = optional(t)?; Ok(()) },
+        text: |j, out| spell(out, j.timeout_secs), apply: None,
+    },
+    JobOption {
+        key: "no_cache", cli: None, default: "false", shape: Shape::Bool, digest: InDigest::Never,
+        parse: |j, t| { j.no_cache = boolean(t)?; Ok(()) },
+        text: |j, out| spell(out, [j.no_cache]), apply: None,
+    },
+    JobOption {
+        key: "tenant", cli: None, default: "", shape: Shape::Str, digest: InDigest::Never,
+        parse: |j, t| { j.tenant = (!t.is_empty()).then(|| t.to_owned()); Ok(()) },
+        text: |j, out| spell(out, &j.tenant), apply: None,
+    },
+    JobOption {
+        key: "deadline_ms", cli: None, default: "", shape: Shape::Int, digest: InDigest::Never,
+        parse: |j, t| { j.deadline_ms = optional(t)?; Ok(()) },
+        text: |j, out| spell(out, j.deadline_ms), apply: None,
+    },
+    JobOption {
+        key: "progress_ms", cli: None, default: "", shape: Shape::Int, digest: InDigest::Never,
+        parse: |j, t| { j.progress_ms = optional(t)?; Ok(()) },
+        text: |j, out| spell(out, j.progress_ms), apply: None,
+    },
+];
 
 /// Parses either a bare process or a `def …/system …` program file —
 /// the same acceptance rule as the CLI — rendering errors with source
@@ -198,20 +478,73 @@ pub fn parse_source(src: &str) -> Result<Process, String> {
 }
 
 impl JobRequest {
+    /// Builds a job whose options take the text each row is `given`
+    /// (`None` for the default), naming a row by `name` in errors.
+    fn build<'a>(
+        mode: Mode,
+        concrete: String,
+        abstract_spec: String,
+        mut given: impl FnMut(&JobOption) -> Result<Option<Cow<'a, str>>, String>,
+        name: impl Fn(&JobOption) -> String,
+    ) -> Result<JobRequest, String> {
+        // Every option at its default, parsed from the table once.
+        static DEFAULTS: OnceLock<JobRequest> = OnceLock::new();
+        let defaults = DEFAULTS.get_or_init(|| {
+            // Placeholders only: every option is overwritten from its row.
+            let mut job = JobRequest {
+                mode, concrete: String::new(), abstract_spec: String::new(), channels: Vec::new(),
+                sessions: 0, visible: 0, budget: Budget::unlimited(), faults: None, intruder: false,
+                faults_depth: 0, oracles: Vec::new(), reduce: ReduceOptions::none(),
+                engine: Engine::Trace, timeout_secs: None, no_cache: false, tenant: None,
+                deadline_ms: None, progress_ms: None, unit: None,
+            };
+            for opt in JOB_OPTIONS {
+                (opt.parse)(&mut job, opt.default).expect("every default parses");
+            }
+            job
+        });
+        let mut job = JobRequest { mode, concrete, abstract_spec, ..defaults.clone() };
+        for opt in JOB_OPTIONS {
+            if let Some(text) = given(opt)? {
+                (opt.parse)(&mut job, &text).map_err(|e| format!("{} {e}", name(opt)))?;
+            }
+        }
+        Ok(job)
+    }
+
+    /// Builds a job from the CLI's `(flag, value)` pairs, with no
+    /// sources: the CLI parses its spec files itself.  Flags the table
+    /// does not know are left to the caller; see [`job_flags`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a usage message naming the flag.
+    pub fn from_flags(mode: Mode, flags: &[(&str, &str)]) -> Result<JobRequest, String> {
+        let given = |opt: &JobOption| {
+            let flag = opt.flag_in(mode);
+            let values: Vec<&str> =
+                flags.iter().filter(|(n, _)| Some(*n) == flag).map(|(_, v)| *v).collect();
+            Ok((!values.is_empty()).then(|| Cow::Owned(values.join(","))))
+        };
+        let name = |opt: &JobOption| format!("--{}", opt.flag_in(mode).unwrap_or(opt.key));
+        JobRequest::build(mode, String::new(), String::new(), given, name)
+    }
+
+    /// Applies every option to `verifier`, in table order.
+    pub(crate) fn configure(&self, verifier: Verifier) -> Verifier {
+        JOB_OPTIONS.iter().filter_map(|opt| opt.apply).fold(verifier, |v, apply| apply(self, v))
+    }
+
     /// The canonical description this job is content-addressed by:
     /// specs parsed and re-printed (so formatting differences vanish),
-    /// the budget in its canonical spelling, the fault schedule in its
-    /// canonical key.  Execution-only knobs (`timeout_secs`,
-    /// `no_cache`, `tenant`, `deadline_ms`, `progress_ms`) are
-    /// excluded — they change *when* (and whether) an answer arrives,
-    /// never *what* it is.
+    /// then each option the table puts in the digest, in its digest
+    /// spelling.
     ///
     /// # Errors
     ///
     /// Fails when a spec does not parse (such requests are never
     /// cached).
     pub fn canonical(&self) -> Result<String, String> {
-        use std::fmt::Write as _;
         let mut desc = format!("serve-v1|{}", self.mode.keyword());
         let concrete = parse_source(&self.concrete)?;
         let _ = write!(desc, "|{concrete}");
@@ -219,40 +552,20 @@ impl JobRequest {
             let spec = parse_source(&self.abstract_spec)?;
             let _ = write!(desc, "|{spec}");
         }
-        let _ = write!(
-            desc,
-            "|C={}|sessions={}|visible={}|budget={}|intruder={}|faults={}",
-            self.channels.join(","),
-            self.sessions,
-            self.visible,
-            self.budget.canonical_spec(),
-            self.intruder,
-            self.faults
-                .as_ref()
-                .map(FaultSpec::canonical_key)
-                .unwrap_or_default(),
-        );
-        // Appended only when non-default, so pre-reduction digests (and
-        // the caches keyed by them) stay valid.
-        if self.reduce.enabled() {
-            let _ = write!(desc, "|reduce={}", self.reduce.mode());
-        }
-        // Same back-compat rule: the default engine leaves the digest
-        // byte-identical to pre-engine requests.
-        if self.engine != Engine::Trace {
-            let _ = write!(desc, "|engine={}", self.engine.mode());
-        }
-        match self.mode {
-            Mode::Campaign => {
-                let _ = write!(desc, "|depth={}", self.faults_depth);
+        for opt in JOB_OPTIONS {
+            let (label, spell) = match opt.digest {
+                InDigest::Always(label) | InDigest::NonDefault(label) => (label, opt.text),
+                InDigest::Spelled(label, spell) => (label, spell),
+                InDigest::InMode(mode, label) if mode == self.mode => (label, opt.text),
+                _ => continue,
+            };
+            let start = desc.len();
+            desc.extend(["|", label, "="]);
+            let value = desc.len();
+            spell(self, &mut desc);
+            if matches!(opt.digest, InDigest::NonDefault(_)) && desc[value..] == *opt.default {
+                desc.truncate(start);
             }
-            Mode::ConformanceReplay => {
-                let _ = write!(desc, "|oracles={}", self.oracles.join(","));
-            }
-            Mode::Verify => {}
-        }
-        if let Some((offset, count)) = self.unit {
-            let _ = write!(desc, "|unit={offset}+{count}");
         }
         Ok(desc)
     }
@@ -276,8 +589,9 @@ impl JobRequest {
     }
 
     /// Re-renders the job as a request object a coordinator can put
-    /// back on the wire when dispatching to a worker.  Round-trips
-    /// through [`parse_request`] to an equivalent job (same digest).
+    /// back on the wire when dispatching to a worker: every option
+    /// that differs from its default.  Round-trips through
+    /// [`parse_request`] to an equivalent job (same digest).
     #[must_use]
     pub fn wire_json(&self) -> Json {
         let mut fields = vec![("op".to_string(), Json::str(self.mode.keyword()))];
@@ -287,127 +601,38 @@ impl JobRequest {
             fields.push(("concrete".into(), Json::str(self.concrete.clone())));
             fields.push(("abstract".into(), Json::str(self.abstract_spec.clone())));
         }
-        fields.push((
-            "channels".into(),
-            Json::str_arr(self.channels.iter().cloned()),
-        ));
-        fields.push(("sessions".into(), Json::Int(i64::from(self.sessions))));
-        fields.push(("visible".into(), Json::count(self.visible)));
-        fields.push(("budget".into(), Json::str(self.budget.canonical_spec())));
-        if let Some(faults) = &self.faults {
-            let clauses = faults
-                .clauses
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(",");
-            fields.push(("faults".into(), Json::str(clauses)));
-        }
-        fields.push(("intruder".into(), Json::Bool(self.intruder)));
-        if self.reduce.enabled() {
-            fields.push(("reduce".into(), Json::str(self.reduce.mode())));
-        }
-        if self.engine != Engine::Trace {
-            fields.push(("engine".into(), Json::str(self.engine.mode())));
-        }
-        fields.push(("faults_depth".into(), Json::count(self.faults_depth)));
-        if !self.oracles.is_empty() {
-            fields.push(("oracles".into(), Json::str_arr(self.oracles.iter().cloned())));
-        }
-        if let Some(secs) = self.timeout_secs {
-            fields.push((
-                "timeout_secs".into(),
-                Json::Int(i64::try_from(secs).unwrap_or(i64::MAX)),
-            ));
-        }
-        if self.no_cache {
-            fields.push(("no_cache".into(), Json::Bool(true)));
-        }
-        if let Some(tenant) = &self.tenant {
-            fields.push(("tenant".into(), Json::str(tenant.clone())));
-        }
-        if let Some(ms) = self.deadline_ms {
-            fields.push((
-                "deadline_ms".into(),
-                Json::Int(i64::try_from(ms).unwrap_or(i64::MAX)),
-            ));
-        }
-        if let Some(ms) = self.progress_ms {
-            fields.push((
-                "progress_ms".into(),
-                Json::Int(i64::try_from(ms).unwrap_or(i64::MAX)),
-            ));
-        }
-        if let Some((offset, count)) = self.unit {
-            fields.push((
-                "unit".into(),
-                Json::Obj(vec![
-                    ("offset".to_string(), Json::count(offset)),
-                    ("count".to_string(), Json::count(count)),
-                ]),
-            ));
+        let mut text = String::new();
+        for opt in JOB_OPTIONS {
+            text.clear();
+            (opt.text)(self, &mut text);
+            if text != opt.default {
+                fields.push((opt.key.to_string(), opt.shape.json(&text)));
+            }
         }
         Json::Obj(fields)
     }
 }
 
-fn get_usize(v: &Json, key: &str, default: usize) -> Result<usize, String> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(j) => j
-            .as_int()
-            .and_then(|n| usize::try_from(n).ok())
-            .ok_or_else(|| format!("{key:?} expects a non-negative integer")),
-    }
+/// The shared job flags `mode`'s subcommand takes, each with its usage
+/// item (`[--sessions N]`).
+pub fn job_flags(mode: Mode) -> impl Iterator<Item = (&'static str, &'static str)> {
+    JOB_OPTIONS
+        .iter()
+        .filter_map(move |opt| Some((opt.flag_in(mode)?, opt.cli?)))
 }
 
-fn get_bool(v: &Json, key: &str, default: bool) -> Result<bool, String> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(j) => j
-            .as_bool()
-            .ok_or_else(|| format!("{key:?} expects a boolean")),
-    }
-}
-
-/// Resolves a spec given inline (`key`) or as a server-side file
-/// (`key_path`).
-fn get_source(v: &Json, key: &str, path_key: &str) -> Result<String, String> {
-    if let Some(text) = v.get(key).and_then(Json::as_str) {
-        return Ok(text.to_string());
+/// Moves a spec given inline (`key`) out of the request, or reads it
+/// from a server-side file (`key_path`).
+fn take_source(v: &mut Json, key: &str, path_key: &str) -> Result<String, String> {
+    if let Json::Obj(fields) = v {
+        if let Some((_, Json::Str(text))) = fields.iter_mut().find(|(k, _)| k == key) {
+            return Ok(std::mem::take(text));
+        }
     }
     if let Some(path) = v.get(path_key).and_then(Json::as_str) {
         return std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
     }
     Err(format!("request needs {key:?} or {path_key:?}"))
-}
-
-fn get_str_arr(v: &Json, key: &str) -> Result<Vec<String>, String> {
-    let Some(j) = v.get(key) else {
-        return Ok(Vec::new());
-    };
-    let items = j
-        .as_arr()
-        .ok_or_else(|| format!("{key:?} expects an array of strings"))?;
-    items
-        .iter()
-        .map(|i| {
-            i.as_str()
-                .map(str::to_owned)
-                .ok_or_else(|| format!("{key:?} expects an array of strings"))
-        })
-        .collect()
-}
-
-/// Parses the comma-separated fault-clause spelling shared with the
-/// CLI's `--fault`.
-fn parse_faults(spec: &str) -> Result<Option<FaultSpec>, String> {
-    let clauses = spec
-        .split(',')
-        .filter(|c| !c.is_empty())
-        .map(|c| c.parse::<FaultClause>().map_err(|e| e.reason))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok((!clauses.is_empty()).then(|| FaultSpec::new(clauses)))
 }
 
 /// Parses one request line.
@@ -417,7 +642,7 @@ fn parse_faults(spec: &str) -> Result<Option<FaultSpec>, String> {
 /// Returns a message suitable for an `error` response: malformed JSON,
 /// an unknown op, a missing spec, or a bad option.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let v = Json::parse(line.trim())?;
+    let mut v = Json::parse(line.trim())?;
     let op = v
         .get("op")
         .and_then(Json::as_str)
@@ -432,9 +657,13 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 .get("addr")
                 .and_then(Json::as_str)
                 .ok_or("\"join\" needs a string \"addr\" field")?;
+            let capacity = v.get("capacity").map(|j| {
+                let n = j.as_int().and_then(|n| usize::try_from(n).ok());
+                n.ok_or("\"capacity\" expects a non-negative integer")
+            });
             return Ok(Request::Join {
                 addr: addr.to_string(),
-                capacity: v.get("capacity").map(|_| get_usize(&v, "capacity", 0)).transpose()?,
+                capacity: capacity.transpose()?,
             });
         }
         "leave" => {
@@ -464,108 +693,20 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         }
     };
     let (concrete, abstract_spec) = if mode == Mode::ConformanceReplay {
-        (get_source(&v, "spec", "spec_path")?, String::new())
+        (take_source(&mut v, "spec", "spec_path")?, String::new())
     } else {
         (
-            get_source(&v, "concrete", "concrete_path")?,
-            get_source(&v, "abstract", "abstract_path")?,
+            take_source(&mut v, "concrete", "concrete_path")?,
+            take_source(&mut v, "abstract", "abstract_path")?,
         )
     };
-    let channels = {
-        let listed = get_str_arr(&v, "channels")?;
-        if listed.is_empty() {
-            vec!["c".to_string()]
-        } else {
-            listed
-        }
+    let given = |opt: &JobOption| match v.get(opt.key) {
+        None => Ok(None),
+        Some(value) => opt.shape.text(opt.key, value),
     };
-    let budget = match v.get("budget") {
-        None => Budget::default(),
-        Some(j) => Budget::parse_spec(
-            j.as_str()
-                .ok_or("\"budget\" expects a dimension=count string")?,
-        )?,
-    };
-    let faults = match v.get("faults") {
-        None => None,
-        Some(j) => parse_faults(
-            j.as_str()
-                .ok_or("\"faults\" expects a clause-list string")?,
-        )?,
-    };
-    let get_ms = |key: &'static str| -> Result<Option<u64>, String> {
-        match v.get(key) {
-            None => Ok(None),
-            Some(j) => j
-                .as_int()
-                .and_then(|n| u64::try_from(n).ok())
-                .map(Some)
-                .ok_or_else(|| format!("{key:?} expects a non-negative integer")),
-        }
-    };
-    let timeout_secs = get_ms("timeout_secs")?;
-    let deadline_ms = get_ms("deadline_ms")?;
-    let progress_ms = get_ms("progress_ms")?;
-    let tenant = match v.get("tenant") {
-        None => None,
-        Some(j) => Some(
-            j.as_str()
-                .map(str::to_owned)
-                .ok_or("\"tenant\" expects a string")?,
-        ),
-    };
-    let reduce = match v.get("reduce") {
-        None => ReduceOptions::none(),
-        Some(j) => {
-            let s = j
-                .as_str()
-                .ok_or("\"reduce\" expects none|symmetry|por|full")?;
-            ReduceOptions::parse(s)
-                .ok_or_else(|| format!("\"reduce\" expects none|symmetry|por|full, got {s:?}"))?
-        }
-    };
-    let engine = match v.get("engine") {
-        None => Engine::Trace,
-        Some(j) => {
-            let s = j.as_str().ok_or("\"engine\" expects trace|bisim|both")?;
-            Engine::parse(s)
-                .ok_or_else(|| format!("\"engine\" expects trace|bisim|both, got {s:?}"))?
-        }
-    };
-    let unit = match v.get("unit") {
-        None => None,
-        Some(u) => {
-            let field = |key: &str| {
-                u.get(key)
-                    .and_then(Json::as_int)
-                    .and_then(|n| usize::try_from(n).ok())
-                    .ok_or_else(|| format!("\"unit\" expects {{\"offset\":N,\"count\":M}}, bad {key:?}"))
-            };
-            Some((field("offset")?, field("count")?))
-        }
-    };
-    Ok(Request::Job(Box::new(JobRequest {
-        mode,
-        concrete,
-        abstract_spec,
-        channels,
-        sessions: u32::try_from(get_usize(&v, "sessions", 2)?)
-            .map_err(|_| "\"sessions\" is out of range".to_string())?,
-        visible: get_usize(&v, "visible", 6)?,
-        budget,
-        faults,
-        intruder: get_bool(&v, "intruder", true)?,
-        faults_depth: get_usize(&v, "faults_depth", 2)?,
-        oracles: get_str_arr(&v, "oracles")?,
-        reduce,
-        engine,
-        timeout_secs,
-        no_cache: get_bool(&v, "no_cache", false)?,
-        tenant,
-        deadline_ms,
-        progress_ms,
-        unit,
-    })))
+    let name = |opt: &JobOption| format!("{:?}", opt.key);
+    let job = JobRequest::build(mode, concrete, abstract_spec, given, name)?;
+    Ok(Request::Job(Box::new(job)))
 }
 
 /// The success envelope.  `digest`/`cached` are present for job
@@ -807,18 +948,101 @@ mod tests {
             .is_err());
     }
 
+    const SPEC: &str = "(^m)c<m> | c(x).observe<x>";
+    const UNLIMITED: &str =
+        "transitions=18446744073709551615,fuel=18446744073709551615,knowledge=18446744073709551615,steps=18446744073709551615";
+
+    /// `(request options, canonical tail after the specs, digest)`:
+    /// one request per mode plus non-default `reduce`, `engine`,
+    /// `faults`, `budget`, `unit` and `oracles`.  `{B}` stands for the
+    /// default budget's canonical spelling.
+    const PINNED: [(&str, &str, &str, &str); 8] = [
+        ("verify", r#""sessions":1"#, "C=c|sessions=1|visible=6|budget={B}|intruder=true|faults=", "fnv:426b2ab6329f32ae"),
+        ("campaign", r#""intruder":false,"faults_depth":1"#, "C=c|sessions=2|visible=6|budget={B}|intruder=false|faults=|depth=1", "fnv:dd32e6a076792526"),
+        ("conformance-replay", r#""oracles":["roundtrip","cowstate"],"sessions":1,"visible":4"#, "C=c|sessions=1|visible=4|budget={B}|intruder=true|faults=|oracles=roundtrip,cowstate", "fnv:a2063292a8fa4c2f"),
+        ("verify", r#""reduce":"full""#, "C=c|sessions=2|visible=6|budget={B}|intruder=true|faults=|reduce=full", "fnv:00f6a633007f8e2f"),
+        ("verify", r#""engine":"bisim","visible":3"#, "C=c|sessions=2|visible=3|budget={B}|intruder=true|faults=|engine=bisim", "fnv:6d16479e2d1acb9b"),
+        ("verify", r#""channels":["c","d"],"faults":"replay:c:2,drop:d","intruder":false"#, "C=c,d|sessions=2|visible=6|budget={B}|intruder=false|faults=drop:d:1+replay:c:2@1", "fnv:9e41e15c4691c5ca"),
+        ("verify", r#""budget":"states=50,fuel=7""#, "C=c|sessions=2|visible=6|budget=states=50,transitions=18446744073709551615,fuel=7,knowledge=18446744073709551615,steps=18446744073709551615|intruder=true|faults=", "fnv:fd90b31a5b221b0e"),
+        ("campaign", r#""faults_depth":3,"unit":{"offset":4,"count":2},"engine":"both","reduce":"symmetry""#, "C=c|sessions=2|visible=6|budget={B}|intruder=true|faults=|reduce=symmetry|engine=both|depth=3|unit=4+2", "fnv:e5f02d8adc6031f8"),
+    ];
+
+    /// The same requests' digests before the default budget moved from
+    /// 50 000 to 200 000 states, in [`PINNED`] order.
+    const BEFORE_BUDGET_DEFAULT: [&str; 8] = [
+        "fnv:f17044e6eb7aac37",
+        "fnv:6b1aaf8220c8c185",
+        "fnv:de430a689234888c",
+        "fnv:6d8bc57d510e5708",
+        "fnv:42e478570ee0411c",
+        "fnv:0c364c12ccc8da4d",
+        "fnv:fd90b31a5b221b0e",
+        "fnv:78ee6233423e6ca7",
+    ];
+
     #[test]
-    fn job_defaults_match_the_cli() {
-        let j = job(VERIFY_LINE);
-        assert_eq!(j.mode, Mode::Verify);
-        assert_eq!(j.channels, ["c"]);
-        assert_eq!(j.sessions, 1);
-        assert_eq!(j.visible, 6);
-        assert_eq!(j.budget, Budget::default());
-        assert!(j.intruder);
-        assert!(j.faults.is_none());
-        assert!(!j.no_cache);
-        assert!(j.timeout_secs.is_none());
+    fn canonical_descriptions_and_digests_are_pinned() {
+        for ((op, options, tail, pinned), before) in PINNED.iter().zip(BEFORE_BUDGET_DEFAULT) {
+            let specs = if *op == "conformance-replay" {
+                format!(r#""spec":"{SPEC}""#)
+            } else {
+                format!(r#""concrete":"{SPEC}","abstract":"{SPEC}""#)
+            };
+            let j = job(&format!(r#"{{"op":"{op}",{specs},{options}}}"#));
+            let spec_part = if *op == "conformance-replay" {
+                SPEC.to_string()
+            } else {
+                format!("{SPEC}|{SPEC}")
+            };
+            let expected = format!("serve-v1|{op}|{spec_part}|{tail}")
+                .replace("{B}", &format!("states=200000,{UNLIMITED}"));
+            assert_eq!(j.canonical().unwrap(), expected);
+            assert_eq!(j.digest().unwrap(), *pinned, "{op} {options}");
+            // Only the budget term moved, and only where none was given.
+            let old = expected.replace("budget=states=200000,", "budget=states=50000,");
+            assert_eq!(digest(&old), before, "{op} {options}");
+        }
+    }
+
+    #[test]
+    fn wire_faults_must_name_channels_of_c() {
+        let err = parse_request(
+            r#"{"op":"verify","concrete":"0","abstract":"0","channels":["c"],"faults":"drop:zz:1"}"#,
+        )
+        .unwrap_err();
+        assert!(err.starts_with("\"faults\" clause 1 of 1"), "{err}");
+        assert!(err.contains("channel `zz` is not in C"), "{err}");
+        let err = parse_request(r#"{"op":"verify","concrete":"0","abstract":"0","faults":"flip:c"}"#)
+            .unwrap_err();
+        assert!(err.contains("unknown fault kind `flip`"), "{err}");
+        // Naming the channel in C makes the same clause fine.
+        let j = job(r#"{"op":"verify","concrete":"0","abstract":"0","channels":["c","zz"],"faults":"drop:zz:1"}"#);
+        assert_eq!(j.faults.map(|f| f.clauses.len()), Some(1));
+    }
+
+    #[test]
+    fn wire_options_reject_the_wrong_json_type() {
+        for (field, expects) in [
+            (r#""sessions":"3""#, "a non-negative integer"),
+            (r#""intruder":"off""#, "a boolean"),
+            (r#""budget":5"#, "a string"),
+            (r#""channels":[1]"#, "an array of strings"),
+            (r#""unit":{"offset":1}"#, "{\"offset\":N,\"count\":M}"),
+        ] {
+            let line = format!(r#"{{"op":"campaign","concrete":"0","abstract":"0",{field}}}"#);
+            let err = parse_request(&line).unwrap_err();
+            assert!(err.ends_with(&format!("expects {expects}")), "{field}: {err}");
+        }
+        let err = parse_request(r#"{"op":"verify","concrete":"0","abstract":"0","visible":-1}"#)
+            .unwrap_err();
+        assert_eq!(err, r#""visible" expects a number, got "-1""#);
+    }
+
+    #[test]
+    fn a_wire_budget_overlays_the_default() {
+        let j = job(r#"{"op":"verify","concrete":"0","abstract":"0","budget":"fuel=100000000"}"#);
+        assert_eq!(j.budget, Budget::default().fuel(100_000_000));
+        assert_eq!(job(r#"{"op":"verify","concrete":"0","abstract":"0"}"#).budget, Budget::default());
     }
 
     #[test]

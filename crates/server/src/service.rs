@@ -137,17 +137,14 @@ pub struct VerifierEngine {
 }
 
 impl VerifierEngine {
-    /// An engine with default exploration parallelism.
+    /// The verifier that answers `job`: each job option applied
+    /// through its row of the job-option table, under
+    /// `ctl`'s deadline, cancel flag and progress counters.  `spi
+    /// verify` builds its verifier here too.
     #[must_use]
-    pub fn new() -> VerifierEngine {
-        VerifierEngine::default()
-    }
-
-    fn build_verifier(&self, job: &JobRequest, ctl: &RunControl) -> Verifier {
-        let mut v = Verifier::new(job.channels.iter().map(String::as_str))
-            .sessions(job.sessions)
-            .max_visible(job.visible)
-            .budget(job.budget)
+    pub fn build_verifier(&self, job: &JobRequest, ctl: &RunControl) -> Verifier {
+        let mut v = job
+            .configure(Verifier::new(std::iter::empty::<&str>()))
             .cancel(Arc::clone(&ctl.cancel));
         if let Some(d) = ctl.deadline {
             v = v.deadline(d);
@@ -155,16 +152,10 @@ impl VerifierEngine {
         if let Some((states, schedules)) = &ctl.progress {
             v = v.progress(Arc::clone(states), Arc::clone(schedules));
         }
-        if let Some(w) = self.explore_workers {
-            v = v.workers(w);
+        match self.explore_workers {
+            Some(w) => v.workers(w),
+            None => v,
         }
-        if let Some(f) = &job.faults {
-            v = v.faults(f.clone());
-        }
-        if !job.intruder {
-            v = v.no_intruder();
-        }
-        v.reduce(job.reduce).engine(job.engine)
     }
 }
 
@@ -702,8 +693,6 @@ fn grow_pool(shared: &Arc<Shared>) {
 pub struct ServerHandle {
     node: NodeHandle,
     reactor: JoinHandle<()>,
-    /// Executor threads that exit on drain.
-    threads: Vec<JoinHandle<()>>,
 }
 
 impl std::ops::Deref for ServerHandle {
@@ -729,8 +718,7 @@ impl ServerHandle {
     }
 
     /// A cheap handle another thread can use to trigger or await the
-    /// drain (the CLI's stdin watcher, the coordinator's failure
-    /// sweeper) or to warm and read the cache (the `--join` heartbeat
+    /// drain (the CLI's stdin watcher) or to warm and read the cache (the `--join` heartbeat
     /// warms through it after a rejoin acknowledgement and hands the
     /// entries off when it leaves).
     #[must_use]
@@ -738,12 +726,6 @@ impl ServerHandle {
         NodeHandle {
             shared: Arc::clone(&self.shared),
         }
-    }
-
-    /// Joins `thread` after the worker pool; it must exit once the node
-    /// drains.
-    pub(crate) fn attach(&mut self, thread: JoinHandle<()>) {
-        self.threads.push(thread);
     }
 
     /// Blocks until *something* triggers the drain — a `shutdown`
@@ -761,11 +743,11 @@ impl ServerHandle {
     /// final snapshot.  Open connections receive their pending replies
     /// and are closed.
     pub fn join(self) {
-        let ServerHandle { node, reactor, threads } = self;
+        let ServerHandle { node, reactor } = self;
         node.shutdown();
         let shared = node.shared;
         let pool = std::mem::take(&mut *shared.pool.lock().expect("pool lock"));
-        for t in pool.into_iter().chain(threads) {
+        for t in pool {
             let _ = t.join();
         }
         // Workers are gone, so every completion is posted; tell the
@@ -896,7 +878,6 @@ pub(crate) fn start(
     Ok(ServerHandle {
         node: NodeHandle { shared },
         reactor,
-        threads: Vec::new(),
     })
 }
 

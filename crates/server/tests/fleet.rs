@@ -38,10 +38,9 @@ fn start_worker() -> ServerHandle {
 
 fn test_opts() -> CoordinatorOptions {
     CoordinatorOptions {
-        // Sweeper-driven death needs heartbeats the tests do not send;
+        // Heartbeat-driven death needs heartbeats the tests do not send;
         // keep it out of the way and rely on dial-failure detection.
         fail_after_ms: 60_000,
-        heartbeat_ms: 50,
         connect_timeout_ms: 500,
         read_timeout_ms: 30_000,
         hedge_after_ms: 5_000,

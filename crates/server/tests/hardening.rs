@@ -455,7 +455,7 @@ fn a_stalled_leave_handoff_never_delays_other_connections() {
         let _ = conn.read_to_end(&mut sink_bytes);
     });
     let handle = coordinate(
-        Arc::new(VerifierEngine::new()),
+        Arc::new(VerifierEngine::default()),
         ServerOptions {
             addr: "127.0.0.1:0".into(),
             ..ServerOptions::default()

@@ -126,16 +126,17 @@ impl Budget {
     ///
     /// # Errors
     ///
-    /// Returns a usage-style message naming the offending pair.
+    /// Returns a usage-style message naming the offending pair (the
+    /// caller names the option: `--budget …`, `"budget" …`).
     pub fn parse_spec(spec: &str) -> Result<Budget, String> {
         let mut budget = Budget::default();
         for pair in spec.split(',').filter(|p| !p.is_empty()) {
             let (key, value) = pair
                 .split_once('=')
-                .ok_or_else(|| format!("budget expects dimension=count pairs, got {pair:?}"))?;
+                .ok_or_else(|| format!("expects dimension=count pairs, got {pair:?}"))?;
             let n: usize = value
                 .parse()
-                .map_err(|_| format!("budget {key}: expected a number, got {value:?}"))?;
+                .map_err(|_| format!("{key}: expected a number, got {value:?}"))?;
             match key {
                 "states" => budget.max_states = n,
                 "transitions" => budget.max_transitions = n,
@@ -144,7 +145,7 @@ impl Budget {
                 "steps" | "deadline" => budget.deadline_steps = n,
                 other => {
                     return Err(format!(
-                        "budget: unknown dimension {other:?} \
+                        "has unknown dimension {other:?} \
                          (expected states|transitions|fuel|knowledge|steps)"
                     ))
                 }
@@ -178,9 +179,11 @@ impl Budget {
 }
 
 impl Default for Budget {
-    /// The historical default: 50 000 states, everything else unlimited.
+    /// The one default: 200 000 states, everything else unlimited.
+    /// `spi verify`, `spi serve` and [`crate::Verifier::new`] all start
+    /// from it, and [`Budget::parse_spec`] overlays it.
     fn default() -> Budget {
-        Budget::unlimited().states(50_000)
+        Budget::unlimited().states(200_000)
     }
 }
 
@@ -330,9 +333,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_matches_historical_state_cap() {
+    fn default_caps_only_states() {
         let b = Budget::default();
-        assert_eq!(b.max_states, 50_000);
+        assert_eq!(b.max_states, 200_000);
         assert_eq!(b.max_transitions, usize::MAX);
     }
 

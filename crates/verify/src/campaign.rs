@@ -718,6 +718,32 @@ mod tests {
     use crate::Budget;
     use spi_syntax::parse;
 
+    #[test]
+    fn campaign_identities_are_pinned() {
+        // Checkpoints persist these digests, so their bytes must not
+        // move: the paper's Pm2 against Pm under the verifier defaults,
+        // under the bisimulation engine, and with non-default bounds.
+        let pm2 = parse("(^kAB)(!(^m)c<{m}kAB> | !c(z).case z of {w}kAB in observe<w>)")
+            .expect("parses");
+        let pm = parse("(^s)(!s<s>.(^m)c<m> | !s@lamB(x_s).c@lamB(z).observe<z>)")
+            .expect("parses");
+        for (verifier, pinned) in [
+            (crate::Verifier::new(["c"]), "fnv:c0d4f11426c1c0b7"),
+            (
+                crate::Verifier::new(["c"]).engine(Engine::Bisim),
+                "fnv:677098d48c2e513e",
+            ),
+            (
+                crate::Verifier::new(["c"]).no_intruder().sessions(3),
+                "fnv:7e778dcfe59574a9",
+            ),
+        ] {
+            let opts = verifier.campaign_options(2);
+            let (concrete, spec) = (verifier.under_attack(&pm2), verifier.under_attack(&pm));
+            assert_eq!(campaign_identity(&concrete, &spec, &opts), pinned);
+        }
+    }
+
     /// A sender plus a *greedy* receiver that would observe a second
     /// delivery if the network ever produced one.
     fn greedy() -> Process {

@@ -205,7 +205,7 @@ pub struct ExploreOptions {
 }
 
 impl ExploreOptions {
-    /// The historical defaults (50 000 states, unfold bound 2, no
+    /// The defaults (200 000 states, unfold bound 2, no
     /// intruder, no faults) — identical to `Default` except written out
     /// for discoverability.
     #[must_use]
@@ -222,7 +222,7 @@ impl ExploreOptions {
 }
 
 impl Default for ExploreOptions {
-    /// The historical defaults: the default [`Budget`] (50 000 states,
+    /// The defaults: the default [`Budget`] (200 000 states,
     /// everything else unlimited), unfold bound 2 (the paper's
     /// two-session analyses), no intruder, no faults, all available
     /// worker threads (the result is identical for every worker count).

@@ -150,8 +150,8 @@ pub struct Verifier {
 impl Verifier {
     /// A verifier for protocols communicating over `channels` (the set
     /// `C` of Definition 4), with defaults: 2 sessions, 6 visible
-    /// observations, one intruder-invented name, a 200 000-state budget,
-    /// and a reliable network.
+    /// observations, one intruder-invented name, the default [`Budget`]
+    /// (200 000 states), and a reliable network.
     #[must_use]
     pub fn new<I, N>(channels: I) -> Verifier
     where
@@ -161,7 +161,7 @@ impl Verifier {
         Verifier {
             channels: channels.into_iter().map(Into::into).collect(),
             unfold_bound: 2,
-            budget: Budget::unlimited().states(200_000),
+            budget: Budget::default(),
             max_visible: 6,
             fresh_budget: 1,
             faults: None,
@@ -229,6 +229,17 @@ impl Verifier {
     #[must_use]
     pub fn no_intruder(mut self) -> Verifier {
         self.intruder_enabled = false;
+        self
+    }
+
+    /// Replaces the channel set `C`.
+    #[must_use]
+    pub fn channels<I, N>(mut self, channels: I) -> Verifier
+    where
+        I: IntoIterator<Item = N>,
+        N: Into<Name>,
+    {
+        self.channels = channels.into_iter().map(Into::into).collect();
         self
     }
 
