@@ -84,12 +84,7 @@ pub fn render(
 /// FNV-1a digest of the file body.
 #[must_use]
 pub fn filename(oracle: &str, body: &str) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in body.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{oracle}-{h:016x}.spi")
+    format!("{oracle}-{:016x}.spi", spi_verify::fnv64(body))
 }
 
 /// Writes a reproducer into `dir`, creating it if needed, and returns the

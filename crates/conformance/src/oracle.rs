@@ -502,6 +502,58 @@ impl Oracle for Checkpoint {
     }
 }
 
+/// The verify question the `server` and `fleet` oracles put to a node:
+/// the body a direct [`Verifier`] run encodes, and the request line
+/// that asks for it over the wire with the same knobs.  `Err` is the
+/// verdict when the direct side cannot answer.
+fn served_question(case: &TestCase, env: &OracleEnv) -> Result<(String, String), Verdict> {
+    // The wire parses the budget spelling with the same
+    // Budget::parse_spec the direct side uses.
+    let budget_spec = format!("states={}", env.max_states.min(2_000));
+    let Ok(budget) = Budget::parse_spec(&budget_spec) else {
+        return Err(Verdict::Skip("budget spec did not parse".into()));
+    };
+    let visible = 4usize;
+    let verifier = Verifier::new(case.channels.iter().map(String::as_str))
+        .sessions(env.unfold_bound)
+        .max_visible(visible)
+        .budget(budget)
+        .workers(1)
+        .no_intruder();
+    let report = verifier
+        .check(&case.concrete, &case.spec)
+        .map_err(|e| Verdict::Skip(format!("direct check failed: {e}")))?;
+    let request = Json::Obj(vec![
+        ("op".to_string(), Json::str("verify")),
+        ("concrete".into(), Json::str(case.concrete.to_string())),
+        ("abstract".into(), Json::str(case.spec.to_string())),
+        (
+            "channels".into(),
+            Json::str_arr(case.channels.iter().cloned()),
+        ),
+        ("sessions".into(), Json::count(env.unfold_bound as usize)),
+        ("visible".into(), Json::count(visible)),
+        ("budget".into(), Json::str(budget_spec)),
+        ("intruder".into(), Json::Bool(false)),
+    ])
+    .render_compact();
+    Ok((verify_body(&report).render_compact(), request))
+}
+
+/// A one-thread worker on an ephemeral port.
+fn start_worker() -> Result<spi_server::ServerHandle, String> {
+    let opts = ServerOptions {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        cache_bytes: 1 << 20,
+        snapshot: None,
+        queue_cap: 8,
+        default_timeout_secs: None,
+        ..ServerOptions::default()
+    };
+    serve(Arc::new(VerifierEngine { explore_workers: Some(1) }), opts)
+}
+
 /// Served verdicts against direct ones: an in-process `spi serve`
 /// daemon must answer a verify request with exactly the body a direct
 /// [`Verifier`] run encodes — and answer the resubmission from its
@@ -510,56 +562,14 @@ struct Server;
 
 impl Server {
     fn check_inner(case: &TestCase, env: &OracleEnv) -> (Verdict, Option<spi_server::ServerHandle>) {
-        // Both sides get the same knobs: the budget spelling below is
-        // parsed by the wire protocol with the same Budget::parse_spec
-        // the direct side uses.
-        let budget_spec = format!("states={}", env.max_states.min(2_000));
-        let Ok(budget) = Budget::parse_spec(&budget_spec) else {
-            return (Verdict::Skip("budget spec did not parse".into()), None);
+        let (direct, request) = match served_question(case, env) {
+            Ok(question) => question,
+            Err(verdict) => return (verdict, None),
         };
-        let visible = 4usize;
-        let verifier = Verifier::new(case.channels.iter().map(String::as_str))
-            .sessions(env.unfold_bound)
-            .max_visible(visible)
-            .budget(budget)
-            .workers(1)
-            .no_intruder();
-        let report = match verifier.check(&case.concrete, &case.spec) {
-            Ok(r) => r,
-            Err(e) => return (Verdict::Skip(format!("direct check failed: {e}")), None),
-        };
-        let direct = verify_body(&report).render_compact();
-
-        let opts = ServerOptions {
-            addr: "127.0.0.1:0".into(),
-            workers: 1,
-            cache_bytes: 1 << 20,
-            snapshot: None,
-            queue_cap: 8,
-            default_timeout_secs: None,
-            ..ServerOptions::default()
-        };
-        let engine = Arc::new(VerifierEngine {
-            explore_workers: Some(1),
-        });
-        let handle = match serve(engine, opts) {
+        let handle = match start_worker() {
             Ok(h) => h,
             Err(e) => return (Verdict::Skip(format!("cannot start server: {e}")), None),
         };
-        let request = Json::Obj(vec![
-            ("op".to_string(), Json::str("verify")),
-            ("concrete".into(), Json::str(case.concrete.to_string())),
-            ("abstract".into(), Json::str(case.spec.to_string())),
-            (
-                "channels".into(),
-                Json::str_arr(case.channels.iter().cloned()),
-            ),
-            ("sessions".into(), Json::count(env.unfold_bound as usize)),
-            ("visible".into(), Json::count(visible)),
-            ("budget".into(), Json::str(budget_spec)),
-            ("intruder".into(), Json::Bool(false)),
-        ])
-        .render_compact();
         let verdict = Server::roundtrips(&handle, &request, &direct);
         (verdict, Some(handle))
     }
@@ -649,41 +659,11 @@ struct Fleet;
 
 impl Fleet {
     fn check_inner(case: &TestCase, env: &OracleEnv) -> Verdict {
-        let budget_spec = format!("states={}", env.max_states.min(2_000));
-        let Ok(budget) = Budget::parse_spec(&budget_spec) else {
-            return Verdict::Skip("budget spec did not parse".into());
+        let (direct, request) = match served_question(case, env) {
+            Ok(question) => question,
+            Err(verdict) => return verdict,
         };
-        let visible = 4usize;
-        let verifier = Verifier::new(case.channels.iter().map(String::as_str))
-            .sessions(env.unfold_bound)
-            .max_visible(visible)
-            .budget(budget)
-            .workers(1)
-            .no_intruder();
-        let report = match verifier.check(&case.concrete, &case.spec) {
-            Ok(r) => r,
-            Err(e) => return Verdict::Skip(format!("direct check failed: {e}")),
-        };
-        let direct = verify_body(&report).render_compact();
-
-        let engine = || {
-            Arc::new(VerifierEngine {
-                explore_workers: Some(1),
-            })
-        };
-        let worker_opts = || ServerOptions {
-            addr: "127.0.0.1:0".into(),
-            workers: 1,
-            cache_bytes: 1 << 20,
-            snapshot: None,
-            queue_cap: 8,
-            default_timeout_secs: None,
-            ..ServerOptions::default()
-        };
-        let workers = [
-            serve(engine(), worker_opts()),
-            serve(engine(), worker_opts()),
-        ];
+        let workers = [start_worker(), start_worker()];
         let mut handles = Vec::new();
         for w in workers {
             match w {
@@ -692,7 +672,7 @@ impl Fleet {
             }
         }
         let coordinator = match coordinate(
-            engine(),
+            Arc::new(VerifierEngine { explore_workers: Some(1) }),
             ServerOptions {
                 addr: "127.0.0.1:0".into(),
                 ..ServerOptions::default()
@@ -719,20 +699,6 @@ impl Fleet {
                 return Verdict::Skip(format!("cannot start coordinator: {e}"));
             }
         };
-        let request = Json::Obj(vec![
-            ("op".to_string(), Json::str("verify")),
-            ("concrete".into(), Json::str(case.concrete.to_string())),
-            ("abstract".into(), Json::str(case.spec.to_string())),
-            (
-                "channels".into(),
-                Json::str_arr(case.channels.iter().cloned()),
-            ),
-            ("sessions".into(), Json::count(env.unfold_bound as usize)),
-            ("visible".into(), Json::count(visible)),
-            ("budget".into(), Json::str(budget_spec)),
-            ("intruder".into(), Json::Bool(false)),
-        ])
-        .render_compact();
         let verdict = Fleet::rides_out_chaos(&coordinator, &handles, &request, &direct);
         coordinator.join();
         for h in handles {

@@ -114,7 +114,7 @@ fn print_usage() {
     let campaign: Vec<&str> = campaign.chain(campaign_own).collect();
     eprintln!(
         "usage:\n  spi parse <file>\n  spi run <file> [--steps N] [--unfold N]\n{}\n{}\n  \
-         spi explore <file> [--dot FILE] (plus verify flags)\n  \
+         spi explore <file> [--dot FILE] (plus verify flags but --visible, --engine)\n  \
          spi narrate <narration-file> (plus verify flags)\n  \
          spi conformance [--seed N] [--cases N] [--size small|medium|large]\n    \
          [--oracles NAME,...] [--regressions DIR] [--unfold N] [--max-states N]\n    \
@@ -465,7 +465,10 @@ fn campaign_code(report: &spi_auth::CampaignReport) -> ExitCode {
 }
 
 fn cmd_explore(args: &[String]) -> Result<ExitCode, String> {
-    let known = job_known(Mode::Verify, &["workers", "timeout-secs", "dot"]);
+    // An exploration compares no traces, so it reads neither the trace
+    // depth nor the decision engine.
+    let mut known = job_known(Mode::Verify, &["workers", "timeout-secs", "dot"]);
+    known.retain(|flag| !["visible", "engine"].contains(flag));
     let (pos, flags) = split_flags(args, &known)?;
     let [path] = pos.as_slice() else {
         return Err("explore expects one file".into());
@@ -826,10 +829,7 @@ fn client_send(
 /// degradation when the server stays unreachable (`--fallback local`).
 /// The response envelope matches the daemon's, marked `"via":"local"`.
 fn run_job_locally(line: &str) -> Result<String, String> {
-    use spi_auth::server::{
-        error_response, ok_response, parse_request, Engine, FullEngine, Request,
-    };
-    use spi_auth::verify::jsonlite::Json;
+    use spi_auth::server::{error_response, job_reply, parse_request, Engine, FullEngine, Request};
     // A bad request gets the error envelope a server would send.
     let job = match parse_request(line) {
         Ok(Request::Job(job)) => job,
@@ -837,25 +837,16 @@ fn run_job_locally(line: &str) -> Result<String, String> {
         Err(e) => return Ok(error_response("request", &e).render_compact()),
     };
     let digest = job.digest()?;
-    let op = job.mode.keyword();
     let ctl = RunControl {
         deadline: job
             .timeout_secs
             .map(|s| std::time::Instant::now() + std::time::Duration::from_secs(s)),
-        cancel: std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false)),
+        cancel: std::sync::Arc::default(),
         progress: None,
     };
-    let envelope = match FullEngine::new(Some(1)).run(&job, &ctl).body {
-        Ok(body) => {
-            let mut env = ok_response(op, Some(&digest), false, body);
-            if let Json::Obj(fields) = &mut env {
-                fields.push(("via".to_string(), Json::str("local")));
-            }
-            env
-        }
-        Err(e) => error_response(op, &e),
-    };
-    Ok(envelope.render_compact())
+    let outcome = FullEngine::new(Some(1)).run(&job, &ctl);
+    job_reply(job.mode.keyword(), &digest, outcome, &ctl, Some("local"))
+        .ok_or_else(|| "the local run was cancelled".to_string())
 }
 
 /// Adds `"progress_ms":MS` to a job request line (verify, campaign,

@@ -9,11 +9,10 @@
 //! the response body.
 
 pub use spi_server::{
-    campaign_body, coordinate, error_response, job_flags, ok_response, oneshot, parse_request,
-    parse_source, progress_response, pull_from, push_to, rejected_response, serve, shed_response,
-    verify_body, ChaosEvent, ChaosPlan, Client, CoordinatorOptions, Engine, EngineOutcome,
-    JobRequest, Membership, Mode, Priority, Request,
-    NodeHandle, ResultCache, Ring, RunControl, ServerHandle, ServerOptions, Singleflight,
+    campaign_body, coordinate, error_response, job_flags, job_reply, ok_response, oneshot,
+    parse_request, parse_source, progress_response, pull_from, push_to, rejected_response, serve,
+    shed_response, verify_body, ChaosEvent, ChaosPlan, Client, CoordinatorOptions, Engine,
+    EngineOutcome, JobRequest, Membership, Mode, Priority, Request, NodeHandle, ResultCache, Ring, RunControl, ServerHandle, ServerOptions, Singleflight,
     TenantQuotas, VerifierEngine,
 };
 pub use spi_server::gossip::gossip_body;

@@ -100,6 +100,20 @@ fn explore_writes_dot_files() {
 }
 
 #[test]
+fn explore_refuses_flags_it_does_not_read() {
+    let file = write_temp("pm2-explore.spi", PM2);
+    let out = spi().arg("explore").arg(&file).args(["--sessions", "1"]).output().expect("runs");
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout).contains("15 states, 24 edges"));
+    for (flag, value) in [("--visible", "1"), ("--engine", "bisim")] {
+        let out = spi().arg("explore").arg(&file).args([flag, value]).output().expect("runs");
+        assert_eq!(out.status.code(), Some(2), "{flag} is refused");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
+    }
+}
+
+#[test]
 fn program_files_are_accepted_everywhere() {
     let prog = write_temp(
         "prog.spi",

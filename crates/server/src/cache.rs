@@ -1,16 +1,11 @@
 //! The content-addressed result cache.
 //!
 //! Entries are keyed by the canonical request digest and hold the
-//! rendered (compact) response body.  Capacity is a **byte budget**
-//! accounted through the toolkit's existing resource-governor types:
-//! the budget rides the [`Budget`] knowledge dimension and every
-//! admission decision goes through [`Governor::admit_knowledge`], so
-//! the cache degrades exactly like an exploration does — by shedding
-//! the least-recently-used entries, never by unbounded growth.
+//! rendered (compact) response body.  Capacity is a **byte budget**:
+//! an insert sheds the least-recently-used entries until the new one
+//! fits, so the cache never grows past it.
 
 use std::collections::HashMap;
-
-use spi_verify::{Budget, Governor};
 
 /// One cached result.
 #[derive(Debug, Clone)]
@@ -24,7 +19,7 @@ struct Entry {
 /// An LRU result cache under a byte budget.
 #[derive(Debug)]
 pub struct ResultCache {
-    governor: Governor,
+    max_bytes: usize,
     entries: HashMap<String, Entry>,
     used_bytes: usize,
     tick: u64,
@@ -41,7 +36,7 @@ impl ResultCache {
     #[must_use]
     pub fn new(max_bytes: usize) -> ResultCache {
         ResultCache {
-            governor: Governor::new(Budget::unlimited().knowledge(max_bytes)),
+            max_bytes,
             entries: HashMap::new(),
             used_bytes: 0,
             tick: 0,
@@ -54,7 +49,7 @@ impl ResultCache {
     /// The configured byte budget.
     #[must_use]
     pub fn max_bytes(&self) -> usize {
-        self.governor.budget().max_knowledge
+        self.max_bytes
     }
 
     /// Bytes currently held.  Invariant: never exceeds
@@ -99,19 +94,13 @@ impl ResultCache {
     /// refused outright (caching it could never satisfy the invariant).
     pub fn insert(&mut self, key: String, op: String, body: String) {
         let cost = key.len() + op.len() + body.len();
-        // A single oversized entry can never be admitted.
-        let mut probe = self.governor.clone();
-        if !probe.admit_knowledge(cost) {
+        if cost > self.max_bytes {
             return;
         }
         if let Some(old) = self.entries.remove(&key) {
             self.used_bytes -= old.bytes;
         }
-        while !self
-            .governor
-            .clone()
-            .admit_knowledge(self.used_bytes + cost)
-        {
+        while self.used_bytes + cost > self.max_bytes {
             self.evict_lru();
         }
         self.tick += 1;

@@ -50,12 +50,16 @@ use std::time::{Duration, Instant};
 use spi_semantics::FaultKind;
 use spi_verify::faultsim::multi_fault_schedules;
 use spi_verify::jsonlite::Json;
+use spi_verify::CampaignReport;
 
 use crate::chaos::{ChaosEvent, ChaosPlan};
 use crate::client::Client;
-use crate::protocol::{error_response, ok_response, JobRequest, Mode, Request};
+use crate::protocol::{
+    campaign_body, campaign_report, error_response, ok_response, JobRequest, Mode, Request,
+};
 use crate::service::{
-    start, Control, Engine, Executor, Histogram, Ran, RunControl, ServerHandle, ServerOptions,
+    job_reply, start, Control, Engine, EngineOutcome, Executor, Histogram, Ran, RunControl,
+    ServerHandle, ServerOptions,
 };
 use crate::shard::Ring;
 use crate::snapshot::Entries;
@@ -639,25 +643,12 @@ fn dispatch_hedged(
 /// when a drain cut the run short.
 fn run_local(coord: &Coord, job: &JobRequest, digest: &str, ctl: &RunControl) -> Option<String> {
     coord.counters.local_runs.fetch_add(1, Ordering::SeqCst);
-    let op = job.mode.keyword();
     let outcome = coord.engine.run(job, ctl);
-    if !outcome.cacheable && draining(ctl) {
-        return None;
-    }
-    Some(match outcome.body {
-        Ok(body) => {
-            let mut envelope = ok_response(op, Some(digest), false, body);
-            if let Json::Obj(fields) = &mut envelope {
-                fields.push(("via".to_string(), Json::str("local")));
-            }
-            envelope.render_compact()
-        }
-        Err(e) => error_response(op, &e).render_compact(),
-    })
+    job_reply(job.mode.keyword(), digest, outcome, ctl, Some("local"))
 }
 
-/// Per-unit outcomes, indexed by unit position in the enumeration.
-type UnitSlots = Vec<Option<Result<Json, String>>>;
+/// Per-unit reports, indexed by unit position in the enumeration.
+type UnitSlots = Vec<Option<Result<CampaignReport, String>>>;
 
 /// A campaign split into per-schedule work units, work-stolen across
 /// the fleet, stitched back into the byte-identical single-process
@@ -702,8 +693,11 @@ fn campaign_fanout(
         }
     });
     let slots = slots.into_inner().expect("unit slots");
-    match merge_units(job, digest, total, slots) {
-        Some(merged) => Some(Some(merged)),
+    match merge_units(total, slots) {
+        Some(merged) => {
+            let outcome = EngineOutcome { body: Ok(campaign_body(&merged)), cacheable: true };
+            Some(job_reply(job.mode.keyword(), digest, outcome, ctl, Some("fleet")))
+        }
         None if draining(ctl) => Some(None),
         None => Some(run_local(coord, job, digest, ctl)),
     }
@@ -711,7 +705,7 @@ fn campaign_fanout(
 
 /// Decides one work unit: routed through the ring when possible, run
 /// on the local engine otherwise.  Either way the body comes from the
-/// same `campaign_body` encoder, so merged bytes cannot differ.
+/// same `campaign_body` encoder and is decoded back into its report.
 fn run_unit(
     coord: &Coord,
     idx: u64,
@@ -719,7 +713,7 @@ fn run_unit(
     unit_index: usize,
     unit: usize,
     ctl: &RunControl,
-) -> Result<Json, String> {
+) -> Result<CampaignReport, String> {
     let sub = job.with_unit(unit_index * unit, unit);
     let sub_digest = sub.digest()?;
     match try_route(coord, idx, &sub, &sub_digest, ctl) {
@@ -727,11 +721,8 @@ fn run_unit(
             coord.counters.routed.fetch_add(1, Ordering::SeqCst);
             let envelope =
                 Json::parse(&reply).map_err(|e| format!("malformed worker reply: {e}"))?;
-            match envelope.get("status").and_then(Json::as_str) {
-                Some("ok") => envelope
-                    .get("body")
-                    .cloned()
-                    .ok_or_else(|| "worker reply lacks a body".to_string()),
+            match (envelope.get("status").and_then(Json::as_str), envelope.get("body")) {
+                (Some("ok"), Some(body)) => campaign_report(body),
                 _ => Err(format!("unit {unit_index} failed: {reply}")),
             }
         }
@@ -740,71 +731,32 @@ fn run_unit(
             // or every candidate dead): decide it locally.
             coord.counters.redispatched.fetch_add(1, Ordering::SeqCst);
             coord.counters.local_runs.fetch_add(1, Ordering::SeqCst);
-            coord.engine.run(&sub, ctl).body
+            coord.engine.run(&sub, ctl).body.and_then(|body| campaign_report(&body))
         }
     }
 }
 
-/// Stitches unit bodies back into the single-process campaign body:
-/// identical `identity`/`enumerated` across units, results
-/// concatenated in unit order, tallies recomputed.  Any inconsistent
-/// or failed unit aborts the merge (the caller falls back to a local
-/// full run rather than serving a frankenreport).
-fn merge_units(job: &JobRequest, digest: &str, total: usize, slots: UnitSlots) -> Option<String> {
-    let mut identity: Option<String> = None;
-    let mut results: Vec<Json> = Vec::with_capacity(total);
-    let (mut attacks, mut survives, mut inconclusive) = (0usize, 0usize, 0usize);
-    let mut early_rejects: i64 = 0;
+/// Stitches unit reports back into the single-process report: the
+/// same identity and enumeration in every unit, none interrupted,
+/// results concatenated in unit order, fast-path counts summed.  Any
+/// inconsistent or failed unit aborts the merge (the caller falls back
+/// to a local full run rather than serving a frankenreport).
+fn merge_units(total: usize, slots: UnitSlots) -> Option<CampaignReport> {
+    let mut merged: Option<CampaignReport> = None;
     for slot in slots {
-        let body = match slot {
-            Some(Ok(body)) => body,
-            _ => return None,
-        };
-        if body.get("enumerated").and_then(Json::as_int)
-            != Some(i64::try_from(total).ok()?)
-        {
+        let unit = slot?.ok()?;
+        if unit.enumerated != total || unit.interrupted {
             return None;
         }
-        let unit_identity = body.get("identity").and_then(Json::as_str)?.to_string();
-        match &identity {
-            None => identity = Some(unit_identity),
-            Some(seen) if *seen == unit_identity => {}
+        match &mut merged {
+            None => merged = Some(unit),
+            Some(m) if m.identity == unit.identity => {
+                m.results.extend(unit.results);
+                m.fresh += unit.fresh;
+                m.early_rejects += unit.early_rejects;
+            }
             Some(_) => return None,
         }
-        if body.get("interrupted").and_then(Json::as_bool) != Some(false) {
-            return None;
-        }
-        // Present only when the unit's bisim fast path fired (see
-        // `protocol::campaign_body`); the merged counter is the sum.
-        early_rejects += body.get("early_rejects").and_then(Json::as_int).unwrap_or(0);
-        for r in body.get("results").and_then(Json::as_arr)? {
-            match r.get("outcome").and_then(Json::as_str) {
-                Some("attack") => attacks += 1,
-                Some("survives") => survives += 1,
-                Some("inconclusive") => inconclusive += 1,
-                _ => return None,
-            }
-            results.push(r.clone());
-        }
     }
-    let identity = identity?;
-    // The exact field order of `protocol::campaign_body`.
-    let mut fields = vec![
-        ("enumerated".to_string(), Json::count(total)),
-        ("attacks".into(), Json::count(attacks)),
-        ("survives".into(), Json::count(survives)),
-        ("inconclusive".into(), Json::count(inconclusive)),
-        ("interrupted".into(), Json::Bool(false)),
-        ("identity".into(), Json::str(identity)),
-    ];
-    if early_rejects > 0 {
-        fields.push(("early_rejects".into(), Json::Int(early_rejects)));
-    }
-    fields.push(("results".into(), Json::Arr(results)));
-    let body = Json::Obj(fields);
-    let mut envelope = ok_response(job.mode.keyword(), Some(digest), false, body);
-    if let Json::Obj(fields) = &mut envelope {
-        fields.push(("via".to_string(), Json::str("fleet")));
-    }
-    Some(envelope.render_compact())
+    merged
 }

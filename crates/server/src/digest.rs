@@ -1,21 +1,12 @@
 //! Content digests for cache keys and snapshot identities.
 //!
-//! The build is offline (no hashing crates), so digests are 64-bit
-//! FNV-1a rendered in the same `fnv:{:016x}` spelling the campaign
-//! checkpoint identity uses.  These digests guard caches against
-//! *accidental* mismatch (a different question, a corrupted snapshot),
-//! not against an adversary with write access to the snapshot file.
+//! Digests are the workspace's one 64-bit FNV-1a ([`fnv64`]) rendered
+//! in the same `fnv:{:016x}` spelling the campaign checkpoint identity
+//! uses.  They guard caches against *accidental* mismatch (a different
+//! question, a corrupted snapshot), not against an adversary with write
+//! access to the snapshot file.
 
-/// 64-bit FNV-1a.
-#[must_use]
-pub fn fnv64(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
+use spi_verify::fnv64;
 
 /// The canonical digest spelling: `fnv:` plus 16 hex digits.
 #[must_use]

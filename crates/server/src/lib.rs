@@ -72,12 +72,13 @@ pub use gossip::{pull_from, push_to};
 pub use flight::Singleflight;
 pub use membership::Membership;
 pub use protocol::{
-    campaign_body, error_response, job_flags, ok_response, parse_request, parse_source,
-    progress_response, rejected_response, shed_response, verify_body, JobRequest, Mode, Request,
+    campaign_body, campaign_report, error_response, job_flags, ok_response, parse_request,
+    parse_source, progress_response, rejected_response, shed_response, verify_body, JobRequest,
+    Mode, Request,
 };
 pub use reactor::Poller;
 pub use service::{
-    serve, Engine, EngineOutcome, NodeHandle, RunControl, ServerHandle, ServerOptions,
+    job_reply, serve, Engine, EngineOutcome, NodeHandle, RunControl, ServerHandle, ServerOptions,
     VerifierEngine,
 };
 pub use shard::Ring;

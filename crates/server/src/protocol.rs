@@ -21,16 +21,19 @@
 //! and, never in the content digest, `timeout_secs`, `no_cache`,
 //! `tenant` (quota accounting), `deadline_ms` and `progress_ms`
 //! (heartbeat interval).  The wire, the CLI's shared flags, the digest
-//! and the verifier the service builds all walk that table.  Control ops are `ping`, `stats`,
-//! `shutdown`, `join` (worker registration/heartbeat, optionally
-//! announcing the worker's `capacity`), `leave` (a worker announcing
-//! drain, optionally handing off its cache), `gossip` (cache-warming
-//! pull), and `gossip-push` (digest-guarded cache handoff from a
-//! coordinator).
+//! and the verifier the service builds all walk that table.  An option
+//! one job kind reads (`faults_depth` and `unit`: campaigns; `oracles`:
+//! conformance replay) is refused by the other ops.  Control ops are
+//! `ping`, `stats`, `shutdown`, `join` (worker registration/heartbeat,
+//! optionally announcing the worker's `capacity`), `leave` (a worker
+//! announcing drain, optionally handing off its cache), `gossip`
+//! (cache-warming pull), and `gossip-push` (digest-guarded cache
+//! handoff from a coordinator).
 //!
 //! The verify/campaign **body encoders** here are the single source of
 //! the JSON result shapes: the daemon, the cache snapshot, and the
-//! CLI's `--format json` all call [`verify_body`] / [`campaign_body`].
+//! CLI's `--format json` all call [`verify_body`] / [`campaign_body`],
+//! and a coordinator reads unit bodies back with [`campaign_report`].
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -40,8 +43,8 @@ use spi_semantics::{FaultClause, FaultKind, FaultSpec};
 use spi_syntax::Process;
 use spi_verify::jsonlite::Json;
 use spi_verify::{
-    Budget, CampaignReport, CoverageStats, Engine, ExploreStats, ReduceOptions, Verdict,
-    VerificationReport, Verifier,
+    Budget, CampaignReport, CoverageStats, Engine, ExploreStats, ReduceOptions, ScheduleResult,
+    Verdict, VerificationReport, Verifier,
 };
 
 use crate::digest::digest;
@@ -178,8 +181,6 @@ enum InDigest {
     /// Only when it differs from the default, so digests from before
     /// the option existed (and the caches keyed by them) stay valid.
     NonDefault(&'static str),
-    /// Always in jobs of this mode, never in the others.
-    InMode(Mode, &'static str),
     /// Never: the option changes when (or whether) an answer arrives,
     /// never what it is.
     Never,
@@ -262,6 +263,9 @@ struct JobOption {
     shape: Shape,
     /// When the option enters the content digest.
     digest: InDigest,
+    /// The one job kind that reads the option; `None` means every job.
+    /// Other ops refuse it, and it never enters their digests.
+    read_by: Option<Mode>,
     /// Parses and validates the text spelling onto a job.  Rows run in
     /// table order, so a row may check against the ones above it.
     parse: fn(&mut JobRequest, &str) -> Result<(), String>,
@@ -273,13 +277,16 @@ struct JobOption {
 }
 
 impl JobOption {
-    /// The CLI flag this option answers to in `mode`: options whose
-    /// digest only counts in one mode are only accepted there.
+    /// Whether jobs of `mode` read this option.
+    fn read_in(&self, mode: Mode) -> bool {
+        self.read_by.is_none_or(|only| only == mode)
+    }
+
+    /// The CLI flag this option answers to in `mode`, if jobs of `mode`
+    /// read it.
     fn flag_in(&self, mode: Mode) -> Option<&'static str> {
-        match self.digest {
-            InDigest::InMode(only, _) if only != mode => None,
-            _ => self.cli?.strip_prefix("[--")?.split([' ', ']']).next(),
-        }
+        let cli = self.cli.filter(|_| self.read_in(mode))?;
+        cli.strip_prefix("[--")?.split([' ', ']']).next()
     }
 }
 
@@ -348,33 +355,33 @@ fn parse_faults(text: &str, channels: &[String]) -> Result<Option<FaultSpec>, St
 static JOB_OPTIONS: &[JobOption] = &[
     JobOption {
         key: "channels", cli: Some("[--chan NAME]..."), default: "c", shape: Shape::List,
-        digest: InDigest::Always("C"),
+        digest: InDigest::Always("C"), read_by: None,
         parse: |j, t| { j.channels = list(t); Ok(()) },
         text: |j, out| spell(out, &j.channels),
         apply: Some(|j, v| v.channels(j.channels.iter().map(String::as_str))),
     },
     JobOption {
         key: "sessions", cli: Some("[--sessions N]"), default: "2", shape: Shape::Int,
-        digest: InDigest::Always("sessions"),
+        digest: InDigest::Always("sessions"), read_by: None,
         parse: |j, t| { j.sessions = number(t)?; Ok(()) },
         text: |j, out| spell(out, [j.sessions]), apply: Some(|j, v| v.sessions(j.sessions)),
     },
     JobOption {
         key: "visible", cli: Some("[--visible N]"), default: "6", shape: Shape::Int,
-        digest: InDigest::Always("visible"),
+        digest: InDigest::Always("visible"), read_by: None,
         parse: |j, t| { j.visible = number(t)?; Ok(()) },
         text: |j, out| spell(out, [j.visible]), apply: Some(|j, v| v.max_visible(j.visible)),
     },
     JobOption {
         // The empty spelling is `Budget::default()`; pairs overlay it.
         key: "budget", cli: Some("[--budget states=N,transitions=N,fuel=N,knowledge=N,steps=N]"),
-        default: "", shape: Shape::Str, digest: InDigest::Always("budget"),
+        default: "", shape: Shape::Str, digest: InDigest::Always("budget"), read_by: None,
         parse: |j, t| { j.budget = Budget::parse_spec(t)?; Ok(()) },
         text: |j, out| out.push_str(&j.budget.canonical_spec()), apply: Some(|j, v| v.budget(j.budget)),
     },
     JobOption {
         key: "intruder", cli: Some("[--intruder on|off]"), default: "true", shape: Shape::Bool,
-        digest: InDigest::Always("intruder"),
+        digest: InDigest::Always("intruder"), read_by: None,
         parse: |j, t| { j.intruder = boolean(t)?; Ok(()) },
         text: |j, out| spell(out, [j.intruder]),
         apply: Some(|j, v| if j.intruder { v } else { v.no_intruder() }),
@@ -383,13 +390,14 @@ static JOB_OPTIONS: &[JobOption] = &[
         key: "faults", cli: Some("[--fault kind:chan[:max],...]..."), default: "",
         // The digest spells the schedule by its canonical key.
         shape: Shape::Str, digest: InDigest::Spelled("faults", |j, out| spell(out, &j.faults)),
+        read_by: None,
         parse: |j, t| { j.faults = parse_faults(t, &j.channels)?; Ok(()) },
         text: |j, out| spell(out, j.faults.iter().flat_map(|f| &f.clauses)),
         apply: Some(|j, v| match &j.faults { Some(f) => v.faults(f.clone()), None => v }),
     },
     JobOption {
         key: "reduce", cli: Some("[--reduce none|symmetry|por|full]"), default: "none",
-        shape: Shape::Str, digest: InDigest::NonDefault("reduce"),
+        shape: Shape::Str, digest: InDigest::NonDefault("reduce"), read_by: None,
         parse: |j, t| {
             let parsed = ReduceOptions::parse(t);
             j.reduce = parsed.ok_or_else(|| format!("expects none|symmetry|por|full, got {t:?}"))?;
@@ -399,7 +407,7 @@ static JOB_OPTIONS: &[JobOption] = &[
     },
     JobOption {
         key: "engine", cli: Some("[--engine trace|bisim|both]"), default: "trace",
-        shape: Shape::Str, digest: InDigest::NonDefault("engine"),
+        shape: Shape::Str, digest: InDigest::NonDefault("engine"), read_by: None,
         parse: |j, t| {
             j.engine = Engine::parse(t).ok_or_else(|| format!("expects trace|bisim|both, got {t:?}"))?;
             Ok(())
@@ -408,18 +416,19 @@ static JOB_OPTIONS: &[JobOption] = &[
     },
     JobOption {
         key: "faults_depth", cli: Some("[--faults-depth K]"), default: "2", shape: Shape::Int,
-        digest: InDigest::InMode(Mode::Campaign, "depth"),
+        digest: InDigest::Always("depth"), read_by: Some(Mode::Campaign),
         parse: |j, t| { j.faults_depth = number(t)?; Ok(()) },
         text: |j, out| spell(out, [j.faults_depth]), apply: None,
     },
     JobOption {
         key: "oracles", cli: None, default: "", shape: Shape::List,
-        digest: InDigest::InMode(Mode::ConformanceReplay, "oracles"),
+        digest: InDigest::Always("oracles"), read_by: Some(Mode::ConformanceReplay),
         parse: |j, t| { j.oracles = list(t); Ok(()) },
         text: |j, out| spell(out, &j.oracles), apply: None,
     },
     JobOption {
         key: "unit", cli: None, default: "", shape: Shape::Unit, digest: InDigest::NonDefault("unit"),
+        read_by: Some(Mode::Campaign),
         parse: |j, t| {
             j.unit = match t.split_once('+') {
                 Some((offset, count)) => Some((number(offset)?, number(count)?)),
@@ -433,26 +442,31 @@ static JOB_OPTIONS: &[JobOption] = &[
     },
     JobOption {
         key: "timeout_secs", cli: None, default: "", shape: Shape::Int, digest: InDigest::Never,
+        read_by: None,
         parse: |j, t| { j.timeout_secs = optional(t)?; Ok(()) },
         text: |j, out| spell(out, j.timeout_secs), apply: None,
     },
     JobOption {
         key: "no_cache", cli: None, default: "false", shape: Shape::Bool, digest: InDigest::Never,
+        read_by: None,
         parse: |j, t| { j.no_cache = boolean(t)?; Ok(()) },
         text: |j, out| spell(out, [j.no_cache]), apply: None,
     },
     JobOption {
         key: "tenant", cli: None, default: "", shape: Shape::Str, digest: InDigest::Never,
+        read_by: None,
         parse: |j, t| { j.tenant = (!t.is_empty()).then(|| t.to_owned()); Ok(()) },
         text: |j, out| spell(out, &j.tenant), apply: None,
     },
     JobOption {
         key: "deadline_ms", cli: None, default: "", shape: Shape::Int, digest: InDigest::Never,
+        read_by: None,
         parse: |j, t| { j.deadline_ms = optional(t)?; Ok(()) },
         text: |j, out| spell(out, j.deadline_ms), apply: None,
     },
     JobOption {
         key: "progress_ms", cli: None, default: "", shape: Shape::Int, digest: InDigest::Never,
+        read_by: None,
         parse: |j, t| { j.progress_ms = optional(t)?; Ok(()) },
         text: |j, out| spell(out, j.progress_ms), apply: None,
     },
@@ -552,12 +566,11 @@ impl JobRequest {
             let spec = parse_source(&self.abstract_spec)?;
             let _ = write!(desc, "|{spec}");
         }
-        for opt in JOB_OPTIONS {
+        for opt in JOB_OPTIONS.iter().filter(|opt| opt.read_in(self.mode)) {
             let (label, spell) = match opt.digest {
                 InDigest::Always(label) | InDigest::NonDefault(label) => (label, opt.text),
                 InDigest::Spelled(label, spell) => (label, spell),
-                InDigest::InMode(mode, label) if mode == self.mode => (label, opt.text),
-                _ => continue,
+                InDigest::Never => continue,
             };
             let start = desc.len();
             desc.extend(["|", label, "="]);
@@ -602,7 +615,7 @@ impl JobRequest {
             fields.push(("abstract".into(), Json::str(self.abstract_spec.clone())));
         }
         let mut text = String::new();
-        for opt in JOB_OPTIONS {
+        for opt in JOB_OPTIONS.iter().filter(|opt| opt.read_in(self.mode)) {
             text.clear();
             (opt.text)(self, &mut text);
             if text != opt.default {
@@ -700,9 +713,12 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             take_source(&mut v, "abstract", "abstract_path")?,
         )
     };
-    let given = |opt: &JobOption| match v.get(opt.key) {
-        None => Ok(None),
-        Some(value) => opt.shape.text(opt.key, value),
+    let given = |opt: &JobOption| match (v.get(opt.key), opt.read_by) {
+        (None, _) => Ok(None),
+        (Some(_), Some(only)) if only != mode => {
+            Err(format!("{:?} is read only by {} jobs", opt.key, only.keyword()))
+        }
+        (Some(value), _) => opt.shape.text(opt.key, value),
     };
     let name = |opt: &JobOption| format!("{:?}", opt.key);
     let job = JobRequest::build(mode, concrete, abstract_spec, given, name)?;
@@ -753,15 +769,12 @@ pub fn rejected_response(op: &str, reason: &str) -> Json {
 /// clients that only look at `status`/`reason` keep working.
 #[must_use]
 pub fn shed_response(op: &str, reason: &str, retry_after_ms: u64) -> Json {
-    Json::Obj(vec![
-        ("status".into(), Json::str("rejected")),
-        ("op".into(), Json::str(op)),
-        ("reason".into(), Json::str(reason)),
-        (
-            "retry_after_ms".into(),
-            Json::Int(i64::try_from(retry_after_ms).unwrap_or(i64::MAX)),
-        ),
-    ])
+    let mut envelope = rejected_response(op, reason);
+    if let Json::Obj(fields) = &mut envelope {
+        let ms = Json::Int(i64::try_from(retry_after_ms).unwrap_or(i64::MAX));
+        fields.push(("retry_after_ms".into(), ms));
+    }
+    envelope
 }
 
 /// A streaming heartbeat emitted while a job runs (requested via
@@ -893,15 +906,46 @@ pub fn campaign_body(report: &CampaignReport) -> Json {
     }
     fields.push((
         "results".into(),
-        Json::Arr(
-            report
-                .results
-                .iter()
-                .map(spi_verify::ScheduleResult::to_json)
-                .collect(),
-        ),
+        Json::Arr(report.results.iter().map(ScheduleResult::to_json).collect()),
     ));
     Json::Obj(fields)
+}
+
+/// Decodes a [`campaign_body`] back into its report, so a coordinator
+/// can merge the bodies of a campaign's work units.  The body does not
+/// say which records a checkpoint supplied, so all count as fresh.
+///
+/// # Errors
+///
+/// Names the field that is missing or malformed, or reports a tally
+/// that disagrees with the records.
+pub fn campaign_report(body: &Json) -> Result<CampaignReport, String> {
+    let field = |key: &str| body.get(key).ok_or_else(|| format!("campaign body lacks {key:?}"));
+    let count = |key: &str| {
+        let n = field(key)?.as_int().and_then(|n| usize::try_from(n).ok());
+        n.ok_or_else(|| format!("campaign body {key:?} is not a count"))
+    };
+    let malformed = |key: &str| format!("campaign body {key:?} is malformed");
+    let results = field("results")?.as_arr().ok_or_else(|| malformed("results"))?;
+    let results = results.iter().map(ScheduleResult::from_json).collect::<Result<Vec<_>, _>>()?;
+    // Absent unless the bisimulation fast path fired.
+    let early_rejects = match body.get("early_rejects") {
+        Some(_) => count("early_rejects")?,
+        None => 0,
+    };
+    let report = CampaignReport {
+        enumerated: count("enumerated")?,
+        resumed: 0,
+        fresh: results.len(),
+        interrupted: field("interrupted")?.as_bool().ok_or_else(|| malformed("interrupted"))?,
+        early_rejects: u64::try_from(early_rejects).unwrap_or(u64::MAX),
+        identity: field("identity")?.as_str().ok_or_else(|| malformed("identity"))?.to_string(),
+        results,
+    };
+    if report.tally() != (count("attacks")?, count("survives")?, count("inconclusive")?) {
+        return Err("campaign body's tally disagrees with its records".into());
+    }
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -1002,6 +1046,56 @@ mod tests {
             let old = expected.replace("budget=states=200000,", "budget=states=50000,");
             assert_eq!(digest(&old), before, "{op} {options}");
         }
+    }
+
+    #[test]
+    fn options_one_job_reads_are_refused_by_the_others() {
+        // A unit once entered the digest of every op, so a verify request
+        // carrying one was keyed apart from the same request without it
+        // and one answer was cached twice.
+        let err = parse_request(
+            r#"{"op":"verify","concrete":"0","abstract":"0","unit":{"offset":0,"count":1}}"#,
+        )
+        .unwrap_err();
+        assert_eq!(err, r#""unit" is read only by campaign jobs"#);
+        for (op, field, reader) in [
+            ("verify", r#""faults_depth":1"#, "campaign"),
+            ("verify", r#""oracles":["roundtrip"]"#, "conformance-replay"),
+            ("campaign", r#""oracles":["roundtrip"]"#, "conformance-replay"),
+            ("conformance-replay", r#""unit":{"offset":0,"count":1}"#, "campaign"),
+            ("conformance-replay", r#""faults_depth":1"#, "campaign"),
+        ] {
+            let specs = r#""spec":"0","concrete":"0","abstract":"0""#;
+            let err = parse_request(&format!(r#"{{"op":"{op}",{specs},{field}}}"#)).unwrap_err();
+            let reader = format!("is read only by {reader} jobs");
+            assert!(err.ends_with(&reader), "{op} {field}: {err}");
+        }
+    }
+
+    #[test]
+    fn campaign_bodies_decode_and_re_encode_byte_identically() {
+        let body = concat!(
+            r#"{"enumerated":9,"attacks":1,"survives":1,"inconclusive":1,"interrupted":false,"#,
+            r#""identity":"fnv:0123456789abcdef","early_rejects":3,"results":["#,
+            r#"{"schedule":"drop:c:1+duplicate:c:1@1","outcome":"attack","#,
+            r#""minimal":"duplicate:c:1@1","shrink_steps":1,"trace":["observe!m","observe!m"]},"#,
+            r#"{"schedule":"drop:c:1@1","outcome":"survives","traces_checked":4},"#,
+            r#"{"schedule":"reorder:c:1@1","outcome":"inconclusive","#,
+            r#""reason":"states budget exhausted mid-schedule"}]}"#,
+        );
+        let report = campaign_report(&Json::parse(body).unwrap()).unwrap();
+        assert_eq!((report.early_rejects, report.results.len()), (3, 3));
+        assert_eq!(campaign_body(&report).render_compact(), body);
+        // Without the fast path the field is absent, and stays absent.
+        let plain = body.replace(r#""early_rejects":3,"#, "");
+        let report = campaign_report(&Json::parse(&plain).unwrap()).unwrap();
+        assert_eq!(campaign_body(&report).render_compact(), plain);
+        // A tally that disagrees with the records is not a campaign body.
+        let forged = body.replace(r#""attacks":1"#, r#""attacks":2"#);
+        assert!(campaign_report(&Json::parse(&forged).unwrap()).is_err());
+        let torn = body.replace(r#""identity""#, r#""identify""#);
+        let err = campaign_report(&Json::parse(&torn).unwrap()).unwrap_err();
+        assert_eq!(err, r#"campaign body lacks "identity""#);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!                  cache probe ──hit──▶ reply (cached:true)
 //!                    │ miss               (workers only)
 //!                    ▼ admission: tenant token bucket, then
-//!                    │            Governor over queue depth
+//!                    │            the queue-depth cap
 //!                  two-priority queue ──▶ worker pool ──▶ singleflight
 //!                    │ quota/queue full        │ leader        │
 //!                    ▼                         ▼               ▼
@@ -56,7 +56,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use spi_verify::jsonlite::Json;
-use spi_verify::{Budget, Governor, ResourceKind, Verdict, Verifier};
+use spi_verify::{ResourceKind, Verdict, Verifier};
 
 use crate::admission::{Priority, TenantQuotas};
 use crate::cache::ResultCache;
@@ -115,6 +115,35 @@ impl EngineOutcome {
             cacheable: false,
         }
     }
+}
+
+/// The reply line for one run of an `op` job keyed by `digest`: the
+/// `ok` envelope around the body, tagged `"via":via` when a coordinator
+/// answered without relaying a worker's reply, or the error envelope.
+/// `None` when a drain cut the run short: a truncated run is answered
+/// `rejected`, never as a half-explored verdict.
+#[must_use]
+pub fn job_reply(
+    op: &str,
+    digest: &str,
+    outcome: EngineOutcome,
+    ctl: &RunControl,
+    via: Option<&str>,
+) -> Option<String> {
+    if !outcome.cacheable && ctl.cancel.load(Ordering::SeqCst) {
+        return None;
+    }
+    let envelope = match outcome.body {
+        Ok(body) => {
+            let mut envelope = ok_response(op, Some(digest), false, body);
+            if let (Json::Obj(fields), Some(via)) = (&mut envelope, via) {
+                fields.push(("via".to_string(), Json::str(via)));
+            }
+            envelope
+        }
+        Err(e) => error_response(op, &e),
+    };
+    Some(envelope.render_compact())
 }
 
 /// The pluggable local-run back-end.  [`VerifierEngine`] handles
@@ -399,33 +428,27 @@ impl Executor for Local {
     fn run(&self, job: &JobRequest, digest: &str, ctl: &RunControl) -> Ran {
         let op = job.mode.keyword();
         let outcome = self.engine.run(job, ctl);
-        if !outcome.cacheable && ctl.cancel.load(Ordering::SeqCst) {
-            return Ran::Drained;
-        }
-        let line = match outcome.body {
-            Ok(body) => {
-                // The reduction counters a fresh verify body reports.
-                if let Some(r) = body.get("reduction") {
-                    for (key, total) in [
-                        ("states_quotiented", &self.quotiented),
-                        ("por_pruned", &self.pruned),
-                    ] {
-                        let n = r.get(key).and_then(Json::as_int).unwrap_or(0);
-                        total.fetch_add(u64::try_from(n).unwrap_or(0), Ordering::SeqCst);
-                    }
+        if let Ok(body) = &outcome.body {
+            // The reduction counters a fresh verify body reports.
+            if let Some(r) = body.get("reduction") {
+                for (key, total) in [
+                    ("states_quotiented", &self.quotiented),
+                    ("por_pruned", &self.pruned),
+                ] {
+                    let n = r.get(key).and_then(Json::as_int).unwrap_or(0);
+                    total.fetch_add(u64::try_from(n).unwrap_or(0), Ordering::SeqCst);
                 }
-                // Cache-bypassing requests asked for a private run.
-                if outcome.cacheable && !job.no_cache {
-                    let entry = (digest.to_string(), op.to_string(), body.render_compact());
-                    self.cache.absorb(vec![entry]);
-                }
-                ok_response(op, Some(digest), false, body).render_compact()
             }
-            Err(e) => error_response(op, &e).render_compact(),
-        };
+            // Cache-bypassing requests asked for a private run.
+            if outcome.cacheable && !job.no_cache {
+                let entry = (digest.to_string(), op.to_string(), body.render_compact());
+                self.cache.absorb(vec![entry]);
+            }
+        }
         // Followers re-probe the cache this run filled, so they answer
         // `cached:true`.
-        Ran::Reply { line, share: false }
+        let reply = job_reply(op, digest, outcome, ctl, None);
+        reply.map_or(Ran::Drained, |line| Ran::Reply { line, share: false })
     }
 
     fn control(self: Arc<Self>, request: Request) -> Control {
@@ -621,9 +644,6 @@ struct Shared {
     flight: Singleflight,
     queue: Mutex<JobQueues>,
     queue_cv: Condvar,
-    /// Queue admission rides the Budget states dimension: the governor
-    /// admits one more queued job iff the current depth is under cap.
-    admission: Mutex<Governor>,
     /// Per-tenant token buckets (reactor-thread only, but behind a
     /// mutex so the handle types stay `Sync`).
     quotas: Mutex<TenantQuotas>,
@@ -849,7 +869,6 @@ pub(crate) fn start(
         .map_err(|e| format!("cannot unblock the listener: {e}"))?;
     let poller = Poller::new().map_err(|e| format!("cannot create the epoll reactor: {e}"))?;
 
-    let queue_cap = opts.queue_cap.max(1);
     let quotas = TenantQuotas::new(opts.quota_rate, opts.quota_burst);
     let shared = Arc::new(Shared {
         executor,
@@ -858,7 +877,6 @@ pub(crate) fn start(
         flight: Singleflight::new(),
         queue: Mutex::new(JobQueues::default()),
         queue_cv: Condvar::new(),
-        admission: Mutex::new(Governor::new(Budget::unlimited().states(queue_cap))),
         quotas: Mutex::new(quotas),
         completions: Mutex::new(Vec::new()),
         poller,
@@ -1293,7 +1311,7 @@ impl Reactor {
     }
 
     /// Admits one job: cache probe (workers), drain check, tenant
-    /// quota, then the governor over queue depth.  `Ok` carries the
+    /// quota, then the queue-depth cap.  `Ok` carries the
     /// queued job's digest and progress subscription; `Err` is the
     /// reply to send at once — a cache hit, an error or a rejection.
     fn admit(
@@ -1331,15 +1349,9 @@ impl Reactor {
                 }
             }
         }
-        // Queue admission rides the governor over queue depth.
         let mut queue = shared.queue.lock().expect("queue lock");
         let depth = queue.depth();
-        if !shared
-            .admission
-            .lock()
-            .expect("admission lock")
-            .admit_state(depth)
-        {
+        if depth >= shared.opts.queue_cap.max(1) {
             shared.stats.rejected.fetch_add(1, Ordering::SeqCst);
             shared.stats.shed.fetch_add(1, Ordering::SeqCst);
             // The hint scales with how much work is already ahead of

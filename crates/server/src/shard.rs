@@ -9,7 +9,7 @@
 //! needs when failure detection drops a node: every other worker's
 //! cache shard stays hot.
 
-use crate::digest::fnv64;
+use spi_verify::fnv64;
 
 /// How many ring points each worker contributes.  64 keeps the
 /// worst-case load imbalance across a handful of workers within a few

@@ -51,8 +51,8 @@ use std::time::Instant;
 use spi_semantics::{FaultClause, FaultKind, FaultSpec};
 use spi_syntax::{Name, Process};
 
-use crate::checkpoint::Json;
 use crate::faultsim::multi_fault_schedules;
+use crate::jsonlite::Json;
 use crate::verifier::cross_check;
 use crate::{
     bisim_preorder_sound, trace_preorder_sound, weak_traces, Engine, ExploreOptions, Explorer,
@@ -539,8 +539,11 @@ fn campaign_identity(concrete: &Process, spec: &Process, opts: &CampaignOptions)
     format!("fnv:{:016x}", fnv64(&desc))
 }
 
-/// 64-bit FNV-1a (the build is offline, so no hashing crates).
-fn fnv64(text: &str) -> u64 {
+/// 64-bit FNV-1a (the build is offline, so no hashing crates): the
+/// campaign identity here, and the server's content digests and the
+/// conformance corpus's reproducer filenames.
+#[must_use]
+pub fn fnv64(text: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in text.bytes() {
         h ^= u64::from(b);
@@ -557,13 +560,13 @@ fn chk(reason: impl Into<String>) -> VerifyError {
 
 /// Rebuilds a [`FaultSpec`] from its canonical key (the inverse of
 /// [`FaultSpec::canonical_key`]).
-fn parse_schedule_key(key: &str) -> Result<FaultSpec, VerifyError> {
+fn parse_schedule_key(key: &str) -> Result<FaultSpec, String> {
     let (clauses_s, bits) = key
         .rsplit_once('@')
-        .ok_or_else(|| chk(format!("schedule key {key:?} lacks an @position")))?;
+        .ok_or_else(|| format!("schedule key {key:?} lacks an @position"))?;
     let position = bits
         .parse()
-        .map_err(|_| chk(format!("schedule key {key:?} has bad position bits")))?;
+        .map_err(|_| format!("schedule key {key:?} has bad position bits"))?;
     let clauses = if clauses_s.is_empty() {
         Vec::new()
     } else {
@@ -571,7 +574,7 @@ fn parse_schedule_key(key: &str) -> Result<FaultSpec, VerifyError> {
             .split('+')
             .map(|c| {
                 c.parse::<FaultClause>()
-                    .map_err(|e| chk(format!("schedule key {key:?}: {e}")))
+                    .map_err(|e| format!("schedule key {key:?}: {e}"))
             })
             .collect::<Result<_, _>>()?
     };
@@ -602,6 +605,62 @@ impl ScheduleResult {
             }
         }
         Json::Obj(fields)
+    }
+
+    /// Decodes a record [`ScheduleResult::to_json`] wrote: the one
+    /// decoder for checkpoint resume and the fleet's unit merge.
+    /// Fields it does not know are ignored.
+    ///
+    /// # Errors
+    ///
+    /// Names the damage: a missing or malformed schedule key, an
+    /// unknown outcome, or an attack without its minimal schedule.
+    pub fn from_json(item: &Json) -> Result<ScheduleResult, String> {
+        let key = item
+            .get("schedule")
+            .and_then(Json::as_str)
+            .ok_or("a schedule record lacks its schedule key")?;
+        let schedule = parse_schedule_key(key)?;
+        let count = |field: &str| {
+            let n = item.get(field).and_then(Json::as_int);
+            n.and_then(|n| usize::try_from(n).ok()).unwrap_or(0)
+        };
+        let outcome = match item.get("outcome").and_then(Json::as_str) {
+            Some("survives") => ScheduleOutcome::Survives {
+                traces_checked: count("traces_checked"),
+            },
+            Some("inconclusive") => ScheduleOutcome::Inconclusive {
+                reason: item.get("reason").and_then(Json::as_str).unwrap_or("unknown").to_string(),
+            },
+            Some("attack") => {
+                let minimal = item
+                    .get("minimal")
+                    .and_then(Json::as_str)
+                    .ok_or_else(|| format!("attack entry {key:?} lacks its minimal key"))?;
+                let trace = item
+                    .get("trace")
+                    .and_then(Json::as_arr)
+                    .unwrap_or_default()
+                    .iter()
+                    .map(|t| {
+                        let t = t.as_str().map(str::to_owned);
+                        t.ok_or_else(|| format!("attack entry {key:?} has a bad trace"))
+                    })
+                    .collect::<Result<Vec<String>, _>>()?;
+                ScheduleOutcome::Attack(Box::new(MinimalCounterexample {
+                    original: schedule.clone(),
+                    schedule: parse_schedule_key(minimal)?,
+                    trace,
+                    shrink_steps: count("shrink_steps"),
+                }))
+            }
+            other => return Err(format!("unknown outcome {other:?} in {key:?}")),
+        };
+        Ok(ScheduleResult {
+            key: key.to_string(),
+            schedule,
+            outcome,
+        })
     }
 }
 
@@ -651,63 +710,8 @@ fn load_checkpoint(
         .and_then(Json::as_arr)
         .unwrap_or_default()
     {
-        let key = item
-            .get("schedule")
-            .and_then(Json::as_str)
-            .ok_or_else(|| chk("a processed entry lacks its schedule key"))?;
-        let schedule = parse_schedule_key(key)?;
-        let outcome = match item.get("outcome").and_then(Json::as_str) {
-            Some("survives") => ScheduleOutcome::Survives {
-                traces_checked: item
-                    .get("traces_checked")
-                    .and_then(Json::as_int)
-                    .and_then(|n| usize::try_from(n).ok())
-                    .unwrap_or(0),
-            },
-            Some("inconclusive") => ScheduleOutcome::Inconclusive {
-                reason: item
-                    .get("reason")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unknown")
-                    .to_string(),
-            },
-            Some("attack") => {
-                let minimal_key = item
-                    .get("minimal")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| chk(format!("attack entry {key:?} lacks its minimal key")))?;
-                let trace = item
-                    .get("trace")
-                    .and_then(Json::as_arr)
-                    .unwrap_or_default()
-                    .iter()
-                    .map(|t| {
-                        t.as_str()
-                            .map(str::to_owned)
-                            .ok_or_else(|| chk(format!("attack entry {key:?} has a bad trace")))
-                    })
-                    .collect::<Result<Vec<String>, _>>()?;
-                ScheduleOutcome::Attack(Box::new(MinimalCounterexample {
-                    original: schedule.clone(),
-                    schedule: parse_schedule_key(minimal_key)?,
-                    trace,
-                    shrink_steps: item
-                        .get("shrink_steps")
-                        .and_then(Json::as_int)
-                        .and_then(|n| usize::try_from(n).ok())
-                        .unwrap_or(0),
-                }))
-            }
-            other => return Err(chk(format!("unknown outcome {other:?} in {key:?}"))),
-        };
-        out.insert(
-            key.to_string(),
-            ScheduleResult {
-                key: key.to_string(),
-                schedule,
-                outcome,
-            },
-        );
+        let result = ScheduleResult::from_json(item).map_err(chk)?;
+        out.insert(result.key.clone(), result);
     }
     Ok(out)
 }
@@ -973,6 +977,25 @@ mod tests {
         // The empty schedule (attack without faults) round-trips too.
         let empty = parse_schedule_key("@1").unwrap();
         assert!(empty.clauses.is_empty());
+    }
+
+    #[test]
+    fn schedule_records_decode_to_what_was_encoded() {
+        let mut starved = opts(1);
+        starved.explore.budget = Budget::unlimited().states(2);
+        let decided = run_campaign(&greedy(), &single_shot(), &opts(2)).unwrap();
+        let undecided = run_campaign(&greedy(), &single_shot(), &starved).unwrap();
+        let records: Vec<&ScheduleResult> =
+            decided.results.iter().chain(&undecided.results).collect();
+        for kind in ["attack", "survives", "inconclusive"] {
+            let outcome = |r: &&ScheduleResult| {
+                r.to_json().get("outcome").and_then(Json::as_str) == Some(kind)
+            };
+            assert!(records.iter().any(outcome), "no {kind} record");
+        }
+        for r in records {
+            assert_eq!(ScheduleResult::from_json(&r.to_json()).as_ref(), Ok(r));
+        }
     }
 
     #[test]

@@ -42,7 +42,6 @@
 mod bisim;
 mod budget;
 pub mod campaign;
-mod checkpoint;
 mod dot;
 mod error;
 mod explore;
@@ -67,7 +66,7 @@ pub use bisim::{
 pub use budget::{Budget, CoverageStats, Governor, ResourceKind};
 pub use hedges::{EnvKnowledge, Hedge};
 pub use campaign::{
-    run_campaign, CampaignOptions, CampaignReport, MinimalCounterexample, ScheduleOutcome,
+    fnv64, run_campaign, CampaignOptions, CampaignReport, MinimalCounterexample, ScheduleOutcome,
     ScheduleResult,
 };
 pub use dot::to_dot;

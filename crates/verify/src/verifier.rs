@@ -502,19 +502,12 @@ impl Verifier {
         let mut spec = self.intruder_spec();
         spec.position = "01".parse().expect("static path");
         let opts = ExploreOptions {
-            budget: self.budget,
-            unfold_bound: self.unfold_bound,
             intruder: self.intruder_enabled.then_some(spec),
             faults: self
                 .faults
                 .clone()
                 .map(|f| f.at("01".parse().expect("static path"))),
-            workers: self.workers,
-            deadline: self.deadline,
-            cancel: self.cancel.clone(),
-            progress: self.progress_states.clone(),
-            reduce: self.reduce,
-            ..ExploreOptions::default()
+            ..self.explore_opts()
         };
         crate::definition3_preorder(
             &self.under_attack(concrete),
