@@ -26,8 +26,10 @@
 //! `drop`, `duplicate`, `reorder`, `replay` (repeatable, and each
 //! occurrence may hold several comma-separated
 //! clauses; `max` defaults to 1).  `--workers` sets the exploration
-//! thread count (default: available parallelism); results are
-//! bit-for-bit identical for any worker count.  `--timeout-secs` sets a
+//! thread count (default: available parallelism); for `campaign` it is
+//! how many schedules are classified at once, each in a single-threaded
+//! exploration.  Results are bit-for-bit identical for any worker
+//! count.  `--timeout-secs` sets a
 //! wall-clock deadline; runs it truncates answer *inconclusive*.
 //! `--reduce` turns on the session-symmetry quotient and/or
 //! partial-order reduction.  `--engine` picks
@@ -829,12 +831,14 @@ fn client_send(
 /// degradation when the server stays unreachable (`--fallback local`).
 /// The response envelope matches the daemon's, marked `"via":"local"`.
 fn run_job_locally(line: &str) -> Result<String, String> {
-    use spi_auth::server::{error_response, job_reply, parse_request, Engine, FullEngine, Request};
+    use spi_auth::server::{
+        error_response, job_reply, parse_request, request_op, Engine, FullEngine, Request,
+    };
     // A bad request gets the error envelope a server would send.
     let job = match parse_request(line) {
         Ok(Request::Job(job)) => job,
         Ok(_) => return Err("only verify/campaign/replay requests can fall back to local".into()),
-        Err(e) => return Ok(error_response("request", &e).render_compact()),
+        Err(e) => return Ok(error_response(request_op(line), &e).render_compact()),
     };
     let digest = job.digest()?;
     let ctl = RunControl {

@@ -10,8 +10,9 @@
 
 pub use spi_server::{
     campaign_body, coordinate, error_response, job_flags, job_reply, ok_response, oneshot,
-    parse_request, parse_source, progress_response, pull_from, push_to, rejected_response, serve,
-    shed_response, verify_body, ChaosEvent, ChaosPlan, Client, CoordinatorOptions, Engine,
+    parse_request, parse_source, progress_response, pull_from, push_to, rejected_response,
+    request_op, serve, shed_response, verify_body, ChaosEvent, ChaosPlan, Client,
+    CoordinatorOptions, Engine,
     EngineOutcome, JobRequest, Membership, Mode, Priority, Request, NodeHandle, ResultCache, Ring, RunControl, ServerHandle, ServerOptions, Singleflight,
     TenantQuotas, VerifierEngine,
 };

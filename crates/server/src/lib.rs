@@ -73,8 +73,8 @@ pub use flight::Singleflight;
 pub use membership::Membership;
 pub use protocol::{
     campaign_body, campaign_report, error_response, job_flags, ok_response, parse_request,
-    parse_source, progress_response, rejected_response, shed_response, verify_body, JobRequest,
-    Mode, Request,
+    parse_source, progress_response, rejected_response, request_op, shed_response, verify_body,
+    JobRequest, Mode, Request,
 };
 pub use reactor::Poller;
 pub use service::{

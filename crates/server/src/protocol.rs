@@ -263,9 +263,9 @@ struct JobOption {
     shape: Shape,
     /// When the option enters the content digest.
     digest: InDigest,
-    /// The one job kind that reads the option; `None` means every job.
-    /// Other ops refuse it, and it never enters their digests.
-    read_by: Option<Mode>,
+    /// The job kinds that read the option.  Other ops refuse it, and it
+    /// never enters their digests.
+    read_by: &'static [Mode],
     /// Parses and validates the text spelling onto a job.  Rows run in
     /// table order, so a row may check against the ones above it.
     parse: fn(&mut JobRequest, &str) -> Result<(), String>,
@@ -279,7 +279,17 @@ struct JobOption {
 impl JobOption {
     /// Whether jobs of `mode` read this option.
     fn read_in(&self, mode: Mode) -> bool {
-        self.read_by.is_none_or(|only| only == mode)
+        self.read_by.contains(&mode)
+    }
+
+    /// Why a job of another kind refuses this option.
+    fn refusal(&self) -> String {
+        let kinds: Vec<&str> = self.read_by.iter().map(|m| m.keyword()).collect();
+        let kinds = match kinds.split_last() {
+            Some((last, rest)) if !rest.is_empty() => format!("{} and {last}", rest.join(", ")),
+            _ => kinds.concat(),
+        };
+        format!("{:?} is read only by {kinds} jobs", self.key)
     }
 
     /// The CLI flag this option answers to in `mode`, if jobs of `mode`
@@ -349,39 +359,45 @@ fn parse_faults(text: &str, channels: &[String]) -> Result<Option<FaultSpec>, St
     Ok((!clauses.is_empty()).then(|| FaultSpec::new(clauses)))
 }
 
+/// Every job kind.
+const EVERY_JOB: &[Mode] = &[Mode::Verify, Mode::Campaign, Mode::ConformanceReplay];
+/// The job kinds a [`Verifier`] answers; a conformance replay reads
+/// only the channels, faults, budget and oracles.
+const VERIFIER_JOBS: &[Mode] = &[Mode::Verify, Mode::Campaign];
+
 /// Every job option, in digest order.  A new option is one new row,
 /// plus its [`Verifier`] setter if it configures the verifier.
 #[rustfmt::skip] // one row per option, laid out as a table
 static JOB_OPTIONS: &[JobOption] = &[
     JobOption {
         key: "channels", cli: Some("[--chan NAME]..."), default: "c", shape: Shape::List,
-        digest: InDigest::Always("C"), read_by: None,
+        digest: InDigest::Always("C"), read_by: EVERY_JOB,
         parse: |j, t| { j.channels = list(t); Ok(()) },
         text: |j, out| spell(out, &j.channels),
         apply: Some(|j, v| v.channels(j.channels.iter().map(String::as_str))),
     },
     JobOption {
         key: "sessions", cli: Some("[--sessions N]"), default: "2", shape: Shape::Int,
-        digest: InDigest::Always("sessions"), read_by: None,
+        digest: InDigest::Always("sessions"), read_by: VERIFIER_JOBS,
         parse: |j, t| { j.sessions = number(t)?; Ok(()) },
         text: |j, out| spell(out, [j.sessions]), apply: Some(|j, v| v.sessions(j.sessions)),
     },
     JobOption {
         key: "visible", cli: Some("[--visible N]"), default: "6", shape: Shape::Int,
-        digest: InDigest::Always("visible"), read_by: None,
+        digest: InDigest::Always("visible"), read_by: VERIFIER_JOBS,
         parse: |j, t| { j.visible = number(t)?; Ok(()) },
         text: |j, out| spell(out, [j.visible]), apply: Some(|j, v| v.max_visible(j.visible)),
     },
     JobOption {
         // The empty spelling is `Budget::default()`; pairs overlay it.
         key: "budget", cli: Some("[--budget states=N,transitions=N,fuel=N,knowledge=N,steps=N]"),
-        default: "", shape: Shape::Str, digest: InDigest::Always("budget"), read_by: None,
+        default: "", shape: Shape::Str, digest: InDigest::Always("budget"), read_by: EVERY_JOB,
         parse: |j, t| { j.budget = Budget::parse_spec(t)?; Ok(()) },
         text: |j, out| out.push_str(&j.budget.canonical_spec()), apply: Some(|j, v| v.budget(j.budget)),
     },
     JobOption {
         key: "intruder", cli: Some("[--intruder on|off]"), default: "true", shape: Shape::Bool,
-        digest: InDigest::Always("intruder"), read_by: None,
+        digest: InDigest::Always("intruder"), read_by: VERIFIER_JOBS,
         parse: |j, t| { j.intruder = boolean(t)?; Ok(()) },
         text: |j, out| spell(out, [j.intruder]),
         apply: Some(|j, v| if j.intruder { v } else { v.no_intruder() }),
@@ -390,14 +406,14 @@ static JOB_OPTIONS: &[JobOption] = &[
         key: "faults", cli: Some("[--fault kind:chan[:max],...]..."), default: "",
         // The digest spells the schedule by its canonical key.
         shape: Shape::Str, digest: InDigest::Spelled("faults", |j, out| spell(out, &j.faults)),
-        read_by: None,
+        read_by: EVERY_JOB,
         parse: |j, t| { j.faults = parse_faults(t, &j.channels)?; Ok(()) },
         text: |j, out| spell(out, j.faults.iter().flat_map(|f| &f.clauses)),
         apply: Some(|j, v| match &j.faults { Some(f) => v.faults(f.clone()), None => v }),
     },
     JobOption {
         key: "reduce", cli: Some("[--reduce none|symmetry|por|full]"), default: "none",
-        shape: Shape::Str, digest: InDigest::NonDefault("reduce"), read_by: None,
+        shape: Shape::Str, digest: InDigest::NonDefault("reduce"), read_by: VERIFIER_JOBS,
         parse: |j, t| {
             let parsed = ReduceOptions::parse(t);
             j.reduce = parsed.ok_or_else(|| format!("expects none|symmetry|por|full, got {t:?}"))?;
@@ -407,7 +423,7 @@ static JOB_OPTIONS: &[JobOption] = &[
     },
     JobOption {
         key: "engine", cli: Some("[--engine trace|bisim|both]"), default: "trace",
-        shape: Shape::Str, digest: InDigest::NonDefault("engine"), read_by: None,
+        shape: Shape::Str, digest: InDigest::NonDefault("engine"), read_by: VERIFIER_JOBS,
         parse: |j, t| {
             j.engine = Engine::parse(t).ok_or_else(|| format!("expects trace|bisim|both, got {t:?}"))?;
             Ok(())
@@ -416,19 +432,19 @@ static JOB_OPTIONS: &[JobOption] = &[
     },
     JobOption {
         key: "faults_depth", cli: Some("[--faults-depth K]"), default: "2", shape: Shape::Int,
-        digest: InDigest::Always("depth"), read_by: Some(Mode::Campaign),
+        digest: InDigest::Always("depth"), read_by: &[Mode::Campaign],
         parse: |j, t| { j.faults_depth = number(t)?; Ok(()) },
         text: |j, out| spell(out, [j.faults_depth]), apply: None,
     },
     JobOption {
         key: "oracles", cli: None, default: "", shape: Shape::List,
-        digest: InDigest::Always("oracles"), read_by: Some(Mode::ConformanceReplay),
+        digest: InDigest::Always("oracles"), read_by: &[Mode::ConformanceReplay],
         parse: |j, t| { j.oracles = list(t); Ok(()) },
         text: |j, out| spell(out, &j.oracles), apply: None,
     },
     JobOption {
         key: "unit", cli: None, default: "", shape: Shape::Unit, digest: InDigest::NonDefault("unit"),
-        read_by: Some(Mode::Campaign),
+        read_by: &[Mode::Campaign],
         parse: |j, t| {
             j.unit = match t.split_once('+') {
                 Some((offset, count)) => Some((number(offset)?, number(count)?)),
@@ -442,31 +458,31 @@ static JOB_OPTIONS: &[JobOption] = &[
     },
     JobOption {
         key: "timeout_secs", cli: None, default: "", shape: Shape::Int, digest: InDigest::Never,
-        read_by: None,
+        read_by: EVERY_JOB,
         parse: |j, t| { j.timeout_secs = optional(t)?; Ok(()) },
         text: |j, out| spell(out, j.timeout_secs), apply: None,
     },
     JobOption {
         key: "no_cache", cli: None, default: "false", shape: Shape::Bool, digest: InDigest::Never,
-        read_by: None,
+        read_by: EVERY_JOB,
         parse: |j, t| { j.no_cache = boolean(t)?; Ok(()) },
         text: |j, out| spell(out, [j.no_cache]), apply: None,
     },
     JobOption {
         key: "tenant", cli: None, default: "", shape: Shape::Str, digest: InDigest::Never,
-        read_by: None,
+        read_by: EVERY_JOB,
         parse: |j, t| { j.tenant = (!t.is_empty()).then(|| t.to_owned()); Ok(()) },
         text: |j, out| spell(out, &j.tenant), apply: None,
     },
     JobOption {
         key: "deadline_ms", cli: None, default: "", shape: Shape::Int, digest: InDigest::Never,
-        read_by: None,
+        read_by: EVERY_JOB,
         parse: |j, t| { j.deadline_ms = optional(t)?; Ok(()) },
         text: |j, out| spell(out, j.deadline_ms), apply: None,
     },
     JobOption {
         key: "progress_ms", cli: None, default: "", shape: Shape::Int, digest: InDigest::Never,
-        read_by: None,
+        read_by: EVERY_JOB,
         parse: |j, t| { j.progress_ms = optional(t)?; Ok(()) },
         text: |j, out| spell(out, j.progress_ms), apply: None,
     },
@@ -648,6 +664,31 @@ fn take_source(v: &mut Json, key: &str, path_key: &str) -> Result<String, String
     Err(format!("request needs {key:?} or {path_key:?}"))
 }
 
+/// Every op a request line may name.
+const OPS: [&str; 10] = [
+    "verify",
+    "campaign",
+    "conformance-replay",
+    "ping",
+    "stats",
+    "join",
+    "leave",
+    "gossip",
+    "gossip-push",
+    "shutdown",
+];
+
+/// The op an error reply to `line` echoes: the one the line names when
+/// it is a JSON object with a known `"op"`, else `"request"`.
+#[must_use]
+pub fn request_op(line: &str) -> &'static str {
+    let v = Json::parse(line.trim()).ok();
+    let named = v.as_ref().and_then(|v| v.get("op")).and_then(Json::as_str);
+    OPS.into_iter()
+        .find(|op| named == Some(*op))
+        .unwrap_or("request")
+}
+
 /// Parses one request line.
 ///
 /// # Errors
@@ -699,11 +740,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "verify" => Mode::Verify,
         "campaign" => Mode::Campaign,
         "conformance-replay" => Mode::ConformanceReplay,
-        other => {
-            return Err(format!(
-                "unknown op {other:?} (expected verify|campaign|conformance-replay|ping|stats|join|leave|gossip|gossip-push|shutdown)"
-            ))
-        }
+        other => return Err(format!("unknown op {other:?} (expected {})", OPS.join("|"))),
     };
     let (concrete, abstract_spec) = if mode == Mode::ConformanceReplay {
         (take_source(&mut v, "spec", "spec_path")?, String::new())
@@ -713,12 +750,10 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             take_source(&mut v, "abstract", "abstract_path")?,
         )
     };
-    let given = |opt: &JobOption| match (v.get(opt.key), opt.read_by) {
-        (None, _) => Ok(None),
-        (Some(_), Some(only)) if only != mode => {
-            Err(format!("{:?} is read only by {} jobs", opt.key, only.keyword()))
-        }
-        (Some(value), _) => opt.shape.text(opt.key, value),
+    let given = |opt: &JobOption| match v.get(opt.key) {
+        None => Ok(None),
+        Some(_) if !opt.read_in(mode) => Err(opt.refusal()),
+        Some(value) => opt.shape.text(opt.key, value),
     };
     let name = |opt: &JobOption| format!("{:?}", opt.key);
     let job = JobRequest::build(mode, concrete, abstract_spec, given, name)?;
@@ -1003,7 +1038,7 @@ mod tests {
     const PINNED: [(&str, &str, &str, &str); 8] = [
         ("verify", r#""sessions":1"#, "C=c|sessions=1|visible=6|budget={B}|intruder=true|faults=", "fnv:426b2ab6329f32ae"),
         ("campaign", r#""intruder":false,"faults_depth":1"#, "C=c|sessions=2|visible=6|budget={B}|intruder=false|faults=|depth=1", "fnv:dd32e6a076792526"),
-        ("conformance-replay", r#""oracles":["roundtrip","cowstate"],"sessions":1,"visible":4"#, "C=c|sessions=1|visible=4|budget={B}|intruder=true|faults=|oracles=roundtrip,cowstate", "fnv:a2063292a8fa4c2f"),
+        ("conformance-replay", r#""oracles":["roundtrip","cowstate"]"#, "C=c|budget={B}|faults=|oracles=roundtrip,cowstate", "fnv:086a63e33f97b371"),
         ("verify", r#""reduce":"full""#, "C=c|sessions=2|visible=6|budget={B}|intruder=true|faults=|reduce=full", "fnv:00f6a633007f8e2f"),
         ("verify", r#""engine":"bisim","visible":3"#, "C=c|sessions=2|visible=3|budget={B}|intruder=true|faults=|engine=bisim", "fnv:6d16479e2d1acb9b"),
         ("verify", r#""channels":["c","d"],"faults":"replay:c:2,drop:d","intruder":false"#, "C=c,d|sessions=2|visible=6|budget={B}|intruder=false|faults=drop:d:1+replay:c:2@1", "fnv:9e41e15c4691c5ca"),
@@ -1012,11 +1047,13 @@ mod tests {
     ];
 
     /// The same requests' digests before the default budget moved from
-    /// 50 000 to 200 000 states, in [`PINNED`] order.
+    /// 50 000 to 200 000 states, in [`PINNED`] order.  The replay row's pair
+    /// moved once more when replay jobs stopped reading (and digesting)
+    /// the verifier-only options.
     const BEFORE_BUDGET_DEFAULT: [&str; 8] = [
         "fnv:f17044e6eb7aac37",
         "fnv:6b1aaf8220c8c185",
-        "fnv:de430a689234888c",
+        "fnv:28409fae1c663e1e",
         "fnv:6d8bc57d510e5708",
         "fnv:42e478570ee0411c",
         "fnv:0c364c12ccc8da4d",
@@ -1064,11 +1101,33 @@ mod tests {
             ("campaign", r#""oracles":["roundtrip"]"#, "conformance-replay"),
             ("conformance-replay", r#""unit":{"offset":0,"count":1}"#, "campaign"),
             ("conformance-replay", r#""faults_depth":1"#, "campaign"),
+            ("conformance-replay", r#""sessions":3"#, "verify and campaign"),
+            ("conformance-replay", r#""visible":4"#, "verify and campaign"),
+            ("conformance-replay", r#""intruder":false"#, "verify and campaign"),
+            ("conformance-replay", r#""reduce":"full""#, "verify and campaign"),
+            ("conformance-replay", r#""engine":"bisim""#, "verify and campaign"),
         ] {
             let specs = r#""spec":"0","concrete":"0","abstract":"0""#;
             let err = parse_request(&format!(r#"{{"op":"{op}",{specs},{field}}}"#)).unwrap_err();
             let reader = format!("is read only by {reader} jobs");
             assert!(err.ends_with(&reader), "{op} {field}: {err}");
+        }
+    }
+
+    #[test]
+    fn error_replies_echo_the_op_the_line_names() {
+        let refused =
+            r#"{"op":"verify","concrete":"0","abstract":"0","unit":{"offset":0,"count":1}}"#;
+        assert!(parse_request(refused).is_err());
+        assert_eq!(request_op(refused), "verify");
+        assert_eq!(request_op(r#"{"op":"join"}"#), "join");
+        for line in [
+            "not json",
+            r#"{"op":"frobnicate"}"#,
+            r#"{"op":3}"#,
+            r#"["verify"]"#,
+        ] {
+            assert_eq!(request_op(line), "request", "{line}");
         }
     }
 

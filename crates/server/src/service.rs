@@ -63,7 +63,7 @@ use crate::cache::ResultCache;
 use crate::flight::Singleflight;
 use crate::protocol::{
     campaign_body, error_response, ok_response, parse_request, parse_source, progress_response,
-    rejected_response, shed_response, verify_body, JobRequest, Mode, Request,
+    rejected_response, request_op, shed_response, verify_body, JobRequest, Mode, Request,
 };
 use crate::reactor::{Event, Poller, WAKE_TOKEN};
 use crate::snapshot::{load_snapshot, write_snapshot, Entries};
@@ -1247,7 +1247,10 @@ impl Reactor {
                     Err(reply) => self.reply_now(token, op, started, &reply),
                 };
             }
-            Err(e) => ("request", error_response("request", &e)),
+            Err(e) => {
+                let op = request_op(line);
+                (op, error_response(op, &e))
+            }
             Ok(Request::Ping) => ("ping", ok_response("ping", None, false, Json::Obj(vec![]))),
             Ok(Request::Stats) => ("stats", stats_response(&self.shared)),
             Ok(Request::Shutdown) => {

@@ -40,12 +40,17 @@
 //!   deterministic function of the schedule and finished schedules are
 //!   replayed verbatim from the checkpoint.
 //!
+//! Schedules are classified side by side: up to `explore.workers` at
+//! once, each in one single-threaded exploration that keeps only what
+//! the decision reads (see [`CampaignOptions::explore`]).  Results,
+//! counts and checkpoints are those of the one-worker run.
+//!
 //! [`trace_preorder`]: crate::trace_preorder
 
 use std::collections::HashMap;
 use std::path::{Path as FsPath, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use spi_semantics::{FaultClause, FaultKind, FaultSpec};
@@ -70,7 +75,9 @@ pub struct CampaignOptions {
     pub depth: usize,
     /// Exploration options for every run the campaign performs.  The
     /// `faults` field is overwritten per schedule; `deadline` / `cancel`
-    /// also bound the campaign loop itself.
+    /// also bound the campaign loop itself.  `workers` is how many
+    /// schedules are classified at once: each exploration runs in one
+    /// thread, and the report is identical for every worker count.
     pub explore: ExploreOptions,
     /// Visible-trace depth of each may-testing comparison.
     pub max_visible: usize,
@@ -267,51 +274,62 @@ pub fn run_campaign(
             prior = load_checkpoint(path, &identity)?;
         }
     }
+    // The work unit: the end of its range is a clean completion, not an
+    // interruption, since the remaining schedules belong to other units.
+    let (offset, count) = opts.schedule_range.unwrap_or((0, usize::MAX));
+    let unit = schedules
+        .iter()
+        .take(offset.saturating_add(count))
+        .skip(offset);
+    // What the loop below decides fresh unless interrupted: the unit's
+    // schedules without a checkpointed result, up to `stop_after`.
+    let pending = unit
+        .clone()
+        .filter(|sched| !prior.contains_key(&sched.canonical_key()))
+        .take(opts.stop_after.unwrap_or(usize::MAX));
+    let board = Board::new(concrete, spec, opts, pending.collect());
 
     let mut results: Vec<ScheduleResult> = Vec::new();
-    let mut cache: HashMap<String, Classified> = HashMap::new();
     let mut resumed = 0usize;
     let mut fresh = 0usize;
     let mut early_rejects = 0u64;
     let mut interrupted = false;
-    for (index, sched) in schedules.iter().enumerate() {
-        if let Some((offset, count)) = opts.schedule_range {
-            if index < offset {
+    std::thread::scope(|scope| {
+        // However the loop ends, no helper claims another schedule.
+        let _closed = CloseOnDrop(&board);
+        let unclaimed = board.lock().unclaimed.len();
+        for _ in 1..opts.explore.workers.min(unclaimed) {
+            scope.spawn(|| board.help());
+        }
+        for sched in unit {
+            let key = sched.canonical_key();
+            if let Some(done) = prior.get(&key) {
+                results.push(done.clone());
+                resumed += 1;
                 continue;
             }
-            if index >= offset.saturating_add(count) {
-                // The end of the work unit is a clean completion, not an
-                // interruption: the remaining schedules belong to other
-                // units.
+            if overrun(&opts.explore) || opts.stop_after.is_some_and(|n| fresh >= n) {
+                interrupted = true;
                 break;
             }
-        }
-        let key = sched.canonical_key();
-        if let Some(done) = prior.get(&key) {
-            results.push(done.clone());
-            resumed += 1;
-            continue;
-        }
-        if overrun(&opts.explore) || opts.stop_after.is_some_and(|n| fresh >= n) {
-            interrupted = true;
-            break;
-        }
-        let outcome = decide_schedule(concrete, spec, opts, sched, &mut cache, &mut early_rejects)?;
-        results.push(ScheduleResult {
-            key,
-            schedule: sched.clone(),
-            outcome,
-        });
-        fresh += 1;
-        if let Some(p) = &opts.progress {
-            p.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(path) = &opts.checkpoint_path {
-            if opts.checkpoint_every > 0 && fresh.is_multiple_of(opts.checkpoint_every) {
-                write_checkpoint(path, &identity, &results)?;
+            let outcome = decide_schedule(spec, opts, &key, sched, &board, &mut early_rejects)?;
+            results.push(ScheduleResult {
+                key,
+                schedule: sched.clone(),
+                outcome,
+            });
+            fresh += 1;
+            if let Some(p) = &opts.progress {
+                p.fetch_add(1, Ordering::Relaxed);
+            }
+            if let Some(path) = &opts.checkpoint_path {
+                if opts.checkpoint_every > 0 && fresh.is_multiple_of(opts.checkpoint_every) {
+                    write_checkpoint(path, &identity, &results)?;
+                }
             }
         }
-    }
+        Ok::<(), VerifyError>(())
+    })?;
     if let Some(path) = &opts.checkpoint_path {
         write_checkpoint(path, &identity, &results)?;
     }
@@ -328,39 +346,231 @@ pub fn run_campaign(
 
 /// Raw classification of one schedule — the memoized, deterministic
 /// kernel both the enumeration loop and the shrinker call.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum Classified {
     Attack { witness: Vec<String> },
     Survives { checked: usize },
     Inconclusive { reason: String },
 }
 
-fn classify_cached(
-    concrete: &Process,
-    spec: &Process,
-    opts: &CampaignOptions,
-    sched: &FaultSpec,
-    cache: &mut HashMap<String, Classified>,
-    early_rejects: &mut u64,
-) -> Result<Classified, VerifyError> {
-    let key = sched.canonical_key();
-    if let Some(c) = cache.get(&key) {
-        return Ok(c.clone());
+impl From<TraceVerdict> for Classified {
+    fn from(verdict: TraceVerdict) -> Classified {
+        match verdict {
+            TraceVerdict::Holds { checked } => Classified::Survives { checked },
+            TraceVerdict::Fails { witness } => Classified::Attack { witness },
+            TraceVerdict::Inconclusive { exhausted } => Classified::Inconclusive {
+                reason: format!("{exhausted} budget exhausted mid-schedule"),
+            },
+        }
     }
-    let c = classify(concrete, spec, opts, sched, early_rejects)?;
-    cache.insert(key, c.clone());
-    Ok(c)
 }
 
+/// One classification as run: the verdict and whether the bisimulation
+/// fast path settled it (an early reject), the machine error, or the
+/// panic it raised.
+type Run = std::thread::Result<Result<(Classified, bool), VerifyError>>;
+
+/// Where one schedule's classification stands.
+enum Slot {
+    /// A schedule the loop will decide, not claimed yet.
+    Pending,
+    /// Being classified by some thread.
+    Running,
+    /// Classified; `counted` once the loop has taken its early reject
+    /// into [`CampaignReport::early_rejects`].
+    Done { run: Run, counted: bool },
+}
+
+/// What a [`Board`] guards with its lock.
+struct Slots {
+    /// The schedules still to claim, shallowest first: a claim pops the
+    /// deepest one (most unit firings, the most expensive explorations),
+    /// the first enumerated among equals.
+    unclaimed: Vec<FaultSpec>,
+    /// Every classification of the run by canonical schedule key — the
+    /// memo the shrinker shares with the loop.
+    slots: HashMap<String, Slot>,
+    closed: bool,
+}
+
+/// The classifications of one campaign run, shared by the calling thread
+/// and `workers - 1` helper threads.  The helpers classify pending
+/// schedules ahead of the loop, deepest first, each in one
+/// single-threaded exploration; the calling thread decides, shrinks,
+/// counts and checkpoints in enumeration order exactly as alone, and
+/// whenever the classification it needs is still running elsewhere it
+/// claims another one rather than idle.  Each key is classified once,
+/// and classification is a deterministic function of the schedule, so
+/// the report does not depend on the worker count.
+struct Board<'a> {
+    concrete: &'a Process,
+    spec: &'a Process,
+    opts: &'a CampaignOptions,
+    state: Mutex<Slots>,
+    /// Signalled whenever a classification finishes.
+    finished: Condvar,
+}
+
+impl<'a> Board<'a> {
+    fn new(
+        concrete: &'a Process,
+        spec: &'a Process,
+        opts: &'a CampaignOptions,
+        pending: Vec<&FaultSpec>,
+    ) -> Board<'a> {
+        let slots = pending
+            .iter()
+            .map(|sched| (sched.canonical_key(), Slot::Pending))
+            .collect();
+        let mut unclaimed: Vec<FaultSpec> = pending.into_iter().rev().cloned().collect();
+        // Stable: among equals the first enumerated stays last, so it
+        // is claimed first.
+        unclaimed.sort_by_key(FaultSpec::total_firings);
+        Board {
+            concrete,
+            spec,
+            opts,
+            state: Mutex::new(Slots {
+                unclaimed,
+                slots,
+                closed: false,
+            }),
+            finished: Condvar::new(),
+        }
+    }
+
+    /// Classifications run unlocked and every update under the lock is
+    /// one insert or flag, so a poisoned lock still guards valid slots.
+    fn lock(&self) -> MutexGuard<'_, Slots> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A helper thread: classify pending schedules until none is left
+    /// or the board closes.
+    fn help(&self) {
+        let mut state = self.lock();
+        while let Some((key, sched)) = self.claim(&mut state) {
+            state = self.run(state, key, &sched);
+        }
+    }
+
+    /// Claims the deepest pending schedule, unless the board is closed
+    /// or the campaign's deadline or cancellation flag has tripped.
+    fn claim(&self, state: &mut Slots) -> Option<(String, FaultSpec)> {
+        if state.closed || overrun(&self.opts.explore) {
+            return None;
+        }
+        while let Some(sched) = state.unclaimed.pop() {
+            let key = sched.canonical_key();
+            if let Some(slot @ Slot::Pending) = state.slots.get_mut(&key) {
+                *slot = Slot::Running;
+                return Some((key, sched));
+            }
+        }
+        None
+    }
+
+    /// Classifies a claimed schedule with the board unlocked, records
+    /// the run (a panic included) under `key` and wakes the calling
+    /// thread.
+    fn run<'g>(
+        &'g self,
+        state: MutexGuard<'g, Slots>,
+        key: String,
+        sched: &FaultSpec,
+    ) -> MutexGuard<'g, Slots> {
+        drop(state);
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            classify(self.concrete, self.spec, self.opts, sched)
+        }));
+        let mut state = self.lock();
+        let done = Slot::Done {
+            run,
+            counted: false,
+        };
+        state.slots.insert(key, done);
+        self.finished.notify_all();
+        state
+    }
+
+    /// The classification of `sched` (whose canonical key is `key`), for
+    /// the calling thread: the memoized one, the one a helper is running
+    /// (classifying other pending schedules meanwhile), or a fresh one.
+    /// Counts its early reject the first time the loop takes it, and
+    /// re-raises its error or panic where the sequential loop met it.
+    fn classify(
+        &self,
+        key: &str,
+        sched: &FaultSpec,
+        early_rejects: &mut u64,
+    ) -> Result<Classified, VerifyError> {
+        let mut state = self.lock();
+        loop {
+            match state.slots.get(key) {
+                Some(Slot::Done { .. }) => break,
+                Some(Slot::Running) => {
+                    state = match self.claim(&mut state) {
+                        Some((other, sched)) => self.run(state, other, &sched),
+                        None => self
+                            .finished
+                            .wait(state)
+                            .unwrap_or_else(PoisonError::into_inner),
+                    };
+                }
+                Some(Slot::Pending) | None => {
+                    state.slots.insert(key.to_string(), Slot::Running);
+                    state = self.run(state, key.to_string(), sched);
+                }
+            }
+        }
+        let Some(Slot::Done { run, counted }) = state.slots.get_mut(key) else {
+            unreachable!("the loop above left {key} classified");
+        };
+        match run {
+            Ok(Ok((classified, early))) => {
+                if !*counted {
+                    *counted = true;
+                    *early_rejects += u64::from(*early);
+                }
+                Ok(classified.clone())
+            }
+            Ok(Err(e)) => Err(e.clone()),
+            Err(_) => {
+                let Some(Slot::Done {
+                    run: Err(panic), ..
+                }) = state.slots.remove(key)
+                else {
+                    unreachable!("matched above");
+                };
+                drop(state);
+                std::panic::resume_unwind(panic)
+            }
+        }
+    }
+}
+
+/// Closes its board when dropped, so helpers stop claiming however the
+/// campaign loop ends (finished, interrupted, failed or unwinding).
+struct CloseOnDrop<'b, 'a>(&'b Board<'a>);
+
+impl Drop for CloseOnDrop<'_, '_> {
+    fn drop(&mut self) {
+        self.0.lock().closed = true;
+    }
+}
+
+/// Classifies one schedule: explores both systems in one thread each,
+/// releasing state payloads as they are expanded, and decides the
+/// preorder.  The flag is `true` when [`Engine::Both`]'s bisimulation
+/// fast path settled it.
 fn classify(
     concrete: &Process,
     spec: &Process,
     opts: &CampaignOptions,
     sched: &FaultSpec,
-    early_rejects: &mut u64,
-) -> Result<Classified, VerifyError> {
+) -> Result<(Classified, bool), VerifyError> {
     let explorer = Explorer::new(schedule_opts(opts, sched));
-    let explore = |p: &Process| match explorer.explore(p) {
+    let explore = |p: &Process| match explorer.explore_to_decide(p) {
         Ok(lts) => Ok(Ok(lts)),
         // A poisoned successor computation condemns this schedule only.
         Err(VerifyError::WorkerPanic { payload }) => Ok(Err(format!("worker panic: {payload}"))),
@@ -368,12 +578,13 @@ fn classify(
     };
     let concrete_lts = match explore(concrete)? {
         Ok(lts) => lts,
-        Err(reason) => return Ok(Classified::Inconclusive { reason }),
+        Err(reason) => return Ok((Classified::Inconclusive { reason }, false)),
     };
     let spec_lts = match explore(spec)? {
         Ok(lts) => lts,
-        Err(reason) => return Ok(Classified::Inconclusive { reason }),
+        Err(reason) => return Ok((Classified::Inconclusive { reason }, false)),
     };
+    let mut early = false;
     let verdict = match opts.engine {
         Engine::Trace => trace_preorder_sound(&concrete_lts, &spec_lts, opts.max_visible),
         Engine::Bisim => bisim_preorder_sound(&concrete_lts, &spec_lts, opts.max_visible),
@@ -383,7 +594,7 @@ fn classify(
             // the full trace-set comparison for this schedule.
             let b = bisim_preorder_sound(&concrete_lts, &spec_lts, opts.max_visible);
             if matches!(b, TraceVerdict::Fails { .. }) {
-                *early_rejects += 1;
+                early = true;
                 b
             } else {
                 cross_check(
@@ -393,38 +604,35 @@ fn classify(
             }
         }
     };
-    Ok(match verdict {
-        TraceVerdict::Holds { checked } => Classified::Survives { checked },
-        TraceVerdict::Fails { witness } => Classified::Attack { witness },
-        TraceVerdict::Inconclusive { exhausted } => Classified::Inconclusive {
-            reason: format!("{exhausted} budget exhausted mid-schedule"),
-        },
-    })
+    Ok((verdict.into(), early))
 }
 
+/// The exploration options of one schedule: the schedule installed, and
+/// one thread, since the campaign runs its schedules side by side.
 fn schedule_opts(opts: &CampaignOptions, sched: &FaultSpec) -> ExploreOptions {
     ExploreOptions {
         faults: (!sched.clauses.is_empty()).then(|| sched.clone()),
+        workers: 1,
         ..opts.explore.clone()
     }
 }
 
 fn decide_schedule(
-    concrete: &Process,
     spec: &Process,
     opts: &CampaignOptions,
+    key: &str,
     sched: &FaultSpec,
-    cache: &mut HashMap<String, Classified>,
+    board: &Board<'_>,
     early_rejects: &mut u64,
 ) -> Result<ScheduleOutcome, VerifyError> {
-    match classify_cached(concrete, spec, opts, sched, cache, early_rejects)? {
+    match board.classify(key, sched, early_rejects)? {
         Classified::Survives { checked } => Ok(ScheduleOutcome::Survives {
             traces_checked: checked,
         }),
         Classified::Inconclusive { reason } => Ok(ScheduleOutcome::Inconclusive { reason }),
         Classified::Attack { witness } => {
             let (minimal, witness, shrink_steps) =
-                shrink_schedule(concrete, spec, opts, sched, witness, cache, early_rejects)?;
+                shrink_schedule(sched, witness, board, early_rejects)?;
             let trace = minimize_trace(spec, opts, &minimal, witness);
             Ok(ScheduleOutcome::Attack(Box::new(MinimalCounterexample {
                 original: sched.canonical(),
@@ -441,12 +649,9 @@ fn decide_schedule(
 /// attack alive.  The fixpoint is 1-minimal by construction — every
 /// single-unit reduction was just tried and found attack-free.
 fn shrink_schedule(
-    concrete: &Process,
-    spec: &Process,
-    opts: &CampaignOptions,
     original: &FaultSpec,
     first_witness: Vec<String>,
-    cache: &mut HashMap<String, Classified>,
+    board: &Board<'_>,
     early_rejects: &mut u64,
 ) -> Result<(FaultSpec, Vec<String>, usize), VerifyError> {
     let mut cur = original.canonical();
@@ -461,7 +666,7 @@ fn shrink_schedule(
                 cand.clauses.remove(i);
             }
             if let Classified::Attack { witness } =
-                classify_cached(concrete, spec, opts, &cand, cache, early_rejects)?
+                board.classify(&cand.canonical_key(), &cand, early_rejects)?
             {
                 cur = cand;
                 cur_witness = witness;
@@ -485,7 +690,7 @@ fn minimize_trace(
     minimal: &FaultSpec,
     witness: Vec<String>,
 ) -> Vec<String> {
-    let Ok(spec_lts) = Explorer::new(schedule_opts(opts, minimal)).explore(spec) else {
+    let Ok(spec_lts) = Explorer::new(schedule_opts(opts, minimal)).explore_to_decide(spec) else {
         return witness;
     };
     let spec_traces = weak_traces(&spec_lts, opts.max_visible);
@@ -892,6 +1097,24 @@ mod tests {
     }
 
     #[test]
+    fn machine_errors_surface_alike_at_any_worker_count() {
+        // An open process fails every exploration; with helpers the
+        // failures are met ahead of the loop, yet the campaign still
+        // returns the first schedule's error and no report.
+        let open = Process::output(
+            spi_syntax::Term::name("c"),
+            spi_syntax::Term::var("x"),
+            Process::Nil,
+        );
+        let solo = run_campaign(&open, &single_shot(), &opts(2)).unwrap_err();
+        let mut o = opts(2);
+        o.explore.workers = 3;
+        let fleet = run_campaign(&open, &single_shot(), &o).unwrap_err();
+        assert!(matches!(solo, VerifyError::Machine(_)), "{solo:?}");
+        assert_eq!(solo, fleet);
+    }
+
+    #[test]
     fn interrupted_campaigns_resume_to_the_same_report() {
         let path = tmp("resume");
         let _ = std::fs::remove_file(&path);
@@ -996,6 +1219,40 @@ mod tests {
         for r in records {
             assert_eq!(ScheduleResult::from_json(&r.to_json()).as_ref(), Ok(r));
         }
+    }
+
+    #[test]
+    fn classification_releases_every_payload_and_keeps_the_verdict() {
+        let o = opts(2);
+        let drop = FaultSpec::single(FaultKind::Drop, "c", 1);
+        let padded = drop.compose(&FaultSpec::single(FaultKind::Duplicate, "c", 1));
+        for sched in [drop, padded] {
+            let explorer = Explorer::new(schedule_opts(&o, &sched));
+            let mut kept = Vec::new();
+            for p in [greedy(), single_shot()] {
+                let full = explorer.explore(&p).unwrap();
+                let released = explorer.explore_to_decide(&p).unwrap();
+                assert!(full.states.iter().all(|s| s.payload.is_some()));
+                assert!(released.states.iter().all(|s| s.payload.is_none()));
+                assert_eq!(
+                    released.fingerprint(),
+                    full.fingerprint(),
+                    "same LTS otherwise"
+                );
+                kept.push(full);
+            }
+            let full = trace_preorder_sound(&kept[0], &kept[1], o.max_visible);
+            let (classified, _) = classify(&greedy(), &single_shot(), &o, &sched).unwrap();
+            assert_eq!(classified, Classified::from(full), "{sched:?}");
+        }
+        // A budget cut leaves a frontier, whose payloads go too.
+        let mut starved = opts(1);
+        starved.explore.budget = Budget::unlimited().states(2);
+        let cut = Explorer::new(starved.explore)
+            .explore_to_decide(&greedy())
+            .unwrap();
+        assert!(!cut.frontier.is_empty());
+        assert!(cut.states.iter().all(|s| s.payload.is_none()));
     }
 
     #[test]

@@ -417,10 +417,40 @@ pub struct LtsState {
     pub barbs: BTreeSet<Barb>,
     /// Outgoing edges.
     pub edges: Vec<(Label, usize)>,
+    /// The configuration and intruder knowledge (for narration, secrecy
+    /// and diagnostics).  `None` in an exploration run only to be
+    /// decided, which drops them once the state is expanded.
+    pub(crate) payload: Option<(Config, Knowledge)>,
+}
+
+impl LtsState {
     /// The configuration (for narration and diagnostics).
-    pub config: Config,
+    ///
+    /// # Panics
+    ///
+    /// On a state of an exploration that released its payloads (a
+    /// campaign's classification runs); no public entry point returns
+    /// one.
+    #[must_use]
+    pub fn config(&self) -> &Config {
+        &self.payload().0
+    }
+
     /// The intruder knowledge at this state.
-    pub knowledge: Knowledge,
+    ///
+    /// # Panics
+    ///
+    /// As [`LtsState::config`].
+    #[must_use]
+    pub fn knowledge(&self) -> &Knowledge {
+        &self.payload().1
+    }
+
+    fn payload(&self) -> &(Config, Knowledge) {
+        self.payload
+            .as_ref()
+            .expect("state payload released by a decision-only exploration")
+    }
 }
 
 /// Exploration statistics, reported with every verdict.
@@ -555,7 +585,7 @@ impl Lts {
             .enumerate()
             .filter(|(i, s)| {
                 s.edges.is_empty()
-                    && !s.config.is_exhausted()
+                    && !s.config().is_exhausted()
                     && self.frontier.binary_search(i).is_err()
             })
             .map(|(i, _)| i)
@@ -884,13 +914,28 @@ struct Node {
     edges: Vec<(Label, usize)>,
 }
 
+/// What an exploration keeps of each state's payload (configuration,
+/// knowledge, network state) once the state has been expanded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Payloads {
+    /// Every payload rides on the finished [`Lts`]: narration, secrecy,
+    /// deadlock detection and `--dot` read them.
+    Keep,
+    /// Each payload is dropped as soon as the merge loop has consumed
+    /// its state's expansion, and the finished [`Lts`] carries none.
+    /// Deciding a preorder reads keys, barbs, edges and isomorphisms
+    /// alone, so expanded states cost only their node.
+    Release,
+}
+
 /// The state store: LTS nodes, their exploration payloads, and the
 /// canonical-key index (hashed, with an optional parallel string index
 /// for differential verification).
 #[derive(Debug, Default)]
 struct StateStore {
     nodes: Vec<Node>,
-    data: Vec<StateData>,
+    /// Payloads, parallel to `nodes`; `None` once released.
+    data: Vec<Option<StateData>>,
     index: HashMap<u128, usize>,
     /// Present iff [`ExploreOptions::verify_keys`]: the same interning
     /// decisions re-derived from full canonical strings.
@@ -1072,7 +1117,7 @@ impl StateStore {
             }
         }
         self.index.insert(out.key, i);
-        self.data.push(sd);
+        self.data.push(Some(sd));
         self.annots.push(out.annot);
         queue.push_back(i);
         i
@@ -1119,9 +1164,17 @@ impl StateStore {
         Some((self.push(out, sd, queue), 0))
     }
 
+    /// The payload of a state that is still to be expanded.
+    fn payload(&self, i: usize) -> &StateData {
+        self.data[i]
+            .as_ref()
+            .expect("a state keeps its payload until it is expanded")
+    }
+
     /// The finished states — each node joined with the configuration and
-    /// knowledge moved out of its payload — and the interned isomorphisms.
-    fn finish(self) -> (Vec<LtsState>, Vec<Iso>) {
+    /// knowledge moved out of its payload, unless payloads are released —
+    /// and the interned isomorphisms.
+    fn finish(self, payloads: Payloads) -> (Vec<LtsState>, Vec<Iso>) {
         let states = self
             .nodes
             .into_iter()
@@ -1130,8 +1183,9 @@ impl StateStore {
                 key: node.key,
                 barbs: node.barbs,
                 edges: node.edges,
-                config: sd.cfg,
-                knowledge: sd.knowledge,
+                payload: sd
+                    .filter(|_| payloads == Payloads::Keep)
+                    .map(|sd| (sd.cfg, sd.knowledge)),
             })
             .collect();
         (states, self.isos.into_isos())
@@ -1176,6 +1230,20 @@ impl Explorer {
     ///
     /// Returns machine errors on malformed processes.
     pub fn explore(&self, process: &Process) -> Result<Lts, VerifyError> {
+        self.run(process, Payloads::Keep)
+    }
+
+    /// [`Explorer::explore`] for a run that is only decided: each state's
+    /// configuration, knowledge and network state are dropped once it is
+    /// expanded, so the [`Lts`] carries keys, barbs, edges and
+    /// isomorphisms alone (its [`LtsState::config`] and
+    /// [`LtsState::knowledge`] panic).  Same states, edges, numbering and
+    /// accounting as [`Explorer::explore`].
+    pub(crate) fn explore_to_decide(&self, process: &Process) -> Result<Lts, VerifyError> {
+        self.run(process, Payloads::Release)
+    }
+
+    fn run(&self, process: &Process, payloads: Payloads) -> Result<Lts, VerifyError> {
         let cfg = Config::from_process(process)?;
         let mut knowledge = Knowledge::new();
         if let Some(spec) = &self.opts.intruder {
@@ -1266,7 +1334,7 @@ impl Explorer {
                 if !gov.charge_fuel() {
                     cut_off!();
                 }
-                if !gov.admit_knowledge(store.data[cur].knowledge.len()) {
+                if !gov.admit_knowledge(store.payload(cur).knowledge.len()) {
                     // Too much knowledge to expand: the state stays on
                     // the frontier, but exploration of its siblings
                     // continues.  (Any speculative successors are
@@ -1288,6 +1356,9 @@ impl Explorer {
                 // consumed, so the counter is worker-count independent.
                 stats.por_pruned += succ.pruned;
                 stats.sym_prechecked += succ.prechecked;
+                // One exact allocation: every move becomes an edge
+                // unless a cut-off ends the exploration first.
+                store.nodes[cur].edges.reserve_exact(succ.moves.len());
                 for (label, next, out) in succ.moves {
                     if !gov.admit_transition(edges_total) {
                         cut_off!();
@@ -1317,13 +1388,16 @@ impl Explorer {
                     expanded.resize(store.nodes.len(), false);
                 }
                 expanded[cur] = true;
+                if payloads == Payloads::Release {
+                    store.data[cur] = None;
+                }
                 if let Some(p) = &self.opts.progress {
                     p.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
 
-        let (states, isos) = store.finish();
+        let (states, isos) = store.finish(payloads);
         expanded.resize(states.len(), false);
         let mut frontier: Vec<usize> = (0..states.len()).filter(|&i| !expanded[i]).collect();
         frontier.sort_unstable();
@@ -1427,7 +1501,7 @@ impl Explorer {
         store: &StateStore,
         cache: &mut DeriveCache,
     ) -> Result<Expansion, VerifyError> {
-        let succ = self.caught_successors(cur, &store.data[cur], cache)?;
+        let succ = self.caught_successors(cur, store.payload(cur), cache)?;
         let moves = succ
             .moves
             .into_iter()
@@ -2426,7 +2500,7 @@ mod tests {
         let both_served = lts
             .states
             .iter()
-            .any(|s| s.config.is_exhausted() && s.edges.is_empty());
+            .any(|s| s.config().is_exhausted() && s.edges.is_empty());
         assert!(both_served || lts.stats.states > 3);
     }
 
@@ -2765,8 +2839,8 @@ mod tests {
         let mut checked = 0;
         for state in &lts.states {
             let sd = StateData {
-                cfg: state.config.clone(),
-                knowledge: state.knowledge.clone(),
+                cfg: state.config().clone(),
+                knowledge: state.knowledge().clone(),
                 fresh_made: 0,
                 net: None,
             };

@@ -75,14 +75,14 @@ impl SecrecyReport {
 pub fn check_secrecy(lts: &Lts, secrets: &[Name]) -> SecrecyReport {
     let mut leaks = Vec::new();
     for (idx, state) in lts.states.iter().enumerate() {
-        for (id, entry) in state.config.names().iter() {
+        for (id, entry) in state.config().names().iter() {
             if !entry.restricted || !secrets.contains(&entry.base) {
                 continue;
             }
-            if state.knowledge.can_derive(&RtTerm::Id(id)) {
+            if state.knowledge().can_derive(&RtTerm::Id(id)) {
                 leaks.push(format!(
                     "state {idx}: intruder derives {}",
-                    state.config.names().display(id)
+                    state.config().names().display(id)
                 ));
             }
         }

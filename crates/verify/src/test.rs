@@ -77,7 +77,7 @@ pub fn may_exhibit_bounded(
             let mut cur = s;
             while let Some((prev, edge_idx)) = parent[cur] {
                 let (label, _) = &lts.states[prev].edges[edge_idx];
-                rev.push(label.desc().display(lts.states[cur].config.names()));
+                rev.push(label.desc().display(lts.states[cur].config().names()));
                 cur = prev;
             }
             rev.reverse();

@@ -212,9 +212,11 @@ impl Verifier {
         self
     }
 
-    /// Sets the number of worker threads per exploration.  `1` runs the
-    /// sequential engine; every value yields bit-for-bit identical
-    /// verdicts, statistics, and narrations (parallelism only reduces
+    /// Sets the number of worker threads per exploration — for
+    /// [`Verifier::run_campaign`], the number of schedules classified at
+    /// once, each in one thread.  `1` runs the sequential engine; every
+    /// value yields bit-for-bit identical verdicts, statistics,
+    /// narrations and campaign reports (parallelism only reduces
     /// wall-clock time).
     #[must_use]
     pub fn workers(mut self, n: usize) -> Verifier {
@@ -638,7 +640,7 @@ impl Verifier {
         let mut counter = 0usize;
         let mut lines = Vec::new();
         for (_, label, tgt) in path {
-            let names = lts.states[tgt].config.names();
+            let names = lts.states[tgt].config().names();
             let who = |p: &Path| roles.role_of(p).unwrap_or_else(|| p.to_bits());
             match label.desc() {
                 StepDesc::Internal(StepInfo::Comm(ci)) => {

@@ -105,9 +105,9 @@ fn wide_mouthed_frog_explores_under_attack() {
     // The session key and payload never leak to the intruder: check that
     // no reachable state has m in the analyzed knowledge.
     for state in &lts.states {
-        for t in state.knowledge.iter() {
+        for t in state.knowledge().iter() {
             if let spi_auth_repro::semantics::RtTerm::Id(id) = t {
-                let e = state.config.names().entry(*id);
+                let e = state.config().names().entry(*id);
                 assert_ne!(
                     (e.base.as_str(), e.restricted),
                     ("m", true),

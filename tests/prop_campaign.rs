@@ -5,7 +5,7 @@
 //! search space, independent of the worker count.
 
 use proptest::prelude::*;
-use spi_auth_repro::auth::{Verdict, Verifier};
+use spi_auth_repro::auth::{CampaignOptions, CampaignReport, Engine, Verdict, Verifier};
 use spi_auth_repro::protocols::multi;
 use spi_auth_repro::semantics::{FaultKind, FaultSpec};
 use spi_auth_repro::syntax::Process;
@@ -40,6 +40,45 @@ fn arb_kinds() -> impl Strategy<Value = Vec<FaultKind>> {
             .map(|(_, k)| *k)
             .collect()
     })
+}
+
+/// Asserts that two reports of one campaign agree on everything but
+/// the worker count that produced them.
+fn assert_same_report(solo: &CampaignReport, fleet: &CampaignReport) {
+    assert_eq!(
+        solo.identity, fleet.identity,
+        "the worker count is not digested"
+    );
+    assert_eq!(solo.results, fleet.results);
+    let counts = |r: &CampaignReport| {
+        (
+            r.enumerated,
+            r.resumed,
+            r.fresh,
+            r.interrupted,
+            r.early_rejects,
+        )
+    };
+    assert_eq!(
+        counts(solo),
+        counts(fleet),
+        "enumerated, resumed, fresh, interrupted, early_rejects"
+    );
+}
+
+/// Runs the Pm2 campaign at `workers`, with `tweak` applied to its
+/// options.
+fn campaign_at(
+    workers: usize,
+    depth: usize,
+    tweak: impl FnOnce(&mut CampaignOptions),
+) -> CampaignReport {
+    let (concrete, spec) = protocols();
+    let v = verifier().engine(Engine::Both).workers(workers);
+    let mut opts = v.campaign_options(depth);
+    tweak(&mut opts);
+    v.run_campaign(&concrete, &spec, &opts)
+        .expect("campaign runs")
 }
 
 /// Checks one explicit schedule the way `spi verify --fault` does.
@@ -104,27 +143,69 @@ proptest! {
     }
 
     /// The campaign report is a pure function of the search space: the
-    /// worker count changes wall-clock time, never a single result.
+    /// worker count changes wall-clock time, never a single result or
+    /// count — under both engines, whose bisimulation fast path is what
+    /// `early_rejects` counts.
     #[test]
     fn reports_are_identical_for_any_worker_count(
         kinds in arb_kinds(),
         depth in 1usize..3,
         extra_workers in 1usize..4,
     ) {
-        let (concrete, spec) = protocols();
-        let solo = verifier().workers(1);
-        let fleet = verifier().workers(1 + extra_workers);
-        let mut solo_opts = solo.campaign_options(depth);
-        solo_opts.kinds = kinds.clone();
-        let mut fleet_opts = fleet.campaign_options(depth);
-        fleet_opts.kinds = kinds;
-        let a = solo.run_campaign(&concrete, &spec, &solo_opts).expect("campaign runs");
-        let b = fleet.run_campaign(&concrete, &spec, &fleet_opts).expect("campaign runs");
-        prop_assert_eq!(
-            &a.identity,
-            &b.identity,
-            "the worker count is excluded from the campaign identity"
-        );
-        prop_assert_eq!(a.results, b.results);
+        let solo = campaign_at(1, depth, |o| o.kinds = kinds.clone());
+        let fleet = campaign_at(1 + extra_workers, depth, |o| o.kinds = kinds);
+        assert_same_report(&solo, &fleet);
     }
+}
+
+/// An interrupted campaign and its resumption: the same reports and the
+/// same checkpoint bytes at 3 workers as at 1.
+#[test]
+fn stopped_and_resumed_campaigns_are_identical_for_any_worker_count() {
+    let run = |workers: usize| {
+        let path = std::env::temp_dir().join(format!(
+            "spi-prop-campaign-{}-w{workers}.json",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let partial = campaign_at(workers, 2, |o| {
+            o.checkpoint_path = Some(path.clone());
+            o.checkpoint_every = 1;
+            o.stop_after = Some(5);
+        });
+        let stopped = std::fs::read(&path).expect("checkpoint written");
+        let resumed = campaign_at(workers, 2, |o| {
+            o.checkpoint_path = Some(path.clone());
+            o.resume = true;
+        });
+        let finished = std::fs::read(&path).expect("checkpoint written");
+        let _ = std::fs::remove_file(&path);
+        (partial, stopped, resumed, finished)
+    };
+    let (solo_partial, solo_stopped, solo_resumed, solo_finished) = run(1);
+    let (partial, stopped, resumed, finished) = run(3);
+    assert!(solo_partial.interrupted);
+    assert_eq!((solo_partial.fresh, solo_resumed.resumed), (5, 5));
+    assert_same_report(&solo_partial, &partial);
+    assert_same_report(&solo_resumed, &resumed);
+    assert_eq!(solo_stopped, stopped, "checkpoint after the stop");
+    assert_eq!(solo_finished, finished, "checkpoint after the resume");
+}
+
+/// A worker panic poisons only the schedule whose exploration raised
+/// it, wherever that exploration ran.
+#[test]
+fn worker_panics_poison_the_same_schedules_for_any_worker_count() {
+    // Replay faults push either system past 150 states; the others
+    // stay below it and are decided.
+    let poison = |o: &mut CampaignOptions| o.explore.panic_after_states = Some(150);
+    let solo = campaign_at(1, 2, poison);
+    let fleet = campaign_at(2, 2, poison);
+    let (attacks, survives, inconclusive) = solo.tally();
+    assert!(
+        inconclusive > 0 && attacks > 0 && survives > 0,
+        "{:?}",
+        solo.tally()
+    );
+    assert_same_report(&solo, &fleet);
 }
