@@ -60,7 +60,10 @@
 //! Exit codes: 0 — verified / success; 1 — attack found, failed parse,
 //! or conformance failures; 2 — usage error; 3 — inconclusive (a
 //! resource budget ran out, the wall clock expired, a campaign was
-//! interrupted, or every conformance oracle skipped every case).
+//! interrupted, or every conformance oracle skipped every case).  A
+//! stdout closed early (`spi paper | head -c 10`) is not an error: the
+//! rest of the output is dropped and the command still exits with the
+//! code it computed.
 
 use std::process::ExitCode;
 
@@ -69,6 +72,23 @@ use spi_auth::protocols::narration::Narration;
 use spi_auth::semantics::{Config, Narrator, RoleMap};
 use spi_auth::server::{job_flags, parse_source, JobRequest, Mode, RunControl, VerifierEngine};
 use spi_auth::{propositions, Verdict, Verifier};
+
+/// `println!` for a stdout that may close early: a line written to a
+/// closed pipe is dropped instead of panicking (Rust ignores `SIGPIPE`,
+/// so the standard macro panics on `EPIPE`).
+macro_rules! println {
+    ($($arg:tt)*) => {
+        print_line(format_args!($($arg)*))
+    };
+}
+
+fn print_line(line: std::fmt::Arguments<'_>) {
+    use std::io::{ErrorKind, Write as _};
+    match writeln!(std::io::stdout().lock(), "{line}") {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => panic!("failed printing to stdout: {e}"),
+        _ => {}
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -288,3 +288,55 @@ fn usage_errors_exit_2() {
     let out = spi().output().expect("runs");
     assert_eq!(out.status.code(), Some(2));
 }
+
+#[test]
+fn a_closed_stdout_keeps_the_exit_code_and_never_panics() {
+    // `spi … | head -c N`: the reader takes N bytes and goes away.  At
+    // N = 0 the pipe is closed before the command writes anything, so
+    // its first line already meets a closed pipe; at N = 1 the rest of
+    // the output does, unless it was all written first.
+    use std::io::Read as _;
+    use std::process::Stdio;
+    let pm2 = write_temp("pipe_pm2.spi", PM2);
+    let pm = write_temp("pipe_pm.spi", PM_ABS);
+    let (pm2, pm) = (pm2.to_str().unwrap(), pm.to_str().unwrap());
+    let cases = [
+        (vec!["paper", "--sessions", "1"], 0),
+        (vec!["verify", pm2, pm, "--sessions", "2"], 1),
+        (
+            vec![
+                "campaign",
+                pm2,
+                pm,
+                "--sessions",
+                "2",
+                "--intruder",
+                "off",
+                "--faults-depth",
+                "1",
+            ],
+            1,
+        ),
+        (vec!["explore", pm2, "--sessions", "2"], 0),
+    ];
+    for (args, code) in cases {
+        for read in [0, 1] {
+            let mut child = spi()
+                .args(&args)
+                .stdout(Stdio::piped())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("runs");
+            let mut stdout = child.stdout.take().expect("piped");
+            let mut first = vec![0u8; read];
+            stdout.read_exact(&mut first).expect("the first bytes");
+            drop(stdout);
+            let out = child.wait_with_output().expect("exits");
+            let err = String::from_utf8_lossy(&out.stderr);
+            let why = format!("{args:?} after {read} bytes: {err}");
+            assert_eq!(out.status.code(), Some(code), "{why}");
+            assert!(!err.contains("panicked"), "{why}");
+            assert!(!err.contains("Broken pipe"), "{why}");
+        }
+    }
+}

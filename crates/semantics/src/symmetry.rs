@@ -1023,40 +1023,6 @@ pub fn group_signatures(cfg: &Config, groups: &[SessionGroup]) -> Vec<Vec<String
     sigs
 }
 
-/// Enumerates the permutations of `0..n` into `out` (each as an image
-/// vector `perm[i] = j`).
-fn permutations(n: usize) -> Vec<Vec<usize>> {
-    fn go(prefix: &mut Vec<usize>, used: &mut Vec<bool>, n: usize, out: &mut Vec<Vec<usize>>) {
-        if prefix.len() == n {
-            out.push(prefix.clone());
-            return;
-        }
-        for j in 0..n {
-            if !used[j] {
-                used[j] = true;
-                prefix.push(j);
-                go(prefix, used, n, out);
-                prefix.pop();
-                used[j] = false;
-            }
-        }
-    }
-    let mut out = Vec::new();
-    go(&mut Vec::new(), &mut vec![false; n], n, &mut out);
-    out
-}
-
-fn factorial_capped(n: usize, cap: usize) -> usize {
-    let mut f = 1usize;
-    for i in 2..=n {
-        f = f.saturating_mul(i);
-        if f > cap {
-            return cap + 1;
-        }
-    }
-    f
-}
-
 /// Erases every copy subtree to a dead leaf and rewrites the remaining
 /// paths (creator stamps, localization indexes) through the *erasure map*
 /// that sends every copy root of a group to the group's first root.  The
@@ -1093,44 +1059,77 @@ pub fn erase_copies(cfg: &Config, groups: &[SessionGroup]) -> (Config, PathPerm)
     )
 }
 
-/// Every joint copy permutation of every group (the full orbit), or `None`
-/// past `cap`.  This is the brute force the `verify_symmetry` debug mode
-/// checks the signature-guided quotient against.
-#[must_use]
-pub fn all_perms(groups: &[SessionGroup], cap: usize) -> Option<Vec<PathPerm>> {
-    let mut total = 1usize;
-    for g in groups {
-        total = total.saturating_mul(factorial_capped(g.roots.len(), cap));
-        if total > cap {
-            return None;
-        }
-    }
-    let mut candidates: Vec<Vec<(Path, Path)>> = vec![Vec::new()];
-    for g in groups {
-        let perms = permutations(g.roots.len());
-        let mut next = Vec::with_capacity(candidates.len() * perms.len());
-        for base in &candidates {
-            for perm in &perms {
-                let mut pairs = base.clone();
-                for (copy, slot) in perm.iter().enumerate() {
-                    pairs.push((g.roots[copy].clone(), g.roots[*slot].clone()));
-                }
-                next.push(pairs);
-            }
-        }
-        candidates = next;
-        if candidates.len() > cap {
-            return None;
-        }
-    }
-    Some(candidates.into_iter().map(PathPerm::from_pairs).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Action;
     use spi_syntax::parse;
+
+    /// Enumerates the permutations of `0..n` into `out` (each as an image
+    /// vector `perm[i] = j`).
+    fn permutations(n: usize) -> Vec<Vec<usize>> {
+        fn go(prefix: &mut Vec<usize>, used: &mut Vec<bool>, n: usize, out: &mut Vec<Vec<usize>>) {
+            if prefix.len() == n {
+                out.push(prefix.clone());
+                return;
+            }
+            for j in 0..n {
+                if !used[j] {
+                    used[j] = true;
+                    prefix.push(j);
+                    go(prefix, used, n, out);
+                    prefix.pop();
+                    used[j] = false;
+                }
+            }
+        }
+        let mut out = Vec::new();
+        go(&mut Vec::new(), &mut vec![false; n], n, &mut out);
+        out
+    }
+
+    fn factorial_capped(n: usize, cap: usize) -> usize {
+        let mut f = 1usize;
+        for i in 2..=n {
+            f = f.saturating_mul(i);
+            if f > cap {
+                return cap + 1;
+            }
+        }
+        f
+    }
+
+    /// Every joint copy permutation of every group (the full orbit), or
+    /// `None` past `cap`: the brute force the signature-guided candidates
+    /// are checked against.
+    fn all_perms(groups: &[SessionGroup], cap: usize) -> Option<Vec<PathPerm>> {
+        let mut total = 1usize;
+        for g in groups {
+            total = total.saturating_mul(factorial_capped(g.roots.len(), cap));
+            if total > cap {
+                return None;
+            }
+        }
+        let mut candidates: Vec<Vec<(Path, Path)>> = vec![Vec::new()];
+        for g in groups {
+            let perms = permutations(g.roots.len());
+            let mut next = Vec::with_capacity(candidates.len() * perms.len());
+            for base in &candidates {
+                for perm in &perms {
+                    let mut pairs = base.clone();
+                    for (copy, slot) in perm.iter().enumerate() {
+                        pairs.push((g.roots[copy].clone(), g.roots[*slot].clone()));
+                    }
+                    next.push(pairs);
+                }
+            }
+            candidates = next;
+            if candidates.len() > cap {
+                return None;
+            }
+        }
+        Some(candidates.into_iter().map(PathPerm::from_pairs).collect())
+    }
 
     fn cfg(src: &str) -> Config {
         Config::from_process(&parse(src).expect("parses")).expect("loads")

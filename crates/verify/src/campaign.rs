@@ -14,12 +14,11 @@
 //!    (decrement a clause cap, dropping the clause at zero) as long as
 //!    the attack persists; the fixpoint is a schedule where removing any
 //!    single unit makes the attack disappear;
-//! 2. **the witnessing trace** — cut the witness to its shortest prefix
-//!    the specification cannot produce.  Because weak trace sets are
-//!    prefix-closed and [`trace_preorder`] already reports the globally
-//!    shortest missing trace, this pass is an *enforced invariant*
-//!    rather than a search: the final witness has every proper prefix
-//!    realizable by the specification.
+//! 2. **the witnessing trace** — needs no pass of its own: weak trace
+//!    sets are prefix-closed and the classifier ([`trace_preorder`] or
+//!    the bisimulation engine) already reports a shortest trace the
+//!    specification cannot produce under the minimal schedule, so every
+//!    proper prefix of the witness is a specification trace.
 //!
 //! The result is a [`MinimalCounterexample`]: the smallest fault
 //! schedule that still breaks the protocol plus the shortest trace
@@ -60,8 +59,8 @@ use crate::faultsim::multi_fault_schedules;
 use crate::jsonlite::Json;
 use crate::verifier::cross_check;
 use crate::{
-    bisim_preorder_sound, trace_preorder_sound, weak_traces, Engine, ExploreOptions, Explorer,
-    TraceVerdict, VerifyError,
+    bisim_preorder_sound, trace_preorder_sound, Engine, ExploreOptions, Explorer, TraceVerdict,
+    VerifyError,
 };
 
 /// Configuration of one fault campaign.
@@ -312,7 +311,7 @@ pub fn run_campaign(
                 interrupted = true;
                 break;
             }
-            let outcome = decide_schedule(spec, opts, &key, sched, &board, &mut early_rejects)?;
+            let outcome = decide_schedule(&key, sched, &board, &mut early_rejects)?;
             results.push(ScheduleResult {
                 key,
                 schedule: sched.clone(),
@@ -618,8 +617,6 @@ fn schedule_opts(opts: &CampaignOptions, sched: &FaultSpec) -> ExploreOptions {
 }
 
 fn decide_schedule(
-    spec: &Process,
-    opts: &CampaignOptions,
     key: &str,
     sched: &FaultSpec,
     board: &Board<'_>,
@@ -631,9 +628,8 @@ fn decide_schedule(
         }),
         Classified::Inconclusive { reason } => Ok(ScheduleOutcome::Inconclusive { reason }),
         Classified::Attack { witness } => {
-            let (minimal, witness, shrink_steps) =
+            let (minimal, trace, shrink_steps) =
                 shrink_schedule(sched, witness, board, early_rejects)?;
-            let trace = minimize_trace(spec, opts, &minimal, witness);
             Ok(ScheduleOutcome::Attack(Box::new(MinimalCounterexample {
                 original: sched.canonical(),
                 schedule: minimal,
@@ -676,30 +672,6 @@ fn shrink_schedule(
         }
         return Ok((cur, cur_witness, steps));
     }
-}
-
-/// Trace-dimension minimization: the shortest prefix of `witness` the
-/// specification cannot produce under the minimal schedule.  Since weak
-/// trace sets are prefix-closed and the classifier already picks the
-/// globally shortest missing trace, this normally returns the full
-/// witness — the pass *enforces* prefix-minimality rather than
-/// discovering it.
-fn minimize_trace(
-    spec: &Process,
-    opts: &CampaignOptions,
-    minimal: &FaultSpec,
-    witness: Vec<String>,
-) -> Vec<String> {
-    let Ok(spec_lts) = Explorer::new(schedule_opts(opts, minimal)).explore_to_decide(spec) else {
-        return witness;
-    };
-    let spec_traces = weak_traces(&spec_lts, opts.max_visible);
-    for cut in 1..witness.len() {
-        if !spec_traces.contains(&witness[..cut]) {
-            return witness[..cut].to_vec();
-        }
-    }
-    witness
 }
 
 /// `true` once the campaign loop itself should stop (the same signals

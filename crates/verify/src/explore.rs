@@ -9,53 +9,17 @@ use std::time::Instant;
 use spi_addr::Path;
 use spi_semantics::{
     symmetry::{self, Fallback},
-    Barb, CanonHasher, Canonicalizer, CommInfo, Config, FaultKind, FaultSpec, LeafState, Lens,
-    NameTable, NetworkState, PathPerm, RtChanIndex, RtProcess, RtTerm, StepInfo, Verbatim,
+    Barb, CanonHasher, Canonicalizer, Config, FaultKind, FaultSpec, LeafState, Lens, NameTable,
+    NetworkState, PathPerm, RtChanIndex, RtProcess, RtTerm, StepInfo, Verbatim,
 };
 use spi_syntax::{Name, Process};
 
+use crate::environment::{self, IntruderSpec};
 use crate::iso::{Iso, IsoTable};
 use crate::{
     Budget, CoverageStats, DeriveCache, Governor, Knowledge, ObsEvent, ObsTerm, ResourceKind,
     VerifyError,
 };
-
-/// The most-general bounded intruder of the paper's attacker class `E_C`.
-///
-/// The intruder occupies a fixed position of the process tree (usually
-/// the right sibling of the protocol in `(νC)(P | X)`), communicates only
-/// over the channels whose base spelling is listed in `channels` — the
-/// set `C` of Definition 4 — and may invent up to `fresh_budget` fresh
-/// names of its own (the `(νM_E)` of the paper's attack on `P1`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IntruderSpec {
-    /// The intruder's tree position.
-    pub position: Path,
-    /// The base spellings of the protocol channels `C`.
-    pub channels: BTreeSet<Name>,
-    /// How many fresh names the intruder may create.
-    pub fresh_budget: u32,
-    /// Cap on freshly synthesized ciphertext candidates per injection.
-    pub synth_cap: usize,
-}
-
-impl IntruderSpec {
-    /// An intruder at `position` talking over `channels`, with one fresh
-    /// name and a small synthesis cap.
-    #[must_use]
-    pub fn new<I, N>(position: Path, channels: I) -> IntruderSpec
-    where
-        I: IntoIterator<Item = N>,
-        N: Into<Name>,
-    {
-        IntruderSpec {
-            position,
-            channels: channels.into_iter().map(Into::into).collect(),
-            fresh_budget: 1,
-            synth_cap: 16,
-        }
-    }
-}
 
 /// Which state-space reductions to apply.  Both are sound for the
 /// verdicts this toolkit computes — weak traces, weak barbs, deadlock
@@ -159,12 +123,6 @@ pub struct ExploreOptions {
     /// any reduction forces isomorphism tracking (see
     /// [`ExploreOptions::track_isos`]) so extracted traces stay exact.
     pub reduce: ReduceOptions,
-    /// Differential symmetry verification: on every quotiented key,
-    /// additionally brute-force the *whole* permutation orbit and panic
-    /// unless every permuted variant quotients to the same key (orbit
-    /// invariance — the property that makes permuted duplicates merge).
-    /// Debugging aid (like `verify_keys`); off by default.
-    pub verify_symmetry: bool,
     /// Record the witnessing isomorphism of every state merge and ship
     /// the table on the [`Lts`], so trace extraction can reconstruct the
     /// exact raw trace set instead of mixing merged lineages.  Implied by
@@ -235,7 +193,6 @@ impl Default for ExploreOptions {
             workers: ExploreOptions::available_workers(),
             verify_keys: false,
             reduce: ReduceOptions::none(),
-            verify_symmetry: false,
             track_isos: false,
             sym_conflate: false,
             deadline: None,
@@ -467,13 +424,6 @@ pub struct ExploreStats {
     /// How many successor moves the partial-order reduction pruned.
     /// Zero when POR is off.
     pub por_pruned: u64,
-    /// How many successors the `verify_symmetry` brute-force orbit check
-    /// audited *before* POR pruning.  Pruned successors are never
-    /// interned, so the intern-time check alone would silently skip
-    /// them; this counter proves the pre-POR pass covered them.  Zero
-    /// unless `verify_symmetry`, POR and the symmetry quotient are all
-    /// on.
-    pub sym_prechecked: u64,
     /// How many states went through the session-symmetry search (the
     /// state was symmetry-eligible and had at least one session group).
     pub sym_canonicalizations: u64,
@@ -634,12 +584,15 @@ pub struct Explorer {
     opts: ExploreOptions,
 }
 
+/// One state as exploration holds it: the configuration plus what the
+/// environments hold outside the process tree.
 #[derive(Debug, Clone)]
-struct StateData {
-    cfg: Config,
-    knowledge: Knowledge,
-    fresh_made: u32,
-    net: Option<NetworkState>,
+pub(crate) struct StateData {
+    pub(crate) cfg: Config,
+    pub(crate) knowledge: Knowledge,
+    /// How many fresh names the intruder has invented.
+    pub(crate) fresh_made: u32,
+    pub(crate) net: Option<NetworkState>,
 }
 
 impl StateData {
@@ -816,37 +769,6 @@ fn signature_min(
         .ok_or(Fallback::Overflow)
 }
 
-/// The `verify_symmetry` debug check.  The refined key is a *canonical
-/// form*, not the orbit's hash minimum (copies with distinct colours are
-/// ordered by colour, not by hash), so the property to verify is orbit
-/// invariance: every physically permuted variant of the state must
-/// quotient to the same key, or permuted duplicates would survive.
-fn verify_orbit_invariance(
-    sd: &StateData,
-    groups: &[symmetry::SessionGroup],
-    key: u128,
-    pinned: &[Path],
-) {
-    let Some(orbit) = symmetry::all_perms(groups, 120) else {
-        return; // Orbit too large to brute-force; nothing to check.
-    };
-    for perm in &orbit {
-        let variant = sd.permuted(perm);
-        let vgroups = symmetry::session_groups(&variant.cfg, pinned);
-        let Ok((vkey, ..)) = signature_min(&variant, &vgroups) else {
-            continue; // Capped variant falls back to raw keys anyway.
-        };
-        assert_eq!(
-            key,
-            vkey,
-            "symmetry quotient is not orbit-invariant: {key:#034x} vs {vkey:#034x} \
-             for a permuted variant, over {} permutations of {} group(s)",
-            orbit.len(),
-            groups.len(),
-        );
-    }
-}
-
 /// How the store canonicalizes and relates states: the reduction switches
 /// plus the positions no copy permutation may move.
 #[derive(Debug, Clone, Default)]
@@ -856,8 +778,6 @@ struct SymCtx {
     tracking: bool,
     /// Quotient keys by session-copy permutations.
     symmetry: bool,
-    /// Brute-force-check every quotiented key against the full orbit.
-    verify: bool,
     /// The planted-bug pseudo-quotient (see `ExploreOptions::sym_conflate`).
     conflate: bool,
     /// Positions that must not move: the intruder's and the fault
@@ -1023,9 +943,6 @@ impl StateStore {
                 return out;
             }
         };
-        if self.sym.verify {
-            verify_orbit_invariance(sd, &groups, key, &self.sym.pinned);
-        }
         // The string index must follow the *hash* winner: ties between
         // hash-distinct candidates with string-identical renderings
         // cannot happen (the hash is a function of the string), and
@@ -1273,13 +1190,13 @@ impl Explorer {
         // Any reduction forces iso tracking: merges stop being identity
         // renamings, so traces must be able to undo them.
         let tracking = self.opts.track_isos || self.opts.reduce.enabled();
-        let pinned = self.pinned_positions();
+        let seats = self.opts.intruder.iter().map(|i| &i.position);
+        let pinned = seats.chain(self.opts.faults.iter().map(|f| &f.position));
         let sym = SymCtx {
             tracking,
             symmetry: self.opts.reduce.symmetry,
-            verify: self.opts.verify_symmetry,
             conflate: self.opts.sym_conflate,
-            pinned,
+            pinned: pinned.cloned().collect(),
         };
         let mut store = StateStore::new(self.opts.verify_keys, sym);
         let mut queue: VecDeque<usize> = VecDeque::new();
@@ -1355,7 +1272,6 @@ impl Explorer {
                 // Pruning is accounted only when the state is actually
                 // consumed, so the counter is worker-count independent.
                 stats.por_pruned += succ.pruned;
-                stats.sym_prechecked += succ.prechecked;
                 // One exact allocation: every move becomes an edge
                 // unless a cut-off ends the exploration first.
                 store.nodes[cur].edges.reserve_exact(succ.moves.len());
@@ -1363,9 +1279,6 @@ impl Explorer {
                     if !gov.admit_transition(edges_total) {
                         cut_off!();
                     }
-                    // A failed `verify_symmetry` audit re-raises here,
-                    // where the sequential engine canonicalized.
-                    let out = out.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
                     out.tally.add_to(&mut stats);
                     match store.intern(out, next, &mut gov, &mut queue) {
                         Some((tgt, iso)) => {
@@ -1491,46 +1404,18 @@ impl Explorer {
 
     /// One state's expansion, the unit of work of both the pool and the
     /// on-demand path: its successors, then the canonical identity of
-    /// each.  Canonicalization runs outside the successor panic boundary
-    /// — a failed `verify_symmetry` audit is a panic, not a
-    /// [`VerifyError::WorkerPanic`] — and is kept per move, so the merge
-    /// re-raises it only on reaching that move.
+    /// each.  The successors are computed behind a panic boundary: a
+    /// panic there — in a worker thread or on the calling one — surfaces
+    /// as [`VerifyError::WorkerPanic`] carrying the payload, so one
+    /// poisoned state fails only its own exploration and can never abort
+    /// the process (campaigns report the schedule as inconclusive and
+    /// move on).
     fn expand(
         &self,
         cur: usize,
         store: &StateStore,
         cache: &mut DeriveCache,
     ) -> Result<Expansion, VerifyError> {
-        let succ = self.caught_successors(cur, store.payload(cur), cache)?;
-        let moves = succ
-            .moves
-            .into_iter()
-            .map(|(label, next)| {
-                let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    store.canonical(&next)
-                }));
-                (label, next, out)
-            })
-            .collect();
-        Ok(Expansion {
-            moves,
-            pruned: succ.pruned,
-            prechecked: succ.prechecked,
-        })
-    }
-
-    /// [`Explorer::successors`] behind a panic boundary: a panicking
-    /// successor computation — in a worker thread or in the sequential
-    /// fallback — surfaces as [`VerifyError::WorkerPanic`] carrying the
-    /// payload, so one poisoned state fails only its own exploration and
-    /// can never abort the process (campaigns report the schedule as
-    /// inconclusive and move on).
-    fn caught_successors(
-        &self,
-        cur: usize,
-        sd: &StateData,
-        cache: &mut DeriveCache,
-    ) -> Result<SuccSet, VerifyError> {
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if let Some(n) = self.opts.panic_after_states {
                 assert!(
@@ -1538,15 +1423,26 @@ impl Explorer {
                     "test hook: successor computation for state {cur} panicked"
                 );
             }
-            self.successors(sd, cache)
+            self.successors(store.payload(cur), cache)
         }));
-        caught.unwrap_or_else(|payload| {
+        // `&*` descends into the box: coercing `&payload` would unsize
+        // the `Box` itself into the `dyn Any` and defeat the downcasts.
+        let succ = caught.unwrap_or_else(|payload| {
             Err(VerifyError::WorkerPanic {
-                // `&*` descends into the box: coercing `&payload` would
-                // unsize the `Box` itself into the `dyn Any` and defeat
-                // the downcasts.
                 payload: panic_text(&*payload),
             })
+        })?;
+        let moves = succ
+            .moves
+            .into_iter()
+            .map(|(label, next)| {
+                let out = store.canonical(&next);
+                (label, next, out)
+            })
+            .collect();
+        Ok(Expansion {
+            moves,
+            pruned: succ.pruned,
         })
     }
 
@@ -1577,13 +1473,11 @@ impl Explorer {
                 continue;
             }
             let chan_base = sd.cfg.names().entry(*id).base.clone();
-            if let Some(spec) = &self.opts.intruder {
-                // Channels in C are never tester-visible (Definition 4
-                // restricts them); if the user left them free, keep them
-                // intruder-only.
-                if spec.channels.contains(&chan_base) {
-                    continue;
-                }
+            // Channels in C are never tester-visible (Definition 4
+            // restricts them); if the user left them free, keep them
+            // intruder-only.
+            if self.on_c(&chan_base) {
+                continue;
             }
             let mut next = sd.clone();
             let payload = next.cfg.take_output(&path, &path)?.payload;
@@ -1599,79 +1493,34 @@ impl Explorer {
             out.push((Label::Obs(ev, desc), next));
         }
 
-        // Intruder moves.
+        // The environments: the intruder, then the faulty network.
         if let Some(spec) = &self.opts.intruder {
-            self.intruder_moves(sd, spec, cache, &mut out)?;
+            environment::intruder_moves(sd, spec, cache, &mut out);
         }
-
-        // Network faults.
         if let Some(fspec) = &self.opts.faults {
-            self.fault_moves(sd, fspec, &mut out);
+            environment::fault_moves(sd, fspec, &mut out);
         }
 
         if self.opts.reduce.por && out.len() > 1 {
             if let Some(pick) = self.ample_index(sd, &out) {
-                // `verify_symmetry` must audit what symmetry actually
-                // quotients.  Successors dropped here are never
-                // interned, so the intern-time orbit check in
-                // `StateStore::canonical` would silently skip them —
-                // run the brute-force check on the *whole* successor
-                // set before the ample selection discards siblings.
-                let prechecked = if self.opts.verify_symmetry && self.opts.reduce.symmetry {
-                    self.precheck_orbit_invariance(&out)
-                } else {
-                    0
-                };
                 let pruned = (out.len() - 1) as u64;
                 let chosen = out.swap_remove(pick);
                 return Ok(SuccSet {
                     moves: vec![chosen],
                     pruned,
-                    prechecked,
                 });
             }
         }
         Ok(SuccSet {
             moves: out,
             pruned: 0,
-            prechecked: 0,
         })
     }
 
-    /// The positions no copy permutation may move: the intruder's and
-    /// the fault model's seats.
-    fn pinned_positions(&self) -> Vec<Path> {
-        let mut pinned: Vec<Path> = Vec::new();
-        if let Some(spec) = &self.opts.intruder {
-            pinned.push(spec.position.clone());
-        }
-        if let Some(fspec) = &self.opts.faults {
-            pinned.push(fspec.position.clone());
-        }
-        pinned
-    }
-
-    /// Pre-POR `verify_symmetry` pass: brute-force orbit invariance over
-    /// every symmetry-eligible successor, returning how many were
-    /// audited.  Panics (inside [`verify_orbit_invariance`]) if any
-    /// permuted variant quotients to a different key.
-    fn precheck_orbit_invariance(&self, out: &[(Label, StateData)]) -> u64 {
-        let pinned = self.pinned_positions();
-        let mut prechecked = 0u64;
-        for (_, next) in out {
-            let groups = symmetry::session_groups(&next.cfg, &pinned);
-            if groups.is_empty() {
-                continue;
-            }
-            // An ineligible state or a candidate-cap overflow keeps its
-            // raw key at intern time; there is nothing quotient-specific
-            // to audit then.
-            if let Ok((key, ..)) = signature_min(next, &groups) {
-                verify_orbit_invariance(next, &groups, key, &pinned);
-                prechecked += 1;
-            }
-        }
-        prechecked
+    /// Whether `base` spells a channel of the intruder's set `C`.
+    fn on_c(&self, base: &Name) -> bool {
+        let intruder = self.opts.intruder.as_ref();
+        intruder.is_some_and(|i| i.channels.contains(base))
     }
 
     /// The ample-set selection: an index into `out` whose single move is
@@ -1713,352 +1562,13 @@ impl Explorer {
             if !entry.restricted {
                 continue;
             }
-            if let Some(spec) = &self.opts.intruder {
-                if spec.channels.contains(&entry.base) {
-                    continue;
-                }
-            }
-            if let Some(fspec) = &self.opts.faults {
-                if fspec.clauses.iter().any(|c| c.chan == entry.base) {
-                    continue;
-                }
-            }
-            if state_occurrences(sd, *id) == 2 {
+            let mut clauses = self.opts.faults.iter().flat_map(|f| &f.clauses);
+            let touched = self.on_c(&entry.base) || clauses.any(|c| c.chan == entry.base);
+            if !touched && state_occurrences(sd, *id) == 2 {
                 return Some(i);
             }
         }
         None
-    }
-
-    /// The faulty network's moves: clause-driven captures (drop,
-    /// duplicate, reorder, replay-tap) plus free re-deliveries of
-    /// buffered messages.  Every move goes through the machine's
-    /// `take_output`/`deliver` hooks, so localization (partner
-    /// authentication) refuses the network exactly as it refuses the
-    /// intruder — a localized channel cannot be dropped, duplicated,
-    /// reordered, or replayed.
-    fn fault_moves(&self, sd: &StateData, fspec: &FaultSpec, out: &mut Vec<(Label, StateData)>) {
-        let Some(net) = sd.net.as_ref() else {
-            return;
-        };
-        let base_of = |subject: &RtTerm, names: &NameTable| -> Option<Name> {
-            match subject {
-                RtTerm::Id(id) => Some(names.entry(*id).base.clone()),
-                _ => None,
-            }
-        };
-        let push_fault =
-            |out: &mut Vec<(Label, StateData)>, kind: FaultKind, chan: &Name, payload: RtTerm, next: StateData| {
-                out.push((
-                    Label::Tau(StepDesc::Fault {
-                        kind,
-                        chan: chan.clone(),
-                        payload,
-                    }),
-                    next,
-                ));
-            };
-
-        for (ci, clause) in fspec.clauses.iter().enumerate() {
-            let has_charge = net.remaining(fspec, ci) > 0;
-            match clause.kind {
-                FaultKind::Drop => {
-                    if !has_charge {
-                        continue;
-                    }
-                    for (path, leaf) in sd.cfg.tree().leaves() {
-                        let LeafState::Out { chan, .. } = leaf else {
-                            continue;
-                        };
-                        if base_of(&chan.subject, sd.cfg.names()).as_ref() != Some(&clause.chan) {
-                            continue;
-                        }
-                        let mut next = sd.clone();
-                        // A refused take_output means the channel is
-                        // localized away from the network: no fault move.
-                        let Ok(CommInfo { payload, .. }) =
-                            next.cfg.take_output(&path, &fspec.position)
-                        else {
-                            continue;
-                        };
-                        let nn = next.net.get_or_insert_with(NetworkState::default);
-                        nn.used[ci] += 1;
-                        nn.log_message(&clause.chan, &payload);
-                        push_fault(out, FaultKind::Drop, &clause.chan, payload, next);
-                    }
-                }
-                FaultKind::Duplicate => {
-                    if !has_charge {
-                        continue;
-                    }
-                    for (out_path, leaf) in sd.cfg.tree().leaves() {
-                        let LeafState::Out { chan, .. } = leaf else {
-                            continue;
-                        };
-                        if base_of(&chan.subject, sd.cfg.names()).as_ref() != Some(&clause.chan) {
-                            continue;
-                        }
-                        // Tap without consuming: probe a scratch copy both
-                        // for localization admission and for the payload
-                        // stamped with its true sender — duplication must
-                        // preserve origin, or replays would be invisible
-                        // to origin-aware testers.
-                        let mut probe = sd.cfg.clone();
-                        let Ok(taken) = probe.take_output(&out_path, &fspec.position) else {
-                            continue;
-                        };
-                        let stamped = taken.payload;
-                        for (in_path, in_leaf) in sd.cfg.tree().leaves() {
-                            let LeafState::In { chan: in_chan, .. } = in_leaf else {
-                                continue;
-                            };
-                            if in_chan.subject != chan.subject {
-                                continue;
-                            }
-                            let mut next = sd.clone();
-                            if next
-                                .cfg
-                                .deliver(&in_path, stamped.clone(), fspec.position.clone())
-                                .is_ok()
-                            {
-                                let nn = next.net.get_or_insert_with(NetworkState::default);
-                                nn.used[ci] += 1;
-                                nn.log_message(&clause.chan, &stamped);
-                                push_fault(
-                                    out,
-                                    FaultKind::Duplicate,
-                                    &clause.chan,
-                                    stamped.clone(),
-                                    next,
-                                );
-                            }
-                        }
-                    }
-                }
-                FaultKind::Reorder => {
-                    if !has_charge {
-                        continue;
-                    }
-                    for (path, leaf) in sd.cfg.tree().leaves() {
-                        let LeafState::Out { chan, .. } = leaf else {
-                            continue;
-                        };
-                        if base_of(&chan.subject, sd.cfg.names()).as_ref() != Some(&clause.chan) {
-                            continue;
-                        }
-                        let mut next = sd.clone();
-                        let Ok(CommInfo { payload, .. }) =
-                            next.cfg.take_output(&path, &fspec.position)
-                        else {
-                            continue;
-                        };
-                        let nn = next.net.get_or_insert_with(NetworkState::default);
-                        nn.used[ci] += 1;
-                        nn.buffer.push((clause.chan.clone(), payload.clone()));
-                        nn.log_message(&clause.chan, &payload);
-                        push_fault(out, FaultKind::Reorder, &clause.chan, payload, next);
-                    }
-                }
-                FaultKind::Replay => {
-                    // Tap in-transit messages into the log — free and
-                    // deduplicated, so the tap alone cannot diverge.
-                    for (out_path, leaf) in sd.cfg.tree().leaves() {
-                        let LeafState::Out { chan, .. } = leaf else {
-                            continue;
-                        };
-                        if base_of(&chan.subject, sd.cfg.names()).as_ref() != Some(&clause.chan) {
-                            continue;
-                        }
-                        let mut probe = sd.cfg.clone();
-                        let Ok(taken) = probe.take_output(&out_path, &fspec.position) else {
-                            continue;
-                        };
-                        let stamped = taken.payload;
-                        if net.log.contains(&(clause.chan.clone(), stamped.clone())) {
-                            continue;
-                        }
-                        let mut next = sd.clone();
-                        let nn = next.net.get_or_insert_with(NetworkState::default);
-                        nn.log_message(&clause.chan, &stamped);
-                        push_fault(out, FaultKind::Replay, &clause.chan, stamped, next);
-                    }
-                    // Replay a logged message into a matching input.
-                    if !has_charge {
-                        continue;
-                    }
-                    for (chan_l, msg) in &net.log {
-                        if chan_l != &clause.chan {
-                            continue;
-                        }
-                        for (in_path, in_leaf) in sd.cfg.tree().leaves() {
-                            let LeafState::In { chan: in_chan, .. } = in_leaf else {
-                                continue;
-                            };
-                            if base_of(&in_chan.subject, sd.cfg.names()).as_ref()
-                                != Some(&clause.chan)
-                            {
-                                continue;
-                            }
-                            let mut next = sd.clone();
-                            if next
-                                .cfg
-                                .deliver(&in_path, msg.clone(), fspec.position.clone())
-                                .is_ok()
-                            {
-                                let nn = next.net.get_or_insert_with(NetworkState::default);
-                                nn.used[ci] += 1;
-                                push_fault(out, FaultKind::Replay, &clause.chan, msg.clone(), next);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // Buffered (reordered) messages may be re-delivered at any later
-        // point; the fault was charged at capture time.
-        for (bi, (chan_b, msg)) in net.buffer.iter().enumerate() {
-            for (in_path, in_leaf) in sd.cfg.tree().leaves() {
-                let LeafState::In { chan: in_chan, .. } = in_leaf else {
-                    continue;
-                };
-                if base_of(&in_chan.subject, sd.cfg.names()).as_ref() != Some(chan_b) {
-                    continue;
-                }
-                let mut next = sd.clone();
-                if next
-                    .cfg
-                    .deliver(&in_path, msg.clone(), fspec.position.clone())
-                    .is_ok()
-                {
-                    let nn = next.net.get_or_insert_with(NetworkState::default);
-                    nn.buffer.remove(bi);
-                    push_fault(out, FaultKind::Reorder, chan_b, msg.clone(), next);
-                }
-            }
-        }
-    }
-
-    fn intruder_moves(
-        &self,
-        sd: &StateData,
-        spec: &IntruderSpec,
-        cache: &mut DeriveCache,
-        out: &mut Vec<(Label, StateData)>,
-    ) -> Result<(), VerifyError> {
-        let on_c = |subject: &RtTerm, names: &NameTable| -> bool {
-            match subject {
-                RtTerm::Id(id) => spec.channels.contains(&names.entry(*id).base),
-                _ => false,
-            }
-        };
-
-        for (path, leaf) in sd.cfg.tree().leaves() {
-            match leaf {
-                LeafState::Out { chan, .. } if on_c(&chan.subject, sd.cfg.names()) => {
-                    // Intercept, if the localization lets the intruder in.
-                    let mut next = sd.clone();
-                    // A failed take_output means the localization refused
-                    // the intruder — simply no intercept move.
-                    if let Ok(CommInfo { payload, .. }) =
-                        next.cfg.take_output(&path, &spec.position)
-                    {
-                        next.knowledge.learn(payload.clone());
-                        out.push((
-                            Label::Tau(StepDesc::Intercept {
-                                from: path.clone(),
-                                subject: chan.subject.clone(),
-                                payload,
-                            }),
-                            next,
-                        ));
-                    }
-                }
-                LeafState::In { chan, var, cont } if on_c(&chan.subject, sd.cfg.names()) => {
-                    for candidate in self.injection_candidates(sd, spec, var, cont, cache) {
-                        let mut next = sd.clone();
-                        let payload = match candidate {
-                            Candidate::Known(t) => t,
-                            Candidate::Fresh => {
-                                let id = next
-                                    .cfg
-                                    .alloc_env_name(&Name::new("mE"), spec.position.clone());
-                                next.fresh_made += 1;
-                                next.knowledge.learn(RtTerm::Id(id));
-                                RtTerm::Id(id)
-                            }
-                        };
-                        // As above: a refusal just means no inject move.
-                        if next
-                            .cfg
-                            .deliver(&path, payload.clone(), spec.position.clone())
-                            .is_ok()
-                        {
-                            out.push((
-                                Label::Tau(StepDesc::Inject {
-                                    to: path.clone(),
-                                    subject: chan.subject.clone(),
-                                    payload,
-                                }),
-                                next,
-                            ));
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        Ok(())
-    }
-
-    /// Candidate payloads for injecting into an input: everything
-    /// analyzed, one fresh name (budget permitting), and — when the
-    /// receiver's continuation immediately decrypts under a known shape —
-    /// ciphertexts of that shape.
-    fn injection_candidates(
-        &self,
-        sd: &StateData,
-        spec: &IntruderSpec,
-        var: &spi_syntax::Var,
-        cont: &RtProcess,
-        cache: &mut DeriveCache,
-    ) -> Vec<Candidate> {
-        let mut cands: Vec<Candidate> =
-            sd.knowledge.iter().cloned().map(Candidate::Known).collect();
-        if sd.fresh_made < spec.fresh_budget {
-            cands.push(Candidate::Fresh);
-        }
-        match expected_shape(var, cont) {
-            Some(Shape::Cipher { key, arity }) => {
-                for t in cache.ciphertext_candidates(&sd.knowledge, &key, arity, spec.synth_cap) {
-                    let c = Candidate::Known(t);
-                    if !cands.contains(&c) {
-                        cands.push(c);
-                    }
-                }
-            }
-            Some(Shape::Pair) => {
-                // Synthesize pairs of analyzed messages, capped.
-                let atoms: Vec<RtTerm> = sd.knowledge.iter().cloned().collect();
-                'outer: for a in &atoms {
-                    for b in &atoms {
-                        let c = Candidate::Known(RtTerm::Pair {
-                            fst: Box::new(a.clone()),
-                            snd: Box::new(b.clone()),
-                            creator: None,
-                        });
-                        if !cands.contains(&c) {
-                            cands.push(c);
-                        }
-                        if cands.len() > spec.synth_cap + sd.knowledge.len() + 1 {
-                            break 'outer;
-                        }
-                    }
-                }
-            }
-            None => {}
-        }
-        cands
     }
 }
 
@@ -2068,13 +1578,11 @@ impl Explorer {
 struct SuccSet<M = (Label, StateData)> {
     moves: Vec<M>,
     pruned: u64,
-    /// Successors audited by the pre-POR `verify_symmetry` pass.
-    prechecked: u64,
 }
 
 /// A state's expansion as the merge consumes it: each successor move with
-/// its canonical identity (or the panic its canonicalization raised).
-type Expansion = SuccSet<(Label, StateData, std::thread::Result<CanonOut>)>;
+/// its canonical identity.
+type Expansion = SuccSet<(Label, StateData, CanonOut)>;
 
 /// Counts the occurrences of name `id` across the entire state: every
 /// leaf (channel subjects, payloads, continuations), the intruder
@@ -2163,51 +1671,6 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Candidate {
-    Known(RtTerm),
-    Fresh,
-}
-
-/// The message shape the receiver's continuation expects of its input.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Shape {
-    /// The input is immediately decrypted: `case x of {…}key`.
-    Cipher { key: RtTerm, arity: usize },
-    /// The input is immediately projected: `let (y, z) = x in …`.
-    Pair,
-}
-
-/// When the continuation of an input binding `var` immediately destructs
-/// `var` (possibly under restrictions and matchings), the expected shape
-/// guides injection synthesis.
-fn expected_shape(var: &spi_syntax::Var, cont: &RtProcess) -> Option<Shape> {
-    let mut cur = cont;
-    loop {
-        match cur {
-            RtProcess::Case {
-                scrutinee,
-                binders,
-                key,
-                ..
-            } if scrutinee == &RtTerm::Var(var.clone()) && key.is_message() => {
-                return Some(Shape::Cipher {
-                    key: key.clone(),
-                    arity: binders.len(),
-                });
-            }
-            RtProcess::Split { pair, .. } if pair == &RtTerm::Var(var.clone()) => {
-                return Some(Shape::Pair);
-            }
-            RtProcess::Restrict(_, body) => cur = body,
-            RtProcess::Match(_, _, c)
-            | RtProcess::AddrMatchT(_, _, c)
-            | RtProcess::AddrMatchL(_, _, c) => cur = c,
-            _ => return None,
-        }
     }
 }
 
@@ -2664,6 +2127,9 @@ mod tests {
 
     const SESSIONS: &str = "!((^m)(c<m> | c(x).observe<x>))";
 
+    /// The paper's Pm2 with the intruder's seat at `‖1`.
+    const PM2: &str = "(^c)((^kAB)(!(^m)c<{m}kAB> | !c(z).case z of {w}kAB in observe<w>) | 0)";
+
     fn session_opts(reduce: ReduceOptions) -> ExploreOptions {
         ExploreOptions {
             unfold_bound: 3,
@@ -2785,19 +2251,17 @@ mod tests {
     #[test]
     fn full_reduction_under_the_intruder_is_deterministic_across_worker_counts() {
         // The paper's Pm2 at three sessions under the most-general
-        // intruder, with every reduction and both key audits on: the
-        // pool canonicalizes and runs the symmetry search, so any
+        // intruder, with every reduction and the key audit on: the pool
+        // canonicalizes and runs the symmetry search, so any
         // worker-count dependence would show in the keys, the merge
         // isomorphisms or the reduction counters.
-        let src = "(^c)((^kAB)(!(^m)c<{m}kAB> | !c(z).case z of {w}kAB in observe<w>) | 0)";
         let run = |workers| {
             explore(
-                src,
+                PM2,
                 ExploreOptions {
                     unfold_bound: 3,
                     intruder: Some(IntruderSpec::new("1".parse().unwrap(), ["c"])),
                     reduce: ReduceOptions::full(),
-                    verify_symmetry: true,
                     verify_keys: true,
                     workers,
                     ..ExploreOptions::default()
@@ -2808,7 +2272,6 @@ mod tests {
         assert!(base.complete());
         assert!(base.stats.states_quotiented > 0, "{:?}", base.stats);
         assert!(base.stats.por_pruned > 0, "{:?}", base.stats);
-        assert!(base.stats.sym_prechecked > 0, "{:?}", base.stats);
         assert!(!base.edge_isos.is_empty());
         for workers in [2, 8] {
             let lts = run(workers);
@@ -2825,10 +2288,9 @@ mod tests {
         // under the intruder, under every joint copy permutation: scoring
         // through the path map must serialize exactly the permuted state,
         // and name its canonical slots with the same raw ids.
-        let src = "(^c)((^kAB)(!(^m)c<{m}kAB> | !c(z).case z of {w}kAB in observe<w>) | 0)";
         let seat: Path = "1".parse().unwrap();
         let lts = explore(
-            src,
+            PM2,
             ExploreOptions {
                 unfold_bound: 3,
                 intruder: Some(IntruderSpec::new(seat.clone(), ["c"])),
@@ -2848,7 +2310,7 @@ mod tests {
             if !symmetry::sym_eligible(&sd.cfg, &sd.held()) || groups.is_empty() {
                 continue;
             }
-            for perm in symmetry::all_perms(&groups, symmetry::MAX_CANDIDATES).unwrap() {
+            for perm in orbit(&groups) {
                 let moved = sd.permuted(&perm);
                 let (key, canon) = sd.key_through(&mut &perm);
                 assert_eq!((key, journal(&canon)), moved.key_and_journal(), "{perm:?}");
@@ -2871,7 +2333,6 @@ mod tests {
             SymCtx {
                 tracking: true,
                 symmetry: true,
-                verify: false,
                 conflate: false,
                 pinned: Vec::new(),
             },
@@ -2930,57 +2391,173 @@ mod tests {
         assert_eq!(tally(&out), (1, 0, 1));
     }
 
-    #[test]
-    fn verify_symmetry_accepts_the_signature_guided_quotient() {
-        // `verify_symmetry` panics if the candidate set ever misses the
-        // true orbit minimum; surviving the exploration is the assertion.
-        let lts = explore(
-            SESSIONS,
-            ExploreOptions {
-                verify_symmetry: true,
-                verify_keys: true,
-                ..session_opts(ReduceOptions {
-                    symmetry: true,
-                    por: false,
+    /// Every joint copy permutation of `groups`: the whole orbit.
+    fn orbit(groups: &[symmetry::SessionGroup]) -> Vec<PathPerm> {
+        let mut orbit: Vec<Vec<(Path, Path)>> = vec![Vec::new()];
+        for g in groups {
+            let n = g.roots.len();
+            // The permutations of `0..n` as image vectors, one copy at a time.
+            let mut images: Vec<Vec<usize>> = vec![Vec::new()];
+            for _ in 0..n {
+                images = (images.iter())
+                    .flat_map(|img| {
+                        let free = (0..n).filter(|j| !img.contains(j));
+                        free.map(|j| [img.as_slice(), &[j]].concat())
+                    })
+                    .collect();
+            }
+            orbit = (orbit.iter())
+                .flat_map(|pairs| {
+                    images.iter().map(|img| {
+                        let moved = img.iter().enumerate();
+                        let moved = moved.map(|(c, &j)| (g.roots[c].clone(), g.roots[j].clone()));
+                        pairs.iter().cloned().chain(moved).collect()
+                    })
                 })
-            },
-        );
-        assert!(lts.complete());
+                .collect();
+        }
+        orbit.into_iter().map(PathPerm::from_pairs).collect()
+    }
+
+    /// Orbit invariance of the symmetry quotient, checked after the fact
+    /// on every state of `lts`: each physically permuted variant, under
+    /// every joint copy permutation, quotients to the state's own key.
+    /// The refined key is a canonical form, not the orbit's hash minimum,
+    /// so this is what makes permuted duplicates merge.  Returns how many
+    /// variants were compared.
+    fn assert_orbit_invariant(lts: &Lts, pinned: &[Path]) -> usize {
+        let quotient = |sd: &StateData| {
+            let groups = symmetry::session_groups(&sd.cfg, pinned);
+            signature_min(sd, &groups).map(|(key, ..)| key)
+        };
+        let mut checked = 0;
+        for state in &lts.states {
+            let sd = StateData {
+                cfg: state.config().clone(),
+                knowledge: state.knowledge().clone(),
+                fresh_made: 0,
+                net: None,
+            };
+            let groups = symmetry::session_groups(&sd.cfg, pinned);
+            let Ok(key) = quotient(&sd) else {
+                continue; // Kept its raw key: nothing quotient-specific.
+            };
+            for perm in &orbit(&groups) {
+                assert_eq!(quotient(&sd.permuted(perm)), Ok(key), "{perm:?}");
+                checked += 1;
+            }
+        }
+        checked
     }
 
     #[test]
-    fn verify_symmetry_audits_successors_before_por_pruning() {
-        // Regression: POR-pruned successors are never interned, so the
-        // intern-time orbit check in `StateStore::canonical` never saw
-        // them — `verify_symmetry` used to validate only the ample
-        // survivor.  The pre-POR pass must audit the *full* successor
-        // set (panicking on any orbit-invariance violation), and the
-        // counter proves it ran while pruning was actually happening.
+    fn the_symmetry_quotient_is_orbit_invariant_on_every_reached_state() {
+        let symmetric = ReduceOptions {
+            symmetry: true,
+            por: false,
+        };
+        let lts = explore(SESSIONS, session_opts(symmetric));
+        assert!(lts.complete());
+        assert!(assert_orbit_invariant(&lts, &[]) > 10);
+    }
+
+    #[test]
+    fn orbit_invariance_holds_on_the_successors_por_prunes() {
+        // The unreduced system reaches every successor the partial-order
+        // reduction would prune, so none escapes the check: the paper's
+        // Pm2 at three sessions under the intruder.
+        let seat: Path = "1".parse().unwrap();
         let lts = explore(
-            SESSIONS,
+            PM2,
             ExploreOptions {
-                verify_symmetry: true,
-                ..session_opts(ReduceOptions::full())
+                unfold_bound: 3,
+                intruder: Some(IntruderSpec::new(seat.clone(), ["c"])),
+                ..ExploreOptions::default()
             },
         );
         assert!(lts.complete());
-        assert!(lts.stats.por_pruned > 0, "POR must actually prune here");
-        assert!(
-            lts.stats.sym_prechecked > 0,
-            "the orbit check must run pre-POR, covering pruned successors"
-        );
-        // Without POR nothing is pruned, so nothing needs prechecking.
-        let unpruned = explore(
-            SESSIONS,
+        let reduced = explore(
+            PM2,
             ExploreOptions {
-                verify_symmetry: true,
-                ..session_opts(ReduceOptions {
-                    symmetry: true,
-                    por: false,
-                })
+                unfold_bound: 3,
+                intruder: Some(IntruderSpec::new(seat.clone(), ["c"])),
+                reduce: ReduceOptions::full(),
+                ..ExploreOptions::default()
             },
         );
-        assert_eq!(unpruned.stats.sym_prechecked, 0);
+        assert!(reduced.stats.por_pruned > 0, "POR must actually prune here");
+        assert!(lts.stats.states > reduced.stats.states);
+        assert!(assert_orbit_invariant(&lts, &[seat]) > 100);
+    }
+
+    /// Generated replicated session systems: every copy restricts its own
+    /// nonce `m`, so unfolded copies differ only by machine-made names —
+    /// exactly the redundancy the session-symmetry quotient removes.
+    mod generated {
+        use super::*;
+        use proptest::prelude::*;
+        use spi_syntax::{Name, Term, Var};
+
+        fn arb_name() -> impl Strategy<Value = Name> {
+            prop_oneof![
+                Just(Name::new("c")),
+                Just(Name::new("d")),
+                Just(Name::new("m")),
+            ]
+        }
+
+        /// A small closed process over `c`/`d` and the nonce `m`.
+        fn arb_body(depth: u32) -> BoxedStrategy<Process> {
+            let out = |c: Name, m: Name, p| Process::output(Term::Name(c), Term::Name(m), p);
+            if depth == 0 {
+                return prop_oneof![
+                    Just(Process::Nil),
+                    arb_name().prop_map(move |c| out(c.clone(), c, Process::Nil)),
+                ]
+                .boxed();
+            }
+            prop_oneof![
+                Just(Process::Nil),
+                (arb_name(), arb_name(), arb_body(depth - 1))
+                    .prop_map(move |(c, m, p)| out(c, m, p)),
+                (arb_name(), arb_body(depth - 1)).prop_map(|(c, p)| Process::input(
+                    Term::Name(c),
+                    Var::new("x"),
+                    p
+                )),
+                (arb_body(depth - 1), arb_body(depth - 1)).prop_map(|(l, r)| Process::par(l, r)),
+            ]
+            .boxed()
+        }
+
+        fn arb_session_system() -> impl Strategy<Value = Process> {
+            (arb_body(2), arb_body(1)).prop_map(|(body, observer)| {
+                Process::par(
+                    Process::bang(Process::restrict(Name::new("m"), body)),
+                    observer,
+                )
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// The quotient is a canonical form on every generated system:
+            /// every permuted variant of every reached state quotients to
+            /// the state's own key.
+            #[test]
+            fn the_symmetry_quotient_is_orbit_invariant(sys in arb_session_system()) {
+                let opts = ExploreOptions {
+                    unfold_bound: 2,
+                    budget: Budget::unlimited().states(3_000),
+                    reduce: ReduceOptions { symmetry: true, por: false },
+                    ..ExploreOptions::default()
+                };
+                if let Ok(lts) = Explorer::new(opts).explore(&sys) {
+                    assert_orbit_invariant(&lts, &[]);
+                }
+            }
+        }
     }
 
     #[test]

@@ -43,6 +43,7 @@ mod bisim;
 mod budget;
 pub mod campaign;
 mod dot;
+mod environment;
 mod error;
 mod explore;
 pub mod faultsim;
@@ -71,9 +72,9 @@ pub use campaign::{
 };
 pub use dot::to_dot;
 pub use error::VerifyError;
+pub use environment::IntruderSpec;
 pub use explore::{
-    ExploreOptions, ExploreStats, Explorer, IntruderSpec, Label, Lts, LtsState, ReduceOptions,
-    StepDesc,
+    ExploreOptions, ExploreStats, Explorer, Label, Lts, LtsState, ReduceOptions, StepDesc,
 };
 pub use iso::{Iso, IsoTable};
 pub use knowledge::{DeriveCache, Knowledge};

@@ -13,8 +13,9 @@
 //! reached state, the composed iso mapping the state's local coordinates
 //! back to the true coordinates of the run that reached it: a *member*
 //! is the pair `(state, iso id)`, and events are handed out in true
-//! coordinates.  An unreduced exploration is just the case where every
-//! iso is the identity.
+//! coordinates.  An unreduced exploration is exact too when it tracked
+//! isomorphisms; an *untracked* one records none, so a walk across a
+//! merge may join two runs' nonce lineages (one nonce, two creators).
 //!
 //! Canonicalization stays with the callers — the trace engine names
 //! fresh values with a [`crate::TraceRenamer`], the bisimulation engine

@@ -159,3 +159,99 @@ fn the_symmetry_search_scores_about_one_arrangement_per_state() {
         }
     }
 }
+
+#[test]
+fn explored_systems_are_pinned_bit_for_bit() {
+    // The paper's ladder under each environment the explorer models: the
+    // most-general intruder (unreduced, and reduced at three sessions)
+    // and the faulty network under every single fault and one
+    // composition.  Each literal is the whole LTS's fingerprint (keys,
+    // barbs, edge labels and order, frontier, merge isomorphisms), so a
+    // change to how successors are generated or ordered must update it
+    // on purpose.  Every worker count gives the same system.
+    use spi_auth_repro::auth::ReduceOptions;
+    use spi_auth_repro::semantics::{FaultClause, FaultSpec};
+    let pm2 = multi::shared_key("c", "observe");
+    let pm3 = multi::challenge_response("c", "observe");
+    let faults = |clauses: &str| {
+        let clauses = clauses
+            .split('+')
+            .map(|c| c.parse::<FaultClause>().unwrap());
+        Verifier::new(["c"])
+            .sessions(2)
+            .no_intruder()
+            .faults(FaultSpec::new(clauses))
+    };
+    let full = Verifier::new(["c"])
+        .sessions(3)
+        .reduce(ReduceOptions::full());
+    let cases = [
+        (
+            "pm2 s2",
+            &pm2,
+            Verifier::new(["c"]).sessions(2),
+            (194, 636),
+            0x7cd1_b0ec_ef94_b77c_5a88_48a2_413e_a181,
+        ),
+        (
+            "pm3 s2",
+            &pm3,
+            Verifier::new(["c"]).sessions(2),
+            (5_605, 27_326),
+            0xe989_77fc_f8aa_0909_2dfc_56af_08a2_a88c,
+        ),
+        (
+            "pm2 s3 full",
+            &pm2,
+            full,
+            (143, 749),
+            0x2649_db57_b316_5edd_d7c9_03aa_90cb_3c0b,
+        ),
+        (
+            "pm2 drop",
+            &pm2,
+            faults("drop:c:1"),
+            (55, 104),
+            0x75ce_ae7d_e3e1_fe79_53f4_f31f_50c7_3fbb,
+        ),
+        (
+            "pm2 duplicate",
+            &pm2,
+            faults("duplicate:c:1"),
+            (78, 148),
+            0x46f4_2648_2e21_3c42_f967_d702_7ab9_d5d7,
+        ),
+        (
+            "pm2 reorder",
+            &pm2,
+            faults("reorder:c:1"),
+            (87, 166),
+            0xc1ea_bd00_6ebd_e983_f2b4_25e9_09b0_e97c,
+        ),
+        (
+            "pm2 replay",
+            &pm2,
+            faults("replay:c:1"),
+            (225, 500),
+            0x1267_c31e_b334_6937_45c2_e02c_bcb0_5cf5,
+        ),
+        (
+            "pm3 reorder+replay",
+            &pm3,
+            faults("reorder:c:1+replay:c:1"),
+            (12_616, 38_349),
+            0xd794_1ba0_0bb7_07e4_f920_7023_7dfd_2638,
+        ),
+    ];
+    for (name, protocol, verifier, (states, edges), pinned) in cases {
+        for workers in [1, 2] {
+            let lts = verifier.clone().workers(workers).explore(protocol).unwrap();
+            assert_eq!(
+                (lts.stats.states, lts.stats.edges),
+                (states, edges),
+                "{name} w{workers}"
+            );
+            assert_eq!(lts.fingerprint(), pinned, "{name} w{workers}");
+        }
+    }
+}

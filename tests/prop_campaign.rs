@@ -1,14 +1,16 @@
 //! Property-based tests of fault-schedule campaigns (the `campaign`
 //! module of `spi-verify`): every shrunk schedule still reproduces its
 //! attack, 1-minimality is real — removing any single unit firing makes
-//! the attack disappear — and the report is a pure function of the
-//! search space, independent of the worker count.
+//! the attack disappear — every witness is a shortest one, and the
+//! report is a pure function of the search space, independent of the
+//! worker count.
 
 use proptest::prelude::*;
 use spi_auth_repro::auth::{CampaignOptions, CampaignReport, Engine, Verdict, Verifier};
 use spi_auth_repro::protocols::multi;
 use spi_auth_repro::semantics::{FaultKind, FaultSpec};
 use spi_auth_repro::syntax::Process;
+use spi_auth_repro::verify::weak_traces;
 
 const ALL_KINDS: [FaultKind; 4] = [
     FaultKind::Drop,
@@ -138,6 +140,44 @@ proptest! {
                     cex.schedule.canonical_key(),
                     weakened.canonical_key(),
                 );
+            }
+        }
+    }
+
+    /// Every engine reports a shortest witness: the attack's trace is not
+    /// a weak trace of the specification under the minimal schedule, but
+    /// each strict prefix is, so no prefix already distinguishes the two
+    /// systems.
+    #[test]
+    fn attack_witnesses_are_prefix_minimal_under_every_engine(
+        kinds in arb_kinds(),
+        depth in 1usize..3,
+    ) {
+        let (concrete, spec) = protocols();
+        for engine in [Engine::Trace, Engine::Bisim, Engine::Both] {
+            let v = verifier().engine(engine);
+            let mut opts = v.campaign_options(depth);
+            opts.kinds = kinds.clone();
+            let report = v.run_campaign(&concrete, &spec, &opts).expect("campaign runs");
+            for (_, cex) in report.attacks() {
+                let v = if cex.schedule.clauses.is_empty() {
+                    verifier()
+                } else {
+                    verifier().faults(cex.schedule.clone())
+                };
+                let spec_traces = weak_traces(&v.explore(&spec).unwrap(), opts.max_visible);
+                prop_assert!(
+                    !spec_traces.contains(&cex.trace),
+                    "{engine:?}: the witness is a specification trace"
+                );
+                for cut in 0..cex.trace.len() {
+                    prop_assert!(
+                        spec_traces.contains(&cex.trace[..cut]),
+                        "{engine:?} under {}: the prefix {:?} already distinguishes",
+                        cex.schedule.canonical_key(),
+                        &cex.trace[..cut],
+                    );
+                }
             }
         }
     }
