@@ -64,12 +64,6 @@ impl<T> ProcTree<T> {
         ProcTree::Node(Arc::new(left), Arc::new(right))
     }
 
-    /// Returns `true` when the tree is a single leaf.
-    #[must_use]
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, ProcTree::Leaf(_))
-    }
-
     /// The children of the root, or `None` at a leaf.
     #[must_use]
     pub fn children(&self) -> Option<TreeNode<'_, T>> {

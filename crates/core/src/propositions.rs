@@ -18,7 +18,7 @@ use std::collections::BTreeSet;
 
 use spi_addr::Path;
 use spi_protocols::{multi, single};
-use spi_verify::{weak_traces, ExploreStats, Label, ObsTerm, VerifyError};
+use spi_verify::{weak_traces, ExploreStats, ObsTerm, VerifyError};
 
 use crate::{Attack, Verdict, VerificationReport, Verifier};
 
@@ -51,8 +51,8 @@ fn audit(protocol: &spi_syntax::Process, verifier: &Verifier) -> Result<OriginAu
     let mut observations = 0usize;
     let mut all_from_a = true;
     for state in &lts.states {
-        for (label, _) in &state.edges {
-            if let Label::Obs(ev, _) = label {
+        for &edge in &state.edges {
+            if let Some(ev) = lts.event(edge) {
                 observations += 1;
                 let from_a = match &ev.payload {
                     ObsTerm::Fresh { creator, .. } => {

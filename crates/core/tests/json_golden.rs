@@ -1,10 +1,12 @@
-//! Golden-file tests for `--format json`.
+//! Golden-file tests for `--format json` and `spi explore --dot`.
 //!
 //! The CLI's JSON output is the daemon's response-body encoding
 //! (`spi_auth::server::{verify_body, campaign_body}`); these tests pin
 //! the exact rendered shape so accidental schema drift fails loudly.
-//! Regenerate the goldens with `BLESS=1 cargo test -p spi-auth --test
-//! json_golden` after an intentional change.
+//! The `--dot` goldens pin a whole explored system as drawn: state
+//! numbering, barbs, edge order, observations, and which silent edges
+//! are intruder moves.  Regenerate the goldens with `BLESS=1 cargo test
+//! -p spi-auth --test json_golden` after an intentional change.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -88,4 +90,31 @@ fn campaign_json_output_matches_golden() {
     ]);
     assert_eq!(code, 0, "the tiny protocol survives every depth-1 schedule");
     check_golden("campaign_tiny.json", &stdout);
+}
+
+#[test]
+fn explore_dot_output_matches_golden() {
+    let dir = std::env::temp_dir().join(format!("spi-dot-golden-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let cases = [
+        // The faulty network alone: fault edges are plain silent steps.
+        (
+            "explore_pm2_duplicate.dot",
+            "--sessions 2 --intruder off --fault duplicate:c:1",
+        ),
+        // One session under the intruder: intercepts and injections
+        // are drawn dashed.
+        ("explore_pm2_intruder.dot", "--sessions 1"),
+    ];
+    for (name, flags) in cases {
+        let out = dir.join(name);
+        let out = out.to_str().expect("utf-8 path");
+        let mut args = vec!["explore", "examples/protocols/pm2.spi", "--workers", "1"];
+        args.extend(flags.split_whitespace());
+        args.extend(["--dot", out]);
+        let (_, code) = run_spi(&args);
+        assert_eq!(code, 0, "{name}");
+        check_golden(name, &std::fs::read_to_string(out).expect("dot written"));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -483,17 +483,6 @@ impl Config {
         self.write_canonical(&mut canon, &mut out);
         out
     }
-
-    /// The 128-bit canonical fingerprint of this configuration alone:
-    /// the [`canonical_key`](Config::canonical_key) stream folded through
-    /// a [`CanonHasher`] without materialising the string.
-    #[must_use]
-    pub fn canonical_hash(&self) -> u128 {
-        let mut canon = Canonicalizer::new();
-        let mut h = CanonHasher::new();
-        self.write_canonical(&mut canon, &mut h);
-        h.finish()
-    }
 }
 
 /// An incremental 128-bit hasher that consumes the canonical

@@ -157,18 +157,6 @@ impl Config {
         Arc::make_mut(&mut self.names).alloc_restricted(base, creator)
     }
 
-    /// The ids of every name (free or restricted) whose base spelling is
-    /// `base` — how verifiers locate the restricted channel set `C` after
-    /// loading `(νC)(P | X)`.
-    #[must_use]
-    pub fn ids_named(&self, base: &Name) -> Vec<crate::NameId> {
-        self.names
-            .iter()
-            .filter(|(_, e)| &e.base == base)
-            .map(|(id, _)| id)
-            .collect()
-    }
-
     /// The barbs the configuration exhibits: one per live I/O prefix whose
     /// subject is a free name.
     #[must_use]

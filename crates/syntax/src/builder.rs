@@ -245,6 +245,19 @@ mod tests {
     }
 
     #[test]
+    fn address_matching_builders_spell_the_primitive() {
+        // The builders are this module's only spelling of the paper's
+        // address-matching primitive `[a ≗ b]P`.
+        let against_term = addr_mat(n("x"), n("y"), nil());
+        assert_eq!(against_term, Process::addr_match(n("x"), n("y"), nil()));
+        assert_eq!(against_term, parse("[x ~ y] 0").unwrap());
+        let l: RelAddr = "10.0".parse().unwrap();
+        let against_lit = addr_mat_lit(n("x"), l.clone(), nil());
+        assert_eq!(against_lit, Process::addr_match_lit(n("x"), l, nil()));
+        assert_eq!(against_lit, parse("[x ~ @(10.0)] 0").unwrap());
+    }
+
+    #[test]
     fn empty_tuple_is_a_typed_error() {
         assert_eq!(tuple([]), Err(EmptyTuple));
         assert_eq!(par_all([]), Process::Nil);

@@ -261,12 +261,6 @@ impl Governor {
         self.exhausted
     }
 
-    /// Fuel consumed so far.
-    #[must_use]
-    pub fn fuel_spent(&self) -> usize {
-        self.spent_fuel
-    }
-
     /// Steps consumed so far.
     #[must_use]
     pub fn steps_spent(&self) -> usize {

@@ -1204,11 +1204,11 @@ mod tests {
             for p in [greedy(), single_shot()] {
                 let full = explorer.explore(&p).unwrap();
                 let released = explorer.explore_to_decide(&p).unwrap();
-                assert!(full.states.iter().all(|s| s.payload.is_some()));
-                assert!(released.states.iter().all(|s| s.payload.is_none()));
+                assert!(full.keeps_payloads());
+                assert!(!released.keeps_payloads());
                 assert_eq!(
-                    released.fingerprint(),
-                    full.fingerprint(),
+                    released.decision_view(),
+                    full.decision_view(),
                     "same LTS otherwise"
                 );
                 kept.push(full);
@@ -1224,7 +1224,7 @@ mod tests {
             .explore_to_decide(&greedy())
             .unwrap();
         assert!(!cut.frontier.is_empty());
-        assert!(cut.states.iter().all(|s| s.payload.is_none()));
+        assert!(!cut.keeps_payloads());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 
-use crate::{Label, Lts, StepDesc, TraceRenamer};
+use crate::{Lts, StepDesc, TraceRenamer};
 
 /// Renders the LTS in Graphviz `dot` format.
 ///
@@ -47,13 +47,14 @@ pub fn to_dot(lts: &Lts) -> String {
     }
     let _ = writeln!(out, "  s0 [style=bold];");
     for (i, state) in lts.states.iter().enumerate() {
-        for (label, tgt) in &state.edges {
-            match label {
-                Label::Obs(ev, _) => {
+        for (&edge, desc) in state.edges.iter().zip(lts.descs(i)) {
+            let tgt = edge.target();
+            match lts.event(edge) {
+                Some(ev) => {
                     let text = escape(&TraceRenamer::new().canon(ev));
                     let _ = writeln!(out, "  s{i} -> s{tgt} [label=\"{text}\"];");
                 }
-                Label::Tau(desc) => {
+                None => {
                     let (style, text) = match desc {
                         StepDesc::Intercept { .. } => ("dashed", "intercept"),
                         StepDesc::Inject { .. } => ("dashed", "inject"),

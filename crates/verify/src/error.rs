@@ -11,15 +11,17 @@ use spi_semantics::MachineError;
 pub enum VerifyError {
     /// The underlying abstract machine failed.
     Machine(MachineError),
-    /// The state-space exploration exceeded its state budget.
+    /// The state-space exploration exceeded a hard state limit.
     ///
-    /// Since the resource governor landed, explorers no longer raise
-    /// this: exhaustion degrades gracefully into a partial [`Lts`] with
-    /// [`Lts::exhausted`] set, and checks answer *inconclusive*.  The
-    /// variant is kept so downstream matches keep compiling.
+    /// A [`Budget`](crate::Budget) running out does not raise this:
+    /// exhaustion degrades gracefully into a partial [`Lts`] with
+    /// [`Lts::exhausted`] set, and checks answer *inconclusive*.  What
+    /// raises it is an exploration outgrowing the 32-bit state and
+    /// observation ids of its compact edges ([`Edge`]).
     ///
     /// [`Lts`]: crate::Lts
     /// [`Lts::exhausted`]: crate::Lts::exhausted
+    /// [`Edge`]: crate::Edge
     StateBudgetExceeded {
         /// The budget that was exceeded.
         max_states: usize,

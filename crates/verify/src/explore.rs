@@ -1,6 +1,7 @@
 //! Bounded state-space exploration with the most-general intruder, a
 //! resource governor, and an optional faulty network.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -333,9 +334,11 @@ impl StepDesc {
     }
 }
 
-/// An edge label: silent or visible.
+/// A successor move's label as successor generation produces it: silent
+/// or visible, with its step description.  The merge splits it into an
+/// [`Edge`] and, when payloads are kept, the description.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Label {
+pub(crate) enum Label {
     /// A silent step (internal, an intruder move, or a network fault —
     /// the paper's testing scenario makes environment activity
     /// unobservable).
@@ -344,23 +347,52 @@ pub enum Label {
     Obs(ObsEvent, StepDesc),
 }
 
-impl Label {
-    /// The observation, for visible edges.
+/// One edge of an [`Lts`]: whether the tester sees it, and which
+/// observation it carries, plus the state it leads to.  Eight bytes:
+/// the observation is an index into [`Lts::observations`] (or the τ
+/// sentinel), the target a state index.  What the step did — the
+/// [`StepDesc`] — lives in a side table only payload-keeping
+/// explorations fill ([`Lts::descs`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Edge {
+    obs: u32,
+    target: u32,
+}
+
+impl Edge {
+    /// The `obs` of a silent edge.
+    const TAU: u32 = u32::MAX;
+
+    /// The state this edge leads to.
     #[must_use]
-    pub fn obs(&self) -> Option<&ObsEvent> {
-        match self {
-            Label::Obs(ev, _) => Some(ev),
-            Label::Tau(_) => None,
-        }
+    pub fn target(self) -> usize {
+        self.target as usize
     }
 
-    /// The step description.
+    /// Whether the edge is silent (τ).
     #[must_use]
-    pub fn desc(&self) -> &StepDesc {
-        match self {
-            Label::Tau(d) | Label::Obs(_, d) => d,
-        }
+    pub fn is_tau(self) -> bool {
+        self.obs == Edge::TAU
     }
+
+    /// The index of the edge's observation in [`Lts::observations`], for
+    /// visible edges.
+    #[must_use]
+    pub fn obs(self) -> Option<usize> {
+        (!self.is_tau()).then_some(self.obs as usize)
+    }
+}
+
+/// A state or observation index as an [`Edge`] stores it.  An
+/// exploration that outgrows 32-bit ids fails with a structured error
+/// rather than wrapping around.
+fn edge_id(i: usize) -> Result<u32, VerifyError> {
+    u32::try_from(i)
+        .ok()
+        .filter(|&id| id != Edge::TAU)
+        .ok_or(VerifyError::StateBudgetExceeded {
+            max_states: Edge::TAU as usize,
+        })
 }
 
 /// One explored state.
@@ -370,44 +402,30 @@ pub struct LtsState {
     /// serialization stream (configuration, sorted knowledge, fresh-name
     /// count, network state).
     pub key: u128,
-    /// The barbs exhibited here.
-    pub barbs: BTreeSet<Barb>,
+    /// The barbs exhibited here, sorted and distinct.
+    pub barbs: Box<[Barb]>,
     /// Outgoing edges.
-    pub edges: Vec<(Label, usize)>,
-    /// The configuration and intruder knowledge (for narration, secrecy
-    /// and diagnostics).  `None` in an exploration run only to be
-    /// decided, which drops them once the state is expanded.
-    pub(crate) payload: Option<(Config, Knowledge)>,
+    pub edges: Vec<Edge>,
 }
 
-impl LtsState {
-    /// The configuration (for narration and diagnostics).
-    ///
-    /// # Panics
-    ///
-    /// On a state of an exploration that released its payloads (a
-    /// campaign's classification runs); no public entry point returns
-    /// one.
-    #[must_use]
-    pub fn config(&self) -> &Config {
-        &self.payload().0
-    }
+/// Renders barbs as `{:?}` renders a `BTreeSet` of them: the form
+/// [`Lts::fingerprint`] has always hashed.
+struct BarbSet<'b>(&'b [Barb]);
 
-    /// The intruder knowledge at this state.
-    ///
-    /// # Panics
-    ///
-    /// As [`LtsState::config`].
-    #[must_use]
-    pub fn knowledge(&self) -> &Knowledge {
-        &self.payload().1
+impl std::fmt::Debug for BarbSet<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set().entries(self.0).finish()
     }
+}
 
-    fn payload(&self) -> &(Config, Knowledge) {
-        self.payload
-            .as_ref()
-            .expect("state payload released by a decision-only exploration")
-    }
+/// What only a payload-keeping exploration ([`Explorer::explore`])
+/// records: each edge's step description and each state's configuration
+/// and intruder knowledge, both parallel to [`Lts::states`].  Deciding a
+/// preorder reads none of it.
+#[derive(Debug, Clone)]
+struct Kept {
+    descs: Vec<Vec<StepDesc>>,
+    payloads: Vec<(Config, Knowledge)>,
 }
 
 /// Exploration statistics, reported with every verdict.
@@ -441,6 +459,13 @@ pub struct ExploreStats {
 /// [`Budget`] ran out, [`Lts::exhausted`] names the resource that did and
 /// [`Lts::frontier`] lists the states that were reached but not fully
 /// expanded.  A complete exploration has an empty frontier.
+///
+/// Edges are compact ([`Edge`]): an observation id and a target.  The
+/// distinct observations sit in one table ([`Lts::observations`]).  What
+/// narration, `--dot`, secrecy and diagnostics read besides — each
+/// edge's [`StepDesc`] and each state's configuration and knowledge — is
+/// kept only by [`Explorer::explore`]; an exploration run only to be
+/// decided carries none of it.
 #[derive(Debug, Clone)]
 pub struct Lts {
     /// All states; index 0 is the initial one.
@@ -463,6 +488,11 @@ pub struct Lts {
     /// back to the coordinates the edge actually produced.  Edges absent
     /// here carry the identity.
     pub edge_isos: BTreeMap<(usize, usize), u32>,
+    /// The distinct observations, numbered in the order the exploration
+    /// first recorded them (so identically at every worker count).
+    observations: Vec<ObsEvent>,
+    /// The side tables, present iff payloads were kept.
+    kept: Option<Kept>,
 }
 
 impl Lts {
@@ -480,6 +510,86 @@ impl Lts {
         self.exhausted.is_none() && self.frontier.is_empty()
     }
 
+    /// The distinct observations on visible edges; [`Edge::obs`] indexes
+    /// this table.
+    #[must_use]
+    pub fn observations(&self) -> &[ObsEvent] {
+        &self.observations
+    }
+
+    /// The observation an edge carries, or `None` for a silent edge.
+    #[must_use]
+    pub fn event(&self, edge: Edge) -> Option<&ObsEvent> {
+        edge.obs().map(|i| &self.observations[i])
+    }
+
+    /// What each outgoing edge of `state` did, parallel to its
+    /// [`LtsState::edges`] (for narration and diagnostics).
+    ///
+    /// # Panics
+    ///
+    /// On an exploration that kept no payloads (a campaign's
+    /// classification runs); no public entry point returns one.
+    #[must_use]
+    pub fn descs(&self, state: usize) -> &[StepDesc] {
+        &self.kept().descs[state]
+    }
+
+    /// The configuration of `state` (for narration and diagnostics).
+    ///
+    /// # Panics
+    ///
+    /// As [`Lts::descs`].
+    #[must_use]
+    pub fn config(&self, state: usize) -> &Config {
+        &self.kept().payloads[state].0
+    }
+
+    /// The intruder knowledge at `state`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Lts::descs`].
+    #[must_use]
+    pub fn knowledge(&self, state: usize) -> &Knowledge {
+        &self.kept().payloads[state].1
+    }
+
+    /// Whether the exploration kept step descriptions and payloads.
+    #[cfg(test)]
+    pub(crate) fn keeps_payloads(&self) -> bool {
+        self.kept.is_some()
+    }
+
+    /// Everything deciding a preorder reads: counts, exhaustion, each
+    /// state's key, barbs and edges (observation id, event and target,
+    /// in order), the frontier and the merge isomorphisms.  A
+    /// decision-only exploration must equal a payload-keeping one here.
+    #[cfg(test)]
+    pub(crate) fn decision_view(&self) -> impl Eq + std::fmt::Debug + '_ {
+        let states: Vec<_> = self
+            .states
+            .iter()
+            .map(|s| {
+                let edges: Vec<_> = s.edges.iter().map(|&e| (e, self.event(e))).collect();
+                (s.key, &s.barbs, edges)
+            })
+            .collect();
+        (
+            (self.stats.states, self.stats.edges, self.exhausted),
+            states,
+            &self.frontier,
+            &self.isos,
+            &self.edge_isos,
+        )
+    }
+
+    fn kept(&self) -> &Kept {
+        self.kept
+            .as_ref()
+            .expect("step descriptions and payloads released by a decision-only exploration")
+    }
+
     /// A structural digest of the whole transition system: state count,
     /// edge count, exhaustion, every state's canonical key, barbs, and
     /// outgoing edges (labels included), and the frontier.  Two
@@ -487,6 +597,13 @@ impl Lts {
     /// equal fingerprints *iff* they produced bit-for-bit identical
     /// systems — the workers-determinism guarantee conformance oracles
     /// check differentially, without holding two full LTSes side by side.
+    ///
+    /// An edge's label renders as its observation plus its step
+    /// description, so the digest reads the side tables.
+    ///
+    /// # Panics
+    ///
+    /// As [`Lts::descs`].
     #[must_use]
     pub fn fingerprint(&self) -> u128 {
         use std::fmt::Write as _;
@@ -496,10 +613,14 @@ impl Lts {
             "{}|{}|{:?}|",
             self.stats.states, self.stats.edges, self.exhausted
         );
-        for s in &self.states {
-            let _ = write!(h, "s{:x};{:?};", s.key, s.barbs);
-            for (label, tgt) in &s.edges {
-                let _ = write!(h, "e{tgt}:{label:?};");
+        for (i, s) in self.states.iter().enumerate() {
+            let _ = write!(h, "s{:x};{:?};", s.key, BarbSet(&s.barbs));
+            for (&edge, d) in s.edges.iter().zip(self.descs(i)) {
+                let tgt = edge.target();
+                let _ = match self.event(edge) {
+                    None => write!(h, "e{tgt}:Tau({d:?});"),
+                    Some(ev) => write!(h, "e{tgt}:Obs({ev:?}, {d:?});"),
+                };
             }
         }
         for f in &self.frontier {
@@ -526,6 +647,11 @@ impl Lts {
     /// reported — graceful termination is not a deadlock.  Frontier
     /// states are not reported either: they were cut off by the budget,
     /// not by the semantics.
+    ///
+    /// # Panics
+    ///
+    /// As [`Lts::descs`]: telling a deadlock from termination reads the
+    /// configuration.
     #[must_use]
     pub fn deadlocks(&self) -> Vec<usize> {
         // `frontier` is sorted (see `explore`), so membership is a
@@ -535,7 +661,7 @@ impl Lts {
             .enumerate()
             .filter(|(i, s)| {
                 s.edges.is_empty()
-                    && !s.config().is_exhausted()
+                    && !self.config(*i).is_exhausted()
                     && self.frontier.binary_search(i).is_err()
             })
             .map(|(i, _)| i)
@@ -552,10 +678,11 @@ impl Lts {
         seen[0] = true;
         while let Some(s) = work.pop() {
             out.extend(self.states[s].barbs.iter().cloned());
-            for (_, tgt) in &self.states[s].edges {
-                if !seen[*tgt] {
-                    seen[*tgt] = true;
-                    work.push(*tgt);
+            for edge in &self.states[s].edges {
+                let tgt = edge.target();
+                if !seen[tgt] {
+                    seen[tgt] = true;
+                    work.push(tgt);
                 }
             }
         }
@@ -823,39 +950,40 @@ impl SymTally {
     }
 }
 
-/// What the store keeps of one state besides its payload: the
-/// [`LtsState`] fields exploration fills in.  The configuration and
-/// knowledge join them only when the finished [`Lts`] is assembled, so
-/// no state is held twice.
-#[derive(Debug)]
-struct Node {
-    key: u128,
-    barbs: BTreeSet<Barb>,
-    edges: Vec<(Label, usize)>,
-}
-
 /// What an exploration keeps of each state's payload (configuration,
-/// knowledge, network state) once the state has been expanded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// knowledge, network state) once the state has been expanded, and of
+/// each edge's step description.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum Payloads {
-    /// Every payload rides on the finished [`Lts`]: narration, secrecy,
-    /// deadlock detection and `--dot` read them.
+    /// Every payload and step description rides on the finished
+    /// [`Lts`]: narration, secrecy, deadlock detection and `--dot` read
+    /// them.
+    #[default]
     Keep,
     /// Each payload is dropped as soon as the merge loop has consumed
-    /// its state's expansion, and the finished [`Lts`] carries none.
-    /// Deciding a preorder reads keys, barbs, edges and isomorphisms
-    /// alone, so expanded states cost only their node.
+    /// its state's expansion, step descriptions are never stored, and
+    /// the finished [`Lts`] carries neither.  Deciding a preorder reads
+    /// keys, barbs, edges, observations and isomorphisms alone, so an
+    /// expanded state costs only its [`LtsState`].
     Release,
 }
 
-/// The state store: LTS nodes, their exploration payloads, and the
-/// canonical-key index (hashed, with an optional parallel string index
-/// for differential verification).
+/// The state store: LTS states, their exploration payloads, the
+/// observation table, and the canonical-key index (hashed, with an
+/// optional parallel string index for differential verification).
 #[derive(Debug, Default)]
 struct StateStore {
-    nodes: Vec<Node>,
+    /// The states as the finished [`Lts`] holds them.
+    nodes: Vec<LtsState>,
     /// Payloads, parallel to `nodes`; `None` once released.
     data: Vec<Option<StateData>>,
+    payloads: Payloads,
+    /// Step descriptions, parallel to `nodes` and each to its edges;
+    /// filled only when payloads are kept.
+    descs: Vec<Vec<StepDesc>>,
+    /// The observation table: each distinct event and its id, assigned
+    /// in first-recorded order.
+    observations: HashMap<ObsEvent, u32>,
     index: HashMap<u128, usize>,
     /// Present iff [`ExploreOptions::verify_keys`]: the same interning
     /// decisions re-derived from full canonical strings.
@@ -868,9 +996,10 @@ struct StateStore {
 }
 
 impl StateStore {
-    fn new(verify_keys: bool, sym: SymCtx) -> StateStore {
+    fn new(verify_keys: bool, sym: SymCtx, payloads: Payloads) -> StateStore {
         StateStore {
             strings: verify_keys.then(HashMap::new),
+            payloads,
             isos: IsoTable::new(),
             sym,
             ..StateStore::default()
@@ -1023,11 +1152,14 @@ impl StateStore {
     /// answer is never empty.
     fn push(&mut self, out: CanonOut, sd: StateData, queue: &mut VecDeque<usize>) -> usize {
         let i = self.nodes.len();
-        self.nodes.push(Node {
+        self.nodes.push(LtsState {
             key: out.key,
-            barbs: sd.cfg.barbs(),
+            barbs: sd.cfg.barbs().into_iter().collect(),
             edges: Vec::new(),
         });
+        if self.payloads == Payloads::Keep {
+            self.descs.push(Vec::new());
+        }
         if let Some(strings) = &mut self.strings {
             if let Some(s) = out.string {
                 strings.insert(s, i);
@@ -1088,24 +1220,57 @@ impl StateStore {
             .expect("a state keeps its payload until it is expanded")
     }
 
-    /// The finished states — each node joined with the configuration and
-    /// knowledge moved out of its payload, unless payloads are released —
-    /// and the interned isomorphisms.
-    fn finish(self, payloads: Payloads) -> (Vec<LtsState>, Vec<Iso>) {
-        let states = self
-            .nodes
-            .into_iter()
-            .zip(self.data)
-            .map(|(node, sd)| LtsState {
-                key: node.key,
-                barbs: node.barbs,
-                edges: node.edges,
-                payload: sd
-                    .filter(|_| payloads == Payloads::Keep)
-                    .map(|sd| (sd.cfg, sd.knowledge)),
-            })
-            .collect();
-        (states, self.isos.into_isos())
+    /// Appends the edge `label` to `tgt` to state `cur`'s edges, interning
+    /// its observation and, when payloads are kept, storing its step
+    /// description.  Returns the edge's position.
+    fn add_edge(&mut self, cur: usize, label: Label, tgt: usize) -> Result<usize, VerifyError> {
+        let (obs, desc) = match label {
+            Label::Tau(desc) => (Edge::TAU, desc),
+            Label::Obs(ev, desc) => {
+                let next = self.observations.len();
+                let id = match self.observations.entry(ev) {
+                    Entry::Occupied(known) => *known.get(),
+                    Entry::Vacant(slot) => *slot.insert(edge_id(next)?),
+                };
+                (id, desc)
+            }
+        };
+        let edges = &mut self.nodes[cur].edges;
+        edges.push(Edge {
+            obs,
+            target: edge_id(tgt)?,
+        });
+        if self.payloads == Payloads::Keep {
+            self.descs[cur].push(desc);
+        }
+        Ok(edges.len() - 1)
+    }
+
+    /// The finished states, the observation table, the side tables when
+    /// payloads are kept (each configuration and knowledge moved out of
+    /// its payload), and the interned isomorphisms.
+    fn finish(self) -> (Vec<LtsState>, Vec<ObsEvent>, Option<Kept>, Vec<Iso>) {
+        let mut observations: Vec<(ObsEvent, u32)> = self.observations.into_iter().collect();
+        observations.sort_unstable_by_key(|&(_, id)| id);
+        let mut nodes = self.nodes;
+        nodes.shrink_to_fit();
+        let kept = (self.payloads == Payloads::Keep).then(|| Kept {
+            descs: self.descs,
+            payloads: self
+                .data
+                .into_iter()
+                .map(|sd| {
+                    let sd = sd.expect("a payload-keeping exploration releases nothing");
+                    (sd.cfg, sd.knowledge)
+                })
+                .collect(),
+        });
+        (
+            nodes,
+            observations.into_iter().map(|(ev, _)| ev).collect(),
+            kept,
+            self.isos.into_isos(),
+        )
     }
 
     /// The isomorphism from the representative state `rep`'s raw
@@ -1152,9 +1317,10 @@ impl Explorer {
 
     /// [`Explorer::explore`] for a run that is only decided: each state's
     /// configuration, knowledge and network state are dropped once it is
-    /// expanded, so the [`Lts`] carries keys, barbs, edges and
-    /// isomorphisms alone (its [`LtsState::config`] and
-    /// [`LtsState::knowledge`] panic).  Same states, edges, numbering and
+    /// expanded and no step description is stored, so the [`Lts`]
+    /// carries keys, barbs, edges, observations and isomorphisms alone
+    /// (its [`Lts::descs`], [`Lts::config`] and [`Lts::knowledge`]
+    /// panic).  Same states, edges, observation ids, numbering and
     /// accounting as [`Explorer::explore`].
     pub(crate) fn explore_to_decide(&self, process: &Process) -> Result<Lts, VerifyError> {
         self.run(process, Payloads::Release)
@@ -1198,7 +1364,7 @@ impl Explorer {
             conflate: self.opts.sym_conflate,
             pinned: pinned.cloned().collect(),
         };
-        let mut store = StateStore::new(self.opts.verify_keys, sym);
+        let mut store = StateStore::new(self.opts.verify_keys, sym, payloads);
         let mut queue: VecDeque<usize> = VecDeque::new();
         // The initial state is always interned, even under a zero
         // budget, so a partial answer is never empty.
@@ -1275,6 +1441,9 @@ impl Explorer {
                 // One exact allocation: every move becomes an edge
                 // unless a cut-off ends the exploration first.
                 store.nodes[cur].edges.reserve_exact(succ.moves.len());
+                if payloads == Payloads::Keep {
+                    store.descs[cur].reserve_exact(succ.moves.len());
+                }
                 for (label, next, out) in succ.moves {
                     if !gov.admit_transition(edges_total) {
                         cut_off!();
@@ -1282,8 +1451,7 @@ impl Explorer {
                     out.tally.add_to(&mut stats);
                     match store.intern(out, next, &mut gov, &mut queue) {
                         Some((tgt, iso)) => {
-                            let edge_pos = store.nodes[cur].edges.len();
-                            store.nodes[cur].edges.push((label, tgt));
+                            let edge_pos = store.add_edge(cur, label, tgt)?;
                             edges_total += 1;
                             if iso != 0 {
                                 edge_isos.insert((cur, edge_pos), iso);
@@ -1310,7 +1478,7 @@ impl Explorer {
             }
         }
 
-        let (states, isos) = store.finish(payloads);
+        let (states, observations, kept, isos) = store.finish();
         expanded.resize(states.len(), false);
         let mut frontier: Vec<usize> = (0..states.len()).filter(|&i| !expanded[i]).collect();
         frontier.sort_unstable();
@@ -1336,6 +1504,8 @@ impl Explorer {
             // to undo: ship empty so downstream fast paths stay exact.
             isos: if edge_isos.is_empty() { Vec::new() } else { isos },
             edge_isos,
+            observations,
+            kept,
         })
     }
 
@@ -1685,6 +1855,26 @@ mod tests {
             .expect("explores")
     }
 
+    /// Whether some edge's step description satisfies `pred`.
+    fn any_desc(lts: &Lts, pred: impl Fn(&StepDesc) -> bool) -> bool {
+        (0..lts.states.len()).any(|s| lts.descs(s).iter().any(&pred))
+    }
+
+    #[test]
+    fn edge_ids_refuse_what_32_bits_cannot_hold() {
+        assert_eq!(edge_id(7).unwrap(), 7);
+        assert_eq!(edge_id(Edge::TAU as usize - 1).unwrap(), Edge::TAU - 1);
+        for overflow in [Edge::TAU as usize, usize::MAX] {
+            assert!(
+                matches!(
+                    edge_id(overflow),
+                    Err(VerifyError::StateBudgetExceeded { max_states }) if max_states == Edge::TAU as usize
+                ),
+                "{overflow}"
+            );
+        }
+    }
+
     #[test]
     fn tiny_system_explores_fully() {
         let lts = explore("(^m)(c<m> | c(x).observe<x>)", ExploreOptions::default());
@@ -1797,11 +1987,7 @@ mod tests {
             },
         );
         // Some edge is an intercept.
-        let has_intercept = lts.states.iter().any(|s| {
-            s.edges
-                .iter()
-                .any(|(l, _)| matches!(l.desc(), StepDesc::Intercept { .. }))
-        });
+        let has_intercept = any_desc(&lts, |d| matches!(d, StepDesc::Intercept { .. }));
         assert!(has_intercept);
     }
 
@@ -1816,11 +2002,7 @@ mod tests {
                 ..ExploreOptions::default()
             },
         );
-        let has_inject = lts.states.iter().any(|s| {
-            s.edges
-                .iter()
-                .any(|(l, _)| matches!(l.desc(), StepDesc::Inject { .. }))
-        });
+        let has_inject = any_desc(&lts, |d| matches!(d, StepDesc::Inject { .. }));
         assert!(has_inject, "the intruder can invent and inject a name");
         assert!(lts.weak_barbs().iter().any(|b| b.chan == "observe"));
     }
@@ -1837,11 +2019,7 @@ mod tests {
                 ..ExploreOptions::default()
             },
         );
-        let has_inject = lts.states.iter().any(|s| {
-            s.edges
-                .iter()
-                .any(|(l, _)| matches!(l.desc(), StepDesc::Inject { .. }))
-        });
+        let has_inject = any_desc(&lts, |d| matches!(d, StepDesc::Inject { .. }));
         assert!(!has_inject, "localized input refuses the intruder");
         // The honest communication still happens.
         assert!(lts.weak_barbs().iter().any(|b| b.chan == "observe"));
@@ -1858,13 +2036,8 @@ mod tests {
                 ..ExploreOptions::default()
             },
         );
-        let touched = lts.states.iter().any(|s| {
-            s.edges.iter().any(|(l, _)| {
-                matches!(
-                    l.desc(),
-                    StepDesc::Intercept { .. } | StepDesc::Inject { .. }
-                )
-            })
+        let touched = any_desc(&lts, |d| {
+            matches!(d, StepDesc::Intercept { .. } | StepDesc::Inject { .. })
         });
         assert!(!touched);
     }
@@ -1873,14 +2046,10 @@ mod tests {
     fn observations_record_origin() {
         let lts = explore("(^m)(c<m> | c(x).observe<x>)", ExploreOptions::default());
         let mut found = false;
-        for s in &lts.states {
-            for (l, _) in &s.edges {
-                if let Some(ev) = l.obs() {
-                    if let ObsTerm::Fresh { creator, .. } = &ev.payload {
-                        assert_eq!(creator.to_bits(), "e");
-                        found = true;
-                    }
-                }
+        for ev in lts.observations() {
+            if let ObsTerm::Fresh { creator, .. } = &ev.payload {
+                assert_eq!(creator.to_bits(), "e");
+                found = true;
             }
         }
         assert!(found, "the observation carries the creator position");
@@ -1929,11 +2098,10 @@ mod tests {
     }
 
     fn has_fault_edge(lts: &Lts, kind: FaultKind) -> bool {
-        lts.states.iter().any(|s| {
-            s.edges
-                .iter()
-                .any(|(l, _)| matches!(l.desc(), StepDesc::Fault { kind: k, .. } if *k == kind))
-        })
+        any_desc(
+            lts,
+            |d| matches!(d, StepDesc::Fault { kind: k, .. } if *k == kind),
+        )
     }
 
     #[test]
@@ -1960,10 +2128,8 @@ mod tests {
         assert!(barbs.iter().any(|b| b.chan == "b"));
         // Some single run reaches both barbs: find a state exhibiting one
         // after the other was already served.
-        let both_served = lts
-            .states
-            .iter()
-            .any(|s| s.config().is_exhausted() && s.edges.is_empty());
+        let both_served = (0..lts.states.len())
+            .any(|s| lts.config(s).is_exhausted() && lts.states[s].edges.is_empty());
         assert!(both_served || lts.stats.states > 3);
     }
 
@@ -2005,12 +2171,10 @@ mod tests {
         );
         assert!(has_fault_edge(&lts, FaultKind::Reorder));
         // Reordering lets m2 arrive first: some observation of m2 exists.
-        let sees_m2 = lts.states.iter().any(|s| {
-            s.edges.iter().any(|(l, _)| {
-                l.obs()
-                    .is_some_and(|ev| format!("{ev:?}").contains("m2"))
-            })
-        });
+        let sees_m2 = lts
+            .observations()
+            .iter()
+            .any(|ev| format!("{ev:?}").contains("m2"));
         assert!(sees_m2, "reordering swaps the delivery order");
     }
 
@@ -2299,10 +2463,10 @@ mod tests {
             },
         );
         let mut checked = 0;
-        for state in &lts.states {
+        for i in 0..lts.states.len() {
             let sd = StateData {
-                cfg: state.config().clone(),
-                knowledge: state.knowledge().clone(),
+                cfg: lts.config(i).clone(),
+                knowledge: lts.knowledge(i).clone(),
                 fresh_made: 0,
                 net: None,
             };
@@ -2336,6 +2500,7 @@ mod tests {
                 conflate: false,
                 pinned: Vec::new(),
             },
+            Payloads::Keep,
         );
         let state = |k: usize| {
             use spi_addr::Branch;
@@ -2431,10 +2596,10 @@ mod tests {
             signature_min(sd, &groups).map(|(key, ..)| key)
         };
         let mut checked = 0;
-        for state in &lts.states {
+        for i in 0..lts.states.len() {
             let sd = StateData {
-                cfg: state.config().clone(),
-                knowledge: state.knowledge().clone(),
+                cfg: lts.config(i).clone(),
+                knowledge: lts.knowledge(i).clone(),
                 fresh_made: 0,
                 net: None,
             };

@@ -232,12 +232,6 @@ impl IsoTable {
         self.isos
     }
 
-    /// Returns `true` when only the identity is interned.
-    #[must_use]
-    pub fn is_trivial(&self) -> bool {
-        self.isos.len() <= 1
-    }
-
     /// Interns a (normalized) iso, returning its id.
     pub fn intern(&mut self, iso: Iso) -> u32 {
         if let Some(&id) = self.index.get(&iso) {

@@ -74,15 +74,16 @@ impl SecrecyReport {
 #[must_use]
 pub fn check_secrecy(lts: &Lts, secrets: &[Name]) -> SecrecyReport {
     let mut leaks = Vec::new();
-    for (idx, state) in lts.states.iter().enumerate() {
-        for (id, entry) in state.config().names().iter() {
+    for idx in 0..lts.states.len() {
+        let names = lts.config(idx).names();
+        for (id, entry) in names.iter() {
             if !entry.restricted || !secrets.contains(&entry.base) {
                 continue;
             }
-            if state.knowledge().can_derive(&RtTerm::Id(id)) {
+            if lts.knowledge(idx).can_derive(&RtTerm::Id(id)) {
                 leaks.push(format!(
                     "state {idx}: intruder derives {}",
-                    state.config().names().display(id)
+                    names.display(id)
                 ));
             }
         }

@@ -22,7 +22,7 @@
 use std::collections::{BTreeSet, HashSet, VecDeque};
 
 use crate::weak::{truncation_blame, Member, WeakWalk};
-use crate::{Label, Lts, ObsEvent, ResourceKind, TraceRenamer};
+use crate::{Lts, ObsEvent, ResourceKind, TraceRenamer};
 
 /// The outcome of a simulation check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,11 +129,11 @@ fn play(specification: &Lts, implementation: &Lts) -> SimulationResult {
             }
         }
 
-        for (e, (label, _)) in implementation.states[i].edges.iter().enumerate() {
-            let matched = match label {
+        for (e, &edge) in implementation.states[i].edges.iter().enumerate() {
+            let matched = match implementation.event(edge) {
                 // The spec set is already τ-closed: match by idling.
-                Label::Tau(_) => spec_set.clone(),
-                Label::Obs(ev, _) => {
+                None => spec_set.clone(),
+                Some(ev) => {
                     let want = event_key(&iw.event(m.1, ev));
                     let mut matched = BTreeSet::new();
                     for &sm in &spec_set {

@@ -10,7 +10,7 @@
 use spi_semantics::Barb;
 use spi_syntax::Process;
 
-use crate::{ExploreOptions, Explorer, Label, VerifyError};
+use crate::{ExploreOptions, Explorer, VerifyError};
 
 /// A witness run for a passed test: the silent steps leading to the barb.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,8 +76,7 @@ pub fn may_exhibit_bounded(
             let mut rev = Vec::new();
             let mut cur = s;
             while let Some((prev, edge_idx)) = parent[cur] {
-                let (label, _) = &lts.states[prev].edges[edge_idx];
-                rev.push(label.desc().display(lts.states[cur].config().names()));
+                rev.push(lts.descs(prev)[edge_idx].display(lts.config(cur).names()));
                 cur = prev;
             }
             rev.reverse();
@@ -89,13 +88,14 @@ pub fn may_exhibit_bounded(
                 complete,
             ));
         }
-        for (edge_idx, (label, tgt)) in lts.states[s].edges.iter().enumerate() {
+        for (edge_idx, edge) in lts.states[s].edges.iter().enumerate() {
             // Every τ edge is silent: internal steps, intruder moves, and
             // network faults alike.
-            if matches!(label, Label::Tau(_)) && !seen[*tgt] {
-                seen[*tgt] = true;
-                parent[*tgt] = Some((s, edge_idx));
-                queue.push_back(*tgt);
+            let tgt = edge.target();
+            if edge.is_tau() && !seen[tgt] {
+                seen[tgt] = true;
+                parent[tgt] = Some((s, edge_idx));
+                queue.push_back(tgt);
             }
         }
     }

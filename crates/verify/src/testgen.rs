@@ -17,7 +17,7 @@ use spi_addr::{Path, RelAddr};
 use spi_semantics::Barb;
 use spi_syntax::{Name, Process, Term};
 
-use crate::{may_exhibit_bounded, ExploreOptions, Label, Lts, ObsTerm, VerifyError};
+use crate::{may_exhibit_bounded, ExploreOptions, Lts, ObsTerm, VerifyError};
 
 /// The barb every synthesized tester signals on.
 const BETA: &str = "beta__";
@@ -35,17 +35,15 @@ pub fn tester_barb() -> Barb {
 /// system: one per distinct origin revealed on each free channel.
 fn observed_origins(lts: &Lts) -> Vec<(Name, Path)> {
     let mut out: Vec<(Name, Path)> = Vec::new();
-    for state in &lts.states {
-        for (label, _) in &state.edges {
-            if let Label::Obs(ev, _) = label {
-                let mut creators = Vec::new();
-                collect_creators(&ev.payload, &mut creators);
-                for c in creators {
-                    let entry = (ev.chan.clone(), c);
-                    if !out.contains(&entry) {
-                        out.push(entry);
-                    }
-                }
+    // The table lists each event once, in the order the edges first
+    // carried it.
+    for ev in lts.observations() {
+        let mut creators = Vec::new();
+        collect_creators(&ev.payload, &mut creators);
+        for c in creators {
+            let entry = (ev.chan.clone(), c);
+            if !out.contains(&entry) {
+                out.push(entry);
             }
         }
     }

@@ -11,7 +11,7 @@ use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 use crate::weak::{truncation_blame, Member, WeakWalk};
-use crate::{Label, Lts, ObsEvent, ResourceKind, TraceRenamer};
+use crate::{Lts, ObsEvent, ResourceKind, TraceRenamer};
 
 /// A set of canonical weak traces; each trace is the sequence of
 /// canonicalized observations.  The set contains every prefix of every
@@ -179,12 +179,10 @@ pub fn trace_preorder_sound(
 
 /// Finds a concrete run of `lts` realizing the canonical `trace`,
 /// returning the full edge sequence (silent steps included) for
-/// narration.
+/// narration: each step as `(source state, edge position)`, indexing
+/// that state's [`crate::LtsState::edges`] and [`Lts::descs`].
 #[must_use]
-pub fn find_realization<'l>(
-    lts: &'l Lts,
-    trace: &[String],
-) -> Option<Vec<(usize, &'l Label, usize)>> {
+pub fn find_realization(lts: &Lts, trace: &[String]) -> Option<Vec<(usize, usize)>> {
     let mut path = Vec::new();
     dfs(
         &mut WeakWalk::new(lts),
@@ -199,12 +197,12 @@ pub fn find_realization<'l>(
 
 /// Depth-first search for a run realizing `rest`.  `visited` guards one
 /// segment between visible steps, so it never needs the trace position.
-fn dfs<'l>(
-    walk: &mut WeakWalk<'l>,
+fn dfs(
+    walk: &mut WeakWalk<'_>,
     m: Member,
     rest: &[String],
     renamer: &TraceRenamer,
-    path: &mut Vec<(usize, &'l Label, usize)>,
+    path: &mut Vec<(usize, usize)>,
     visited: &mut BTreeSet<Member>,
 ) -> bool {
     let Some((want, later)) = rest.split_first() else {
@@ -214,19 +212,19 @@ fn dfs<'l>(
         return false;
     }
     let lts = walk.lts();
-    for (e, (label, tgt)) in lts.states[m.0].edges.iter().enumerate() {
+    for (e, &edge) in lts.states[m.0].edges.iter().enumerate() {
         let next = walk.target(m, e);
-        let found = match label {
-            Label::Tau(_) => {
-                path.push((m.0, label, *tgt));
+        let found = match lts.event(edge) {
+            None => {
+                path.push((m.0, e));
                 dfs(walk, next, rest, renamer, path, visited)
             }
-            Label::Obs(ev, _) => {
+            Some(ev) => {
                 let mut r = renamer.clone();
                 if r.canon(&walk.event(m.1, ev)) != *want {
                     continue;
                 }
-                path.push((m.0, label, *tgt));
+                path.push((m.0, e));
                 // Deeper positions may revisit states: a fresh guard for
                 // the next segment.
                 dfs(walk, next, later, &r, path, &mut BTreeSet::new())
@@ -310,7 +308,7 @@ mod tests {
                 // Two visible edges.
                 let visible = path
                     .iter()
-                    .filter(|(_, l, _)| matches!(l, Label::Obs(_, _)))
+                    .filter(|&&(s, e)| !impl_.states[s].edges[e].is_tau())
                     .count();
                 assert_eq!(visible, 2);
             }

@@ -639,10 +639,10 @@ impl Verifier {
         let roles = self.role_map();
         let mut counter = 0usize;
         let mut lines = Vec::new();
-        for (_, label, tgt) in path {
-            let names = lts.states[tgt].config().names();
+        for (s, e) in path {
+            let names = lts.config(lts.states[s].edges[e].target()).names();
             let who = |p: &Path| roles.role_of(p).unwrap_or_else(|| p.to_bits());
-            match label.desc() {
+            match &lts.descs(s)[e] {
                 StepDesc::Internal(StepInfo::Comm(ci)) => {
                     counter += 1;
                     lines.push(format!(
@@ -758,10 +758,99 @@ mod tests {
     const P2: &str = "(^kAB)((^m) c<{m}kAB> | c(z).case z of {w}kAB in observe<w>)";
     const P_ABS: &str = "(^s)(s<s>.(^m)c<m> | s@lamB(x_s).c@lamB(z).observe<z>)";
     const PM2: &str = "(^kAB)(!(^m)c<{m}kAB> | !c(z).case z of {w}kAB in observe<w>)";
+    const PM3: &str = "(^kAB)(!(^m)c(ns).c<{m, ns}kAB> | \
+         !(^nb)c<nb>.c(x).case x of {z, w}kAB in [w = nb]observe<z>)";
     const PM_ABS: &str = "(^s)(!s<s>.(^m)c<m> | !s@lamB(x_s).c@lamB(z).observe<z>)";
 
     fn p(src: &str) -> Process {
         parse(src).expect("test protocol parses")
+    }
+
+    /// The protocol under the faulty network alone, two sessions.
+    fn faulty(clauses: &str) -> Verifier {
+        let clauses = clauses
+            .split('+')
+            .map(|c| c.parse::<spi_semantics::FaultClause>().unwrap());
+        Verifier::new(["c"])
+            .sessions(2)
+            .no_intruder()
+            .faults(spi_semantics::FaultSpec::new(clauses))
+    }
+
+    #[test]
+    fn decision_only_explorations_match_the_pinned_systems() {
+        // The systems `tests/multi_session.rs` pins bit for bit (same
+        // state and edge counts), each explored keeping payloads and
+        // only to be decided: the decision-only run drops step
+        // descriptions and payloads but must agree on everything a
+        // preorder check reads.
+        let cases = [
+            ("pm2 s2", PM2, Verifier::new(["c"]).sessions(2), (194, 636)),
+            (
+                "pm3 s2",
+                PM3,
+                Verifier::new(["c"]).sessions(2),
+                (5_605, 27_326),
+            ),
+            (
+                "pm2 s3 full",
+                PM2,
+                Verifier::new(["c"])
+                    .sessions(3)
+                    .reduce(ReduceOptions::full()),
+                (143, 749),
+            ),
+            ("pm2 drop", PM2, faulty("drop:c:1"), (55, 104)),
+            ("pm2 duplicate", PM2, faulty("duplicate:c:1"), (78, 148)),
+            ("pm2 reorder", PM2, faulty("reorder:c:1"), (87, 166)),
+            ("pm2 replay", PM2, faulty("replay:c:1"), (225, 500)),
+            (
+                "pm3 reorder+replay",
+                PM3,
+                faulty("reorder:c:1+replay:c:1"),
+                (12_616, 38_349),
+            ),
+        ];
+        for (name, src, verifier, counts) in cases {
+            for workers in [1, 2] {
+                let v = verifier.clone().workers(workers);
+                let system = v.under_attack(&p(src));
+                let explorer = Explorer::new(v.explore_opts());
+                let kept = explorer.explore(&system).unwrap();
+                let decided = explorer.explore_to_decide(&system).unwrap();
+                assert_eq!(
+                    (kept.stats.states, kept.stats.edges),
+                    counts,
+                    "{name} w{workers}"
+                );
+                assert!(!decided.keeps_payloads(), "{name} w{workers}");
+                assert!(
+                    decided.decision_view() == kept.decision_view(),
+                    "{name} w{workers}: the decision views differ"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_decision_only_lts_retains_at_most_64_bytes_per_edge() {
+        // The largest schedule of a Pm3 depth-2 campaign.  Each edge
+        // used to hold a full label (a 248-byte step description plus
+        // cloned terms, ~443 bytes per edge in all); now it is an
+        // observation id and a target.
+        let v = faulty("reorder:c:1+replay:c:1").workers(1);
+        let system = v.under_attack(&p(PM3));
+        let explorer = Explorer::new(v.explore_opts());
+        let before = crate::live_bytes::live();
+        let lts = explorer.explore_to_decide(&system).unwrap();
+        let retained = crate::live_bytes::live() - before;
+        let edges = lts.stats.edges as i64;
+        assert_eq!((lts.stats.states, edges), (12_616, 38_349));
+        assert!(
+            retained <= 64 * edges,
+            "{retained} bytes retained for {edges} edges: {:.1} per edge",
+            retained as f64 / edges as f64
+        );
     }
 
     #[test]
@@ -907,8 +996,6 @@ mod tests {
 
     #[test]
     fn pm3_campaign_survives_depth_one() {
-        const PM3: &str = "(^kAB)(!(^m)c(ns).c<{m, ns}kAB> | \
-             !(^nb)c<nb>.c(x).case x of {z, w}kAB in [w = nb]observe<z>)";
         let v = Verifier::new(["c"]).sessions(2).no_intruder();
         let report = v
             .run_campaign(&p(PM3), &p(PM_ABS), &v.campaign_options(1))
@@ -918,8 +1005,6 @@ mod tests {
 
     #[test]
     fn reduction_preserves_verdicts_and_shrinks_the_search() {
-        const PM3: &str = "(^kAB)(!(^m)c(ns).c<{m, ns}kAB> | \
-             !(^nb)c<nb>.c(x).case x of {z, w}kAB in [w = nb]observe<z>)";
         let plain = Verifier::new(["c"]).sessions(2);
         let reduced = plain.clone().reduce(ReduceOptions::full());
         // The replay attack on Pm2 survives reduction; Pm3 still holds.

@@ -7,6 +7,12 @@
 //! simulation game ([`crate::simulates`]) all do it through
 //! [`WeakWalk`].
 //!
+//! The walk reads only what deciding needs: whether an edge is τ, the
+//! [`crate::ObsEvent`] a visible edge carries (through the [`Lts`]'s
+//! observation table), its target and its merge iso.  It never reads a
+//! step description or a state's payload, so it runs alike on an
+//! exploration that kept them and on one run only to be decided.
+//!
 //! When exploration merged states through non-identity isomorphisms (see
 //! [`crate::iso`]), the events stored on edges are in the
 //! *representative*'s coordinates.  The walk therefore carries, per
@@ -26,7 +32,7 @@ use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 use crate::iso::IsoTable;
-use crate::{Label, Lts, ObsEvent, ResourceKind};
+use crate::{Lts, ObsEvent, ResourceKind};
 
 /// A walk position: a state and the id of the composed iso mapping its
 /// local coordinates to the true run.
@@ -59,7 +65,7 @@ impl<'l> WeakWalk<'l> {
     pub(crate) fn target(&mut self, (s, g): Member, edge: usize) -> Member {
         let h = self.lts.edge_isos.get(&(s, edge)).copied().unwrap_or(0);
         (
-            self.lts.states[s].edges[edge].1,
+            self.lts.states[s].edges[edge].target(),
             self.table.compose_ids(h, g),
         )
     }
@@ -98,8 +104,8 @@ impl<'l> WeakWalk<'l> {
         let mut seen = BTreeSet::from([(s, 0)]);
         let mut work = vec![(s, 0)];
         while let Some(m) = work.pop() {
-            for (e, (label, _)) in lts.states[m.0].edges.iter().enumerate() {
-                if matches!(label, Label::Tau(_)) {
+            for (e, edge) in lts.states[m.0].edges.iter().enumerate() {
+                if edge.is_tau() {
                     let next = self.target(m, e);
                     if seen.insert(next) {
                         work.push(next);
@@ -119,8 +125,8 @@ impl<'l> WeakWalk<'l> {
         mut step: impl FnMut(Cow<'l, ObsEvent>, Vec<Member>),
     ) {
         let lts = self.lts;
-        for (e, (label, _)) in lts.states[m.0].edges.iter().enumerate() {
-            if let Label::Obs(ev, _) = label {
+        for (e, &edge) in lts.states[m.0].edges.iter().enumerate() {
+            if let Some(ev) = lts.event(edge) {
                 let next = self.target(m, e);
                 step(self.event(m.1, ev), self.closure(next));
             }

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use spi_addr::Path;
 use spi_syntax::{Name, Process, Term, Var};
-use spi_verify::{ExploreOptions, Explorer, IntruderSpec, Label, Lts};
+use spi_verify::{ExploreOptions, Explorer, IntruderSpec, Lts};
 
 fn arb_name() -> impl Strategy<Value = Name> {
     prop_oneof![
@@ -66,18 +66,25 @@ fn opts(workers: usize, verify_keys: bool) -> ExploreOptions {
 }
 
 /// Everything the engine promises to keep identical across worker
-/// counts: state keys, barbs, edges (labels and targets, in order),
-/// statistics, coverage, exhaustion, and the frontier.
+/// counts: state keys, barbs, edges (observation ids and targets, in
+/// order), step descriptions, the observation table, statistics,
+/// coverage, exhaustion, and the frontier.
 fn assert_identical(a: &Lts, b: &Lts) -> Result<(), TestCaseError> {
     prop_assert_eq!(a.stats, b.stats, "statistics differ");
     prop_assert_eq!(a.coverage, b.coverage, "coverage accounting differs");
     prop_assert_eq!(&a.frontier, &b.frontier, "frontiers differ");
     prop_assert_eq!(a.exhausted, b.exhausted, "exhaustion differs");
     prop_assert_eq!(a.states.len(), b.states.len(), "state counts differ");
+    prop_assert_eq!(
+        a.observations(),
+        b.observations(),
+        "observation tables differ"
+    );
     for (i, (sa, sb)) in a.states.iter().zip(&b.states).enumerate() {
         prop_assert_eq!(sa.key, sb.key, "state {} key differs", i);
         prop_assert_eq!(&sa.barbs, &sb.barbs, "state {} barbs differ", i);
         prop_assert_eq!(&sa.edges, &sb.edges, "state {} edges differ", i);
+        prop_assert_eq!(a.descs(i), b.descs(i), "state {} steps differ", i);
     }
     Ok(())
 }
@@ -88,9 +95,9 @@ fn assert_identical(a: &Lts, b: &Lts) -> Result<(), TestCaseError> {
 fn visible_labels(lts: &Lts) -> Vec<(usize, String, usize)> {
     let mut out = Vec::new();
     for (src, st) in lts.states.iter().enumerate() {
-        for (label, tgt) in &st.edges {
-            if let Label::Obs(ev, _) = label {
-                out.push((src, format!("{ev:?}"), *tgt));
+        for &edge in &st.edges {
+            if let Some(ev) = lts.event(edge) {
+                out.push((src, format!("{ev:?}"), edge.target()));
             }
         }
     }

@@ -1,34 +1,50 @@
-//! Allocation budget of successor generation.
+//! Allocation and heap budgets of exploration.
 //!
 //! Every step of the explorer copies terms, places continuations and
 //! canonicalizes the successor; on the unreduced `Pm3` ladder that is
 //! most of a verification's work, and heap traffic is a large part of
-//! its cost (two explorer threads contend on the allocator).  This test
+//! its cost (two explorer threads contend on the allocator).  One test
 //! pins how many heap allocations an explored edge may cost, so a change
 //! that puts paths back on the heap or copies continuations once per
-//! substitution fails here rather than only in a benchmark.
+//! substitution fails here rather than only in a benchmark.  Another
+//! pins the peak live heap of a campaign schedule, so a change that
+//! makes decision-only explorations hold step descriptions or payloads
+//! again fails here too.
 //!
-//! It lives in its own test binary because it installs a counting global
-//! allocator.  The count is thread-local and the exploration runs on one
-//! worker (the calling thread), so tests running concurrently in other
-//! threads do not perturb it.
+//! They live in their own test binary because it installs a counting
+//! global allocator.  The counts are thread-local and each measured run
+//! stays on one worker (the calling thread), so tests running
+//! concurrently in other threads do not perturb them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use spi_auth_repro::auth::{ReduceOptions, Verifier};
+use spi_auth_repro::auth::{ReduceOptions, ScheduleOutcome, Verifier};
 use spi_auth_repro::protocols::multi;
 
-/// The system allocator, counting the calling thread's allocations.
+/// The system allocator, counting the calling thread's allocations and
+/// tracking its live bytes and their high-water mark.
 struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count() {
+/// Counts one allocation that changes the live bytes by `delta`.
+fn count(delta: i64) {
     // `try_with`: a thread being torn down may still free and allocate.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    grow(delta);
+}
+
+/// Changes the live bytes by `delta`, raising the high-water mark.
+fn grow(delta: i64) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -37,21 +53,22 @@ fn count() {
 // touching it never allocates or registers anything).
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        grow(-(layout.size() as i64));
         System.dealloc(ptr, layout);
     }
 }
@@ -81,5 +98,35 @@ fn pm3_exploration_stays_within_its_allocation_budget() {
         allocs <= BUDGET_PER_EDGE * edges,
         "{allocs} allocations for {edges} edges: {:.1} per edge, budget {BUDGET_PER_EDGE}",
         allocs as f64 / edges as f64
+    );
+}
+
+/// At most this many bytes of live heap above the starting point while
+/// one Pm3 campaign schedule is classified (about 26.8 MB when every
+/// decision-only edge still held a full step description).
+const SCHEDULE_PEAK_BYTES: i64 = 20_000_000;
+
+#[test]
+fn a_pm3_campaign_schedule_peaks_within_its_heap_budget() {
+    let pm3 = multi::challenge_response("c", "observe");
+    let pm = multi::abstract_protocol("c", "observe").unwrap();
+    let verifier = Verifier::new(["c"]).sessions(2).no_intruder().workers(1);
+    let mut opts = verifier.campaign_options(2);
+    // Enumeration index 12 of the depth-2 campaign on `c` is the largest
+    // schedule, `reorder:c:1+replay:c:1` (12,616 concrete states).
+    opts.schedule_range = Some((12, 1));
+    let start = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(start));
+    let report = verifier.run_campaign(&pm3, &pm, &opts).unwrap();
+    let peak = PEAK.with(Cell::get) - start;
+    assert_eq!(report.results.len(), 1);
+    assert_eq!(report.results[0].key, "reorder:c:1+replay:c:1@1");
+    assert!(
+        matches!(report.results[0].outcome, ScheduleOutcome::Survives { .. }),
+        "Pm3 survives the schedule: {report:?}"
+    );
+    assert!(
+        peak <= SCHEDULE_PEAK_BYTES,
+        "peak live heap {peak} bytes, budget {SCHEDULE_PEAK_BYTES}"
     );
 }

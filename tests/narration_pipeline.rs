@@ -104,10 +104,10 @@ fn wide_mouthed_frog_explores_under_attack() {
     assert!(lts.stats.states > 10);
     // The session key and payload never leak to the intruder: check that
     // no reachable state has m in the analyzed knowledge.
-    for state in &lts.states {
-        for t in state.knowledge().iter() {
+    for state in 0..lts.states.len() {
+        for t in lts.knowledge(state).iter() {
             if let spi_auth_repro::semantics::RtTerm::Id(id) = t {
-                let e = state.config().names().entry(*id);
+                let e = lts.config(state).names().entry(*id);
                 assert_ne!(
                     (e.base.as_str(), e.restricted),
                     ("m", true),

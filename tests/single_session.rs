@@ -125,17 +125,13 @@ fn startup_with_both_location_variables_hooks_both_ways() {
     // The protocol still completes...
     assert!(lts.weak_barbs().iter().any(|bb| bb.chan == "observe"));
     // ...every observation still originates at A...
-    use spi_auth_repro::verify::{Label, ObsTerm};
-    for state in &lts.states {
-        for (label, _) in &state.edges {
-            if let Label::Obs(ev, _) = label {
-                match &ev.payload {
-                    ObsTerm::Fresh { creator, .. } => {
-                        assert!(creator.to_bits().starts_with("00"), "{creator:?}");
-                    }
-                    other => panic!("unexpected payload {other:?}"),
-                }
+    use spi_auth_repro::verify::ObsTerm;
+    for ev in lts.observations() {
+        match &ev.payload {
+            ObsTerm::Fresh { creator, .. } => {
+                assert!(creator.to_bits().starts_with("00"), "{creator:?}");
             }
+            other => panic!("unexpected payload {other:?}"),
         }
     }
     // ...and, unlike the paper's P, the message is also secret.
@@ -150,10 +146,10 @@ fn locating_the_output_also_gives_secrecy() {
     let localized = parse("(^s)(s<s>.(^m)c@(0.1)<m> | s@lamB(x_s).c@lamB(z).observe<z>)").unwrap();
     let verifier = Verifier::new(["c"]);
     let lts = verifier.explore(&localized).unwrap();
-    let intercepts = lts.states.iter().any(|s| {
-        s.edges
+    let intercepts = (0..lts.states.len()).any(|s| {
+        lts.descs(s)
             .iter()
-            .any(|(l, _)| matches!(l.desc(), spi_auth_repro::verify::StepDesc::Intercept { .. }))
+            .any(|d| matches!(d, spi_auth_repro::verify::StepDesc::Intercept { .. }))
     });
     assert!(
         !intercepts,
