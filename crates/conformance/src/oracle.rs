@@ -23,7 +23,7 @@
 //!   chaos plan (a worker is killed mid-sequence) against the same
 //!   direct run: re-dispatch and degradation must never change a byte
 //!   of the verdict body;
-//! * **engines** — the hedged-bisimulation decision procedure against
+//! * **engines** — the bisimulation decision procedure against
 //!   the trace engine: the determinized tree's canonical trace language
 //!   must equal the weak trace set of the same LTS, and both procedures
 //!   must reach the same verdict on the (concrete, spec) question.
@@ -37,9 +37,8 @@ use spi_server::{
 };
 use spi_verify::jsonlite::Json;
 use spi_verify::{
-    bisim_preorder_sound_with, bisim_traces, run_campaign, trace_preorder_sound, weak_traces,
-    BisimOptions, Budget, CampaignOptions, CampaignReport, ExploreOptions, Explorer,
-    ReduceOptions, Verifier,
+    bisim_preorder_sound, bisim_traces, run_campaign, trace_preorder_sound, weak_traces, Budget,
+    CampaignOptions, CampaignReport, ExploreOptions, Explorer, ReduceOptions, TraceSet, Verifier,
 };
 use spi_syntax::{parse, Process};
 
@@ -60,25 +59,28 @@ pub enum Verdict {
 
 /// A deliberately planted bug, used to validate that the harness catches
 /// and shrinks real defects.  Never active in normal runs.
+///
+/// Each bug is planted into one oracle ([`Injection::oracle`]), on the
+/// public output of the engine that oracle checks, so the engines
+/// themselves carry no planted-bug switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Injection {
-    /// Truncate the copy-on-write stepper's canonical state keys to this
-    /// many bytes before deduplication — emulating a canonicalizer that
-    /// collides distinct states, exactly the failure `verify_keys`
-    /// exists to rule out.
+    /// `cowstate`: truncate the copy-on-write stepper's canonical state
+    /// keys to this many bytes before deduplication — emulating a
+    /// canonicalizer that collides distinct states, exactly the failure
+    /// `verify_keys` exists to rule out.
     TruncateCanonKeys(usize),
-    /// Replace the explorer's symmetry quotient with an *erasing*
-    /// pseudo-quotient (session-copy subtrees dropped, only their
-    /// permutation-invariant signatures hashed) — a canonicalizer that
-    /// forgets cross-copy name identity and conflates genuinely
-    /// different states, exactly the overmerge the `reduce` oracle
-    /// exists to rule out.
+    /// `reduce`: forget the symmetry quotient's merge witnesses (the
+    /// reduced LTS's edge isomorphisms) before its weak traces are read,
+    /// so states merged under a copy permutation are walked as if they
+    /// were equal — a quotient that loses cross-copy name identity,
+    /// exactly the overmerge the `reduce` oracle exists to rule out.
     SymNoPerm,
-    /// Skip one analysis rule in the bisimulation engine's environment
-    /// knowledge (everything under an encryption stays opaque, so the
-    /// hedge under-closes and distinct fresh names render alike) — an
-    /// unsound knowledge closure, exactly the divergence the `engines`
-    /// oracle exists to rule out.
+    /// `engines`: render every fresh name inside a ciphertext of the
+    /// bisimulation engine's canonical traces as the unlinkable `n?@…`,
+    /// as if the environment never analysed ciphertexts — an unsound
+    /// knowledge closure, exactly the divergence the `engines` oracle
+    /// exists to rule out.
     BisimSkipAnalysis,
 }
 
@@ -115,6 +117,17 @@ impl Injection {
             Injection::TruncateCanonKeys(n) => format!("truncate-keys:{n}"),
             Injection::SymNoPerm => "sym-no-perm".to_string(),
             Injection::BisimSkipAnalysis => "bisim-skip-analysis".to_string(),
+        }
+    }
+
+    /// The name of the oracle the bug is planted into; every other
+    /// oracle runs unchanged under it.
+    #[must_use]
+    pub fn oracle(&self) -> &'static str {
+        match self {
+            Injection::TruncateCanonKeys(_) => "cowstate",
+            Injection::SymNoPerm => "reduce",
+            Injection::BisimSkipAnalysis => "engines",
         }
     }
 }
@@ -402,13 +415,17 @@ impl Oracle for Reduce {
         }
         let reduced_opts = ExploreOptions {
             reduce: ReduceOptions::full(),
-            sym_conflate: env.injection == Some(Injection::SymNoPerm),
             ..base
         };
-        let reduced = match Explorer::new(reduced_opts).explore(&case.spec) {
+        let mut reduced = match Explorer::new(reduced_opts).explore(&case.spec) {
             Ok(lts) => lts,
             Err(e) => return Verdict::Skip(format!("reduced exploration failed: {e}")),
         };
+        if env.injection == Some(Injection::SymNoPerm) {
+            // The planted bug: the quotient forgets which permutation
+            // witnessed each merge.
+            reduced.edge_isos.clear();
+        }
         if !reduced.complete() {
             return Verdict::Skip("reduced exploration truncated".to_string());
         }
@@ -782,16 +799,16 @@ impl Oracle for Fleet {
     }
 }
 
-/// The hedged-bisimulation decision procedure against the trace engine.
+/// The bisimulation decision procedure against the trace engine.
 ///
 /// Two comparisons per case, both over iso-tracked explorations:
 ///
 /// 1. **trace language** — the canonical trace set the bisimulation
 ///    engine's determinized configuration tree generates must equal the
 ///    weak trace set of the same LTS, string for string.  This is the
-///    sensitive surface: an under-closing hedge (the planted
-///    `bisim-skip-analysis` bug) degrades the canonical rendering of
-///    names learned by analysis, visible on a *single* system;
+///    sensitive surface: a rendering that loses names learned by
+///    analysis (the planted `bisim-skip-analysis` bug) shows on a
+///    *single* system;
 /// 2. **verdict** — both procedures must classify the (concrete, spec)
 ///    question identically, the same cross-check `--engine both` runs.
 struct Engines;
@@ -803,9 +820,6 @@ impl Oracle for Engines {
 
     fn check(&self, case: &TestCase, env: &OracleEnv) -> Verdict {
         const VISIBLE: usize = 4;
-        let bisim_opts = BisimOptions {
-            skip_analysis: env.injection == Some(Injection::BisimSkipAnalysis),
-        };
         // Iso tracking on both arms: the bisimulation engine canonizes
         // through the explorer's isomorphisms, so identity merges would
         // compare bookkeeping, not semantics.
@@ -825,7 +839,10 @@ impl Oracle for Engines {
             ));
         }
         let want = weak_traces(&spec_lts, VISIBLE);
-        let got = bisim_traces(&spec_lts, VISIBLE, &bisim_opts);
+        let mut got = bisim_traces(&spec_lts, VISIBLE);
+        if env.injection == Some(Injection::BisimSkipAnalysis) {
+            got = skip_analysis(&got);
+        }
         if got != want {
             let lost = want.difference(&got).count();
             let invented = got.difference(&want).count();
@@ -841,7 +858,7 @@ impl Oracle for Engines {
             Err(e) => return Verdict::Skip(format!("concrete exploration failed: {e}")),
         };
         let t = trace_preorder_sound(&concrete_lts, &spec_lts, VISIBLE);
-        let b = bisim_preorder_sound_with(&concrete_lts, &spec_lts, VISIBLE, &bisim_opts);
+        let b = bisim_preorder_sound(&concrete_lts, &spec_lts, VISIBLE);
         if std::mem::discriminant(&t) != std::mem::discriminant(&b) {
             return Verdict::Fail(format!(
                 "decision procedures disagree on the verdict: \
@@ -849,6 +866,71 @@ impl Oracle for Engines {
             ));
         }
         Verdict::Pass
+    }
+}
+
+/// The `bisim-skip-analysis` planted bug, applied to canonical traces:
+/// every fresh name inside a ciphertext, body or key, loses its index and
+/// renders as `n?@<creator>`, so its occurrences can no longer be linked.
+fn skip_analysis(traces: &TraceSet) -> TraceSet {
+    traces
+        .iter()
+        .map(|trace| {
+            trace
+                .iter()
+                .map(|event| {
+                    let (chan, mut rest) = event.split_once('!').expect("canonical event");
+                    let mut out = format!("{chan}!");
+                    opaque_term(&mut rest, false, &mut out);
+                    out.push_str(rest);
+                    out
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Copies one canonical term (the grammar `TraceRenamer` writes) from the
+/// front of `s` to `out`, rewriting fresh names to `n?` when `opaque` or
+/// under a ciphertext.
+fn opaque_term(s: &mut &str, opaque: bool, out: &mut String) {
+    fn take(s: &mut &str, n: usize, out: &mut String) {
+        out.push_str(&s[..n]);
+        *s = &s[n..];
+    }
+    /// A leaf (or creator stamp) runs up to the next delimiter.
+    fn leaf(s: &mut &str, out: &mut String) {
+        let end = s[1..].find([',', ')', '}', '#']).map_or(s.len(), |i| i + 1);
+        take(s, end, out);
+    }
+    match s.as_bytes().first() {
+        Some(b'(') => {
+            take(s, 1, out);
+            opaque_term(s, opaque, out);
+            take(s, 1, out);
+            opaque_term(s, opaque, out);
+            take(s, 1, out);
+            leaf(s, out);
+        }
+        Some(b'{') => {
+            take(s, 1, out);
+            while !s.starts_with('}') {
+                opaque_term(s, true, out);
+                if s.starts_with(',') {
+                    take(s, 1, out);
+                }
+            }
+            take(s, 1, out);
+            opaque_term(s, true, out);
+            leaf(s, out);
+        }
+        Some(b'n') if opaque => {
+            let at = s.find('@').expect("fresh names carry a creator");
+            out.push_str("n?");
+            *s = &s[at..];
+            leaf(s, out);
+        }
+        _ => leaf(s, out),
     }
 }
 
@@ -944,9 +1026,10 @@ mod tests {
 
     #[test]
     fn the_reduce_oracle_catches_the_conflating_pseudo_quotient() {
-        // Three interleaved sessions whose nonces cross copies: erasing
-        // the copy subtrees conflates states a sound quotient keeps
-        // apart, and the lost interleavings show up as missing traces.
+        // Three interleaved sessions whose nonces cross copies: walking
+        // merged states without their merge permutations reads them in
+        // the wrong copy's coordinates, and the mixed nonce lineages
+        // show up as lost and invented traces.
         let p = parse("!((^m)(^n)(c<m>.c<n> | c(x).c(y).d<x>.d<y>)) | d(z)").expect("parses");
         let env = OracleEnv {
             unfold_bound: 3,
@@ -967,6 +1050,45 @@ mod tests {
     }
 
     #[test]
+    fn the_reduce_oracle_catches_forgotten_merge_witnesses() {
+        // Two copies each output a pair they created: the quotient merges
+        // "copy 0 fired" with "copy 1 fired", and only the merge's
+        // isomorphism maps the pair's creator stamp back to the copy
+        // that really created it.
+        let p = parse("!d<(s, m)>").expect("parses");
+        let channels = ["d".to_string()];
+        let clean = check_process(&Reduce, &p, None, &channels, &OracleEnv::default());
+        assert_eq!(clean, Verdict::Pass);
+        let env = OracleEnv {
+            injection: Some(Injection::SymNoPerm),
+            ..OracleEnv::default()
+        };
+        let verdict = check_process(&Reduce, &p, None, &channels, &env);
+        assert!(
+            matches!(verdict, Verdict::Fail(_)),
+            "planted witness loss went uncaught: {verdict:?}"
+        );
+    }
+
+    #[test]
+    fn skipped_analysis_unlinks_fresh_names_under_encryption_only() {
+        let trace = |events: &[&str]| events.iter().map(ToString::to_string).collect::<Vec<_>>();
+        let traces: TraceSet = [trace(&[
+            "c!({n0@01,f:a}n1@0#01,n0@01)#-",
+            "d!{(n2@1,f:b)#1}{f:k}f:h#0#1",
+        ])]
+        .into_iter()
+        .collect();
+        let want: TraceSet = [trace(&[
+            "c!({n?@01,f:a}n?@0#01,n0@01)#-",
+            "d!{(n?@1,f:b)#1}{f:k}f:h#0#1",
+        ])]
+        .into_iter()
+        .collect();
+        assert_eq!(skip_analysis(&traces), want);
+    }
+
+    #[test]
     fn injection_directives_round_trip() {
         for inj in [
             Injection::TruncateCanonKeys(2),
@@ -974,6 +1096,7 @@ mod tests {
             Injection::BisimSkipAnalysis,
         ] {
             assert_eq!(Injection::parse(&inj.directive()), Ok(inj));
+            assert!(builtin_names().contains(&inj.oracle()), "{inj:?}");
         }
         assert!(Injection::parse("sym-no-perm:3").is_err());
         assert!(Injection::parse("bisim-skip-analysis:1").is_err());

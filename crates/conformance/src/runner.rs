@@ -134,10 +134,20 @@ impl fmt::Display for ConformanceReport {
 ///
 /// # Errors
 ///
-/// Returns a usage-style message for unknown oracle names; oracle
-/// failures are *results*, not errors.
+/// Returns a usage-style message for unknown oracle names and for an
+/// injection whose oracle is not selected (it would plant nothing);
+/// oracle failures are *results*, not errors.
 pub fn run_conformance(opts: &ConformanceOptions) -> Result<ConformanceReport, String> {
     let suite = selected_oracles(&opts.oracles)?;
+    if let Some(inj) = opts.env.injection {
+        if !suite.iter().any(|o| o.name() == inj.oracle()) {
+            return Err(format!(
+                "injection `{}` plants into the `{}` oracle, which is not selected",
+                inj.directive(),
+                inj.oracle()
+            ));
+        }
+    }
     let mut tallies: Vec<(String, OracleTally)> = suite
         .iter()
         .map(|o| (o.name().to_string(), OracleTally::default()))
@@ -258,6 +268,23 @@ mod tests {
         let err = run_conformance(&opts).expect_err("should reject");
         assert!(err.contains("unknown oracle `psychic`"), "{err}");
         assert!(err.contains("roundtrip"), "{err}");
+    }
+
+    #[test]
+    fn an_injection_outside_the_selected_oracles_is_a_usage_error() {
+        let mut opts = ConformanceOptions::new(1, 1);
+        opts.oracles = vec!["roundtrip".to_string()];
+        opts.env.injection = Some(Injection::TruncateCanonKeys(2));
+        let err = run_conformance(&opts).expect_err("should reject");
+        assert!(err.contains("`truncate-keys:2`"), "{err}");
+        assert!(err.contains("`cowstate` oracle"), "{err}");
+        // The whole suite includes every injection's oracle.
+        opts.oracles.clear();
+        opts.cases = 0;
+        for inj in [Injection::SymNoPerm, Injection::BisimSkipAnalysis] {
+            opts.env.injection = Some(inj);
+            assert!(run_conformance(&opts).is_ok(), "{inj:?}");
+        }
     }
 
     #[test]

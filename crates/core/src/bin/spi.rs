@@ -10,7 +10,8 @@
 //!   the LTS), or compile a narration both ways and check the result.
 //! * `conformance`: differential fuzzing of generated specs against the
 //!   oracle suite, failures shrunk to `.spi` reproducers; `--inject`
-//!   plants a known bug to self-test the harness.
+//!   plants a known bug into its oracle, which must be selected, to
+//!   self-test the harness.
 //! * `paper`: re-derive the paper's results.
 //! * `serve`, `fleet`, `client`: the verification daemon
 //!   (newline-delimited JSON over TCP), a fleet coordinator sharding
@@ -34,7 +35,7 @@
 //! `--reduce` turns on the session-symmetry quotient and/or
 //! partial-order reduction.  `--engine` picks
 //! the decision procedure: the trace engine (default), the on-the-fly
-//! hedged-bisimulation engine, or `both` to cross-check them — a
+//! bisimulation engine, or `both` to cross-check them — a
 //! disagreement fails loudly with the minimal witness, and `both`
 //! campaigns skip the trace comparison on schedules the bisimulation
 //! check already rejects.  `spi conformance`

@@ -290,6 +290,20 @@ fn usage_errors_exit_2() {
 }
 
 #[test]
+fn conformance_refuses_an_injection_its_oracles_would_not_plant() {
+    for (oracles, inject) in [("cowstate", "sym-no-perm"), ("roundtrip", "truncate-keys:2")] {
+        let out = spi()
+            .args(["conformance", "--cases", "1", "--oracles", oracles, "--inject", inject])
+            .output()
+            .expect("runs");
+        assert_eq!(out.status.code(), Some(2), "{oracles} with {inject}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("which is not selected"), "{err}");
+        assert!(out.stdout.is_empty(), "no report for a refused run");
+    }
+}
+
+#[test]
 fn a_closed_stdout_keeps_the_exit_code_and_never_panics() {
     // `spi … | head -c N`: the reader takes N bytes and goes away.  At
     // N = 0 the pipe is closed before the command writes anything, so

@@ -1001,64 +1001,6 @@ pub fn candidates(
         .collect())
 }
 
-/// The sorted multiset of copy signatures per group — what an *erasing*
-/// pseudo-quotient would consider the whole identity of a group.  Used by
-/// the conformance suite's fault injection (`sym-no-perm`): hashing the
-/// erased state plus these signatures is permutation-invariant but
-/// conflates states whose copies relate to the rest of the system
-/// differently, and the reduce oracle must catch the overmerge.
-#[must_use]
-pub fn group_signatures(cfg: &Config, groups: &[SessionGroup]) -> Vec<Vec<String>> {
-    let copies = Copies::new(groups);
-    let mut sigs: Vec<Vec<String>> = vec![Vec::new(); groups.len()];
-    for x in 0..copies.len() {
-        let mut sig = String::new();
-        let (mut canon, mut mask) = (Canonicalizer::new(), Mask::new(&copies, Some(x)));
-        write_body(cfg, &copies, Body::Copy(x), &mut canon, &mut mask, &mut sig);
-        sigs[copies.group[x]].push(sig);
-    }
-    for s in &mut sigs {
-        s.sort();
-    }
-    sigs
-}
-
-/// Erases every copy subtree to a dead leaf and rewrites the remaining
-/// paths (creator stamps, localization indexes) through the *erasure map*
-/// that sends every copy root of a group to the group's first root.  The
-/// second component is that (deliberately non-injective) map.
-///
-/// This is **not** a sound quotient — it forgets which copy created which
-/// name — and exists only so the conformance suite can inject it as a
-/// realistic symmetry-canonicalization bug (`sym-no-perm`) and prove the
-/// reduce oracle catches the conflation.
-#[must_use]
-pub fn erase_copies(cfg: &Config, groups: &[SessionGroup]) -> (Config, PathPerm) {
-    let erasure = PathPerm::from_pairs(groups.iter().flat_map(|g| {
-        g.roots
-            .iter()
-            .skip(1)
-            .map(|r| (r.clone(), g.roots[0].clone()))
-    }));
-    let mut tree: ProcTree<LeafState> = cfg.tree().clone();
-    for g in groups {
-        for r in &g.roots {
-            if tree.replace(r, ProcTree::Leaf(LeafState::Dead)).is_err() {
-                return (cfg.clone(), PathPerm::identity());
-            }
-        }
-    }
-    let tree = tree.map(|_, leaf| rewrite_leaf(leaf, &erasure));
-    let names = cfg.names().map_creators(|p| erasure.apply(p));
-    (
-        Config {
-            tree: Arc::new(tree),
-            names: Arc::new(names),
-        },
-        erasure,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1371,39 +1313,6 @@ mod tests {
         comm(&mut b, "0100", "001");
         comm(&mut b, "01100", "0101");
         (a, b)
-    }
-
-    #[test]
-    fn erased_pseudo_quotient_conflates_inequivalent_states() {
-        // The correlation pattern (c,c) vs (c,c⁻¹) is not fixed by any
-        // simultaneous relabeling of the copies, so no copy permutation
-        // equates the worlds — but erasing the copies and keeping only
-        // the signature multiset cannot see the difference.
-        let (a, b) = correlated_worlds();
-        assert_ne!(a.canonical_key(), b.canonical_key());
-        let ga = session_groups(&a, &[]);
-        let gb = session_groups(&b, &[]);
-        assert_eq!(ga, gb);
-        assert_eq!(ga[0].roots.len(), 3);
-        // Genuinely inequivalent: no copy permutation maps A onto B.
-        for perm in all_perms(&ga, MAX_CANDIDATES).expect("small orbit") {
-            assert_ne!(
-                apply_perm(&a, &perm).canonical_key(),
-                b.canonical_key(),
-                "A and B must not be in the same orbit ({perm:?})"
-            );
-        }
-        // ... yet the erasing pseudo-quotient conflates them.
-        assert_eq!(group_signatures(&a, &ga), group_signatures(&b, &gb));
-        let (ea, pa) = erase_copies(&a, &ga);
-        let (eb, pb) = erase_copies(&b, &gb);
-        assert_eq!(pa, pb);
-        assert!(!pa.is_identity());
-        assert_eq!(
-            ea.canonical_key(),
-            eb.canonical_key(),
-            "erasure forgets the copy correlation"
-        );
     }
 
     #[test]

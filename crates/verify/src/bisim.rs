@@ -1,43 +1,45 @@
-//! The second decision procedure: on-the-fly hedged bisimulation.
+//! The second decision procedure: a breadth-first subset construction
+//! over the weak LTS.
 //!
 //! [`crate::trace_preorder`] decides "P securely implements P′" by
 //! *enumerating* both weak trace sets and taking a set difference.  This
-//! module decides the same relation by a genuinely different road,
-//! following the on-the-fly style of Mansutti–Miculan ("Deciding Hedged
-//! Bisimilarity") with Tiu's trace-based open bisimulation as the guide
-//! for environment-indexed knowledge: a lazy refinement over *pairs of
-//! configurations*, driven from the initial state pair, where each
-//! configuration member carries its own hedge ([`EnvKnowledge`]) mapping
-//! the run's raw fresh names to canonical environment names.
+//! module decides the same relation by walking *pairs of
+//! configurations* from the initial state pair instead, in the
+//! on-the-fly style of Mansutti–Miculan ("Deciding Hedged
+//! Bisimilarity").
 //!
-//! A configuration is the set of `(state, iso, hedge)` members reachable
-//! under one canonical observation sequence — the subset construction
-//! over the weak LTS, stepped by the same iso-aware walk as the trace
-//! extractor (`weak.rs`), which maps each merged state's local
-//! coordinates back to the true run.  The implementation configuration must be able to match
-//! every canonical observation the environment can provoke with one from
-//! the specification configuration; a canonical event the specification
-//! configuration cannot match is a distinguishing experiment, and the
-//! breadth-first schedule makes the first one found a *shortest*
-//! distinguishing trace.  Visited configuration pairs are memoized, so
-//! subtrees the trace comparison would re-enumerate are pruned — this is
-//! the speed play behind the campaign early-reject path.
+//! A configuration is the set of `(state, iso, renamer)` members
+//! reachable under one canonical observation sequence: the subset
+//! construction over the weak LTS, stepped by the iso-aware walk of
+//! `weak.rs`, which maps each merged state's local coordinates back to
+//! the true run.  Each member carries the [`TraceRenamer`] of the
+//! prefix that reached it, mapping the run's raw fresh names to the
+//! tester's trace-local indices.  The tester of Definition 4 sees the
+//! structure of every message, under encryption too, so this renaming
+//! is all a hedge of environment knowledge would hold here.
+//!
+//! The implementation configuration must be able to match every
+//! canonical observation with one from the specification
+//! configuration.  A canonical event the specification configuration
+//! cannot match is a distinguishing experiment, and the breadth-first
+//! schedule makes the first one found a *shortest* distinguishing
+//! trace.  Visited configuration pairs are memoized, so subtrees the
+//! trace comparison would re-enumerate are pruned: this is the speed
+//! play behind the campaign early-reject path.
 //!
 //! **Agreement.**  Because configurations are exactly the determinized
 //! weak LTS under canonical observations, a distinguishing trace exists
 //! iff the bounded weak-trace inclusion of [`crate::trace_preorder`]
 //! fails, with the same minimal length; and [`bisim_preorder_sound`]
 //! applies the very truncation soundness rule of
-//! [`crate::trace_preorder_sound`].  The two engines
-//! must therefore agree on every input — `--engine both` and the
-//! `engines` conformance oracle turn that theorem into a continuously
-//! checked invariant.
+//! [`crate::trace_preorder_sound`].  The two engines must therefore
+//! agree on every input: `--engine both` and the `engines` conformance
+//! oracle turn that theorem into a continuously checked invariant.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
-use crate::hedges::EnvKnowledge;
 use crate::weak::{truncation_blame, WeakWalk};
-use crate::{Lts, TraceSet, TraceVerdict};
+use crate::{Lts, TraceRenamer, TraceSet, TraceVerdict};
 
 /// Which decision procedure(s) a verification run uses.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -45,7 +47,7 @@ pub enum Engine {
     /// The bounded weak-trace-inclusion check (the original engine).
     #[default]
     Trace,
-    /// The on-the-fly hedged-bisimulation check from this module.
+    /// The on-the-fly subset construction from this module.
     Bisim,
     /// Run both and fail loudly if they ever disagree; campaigns use
     /// the bisimulation verdict to early-reject attack schedules.
@@ -93,29 +95,10 @@ impl std::fmt::Display for Engine {
     }
 }
 
-/// Options for the bisimulation checker.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BisimOptions {
-    /// Planted bug for the `engines` conformance oracle: skip the
-    /// ciphertext analysis rule so the hedge under-closes.  Never set
-    /// outside fault-injection runs.
-    #[doc(hidden)]
-    pub skip_analysis: bool,
-}
-
-impl BisimOptions {
-    fn knowledge(self) -> EnvKnowledge {
-        if self.skip_analysis {
-            EnvKnowledge::with_skipped_analysis()
-        } else {
-            EnvKnowledge::new()
-        }
-    }
-}
-
 /// One member of a configuration: a walk member (state and composed iso)
-/// with the environment's hedge for the canonical prefix that reached it.
-type Member = (usize, u32, EnvKnowledge);
+/// with the renaming of the canonical prefix that reached it, which maps
+/// the run's raw fresh names to the tester's trace-local indices.
+type Member = (usize, u32, TraceRenamer);
 
 /// A configuration: the members reachable under one canonical
 /// observation sequence (sorted and deduplicated, so equal
@@ -128,12 +111,12 @@ type Cfg = Vec<Member>;
 /// branches apart, so their futures pool.
 fn successors(walk: &mut WeakWalk<'_>, cfg: &Cfg) -> BTreeMap<String, Cfg> {
     let mut out: BTreeMap<String, BTreeSet<Member>> = BTreeMap::new();
-    for (s, g, knowledge) in cfg {
+    for (s, g, renamer) in cfg {
         walk.visible_steps((*s, *g), |ev, members| {
-            let mut k = knowledge.clone();
-            let canon = k.observe(&ev);
+            let mut r = renamer.clone();
+            let canon = r.canon(&ev);
             let set = out.entry(canon).or_default();
-            set.extend(members.into_iter().map(|(t, gi)| (t, gi, k.clone())));
+            set.extend(members.into_iter().map(|(t, gi)| (t, gi, r.clone())));
         });
     }
     out.into_iter()
@@ -142,32 +125,30 @@ fn successors(walk: &mut WeakWalk<'_>, cfg: &Cfg) -> BTreeMap<String, Cfg> {
 }
 
 /// The initial configuration: the identity-rooted τ-closure of state 0
-/// (sorted, so the configuration is too), every member under `knowledge`.
-fn initial(walk: &mut WeakWalk<'_>, knowledge: &EnvKnowledge) -> Cfg {
+/// (sorted, so the configuration is too), every member with an empty
+/// renaming.
+fn initial(walk: &mut WeakWalk<'_>) -> Cfg {
     walk.closure((0, 0))
         .into_iter()
-        .map(|(s, g)| (s, g, knowledge.clone()))
+        .map(|(s, g)| (s, g, TraceRenamer::new()))
         .collect()
 }
 
-/// Checks `implementation ⊑ specification` by on-the-fly hedged
-/// bisimulation up to `max_visible` observations, with `opts` selecting
-/// fault-injection behaviour.
+/// Checks `implementation ⊑ specification` by the on-the-fly subset
+/// construction up to `max_visible` observations.
 ///
 /// This is the *raw* bounded comparison; it never answers
 /// [`TraceVerdict::Inconclusive`].  When either LTS may be truncated,
 /// use [`bisim_preorder_sound`].
 #[must_use]
-pub fn bisim_preorder_with(
+pub fn bisim_preorder(
     implementation: &Lts,
     specification: &Lts,
     max_visible: usize,
-    opts: &BisimOptions,
 ) -> TraceVerdict {
     let mut iw = WeakWalk::new(implementation);
     let mut sw = WeakWalk::new(specification);
-    let k0 = opts.knowledge();
-    let start = (initial(&mut iw, &k0), initial(&mut sw, &k0));
+    let start = (initial(&mut iw), initial(&mut sw));
     // The empty experiment always matches.
     let mut checked = 1usize;
     let mut visited: HashMap<(Cfg, Cfg), usize> = HashMap::new();
@@ -207,56 +188,33 @@ pub fn bisim_preorder_with(
     TraceVerdict::Holds { checked }
 }
 
-/// [`bisim_preorder_with`] with default options.
-#[must_use]
-pub fn bisim_preorder(
-    implementation: &Lts,
-    specification: &Lts,
-    max_visible: usize,
-) -> TraceVerdict {
-    bisim_preorder_with(implementation, specification, max_visible, &BisimOptions::default())
-}
-
-/// [`bisim_preorder_with`] under the same truncation soundness rules as
+/// [`bisim_preorder`] under the same truncation soundness rules as
 /// [`crate::trace_preorder_sound`]: a *Holds* needs a complete
 /// implementation side, a *Fails* a complete specification side, and
 /// anything else is inconclusive, blaming the exhausted side.
-#[must_use]
-pub fn bisim_preorder_sound_with(
-    implementation: &Lts,
-    specification: &Lts,
-    max_visible: usize,
-    opts: &BisimOptions,
-) -> TraceVerdict {
-    let raw = bisim_preorder_with(implementation, specification, max_visible, opts);
-    match truncation_blame(raw.holds(), implementation, specification) {
-        Some(exhausted) => TraceVerdict::Inconclusive { exhausted },
-        None => raw,
-    }
-}
-
-/// [`bisim_preorder_sound_with`] with default options.
 #[must_use]
 pub fn bisim_preorder_sound(
     implementation: &Lts,
     specification: &Lts,
     max_visible: usize,
 ) -> TraceVerdict {
-    bisim_preorder_sound_with(implementation, specification, max_visible, &BisimOptions::default())
+    let raw = bisim_preorder(implementation, specification, max_visible);
+    match truncation_blame(raw.holds(), implementation, specification) {
+        Some(exhausted) => TraceVerdict::Inconclusive { exhausted },
+        None => raw,
+    }
 }
 
 /// The canonical observation sequences the bisimulation engine's
 /// configuration graph spells out, up to `max_visible` observations.
 ///
-/// With full analysis this is provably the weak trace set of
-/// [`crate::weak_traces`] — the differential surface the `engines`
-/// conformance oracle compares string for string, which is what makes
-/// an under-closing hedge (the `bisim-skip-analysis` planted bug)
-/// observable even on a single system.
+/// This is provably the weak trace set of [`crate::weak_traces`]: the
+/// differential surface the `engines` conformance oracle compares
+/// string for string, on a single system.
 #[must_use]
-pub fn bisim_traces(lts: &Lts, max_visible: usize, opts: &BisimOptions) -> TraceSet {
+pub fn bisim_traces(lts: &Lts, max_visible: usize) -> TraceSet {
     let mut walk = WeakWalk::new(lts);
-    let start = initial(&mut walk, &opts.knowledge());
+    let start = initial(&mut walk);
     let mut out = TraceSet::new();
     let mut stack = vec![(start, max_visible, Vec::new())];
     while let Some((cfg, remaining, prefix)) = stack.pop() {
@@ -342,11 +300,7 @@ mod tests {
             "(^kAB)((^m)c<{m}kAB> | c(z).case z of {w}kAB in observe<w>)",
         ] {
             let l = lts(src);
-            assert_eq!(
-                bisim_traces(&l, 4, &BisimOptions::default()),
-                weak_traces(&l, 4),
-                "on {src}"
-            );
+            assert_eq!(bisim_traces(&l, 4), weak_traces(&l, 4), "on {src}");
         }
     }
 
@@ -370,7 +324,7 @@ mod tests {
             "engines disagree on reduced pm2: trace={t:?} bisim={b:?}"
         );
         assert_eq!(
-            bisim_traces(&ci, 4, &BisimOptions::default()),
+            bisim_traces(&ci, 4),
             weak_traces(&ci, 4),
             "configuration language diverged on a reduced LTS"
         );
@@ -395,18 +349,6 @@ mod tests {
         assert!(!bisim_preorder_sound(&big, &truncated("observe<a>"), 3).decided());
         let empty = lts("0");
         assert!(bisim_preorder_sound(&empty, &truncated("observe<a>"), 3).holds());
-    }
-
-    #[test]
-    fn the_planted_under_closure_is_visible_in_the_trace_language() {
-        // Two distinct nonces under one key vs one nonce twice: the
-        // full hedge separates them, the under-closed one cannot.
-        let l = lts("(^k)(^m)(^n)(c<{m}k>.c<{n}k>)");
-        let bug = BisimOptions {
-            skip_analysis: true,
-        };
-        assert_eq!(bisim_traces(&l, 4, &BisimOptions::default()), weak_traces(&l, 4));
-        assert_ne!(bisim_traces(&l, 4, &bug), weak_traces(&l, 4));
     }
 
     #[test]

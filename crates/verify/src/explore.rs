@@ -130,13 +130,6 @@ pub struct ExploreOptions {
     /// any [`ReduceOptions`] reduction; useful on its own to make two
     /// explorations' trace sets exactly comparable.
     pub track_isos: bool,
-    /// Test-only planted bug: replace the symmetry quotient with an
-    /// *erasing* pseudo-quotient (copy subtrees dropped, signatures
-    /// hashed) that conflates genuinely different states.  Exists so the
-    /// conformance suite can prove its `reduce` oracle catches a
-    /// realistic canonicalization bug.
-    #[doc(hidden)]
-    pub sym_conflate: bool,
     /// A wall-clock cut-off.  When the clock passes it, the exploration
     /// stops between state expansions (in-flight workers drain
     /// cooperatively), the prefix built so far is kept, and the
@@ -195,7 +188,6 @@ impl Default for ExploreOptions {
             verify_keys: false,
             reduce: ReduceOptions::none(),
             track_isos: false,
-            sym_conflate: false,
             deadline: None,
             cancel: None,
             progress: None,
@@ -905,8 +897,6 @@ struct SymCtx {
     tracking: bool,
     /// Quotient keys by session-copy permutations.
     symmetry: bool,
-    /// The planted-bug pseudo-quotient (see `ExploreOptions::sym_conflate`).
-    conflate: bool,
     /// Positions that must not move: the intruder's and the fault
     /// model's seats.
     pinned: Vec<Path>,
@@ -1051,12 +1041,6 @@ impl StateStore {
         if groups.is_empty() {
             return raw();
         }
-        if self.sym.conflate {
-            if !symmetry::sym_eligible(&sd.cfg, &sd.held()) {
-                return raw();
-            }
-            return self.conflated(sd, &groups, want_string);
-        }
         // A candidate-cap overflow keeps the raw key: sound, because
         // permuted siblings overflow identically and fall back alike.
         let (key, journal, perm, scored) = match signature_min(sd, &groups) {
@@ -1090,60 +1074,6 @@ impl StateStore {
                 candidates: scored,
                 overflows: 0,
             },
-        }
-    }
-
-    /// The planted-bug pseudo-quotient: hash the copy-erased state plus
-    /// the sorted per-group signature multisets.  Permutation-invariant —
-    /// and *overmerging*, which the conformance `reduce` oracle must
-    /// catch.
-    fn conflated(
-        &self,
-        sd: &StateData,
-        groups: &[symmetry::SessionGroup],
-        want_string: bool,
-    ) -> CanonOut {
-        let (erased_cfg, erasure) = symmetry::erase_copies(&sd.cfg, groups);
-        let erased = StateData {
-            cfg: erased_cfg,
-            knowledge: sd
-                .knowledge
-                .map_terms(|t| symmetry::rewrite_term(t, &erasure)),
-            fresh_made: sd.fresh_made,
-            net: sd.net.clone(),
-        };
-        let render = |out: &mut dyn FnMut(&str)| {
-            let mut s = String::new();
-            erased.write_key(&mut s);
-            out(&s);
-            for sigs in symmetry::group_signatures(&sd.cfg, groups) {
-                out("|sig:");
-                for sig in sigs {
-                    out(&sig);
-                    out(";");
-                }
-            }
-        };
-        let mut h = CanonHasher::new();
-        render(&mut |part| {
-            use std::fmt::Write as _;
-            let _ = h.write_str(part);
-        });
-        let string = want_string.then(|| {
-            let mut s = String::new();
-            render(&mut |part| s.push_str(part));
-            s
-        });
-        let (_, journal) = sd.key_and_journal();
-        CanonOut {
-            key: h.finish(),
-            string,
-            annot: SymAnnot {
-                perm: PathPerm::identity(),
-                journal,
-                names_len: u32::try_from(sd.cfg.names().len()).unwrap_or(u32::MAX),
-            },
-            tally: SymTally::default(),
         }
     }
 
@@ -1361,7 +1291,6 @@ impl Explorer {
         let sym = SymCtx {
             tracking,
             symmetry: self.opts.reduce.symmetry,
-            conflate: self.opts.sym_conflate,
             pinned: pinned.cloned().collect(),
         };
         let mut store = StateStore::new(self.opts.verify_keys, sym, payloads);
@@ -2497,7 +2426,6 @@ mod tests {
             SymCtx {
                 tracking: true,
                 symmetry: true,
-                conflate: false,
                 pinned: Vec::new(),
             },
             Payloads::Keep,
@@ -2740,42 +2668,5 @@ mod tests {
         assert_eq!(plain.stats.states, tracked.stats.states);
         assert_eq!(plain.stats.edges, tracked.stats.edges);
         assert_eq!(weak_traces(&plain, 3), weak_traces(&tracked, 3));
-    }
-
-    #[test]
-    fn conflating_pseudo_quotient_is_a_real_planted_bug() {
-        // The erasing pseudo-quotient must overmerge (fewer states than
-        // the sound quotient on some input) — otherwise the conformance
-        // oracle would have nothing to catch.
-        let src = "!((^m)(^n)(c<m>.c<n> | c(x).c(y).d<x>.d<y>)) | d(z)";
-        let sound = explore(
-            src,
-            ExploreOptions {
-                unfold_bound: 3,
-                reduce: ReduceOptions {
-                    symmetry: true,
-                    por: false,
-                },
-                ..ExploreOptions::default()
-            },
-        );
-        let buggy = explore(
-            src,
-            ExploreOptions {
-                unfold_bound: 3,
-                reduce: ReduceOptions {
-                    symmetry: true,
-                    por: false,
-                },
-                sym_conflate: true,
-                ..ExploreOptions::default()
-            },
-        );
-        assert!(
-            buggy.stats.states < sound.stats.states,
-            "conflation merges inequivalent states: {} vs {}",
-            buggy.stats.states,
-            sound.stats.states
-        );
     }
 }

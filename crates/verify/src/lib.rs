@@ -21,11 +21,11 @@
 //!   trace inclusion over origin-annotated observations (testers observe
 //!   message origins through the address-matching operator, so the
 //!   creator position is part of every observation);
-//! * [`bisim_preorder`] — the same relation decided by an independent
-//!   second engine, an on-the-fly hedged bisimulation over configuration
-//!   pairs with symbolic environment knowledge as hedges ([`Hedge`]);
-//!   [`Engine`] selects which procedure(s) a run trusts, and `both`
-//!   cross-checks them on every verdict;
+//! * [`bisim_preorder`] — the same relation decided by a second engine,
+//!   a breadth-first subset construction over pairs of configurations of
+//!   the weak LTS, each member naming fresh values with its own
+//!   [`TraceRenamer`]; [`Engine`] selects which procedure(s) a run
+//!   trusts, and `both` cross-checks them on every verdict;
 //! * [`simulates`] — a weak barbed simulation checker, the proof technique
 //!   used by the paper for Propositions 2 and 4;
 //! * [`may_exhibit`] / [`passes_test`] — the tests `(T, β)` of
@@ -51,7 +51,6 @@ mod environment;
 mod error;
 mod explore;
 pub mod faultsim;
-mod hedges;
 mod iso;
 pub mod jsonlite;
 mod knowledge;
@@ -67,12 +66,8 @@ mod traces;
 mod verifier;
 mod weak;
 
-pub use bisim::{
-    bisim_preorder, bisim_preorder_sound, bisim_preorder_sound_with, bisim_preorder_with,
-    bisim_traces, BisimOptions, Engine,
-};
+pub use bisim::{bisim_preorder, bisim_preorder_sound, bisim_traces, Engine};
 pub use budget::{Budget, CoverageStats, Governor, ResourceKind};
-pub use hedges::{EnvKnowledge, Hedge};
 pub use campaign::{
     fnv64, run_campaign, CampaignOptions, CampaignReport, MinimalCounterexample, ScheduleOutcome,
     ScheduleResult,

@@ -7,7 +7,6 @@
 //! message, the identity of every name (up to renaming of fresh ones) and
 //! the creator position of every name and composite.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use spi_addr::Path;
@@ -107,9 +106,13 @@ pub struct ObsEvent {
 /// assert_eq!(left.canon(&ev(5)), right.canon(&ev(9)));
 /// assert_ne!(left.canon(&ev(6)), right.canon(&ev(9)));
 /// ```
-#[derive(Debug, Clone, Default)]
+///
+/// Two renamers are equal exactly when they assign the same indices, so
+/// the bisimulation engine keys its configurations on them.
+#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TraceRenamer {
-    map: HashMap<u32, usize>,
+    /// The raw nonces seen so far; a nonce's index is its position.
+    nonces: Vec<u32>,
 }
 
 impl TraceRenamer {
@@ -134,8 +137,13 @@ impl TraceRenamer {
                 let _ = write!(out, "f:{n}");
             }
             ObsTerm::Fresh { nonce, creator } => {
-                let next = self.map.len();
-                let idx = *self.map.entry(*nonce).or_insert(next);
+                let idx = match self.nonces.iter().position(|n| n == nonce) {
+                    Some(idx) => idx,
+                    None => {
+                        self.nonces.push(*nonce);
+                        self.nonces.len() - 1
+                    }
+                };
                 let _ = write!(out, "n{idx}@{}", creator.to_bits());
             }
             ObsTerm::Pair(a, b, creator) => {

@@ -305,7 +305,7 @@ impl Verifier {
     }
 
     /// Selects the decision procedure(s): the trace engine (default),
-    /// the on-the-fly hedged-bisimulation engine, or both.  The engines
+    /// the on-the-fly bisimulation engine, or both.  The engines
     /// decide the same relation by independent algorithms; under
     /// [`Engine::Both`] every verdict is cross-checked and any
     /// disagreement fails the run loudly with

@@ -3,7 +3,7 @@
 //! Every checker steps an explored system weakly: a τ-closure, one
 //! visible edge, a τ-closure again.  The trace extractor
 //! ([`crate::weak_traces`], [`crate::find_realization`]), the
-//! hedged-bisimulation engine ([`crate::bisim_preorder`]) and the
+//! bisimulation engine ([`crate::bisim_preorder`]) and the
 //! simulation game ([`crate::simulates`]) all do it through
 //! [`WeakWalk`].
 //!
@@ -23,10 +23,10 @@
 //! isomorphisms; an *untracked* one records none, so a walk across a
 //! merge may join two runs' nonce lineages (one nonce, two creators).
 //!
-//! Canonicalization stays with the callers — the trace engine names
-//! fresh values with a [`crate::TraceRenamer`], the bisimulation engine
-//! with [`crate::EnvKnowledge`] hedges — so the two engines remain two
-//! independent renderings of the same walk.
+//! Canonicalization stays with the callers: both engines name fresh
+//! values with a [`crate::TraceRenamer`], the trace engine one per
+//! enumerated trace, the bisimulation engine one per configuration
+//! member.
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;

@@ -1,16 +1,15 @@
-//! Property-based tests of the second decision procedure: the hedged
-//! bisimulation engine agrees with the trace engine on arbitrary
-//! systems (at every reduction setting and worker count), the hedge's
-//! analysis closure is idempotent and saturated, and every
-//! counterexample the bisimulation checker extracts replays as a real
-//! distinguishing trace.
+//! Property-based tests of the second decision procedure: the
+//! bisimulation engine (a breadth-first subset construction over the
+//! weak LTS, one trace renamer per configuration member) agrees with
+//! the trace engine on arbitrary systems, at every reduction setting
+//! and worker count, and every counterexample it extracts replays as a
+//! real distinguishing trace.
 
 use proptest::prelude::*;
-use spi_addr::Path;
 use spi_syntax::{Name, Process, Term, Var};
 use spi_verify::{
-    bisim_preorder_sound, trace_preorder_sound, weak_traces, Budget, ExploreOptions, Explorer,
-    Hedge, Lts, ObsTerm, ReduceOptions, TraceVerdict,
+    bisim_preorder_sound, trace_preorder_sound, weak_traces, Budget, ExploreOptions, Explorer, Lts,
+    ReduceOptions, TraceVerdict,
 };
 
 fn arb_name() -> impl Strategy<Value = Name> {
@@ -22,7 +21,7 @@ fn arb_name() -> impl Strategy<Value = Name> {
 }
 
 /// A payload that sometimes hides the session nonce under encryption —
-/// the shape that exercises the hedge's ciphertext analysis rule.
+/// the shape that exercises linking fresh names under a ciphertext.
 fn arb_payload() -> impl Strategy<Value = Term> {
     (arb_name(), AnyBool).prop_map(|(m, encrypt)| {
         if encrypt {
@@ -83,33 +82,6 @@ fn explored(sys: &Process, o: ExploreOptions) -> Option<Lts> {
     Explorer::new(o).explore(sys).ok().filter(Lts::complete)
 }
 
-/// Observation-term strategy mirroring what the explorer emits: free
-/// names, creator-stamped fresh names, pairs, and ciphertexts.
-fn arb_obsterm(depth: u32) -> BoxedStrategy<ObsTerm> {
-    let creator = || "00".parse::<Path>().expect("valid path");
-    let leaf = prop_oneof![
-        (0u32..6).prop_map(move |nonce| ObsTerm::Fresh {
-            nonce,
-            creator: "00".parse().expect("valid path"),
-        }),
-        prop_oneof![Just("a"), Just("k")].prop_map(|n| ObsTerm::Free(Name::new(n))),
-    ];
-    if depth == 0 {
-        return leaf.boxed();
-    }
-    prop_oneof![
-        leaf,
-        (arb_obsterm(depth - 1), arb_obsterm(depth - 1))
-            .prop_map(|(a, b)| ObsTerm::Pair(Box::new(a), Box::new(b), None)),
-        (
-            prop::collection::vec(arb_obsterm(depth - 1), 1..3),
-            arb_obsterm(depth - 1)
-        )
-            .prop_map(move |(body, key)| ObsTerm::Enc(body, Box::new(key), Some(creator()))),
-    ]
-    .boxed()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -135,47 +107,6 @@ proptest! {
                     std::mem::discriminant(&b),
                     "engines disagree at reduce={:?} workers={}: trace={:?} bisim={:?}",
                     reduce, workers, t, b
-                );
-            }
-        }
-    }
-
-    /// Identity pairs never distinguish: extending an empty hedge with
-    /// `(t, t)` keeps it consistent and the pair synthesizable.
-    #[test]
-    fn identity_pairs_keep_the_hedge_consistent(t in arb_obsterm(3)) {
-        let mut h = Hedge::new();
-        prop_assert!(h.extend(t.clone(), t.clone()), "identity pair clashed");
-        prop_assert!(h.consistent(), "identity pair broke consistency");
-        prop_assert!(h.synthesizes(&t, &t), "identity pair not synthesizable");
-    }
-
-    /// The analysis closure is idempotent and saturated: re-extending a
-    /// hedge with pairs it already analyzed changes nothing, and no held
-    /// ciphertext pair has a synthesizable key pair (it would have been
-    /// decomposed).
-    #[test]
-    fn hedge_analysis_is_idempotent_and_saturated(
-        pairs in prop::collection::vec((arb_obsterm(2), arb_obsterm(2)), 1..4),
-    ) {
-        let mut h = Hedge::new();
-        for (l, r) in &pairs {
-            let _ = h.extend(l.clone(), r.clone());
-        }
-        let mut again = h.clone();
-        for (l, r) in &pairs {
-            let _ = again.extend(l.clone(), r.clone());
-        }
-        prop_assert_eq!(&again, &h, "re-analysis of known pairs changed the hedge");
-        for (l, r) in h.iter() {
-            prop_assert!(
-                h.synthesizes(l, r),
-                "irreducible pair not synthesizable: {:?} / {:?}", l, r
-            );
-            if let (ObsTerm::Enc(_, k1, _), ObsTerm::Enc(_, k2, _)) = (l, r) {
-                prop_assert!(
-                    !h.synthesizes(k1, k2),
-                    "held ciphertext pair is analyzable — the hedge under-closed"
                 );
             }
         }
