@@ -12,7 +12,10 @@
 //!
 //! Each record also carries `allocs_per_edge`: heap allocations per
 //! explored edge during the untimed warm-up run, counted by this binary's
-//! global allocator (all threads; switched off for the timed runs).
+//! global allocator (all threads; switched off for the timed runs), and
+//! `cpu_ms`: the process CPU time (every thread) of the run whose wall
+//! time is the median, so a second worker's gain shows next to what it
+//! cost.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -64,8 +67,32 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// `struct timespec` as `clock_gettime` fills it on 64-bit Linux.
+#[repr(C)]
+struct Timespec {
+    sec: i64,
+    nsec: i64,
+}
+
+extern "C" {
+    fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
+}
+
+/// CPU time consumed by every thread of this process so far, in ms.
+fn process_cpu_ms() -> f64 {
+    /// Linux's `CLOCK_PROCESS_CPUTIME_ID`.
+    const PROCESS_CPUTIME: i32 = 2;
+    let mut ts = Timespec { sec: 0, nsec: 0 };
+    // SAFETY: `ts` is a valid, writable `timespec` for the duration of
+    // the call, which writes nothing else.
+    let rc = unsafe { clock_gettime(PROCESS_CPUTIME, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime(CLOCK_PROCESS_CPUTIME_ID) failed");
+    ts.sec as f64 * 1e3 + ts.nsec as f64 / 1e6
+}
+
 struct Measured {
     median_ms: f64,
+    cpu_ms: f64,
     allocs_per_edge: f64,
     stats: ExploreStats,
 }
@@ -78,16 +105,21 @@ fn median_ms(verifier: &Verifier, protocol: &Process) -> Measured {
     let lts = verifier.explore(protocol).expect("explores");
     COUNTING.store(false, Ordering::Relaxed);
     let allocs = ALLOCS.load(Ordering::Relaxed);
-    let mut samples: Vec<f64> = (0..RUNS)
+    // (wall ms, process CPU ms) per timed run.
+    let mut samples: Vec<(f64, f64)> = (0..RUNS)
         .map(|_| {
+            let cpu = process_cpu_ms();
             let start = Instant::now();
             std::hint::black_box(verifier.explore(protocol).expect("explores"));
-            start.elapsed().as_secs_f64() * 1e3
+            let wall = start.elapsed().as_secs_f64() * 1e3;
+            (wall, process_cpu_ms() - cpu)
         })
         .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    samples.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
+    let (median_ms, cpu_ms) = samples[samples.len() / 2];
     Measured {
-        median_ms: samples[samples.len() / 2],
+        median_ms,
+        cpu_ms,
         allocs_per_edge: allocs as f64 / lts.stats.edges.max(1) as f64,
         stats: lts.stats,
     }
@@ -138,11 +170,13 @@ fn main() {
         println!(
             "{{\"engine\": \"{label}\", \"workers\": {workers}, \"instance\": \"{name}\", \
              \"sessions\": {sessions}, \"reduce\": \"{}\", \"median_ms\": {:.2}, \
+             \"cpu_ms\": {:.2}, \
              \"states\": {}, \"transitions\": {}, \"states_quotiented\": {}, \
              \"por_pruned\": {}, \"sym_canonicalizations\": {}, \"sym_candidates\": {}, \
              \"sym_overflows\": {}, \"allocs_per_edge\": {:.1}, \"runs\": {RUNS}}}",
             reduce.mode(),
             m.median_ms,
+            m.cpu_ms,
             s.states,
             s.edges,
             s.states_quotiented,

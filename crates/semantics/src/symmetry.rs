@@ -42,8 +42,9 @@
 //! [`apply_perm`] rewrites.  The one construct that is **not** equivariant
 //! is an unresolved source-level relative address (it resolves against
 //! the holder's depth, and copy roots sit at different depths along the
-//! spine), so [`sym_eligible`] refuses any state that still carries one —
-//! explorers fall back to the unquotiented key there.
+//! spine), so [`candidates`] refuses any state that still carries one
+//! ([`Fallback::Ineligible`]) — explorers fall back to the unquotiented
+//! key there.
 
 use std::fmt::Write;
 use std::sync::Arc;
@@ -207,34 +208,6 @@ pub fn session_groups(cfg: &Config, pinned: &[Path]) -> Vec<SessionGroup> {
     let mut kept = kept;
     kept.sort_by(|a, b| a.base.cmp(&b.base));
     kept
-}
-
-/// Returns `true` when the state — the configuration plus the terms it
-/// holds outside the tree, as `held` lists them for [`candidates`] —
-/// contains no construct whose behaviour depends on a position's *depth*
-/// rather than its identity: unresolved relative-address channel
-/// indexes, literal address matchings, and located-literal patterns all
-/// resolve a stored relative address against the holder's position,
-/// which copy permutations change.  Ineligible states keep their
-/// unquotiented keys (sound, just unmerged); [`candidates`] makes the
-/// same check on its own walk.
-#[must_use]
-pub fn sym_eligible(cfg: &Config, held: &[(u128, &RtTerm)]) -> bool {
-    /// Notes depth-dependent constructs; the paths do not matter.
-    struct Depth(bool);
-    impl Lens for Depth {
-        fn path<S: Write>(&mut self, _: &Path, _: &mut S) {}
-        fn depth_dependent(&mut self) {
-            self.0 = true;
-        }
-    }
-    let mut depth = Depth(false);
-    let (mut canon, mut sink) = (Canonicalizer::new(), CanonHasher::new());
-    canon.write_tree(cfg.tree(), cfg.names(), &mut depth, &mut sink);
-    for (_, t) in held {
-        canon.write_term(t, cfg.names(), &mut depth, &mut sink);
-    }
-    !depth.0
 }
 
 /// Rewrites every absolute path inside a term (composite creator stamps)
@@ -641,9 +614,12 @@ const INDIVIDUALIZED: u128 = 0x1d;
 /// Why a state keeps its unquotiented key (always sound, just unmerged).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fallback {
-    /// The state holds a construct that resolves a relative address
-    /// against its holder's depth (see [`sym_eligible`]): permuting
-    /// copies could change its behaviour.
+    /// The state — its configuration or a term it holds outside the
+    /// tree — contains a construct whose behaviour depends on a
+    /// position's *depth* rather than its identity: unresolved
+    /// relative-address channel indexes, literal address matchings and
+    /// located-literal patterns all resolve a stored relative address
+    /// against the holder's position, which copy permutations change.
     Ineligible,
     /// The ties refinement left would take more candidates than the cap.
     Overflow,
@@ -1142,11 +1118,18 @@ mod tests {
 
     #[test]
     fn eligibility_rejects_relative_address_constructs() {
-        assert!(sym_eligible(&cfg("(^m)(c<m> | c(x).d<x>)"), &[]));
-        assert!(!sym_eligible(&cfg("c(x).[x ~ @(1.0)] d<x>"), &[]));
+        let ineligible = |src: &str| {
+            let c = cfg(src);
+            matches!(
+                candidates(&c, &[], &[], MAX_CANDIDATES),
+                Err(Fallback::Ineligible)
+            )
+        };
+        assert!(!ineligible("(^m)(c<m> | c(x).d<x>)"));
+        assert!(ineligible("c(x).[x ~ @(1.0)] d<x>"));
         // An unresolved relative channel literal (it cannot resolve at its
         // leaf) keeps an `At` index.
-        assert!(!sym_eligible(&cfg("c@(11.0)<m>"), &[]));
+        assert!(ineligible("c@(11.0)<m>"));
     }
 
     #[test]

@@ -129,11 +129,13 @@ fn inputs<'s>(
 
 /// The intruder's moves, leaf by leaf: intercept every output on `C` the
 /// localization lets it take (learning the payload), and inject every
-/// candidate message into every input on `C` that accepts it.
+/// candidate message into every input on `C` that accepts it.  Each move
+/// carries a step description iff `describe`.
 pub(crate) fn intruder_moves(
     sd: &StateData,
     spec: &IntruderSpec,
     cache: &mut DeriveCache,
+    describe: bool,
     out: &mut Vec<(Label, StateData)>,
 ) {
     let seat = &spec.position;
@@ -144,12 +146,12 @@ pub(crate) fn intruder_moves(
         match leaf {
             LeafState::Out { chan, .. } if on_c(&chan.subject) => {
                 if let Some((mut next, payload)) = take(sd, &path, seat) {
-                    next.knowledge.learn(payload.clone());
-                    let desc = StepDesc::Intercept {
+                    let desc = describe.then(|| StepDesc::Intercept {
                         from: path.clone(),
                         subject: chan.subject.clone(),
-                        payload,
-                    };
+                        payload: payload.clone(),
+                    });
+                    next.knowledge.learn(payload);
                     out.push((Label::Tau(desc), next));
                 }
             }
@@ -166,11 +168,11 @@ pub(crate) fn intruder_moves(
                         }
                     };
                     if let Some(next) = deliver(next, &path, &payload, seat) {
-                        let desc = StepDesc::Inject {
+                        let desc = describe.then(|| StepDesc::Inject {
                             to: path.clone(),
                             subject: chan.subject.clone(),
                             payload,
-                        };
+                        });
                         out.push((Label::Tau(desc), next));
                     }
                 }
@@ -185,8 +187,14 @@ pub(crate) fn intruder_moves(
 /// every input on the same channel subject, and replay taps peeked
 /// messages into the log (free, deduplicated) and delivers logged ones.
 /// Buffered messages are then re-delivered free of charge: the fault was
-/// charged at capture.
-pub(crate) fn fault_moves(sd: &StateData, fspec: &FaultSpec, out: &mut Vec<(Label, StateData)>) {
+/// charged at capture.  Each move carries a step description iff
+/// `describe`.
+pub(crate) fn fault_moves(
+    sd: &StateData,
+    fspec: &FaultSpec,
+    describe: bool,
+    out: &mut Vec<(Label, StateData)>,
+) {
     let Some(net) = sd.net.as_ref() else {
         return;
     };
@@ -207,6 +215,7 @@ pub(crate) fn fault_moves(sd: &StateData, fspec: &FaultSpec, out: &mut Vec<(Labe
                         nn.buffer.push((chan.clone(), payload.clone()));
                     }
                     nn.log_message(chan, &payload);
+                    let payload = describe.then_some(payload);
                     out.push(fault(clause.kind, chan, payload, next));
                 }
             }
@@ -220,7 +229,8 @@ pub(crate) fn fault_moves(sd: &StateData, fspec: &FaultSpec, out: &mut Vec<(Labe
                             let nn = network(&mut next);
                             nn.used[ci] += 1;
                             nn.log_message(chan, &stamped);
-                            out.push(fault(FaultKind::Duplicate, chan, stamped.clone(), next));
+                            let payload = describe.then(|| stamped.clone());
+                            out.push(fault(FaultKind::Duplicate, chan, payload, next));
                         }
                     }
                 }
@@ -235,7 +245,8 @@ pub(crate) fn fault_moves(sd: &StateData, fspec: &FaultSpec, out: &mut Vec<(Labe
                     }
                     let mut next = sd.clone();
                     network(&mut next).log_message(chan, &stamped);
-                    out.push(fault(FaultKind::Replay, chan, stamped, next));
+                    let payload = describe.then_some(stamped);
+                    out.push(fault(FaultKind::Replay, chan, payload, next));
                 }
                 if !charged {
                     continue;
@@ -244,7 +255,8 @@ pub(crate) fn fault_moves(sd: &StateData, fspec: &FaultSpec, out: &mut Vec<(Labe
                     for to in inputs(sd, spelled(chan, names)) {
                         if let Some(mut next) = deliver(sd.clone(), &to, msg, seat) {
                             network(&mut next).used[ci] += 1;
-                            out.push(fault(FaultKind::Replay, chan, msg.clone(), next));
+                            let payload = describe.then(|| msg.clone());
+                            out.push(fault(FaultKind::Replay, chan, payload, next));
                         }
                     }
                 }
@@ -256,7 +268,8 @@ pub(crate) fn fault_moves(sd: &StateData, fspec: &FaultSpec, out: &mut Vec<(Labe
         for to in inputs(sd, spelled(chan, names)) {
             if let Some(mut next) = deliver(sd.clone(), &to, msg, seat) {
                 network(&mut next).buffer.remove(bi);
-                out.push(fault(FaultKind::Reorder, chan, msg.clone(), next));
+                let payload = describe.then(|| msg.clone());
+                out.push(fault(FaultKind::Reorder, chan, payload, next));
             }
         }
     }
@@ -267,13 +280,18 @@ fn network(next: &mut StateData) -> &mut NetworkState {
     next.net.get_or_insert_with(NetworkState::default)
 }
 
-/// A fault edge.
-fn fault(kind: FaultKind, chan: &Name, payload: RtTerm, next: StateData) -> (Label, StateData) {
-    let desc = StepDesc::Fault {
+/// A fault edge, described iff the affected message is given.
+fn fault(
+    kind: FaultKind,
+    chan: &Name,
+    payload: Option<RtTerm>,
+    next: StateData,
+) -> (Label, StateData) {
+    let desc = payload.map(|payload| StepDesc::Fault {
         kind,
         chan: chan.clone(),
         payload,
-    };
+    });
     (Label::Tau(desc), next)
 }
 

@@ -2,8 +2,8 @@
 //! resource governor, and an optional faulty network.
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -17,6 +17,7 @@ use spi_syntax::{Name, Process};
 
 use crate::environment::{self, IntruderSpec};
 use crate::iso::{Iso, IsoTable};
+use crate::pipeline::Pipeline;
 use crate::{
     Budget, CoverageStats, DeriveCache, Governor, Knowledge, ObsEvent, ObsTerm, ResourceKind,
     VerifyError,
@@ -107,13 +108,14 @@ pub struct ExploreOptions {
     pub intruder: Option<IntruderSpec>,
     /// The faulty-network model, if any.
     pub faults: Option<FaultSpec>,
-    /// Worker threads for frontier expansion.  `1` recovers the
-    /// sequential engine exactly; any value produces a bit-for-bit
-    /// identical [`Lts`] (state numbering, edges, governor accounting),
-    /// because each state's expansion — its successors *and* their
-    /// canonical keys, symmetry search included — is computed
-    /// speculatively on the pool, and only the key lookups and interning
-    /// run in the sequential visit order.  `0` is normalized to `1`.
+    /// Worker threads for frontier expansion, the calling thread
+    /// included.  `1` recovers the sequential engine exactly and spawns
+    /// no thread; any value produces a bit-for-bit identical [`Lts`]
+    /// (state numbering, edges, governor accounting), because each
+    /// state's expansion — its successors *and* their canonical keys,
+    /// symmetry search included — is computed speculatively on the pool,
+    /// and only the key lookups and interning run, on the calling
+    /// thread, in the sequential visit order.  `0` is normalized to `1`.
     pub workers: usize,
     /// Differential key verification: intern states by their full
     /// canonical strings *alongside* the 128-bit hashes and panic on any
@@ -196,11 +198,17 @@ impl Default for ExploreOptions {
     }
 }
 
-/// How many states of a frontier layer each explorer worker expands per
-/// pool dispatch.  Bounds the speculative successors held for the merge:
-/// expanding whole layers at once held them all (most are duplicates) and
-/// slowed canonicalization by about 40% on the largest instances.
-const WINDOW_PER_WORKER: usize = 128;
+/// How many consecutive states of the BFS queue one window holds: the
+/// unit of work a pool worker claims, and the granularity at which a
+/// window's payloads return to the store.
+const WINDOW: usize = 32;
+
+/// How many windows the merge keeps submitted to the pool ahead of the
+/// one it merges, per worker.  Bounds the speculative successors held
+/// for the merge: expanding whole layers at once held them all (most are
+/// duplicates) and slowed canonicalization by about 40% on the largest
+/// instances.
+const WINDOWS_AHEAD_PER_WORKER: usize = 2;
 
 /// The wall-clock cut-off shared between the merge loop and the workers:
 /// a cancellation flag plus an optional deadline.
@@ -328,15 +336,18 @@ impl StepDesc {
 
 /// A successor move's label as successor generation produces it: silent
 /// or visible, with its step description.  The merge splits it into an
-/// [`Edge`] and, when payloads are kept, the description.
+/// [`Edge`] and, when payloads are kept, the description.  Only
+/// payload-keeping runs describe environment and observation steps; an
+/// internal step always carries its [`StepInfo`], which the partial-order
+/// reduction reads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Label {
     /// A silent step (internal, an intruder move, or a network fault —
     /// the paper's testing scenario makes environment activity
     /// unobservable).
-    Tau(StepDesc),
+    Tau(Option<StepDesc>),
     /// A visible observation by the tester.
-    Obs(ObsEvent, StepDesc),
+    Obs(ObsEvent, Option<StepDesc>),
 }
 
 /// One edge of an [`Lts`]: whether the tester sees it, and which
@@ -888,8 +899,10 @@ fn signature_min(
         .ok_or(Fallback::Overflow)
 }
 
-/// How the store canonicalizes and relates states: the reduction switches
-/// plus the positions no copy permutation may move.
+/// How states are canonicalized and related: the reduction switches, the
+/// positions no copy permutation may move, and the key audit.  Fixed for
+/// a whole exploration, so every worker reads it while the merge alone
+/// owns the [`StateStore`].
 #[derive(Debug, Clone, Default)]
 struct SymCtx {
     /// Record journals on every interned state and isomorphisms on every
@@ -900,105 +913,15 @@ struct SymCtx {
     /// Positions that must not move: the intruder's and the fault
     /// model's seats.
     pinned: Vec<Path>,
+    /// Render every key's full canonical string as well
+    /// ([`ExploreOptions::verify_keys`]).
+    strings: bool,
 }
 
-/// Everything the store remembers about how one state was canonicalized:
-/// the winning copy permutation, the canonicalizer journal of the winning
-/// serialization, and the name-table length — the raw material for merge
-/// isomorphisms.
-#[derive(Debug, Clone, Default)]
-struct SymAnnot {
-    perm: PathPerm,
-    journal: Vec<u32>,
-    names_len: u32,
-}
-
-/// One state's canonical identity as the store computes it.
-struct CanonOut {
-    key: u128,
-    /// The full canonical string, present iff `verify_keys`.
-    string: Option<String>,
-    annot: SymAnnot,
-    /// What the symmetry search did for this state.
-    tally: SymTally,
-}
-
-/// The symmetry search's work on one state, summed into
-/// [`ExploreStats`] in the merge's sequential order.
-#[derive(Debug, Clone, Copy, Default)]
-struct SymTally {
-    canonicalizations: u64,
-    candidates: u64,
-    overflows: u64,
-}
-
-impl SymTally {
-    fn add_to(self, stats: &mut ExploreStats) {
-        stats.sym_canonicalizations += self.canonicalizations;
-        stats.sym_candidates += self.candidates;
-        stats.sym_overflows += self.overflows;
-    }
-}
-
-/// What an exploration keeps of each state's payload (configuration,
-/// knowledge, network state) once the state has been expanded, and of
-/// each edge's step description.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-enum Payloads {
-    /// Every payload and step description rides on the finished
-    /// [`Lts`]: narration, secrecy, deadlock detection and `--dot` read
-    /// them.
-    #[default]
-    Keep,
-    /// Each payload is dropped as soon as the merge loop has consumed
-    /// its state's expansion, step descriptions are never stored, and
-    /// the finished [`Lts`] carries neither.  Deciding a preorder reads
-    /// keys, barbs, edges, observations and isomorphisms alone, so an
-    /// expanded state costs only its [`LtsState`].
-    Release,
-}
-
-/// The state store: LTS states, their exploration payloads, the
-/// observation table, and the canonical-key index (hashed, with an
-/// optional parallel string index for differential verification).
-#[derive(Debug, Default)]
-struct StateStore {
-    /// The states as the finished [`Lts`] holds them.
-    nodes: Vec<LtsState>,
-    /// Payloads, parallel to `nodes`; `None` once released.
-    data: Vec<Option<StateData>>,
-    payloads: Payloads,
-    /// Step descriptions, parallel to `nodes` and each to its edges;
-    /// filled only when payloads are kept.
-    descs: Vec<Vec<StepDesc>>,
-    /// The observation table: each distinct event and its id, assigned
-    /// in first-recorded order.
-    observations: HashMap<ObsEvent, u32>,
-    index: HashMap<u128, usize>,
-    /// Present iff [`ExploreOptions::verify_keys`]: the same interning
-    /// decisions re-derived from full canonical strings.
-    strings: Option<HashMap<String, usize>>,
-    /// Canonicalization annotations, parallel to `nodes` (empty
-    /// annotations when not tracking).
-    annots: Vec<SymAnnot>,
-    isos: IsoTable,
-    sym: SymCtx,
-}
-
-impl StateStore {
-    fn new(verify_keys: bool, sym: SymCtx, payloads: Payloads) -> StateStore {
-        StateStore {
-            strings: verify_keys.then(HashMap::new),
-            payloads,
-            isos: IsoTable::new(),
-            sym,
-            ..StateStore::default()
-        }
-    }
-
+impl SymCtx {
     /// The canonical identity of `sd` under the configured reductions.
-    /// A pure function of `sd` and the store's fixed switches, so the
-    /// explorer's workers compute it while the store is shared.
+    /// A pure function of `sd` and the fixed switches, so the explorer's
+    /// workers compute it while the merge interns.
     ///
     /// Without tracking this is the historical raw key.  With the
     /// symmetry quotient, colour refinement over the session copies
@@ -1011,8 +934,8 @@ impl StateStore {
     /// the quotient can never conflate two states a plain exploration
     /// would distinguish.
     fn canonical(&self, sd: &StateData) -> CanonOut {
-        let want_string = self.strings.is_some();
-        if !self.sym.tracking {
+        let want_string = self.strings;
+        if !self.tracking {
             return CanonOut {
                 key: sd.key(),
                 string: want_string.then(|| sd.key_string()),
@@ -1034,10 +957,10 @@ impl StateStore {
                 tally: SymTally::default(),
             }
         };
-        if !self.sym.symmetry {
+        if !self.symmetry {
             return raw();
         }
-        let groups = symmetry::session_groups(&sd.cfg, &self.sym.pinned);
+        let groups = symmetry::session_groups(&sd.cfg, &self.pinned);
         if groups.is_empty() {
             return raw();
         }
@@ -1076,11 +999,119 @@ impl StateStore {
             },
         }
     }
+}
 
-    /// Stores `sd` as a brand-new state without consulting the governor —
-    /// used for the initial state, which is always kept so a partial
-    /// answer is never empty.
-    fn push(&mut self, out: CanonOut, sd: StateData, queue: &mut VecDeque<usize>) -> usize {
+/// Everything the store remembers about how one state was canonicalized:
+/// the winning copy permutation, the canonicalizer journal of the winning
+/// serialization, and the name-table length — the raw material for merge
+/// isomorphisms.
+#[derive(Debug, Clone, Default)]
+struct SymAnnot {
+    perm: PathPerm,
+    journal: Vec<u32>,
+    names_len: u32,
+}
+
+/// One state's canonical identity as [`SymCtx::canonical`] computes it.
+struct CanonOut {
+    key: u128,
+    /// The full canonical string, present iff `verify_keys`.
+    string: Option<String>,
+    annot: SymAnnot,
+    /// What the symmetry search did for this state.
+    tally: SymTally,
+}
+
+/// The symmetry search's work on one state, summed into
+/// [`ExploreStats`] in the merge's sequential order.
+#[derive(Debug, Clone, Copy, Default)]
+struct SymTally {
+    canonicalizations: u64,
+    candidates: u64,
+    overflows: u64,
+}
+
+impl SymTally {
+    fn add_to(self, stats: &mut ExploreStats) {
+        stats.sym_canonicalizations += self.canonicalizations;
+        stats.sym_candidates += self.candidates;
+        stats.sym_overflows += self.overflows;
+    }
+}
+
+/// What an exploration keeps of each state's payload (configuration,
+/// knowledge, network state) once the state has been expanded, and of
+/// each edge's step description.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Payloads {
+    /// Every payload and step description rides on the finished
+    /// [`Lts`]: narration, secrecy, deadlock detection and `--dot` read
+    /// them.
+    #[default]
+    Keep,
+    /// Each payload is dropped once the merge loop has consumed its
+    /// window, step descriptions are never built, and the finished
+    /// [`Lts`] carries neither.  Deciding a preorder reads keys, barbs,
+    /// edges, observations and isomorphisms alone, so an expanded state
+    /// costs only its [`LtsState`].
+    Release,
+}
+
+/// Consecutive states of the BFS queue with their payloads, moved out of
+/// the store while the window is expanded and merged: the unit of work a
+/// pool worker claims.
+struct Window {
+    states: Vec<usize>,
+    payloads: Vec<StateData>,
+}
+
+/// The state store, owned by the merge alone: LTS states, the payloads
+/// of states no window holds, the BFS queue, the observation table, and
+/// the canonical-key index (hashed, with an optional parallel string
+/// index for differential verification).
+#[derive(Debug, Default)]
+struct StateStore {
+    /// The states as the finished [`Lts`] holds them.
+    nodes: Vec<LtsState>,
+    /// Payloads, parallel to `nodes`; `None` while a window holds the
+    /// payload, and once it is released.
+    data: Vec<Option<StateData>>,
+    payloads: Payloads,
+    /// Interned states not yet handed to a window, in BFS order.
+    queue: VecDeque<usize>,
+    /// Step descriptions, parallel to `nodes` and each to its edges;
+    /// filled only when payloads are kept.
+    descs: Vec<Vec<StepDesc>>,
+    /// The observation table: each distinct event and its id, assigned
+    /// in first-recorded order.
+    observations: HashMap<ObsEvent, u32>,
+    index: HashMap<u128, usize>,
+    /// Present iff [`ExploreOptions::verify_keys`]: the same interning
+    /// decisions re-derived from full canonical strings.
+    strings: Option<HashMap<String, usize>>,
+    /// Canonicalization annotations, parallel to `nodes` (empty
+    /// annotations when not tracking).
+    annots: Vec<SymAnnot>,
+    isos: IsoTable,
+    /// Whether merges record isomorphisms ([`SymCtx::tracking`]).
+    tracking: bool,
+}
+
+impl StateStore {
+    fn new(verify_keys: bool, tracking: bool, payloads: Payloads) -> StateStore {
+        StateStore {
+            strings: verify_keys.then(HashMap::new),
+            payloads,
+            isos: IsoTable::new(),
+            tracking,
+            ..StateStore::default()
+        }
+    }
+
+    /// Stores `sd` as a brand-new state, queued for expansion, without
+    /// consulting the governor — used directly for the initial state,
+    /// which is always kept so a partial answer is never empty.
+    fn push(&mut self, out: CanonOut, sd: StateData) -> usize {
         let i = self.nodes.len();
         self.nodes.push(LtsState {
             key: out.key,
@@ -1098,7 +1129,7 @@ impl StateStore {
         self.index.insert(out.key, i);
         self.data.push(Some(sd));
         self.annots.push(out.annot);
-        queue.push_back(i);
+        self.queue.push_back(i);
         i
     }
 
@@ -1106,13 +1137,13 @@ impl StateStore {
     /// index plus the id of the isomorphism mapping the stored
     /// representative's coordinates to `sd`'s (`0`, the identity, for new
     /// states and untracked stores), or `None` when the state budget is
-    /// already spent (noted on the governor).
+    /// already spent (noted on the governor).  `sd` is absent only when
+    /// the lookup is bound to hit (see [`Expander::expand_window`]).
     fn intern(
         &mut self,
         out: CanonOut,
-        sd: StateData,
+        sd: Option<StateData>,
         gov: &mut Governor,
-        queue: &mut VecDeque<usize>,
     ) -> Option<(usize, u32)> {
         let hit = self.index.get(&out.key).copied();
         if let Some(strings) = &self.strings {
@@ -1130,7 +1161,7 @@ impl StateStore {
             );
         }
         if let Some(i) = hit {
-            let iso = if self.sym.tracking {
+            let iso = if self.tracking {
                 self.merge_iso(i, &out.annot)
             } else {
                 0
@@ -1140,14 +1171,38 @@ impl StateStore {
         if !gov.admit_state(self.nodes.len()) {
             return None;
         }
-        Some((self.push(out, sd, queue), 0))
+        let sd = sd.expect("a successor arrives without its payload only once interned");
+        Some((self.push(out, sd), 0))
     }
 
-    /// The payload of a state that is still to be expanded.
-    fn payload(&self, i: usize) -> &StateData {
-        self.data[i]
-            .as_ref()
-            .expect("a state keeps its payload until it is expanded")
+    /// The next window: up to `size` states from the front of the queue,
+    /// their payloads moved out of the store.  `None` once the queue is
+    /// empty.
+    fn window(&mut self, size: usize) -> Option<Window> {
+        if self.queue.is_empty() {
+            return None;
+        }
+        let take = size.min(self.queue.len());
+        let states: Vec<usize> = self.queue.drain(..take).collect();
+        let payloads = states
+            .iter()
+            .map(|&i| {
+                self.data[i]
+                    .take()
+                    .expect("a queued state keeps its payload until its window")
+            })
+            .collect();
+        Some(Window { states, payloads })
+    }
+
+    /// Takes a window's payloads back once nothing else will read them:
+    /// into the store when payloads are kept, dropped when released.
+    fn settle(&mut self, window: Window) {
+        if self.payloads == Payloads::Keep {
+            for (i, sd) in window.states.into_iter().zip(window.payloads) {
+                self.data[i] = Some(sd);
+            }
+        }
     }
 
     /// Appends the edge `label` to `tgt` to state `cur`'s edges, interning
@@ -1171,6 +1226,7 @@ impl StateStore {
             target: edge_id(tgt)?,
         });
         if self.payloads == Payloads::Keep {
+            let desc = desc.expect("a payload-keeping exploration describes every step");
             self.descs[cur].push(desc);
         }
         Ok(edges.len() - 1)
@@ -1225,6 +1281,144 @@ impl StateStore {
     }
 }
 
+/// The expansions a window came back with, parallel to its states; a
+/// `None` slot is expanded on demand if the merge reaches it.
+type Computed = Vec<Option<Result<Expansion, VerifyError>>>;
+
+/// The explorer's pool: windows in, their expansions out, in order.
+type Pool = Pipeline<Arc<Window>, Computed>;
+
+/// The merge thread's half of an exploration: the store, the governor,
+/// and what the finished [`Lts`] reports besides its states.
+struct Merge {
+    store: StateStore,
+    gov: Governor,
+    stats: ExploreStats,
+    edges: usize,
+    edge_isos: BTreeMap<(usize, usize), u32>,
+    /// Fully-expanded flags, parallel to the store's nodes.
+    expanded: Vec<bool>,
+}
+
+impl Merge {
+    /// Merges `window`'s states in the sequential visit order: checks the
+    /// wall clock, replays the governor's charges, takes each state's
+    /// expansion from `computed` (expanding on demand where the pool left
+    /// none), interns the successors and records the edges — same
+    /// numbering, same accounting, same cut-offs at every worker count.
+    /// Returns `false` when a cut-off ends the exploration; every state
+    /// not expanded by then is frontier.
+    fn consume(
+        &mut self,
+        ex: &Expander<'_>,
+        window: &Window,
+        computed: Computed,
+        cache: &mut DeriveCache,
+    ) -> Result<bool, VerifyError> {
+        let mut computed = computed.into_iter();
+        for (&cur, sd) in window.states.iter().zip(&window.payloads) {
+            let speculated = computed.next().flatten();
+            if ex.clock.overrun() {
+                self.gov.note(ResourceKind::WallClock);
+                return Ok(false);
+            }
+            if !self.gov.charge_fuel() {
+                return Ok(false);
+            }
+            if !self.gov.admit_knowledge(sd.knowledge.len()) {
+                // Too much knowledge to expand: the state stays on the
+                // frontier, but exploration of its siblings continues.
+                // (Any speculative successors are discarded unused.)
+                continue;
+            }
+            // An error surfaces only when the merge actually consumes
+            // the state, exactly as in the sequential engine; errors in
+            // speculative work past a cut-off are dropped with it.
+            let succ = match speculated {
+                Some(result) => result?,
+                None => ex.expand(cur, sd, cache)?,
+            };
+            if !self.gov.charge_steps(succ.moves.len().max(1)) {
+                return Ok(false);
+            }
+            // Pruning is accounted only when the state is actually
+            // consumed, so the counter is worker-count independent.
+            self.stats.por_pruned += succ.pruned;
+            // One exact allocation: every move becomes an edge unless a
+            // cut-off ends the exploration first.
+            self.store.nodes[cur].edges.reserve_exact(succ.moves.len());
+            if self.store.payloads == Payloads::Keep {
+                self.store.descs[cur].reserve_exact(succ.moves.len());
+            }
+            for (label, next, out) in succ.moves {
+                if !self.gov.admit_transition(self.edges) {
+                    return Ok(false);
+                }
+                out.tally.add_to(&mut self.stats);
+                let Some((tgt, iso)) = self.store.intern(out, next, &mut self.gov) else {
+                    return Ok(false);
+                };
+                let edge_pos = self.store.add_edge(cur, label, tgt)?;
+                self.edges += 1;
+                if iso != 0 {
+                    self.edge_isos.insert((cur, edge_pos), iso);
+                    if self.store.isos.get(iso).permutes_paths() {
+                        self.stats.states_quotiented += 1;
+                    }
+                }
+            }
+            if self.expanded.len() <= cur {
+                self.expanded.resize(self.store.nodes.len(), false);
+            }
+            self.expanded[cur] = true;
+            if let Some(p) = &ex.opts.progress {
+                p.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        Ok(true)
+    }
+
+    /// The finished [`Lts`]: every state not fully expanded is frontier.
+    fn finish(self) -> Lts {
+        let Merge {
+            store,
+            gov,
+            mut stats,
+            edges,
+            edge_isos,
+            mut expanded,
+        } = self;
+        let (states, observations, kept, isos) = store.finish();
+        expanded.resize(states.len(), false);
+        // `frontier` comes out sorted, which `Lts::deadlocks` relies on.
+        // A knowledge-capped state is never expanded, so it is frontier
+        // too.
+        let frontier: Vec<usize> = (0..states.len()).filter(|&i| !expanded[i]).collect();
+        stats.states = states.len();
+        stats.edges = edges;
+        let coverage = CoverageStats {
+            states: states.len(),
+            transitions: edges,
+            expanded: states.len() - frontier.len(),
+            frontier: frontier.len(),
+            steps: gov.steps_spent(),
+        };
+        Lts {
+            states,
+            stats,
+            coverage,
+            exhausted: gov.exhausted(),
+            frontier,
+            // An all-identity table with no recorded edges means nothing
+            // to undo: ship empty so downstream fast paths stay exact.
+            isos: if edge_isos.is_empty() { Vec::new() } else { isos },
+            edge_isos,
+            observations,
+            kept,
+        }
+    }
+}
+
 impl Explorer {
     /// An explorer with the given options.
     #[must_use]
@@ -1247,7 +1441,7 @@ impl Explorer {
 
     /// [`Explorer::explore`] for a run that is only decided: each state's
     /// configuration, knowledge and network state are dropped once it is
-    /// expanded and no step description is stored, so the [`Lts`]
+    /// expanded and no step description is built, so the [`Lts`]
     /// carries keys, barbs, edges, observations and isomorphisms alone
     /// (its [`Lts::descs`], [`Lts::config`] and [`Lts::knowledge`]
     /// panic).  Same states, edges, observation ids, numbering and
@@ -1256,6 +1450,13 @@ impl Explorer {
         self.run(process, Payloads::Release)
     }
 
+    /// Layered BFS in the sequential visit order (pop front, intern new
+    /// states at the back), fed to the merge a window at a time.  With
+    /// more than one worker, a pool that lives for the whole exploration
+    /// expands windows ahead of the merge — successors and their
+    /// canonical keys — while the calling thread merges: it only looks
+    /// keys up, interns, and replays the sequential governor decisions
+    /// verbatim, so the result is identical at every worker count.
     fn run(&self, process: &Process, payloads: Payloads) -> Result<Lts, VerifyError> {
         let cfg = Config::from_process(process)?;
         let mut knowledge = Knowledge::new();
@@ -1275,230 +1476,182 @@ impl Explorer {
             net: self.opts.faults.as_ref().map(FaultSpec::initial_state),
         };
 
-        let workers = self.opts.workers.max(1);
-        let own_cancel = Arc::new(AtomicBool::new(false));
-        let clock = WallClock {
-            cancel: self.opts.cancel.as_deref().unwrap_or(&own_cancel),
-            deadline: self.opts.deadline,
-            expired: AtomicBool::new(false),
-        };
-        let mut gov = Governor::new(self.opts.budget);
+        let own_cancel = AtomicBool::new(false);
         // Any reduction forces iso tracking: merges stop being identity
         // renamings, so traces must be able to undo them.
         let tracking = self.opts.track_isos || self.opts.reduce.enabled();
         let seats = self.opts.intruder.iter().map(|i| &i.position);
         let pinned = seats.chain(self.opts.faults.iter().map(|f| &f.position));
-        let sym = SymCtx {
-            tracking,
-            symmetry: self.opts.reduce.symmetry,
-            pinned: pinned.cloned().collect(),
+        let ex = Expander {
+            opts: &self.opts,
+            sym: SymCtx {
+                tracking,
+                symmetry: self.opts.reduce.symmetry,
+                pinned: pinned.cloned().collect(),
+                strings: self.opts.verify_keys,
+            },
+            clock: WallClock {
+                cancel: self.opts.cancel.as_deref().unwrap_or(&own_cancel),
+                deadline: self.opts.deadline,
+                expired: AtomicBool::new(false),
+            },
+            describe: payloads == Payloads::Keep,
         };
-        let mut store = StateStore::new(self.opts.verify_keys, sym, payloads);
-        let mut queue: VecDeque<usize> = VecDeque::new();
+        let mut merge = Merge {
+            store: StateStore::new(self.opts.verify_keys, tracking, payloads),
+            gov: Governor::new(self.opts.budget),
+            stats: ExploreStats::default(),
+            edges: 0,
+            edge_isos: BTreeMap::new(),
+            expanded: Vec::new(),
+        };
         // The initial state is always interned, even under a zero
         // budget, so a partial answer is never empty.
-        let mut stats = ExploreStats::default();
-        let out = store.canonical(&initial);
-        out.tally.add_to(&mut stats);
-        store.push(out, initial, &mut queue);
-        // Fully-expanded flags, parallel to `states`.
-        let mut expanded: Vec<bool> = Vec::new();
-        // One derivation memo per worker, kept for the whole exploration;
-        // the calling thread (and the on-demand path) uses the first.
-        let mut caches: Vec<DeriveCache> = (0..workers).map(|_| DeriveCache::new()).collect();
-
-        let mut edges_total = 0usize;
-        let mut edge_isos: BTreeMap<(usize, usize), u32> = BTreeMap::new();
-        // Layered BFS.  Draining the queue one layer at a time visits
-        // states in exactly the order the one-at-a-time loop would (pop
-        // front, intern new states at the back), which lets the workers
-        // expand the layer speculatively — successors and their
-        // canonical keys — while the merge below only looks keys up,
-        // interns, and replays the sequential governor decisions
-        // verbatim — same numbering, same accounting, same cut-offs.
-        // The pool takes the layer a window at a time, so only one
-        // window of speculative successors (mostly duplicates the merge
-        // drops) is alive at once.
-        let window = WINDOW_PER_WORKER * workers;
-        'bfs: while !queue.is_empty() {
-            let layer: Vec<usize> = queue.drain(..).collect();
-            let mut computed = Vec::new();
-            for (pos, &cur) in layer.iter().enumerate() {
-                if pos % window == 0 {
-                    let end = layer.len().min(pos + window);
-                    computed = self.expand_window(&layer[pos..end], &store, &mut caches, &clock);
+        let out = ex.sym.canonical(&initial);
+        out.tally.add_to(&mut merge.stats);
+        merge.store.push(out, initial);
+        // One derivation memo per thread, kept for the whole exploration.
+        let mut cache = DeriveCache::new();
+        let workers = self.opts.workers.max(1);
+        if workers == 1 {
+            ex.drive(&mut merge, None, &mut cache)?;
+        } else {
+            let pool = Pool::new();
+            let unmerged = std::thread::scope(|scope| {
+                let _closing = pool.closing();
+                for _ in 1..workers {
+                    scope.spawn(|| {
+                        let (mut cache, mut produced) = (DeriveCache::new(), HashSet::new());
+                        pool.serve(|window| ex.expand_window(&window, &mut cache, &mut produced));
+                    });
                 }
-                // Restores the queue as the sequential engine would have
-                // left it: the interrupted state first, then the rest of
-                // its layer, then everything interned meanwhile.
-                macro_rules! cut_off {
-                    () => {{
-                        for &idx in layer[pos..].iter().rev() {
-                            queue.push_front(idx);
-                        }
-                        break 'bfs;
-                    }};
-                }
-                if clock.overrun() {
-                    gov.note(ResourceKind::WallClock);
-                    cut_off!();
-                }
-                if !gov.charge_fuel() {
-                    cut_off!();
-                }
-                if !gov.admit_knowledge(store.payload(cur).knowledge.len()) {
-                    // Too much knowledge to expand: the state stays on
-                    // the frontier, but exploration of its siblings
-                    // continues.  (Any speculative successors are
-                    // discarded unused.)
-                    continue;
-                }
-                // An error surfaces only when the replay actually
-                // consumes the state, exactly as in the sequential
-                // engine; errors in speculative work past a cut-off are
-                // dropped with it.
-                let succ = match computed[pos % window].take() {
-                    Some(result) => result?,
-                    None => self.expand(cur, &store, &mut caches[0])?,
-                };
-                if !gov.charge_steps(succ.moves.len().max(1)) {
-                    cut_off!();
-                }
-                // Pruning is accounted only when the state is actually
-                // consumed, so the counter is worker-count independent.
-                stats.por_pruned += succ.pruned;
-                // One exact allocation: every move becomes an edge
-                // unless a cut-off ends the exploration first.
-                store.nodes[cur].edges.reserve_exact(succ.moves.len());
-                if payloads == Payloads::Keep {
-                    store.descs[cur].reserve_exact(succ.moves.len());
-                }
-                for (label, next, out) in succ.moves {
-                    if !gov.admit_transition(edges_total) {
-                        cut_off!();
-                    }
-                    out.tally.add_to(&mut stats);
-                    match store.intern(out, next, &mut gov, &mut queue) {
-                        Some((tgt, iso)) => {
-                            let edge_pos = store.add_edge(cur, label, tgt)?;
-                            edges_total += 1;
-                            if iso != 0 {
-                                edge_isos.insert((cur, edge_pos), iso);
-                                if store.isos.get(iso).permutes_paths() {
-                                    stats.states_quotiented += 1;
-                                }
-                            }
-                        }
-                        None => {
-                            cut_off!();
-                        }
-                    }
-                }
-                if expanded.len() <= cur {
-                    expanded.resize(store.nodes.len(), false);
-                }
-                expanded[cur] = true;
-                if payloads == Payloads::Release {
-                    store.data[cur] = None;
-                }
-                if let Some(p) = &self.opts.progress {
-                    p.fetch_add(1, Ordering::Relaxed);
-                }
+                ex.drive(&mut merge, Some((&pool, workers)), &mut cache)
+            })?;
+            // The pool has stopped, so each window it never merged is
+            // held here alone.
+            for window in unmerged {
+                let window = Arc::into_inner(window).expect("a stopped pool holds no window");
+                merge.store.settle(window);
             }
         }
-
-        let (states, observations, kept, isos) = store.finish();
-        expanded.resize(states.len(), false);
-        let mut frontier: Vec<usize> = (0..states.len()).filter(|&i| !expanded[i]).collect();
-        frontier.sort_unstable();
-        // A knowledge-capped state skipped above never re-enters the
-        // queue, so anything unexpanded is genuinely frontier.
-        let expanded_count = states.len() - frontier.len();
-        stats.states = states.len();
-        stats.edges = edges_total;
-        let coverage = CoverageStats {
-            states: states.len(),
-            transitions: edges_total,
-            expanded: expanded_count,
-            frontier: frontier.len(),
-            steps: gov.steps_spent(),
-        };
-        Ok(Lts {
-            states,
-            stats,
-            coverage,
-            exhausted: gov.exhausted(),
-            frontier,
-            // An all-identity table with no recorded edges means nothing
-            // to undo: ship empty so downstream fast paths stay exact.
-            isos: if edge_isos.is_empty() { Vec::new() } else { isos },
-            edge_isos,
-            observations,
-            kept,
-        })
+        Ok(merge.finish())
     }
+}
 
-    /// Speculatively expands every state of a window of a frontier layer
-    /// on a scoped pool of `caches.len()` workers, the calling thread
-    /// among them, each with the derivation memo it keeps for the whole
-    /// exploration.  Workers claim states from a shared cursor, so one
-    /// expensive state holds up only the worker expanding it.  Returns
-    /// `None` slots when the window is too small (or there is one worker)
-    /// to be worth fanning out — the merge loop then expands those states
-    /// on demand, which is literally the sequential engine.
+/// What every thread expanding states reads, fixed for a whole
+/// exploration: the options, the canonicalization context, the wall
+/// clock, and whether steps are described.
+struct Expander<'x> {
+    opts: &'x ExploreOptions,
+    sym: SymCtx,
+    clock: WallClock<'x>,
+    /// Build step descriptions of environment and observation moves:
+    /// only payload-keeping runs store them.
+    describe: bool,
+}
+
+impl Expander<'_> {
+    /// Feeds the merge the BFS queue a window at a time, until the queue
+    /// is empty or a cut-off ends the exploration.
     ///
-    /// Speculation never affects results: the merge consumes the slots
-    /// in sequential order and discards anything past a budget cut-off.
-    fn expand_window(
+    /// Without a pool every state is expanded on demand as the merge
+    /// reaches it: literally the sequential engine.  With one, the merge
+    /// keeps [`WINDOWS_AHEAD_PER_WORKER`] windows per worker submitted
+    /// ahead of the one it merges, cut from the queue as soon as it holds
+    /// states — a whole [`WINDOW`], or a worker's share of a shorter
+    /// queue — and takes their expansions in order, expanding unclaimed
+    /// windows itself while it waits.  Speculation never affects
+    /// results: the merge consumes the expansions in sequential order and
+    /// discards anything past a cut-off.
+    ///
+    /// Returns the windows submitted but never merged; the caller settles
+    /// their payloads once the pool has stopped.
+    fn drive(
         &self,
-        window: &[usize],
-        store: &StateStore,
-        caches: &mut [DeriveCache],
-        clock: &WallClock<'_>,
-    ) -> Vec<Option<Result<Expansion, VerifyError>>> {
-        let mut computed: Vec<Option<Result<Expansion, VerifyError>>> =
-            (0..window.len()).map(|_| None).collect();
-        let pool = caches.len().min(window.len());
-        if pool < 2 {
-            return computed;
-        }
-        let cursor = AtomicUsize::new(0);
-        let work = |cache: &mut DeriveCache| {
-            let mut done = Vec::new();
-            // A tripped deadline drains the window early: the merge loop
-            // cuts off before it would consume the missing slots.
-            while !clock.overrun() {
-                let pos = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&cur) = window.get(pos) else {
+        merge: &mut Merge,
+        pool: Option<(&Pool, usize)>,
+        cache: &mut DeriveCache,
+    ) -> Result<Vec<Arc<Window>>, VerifyError> {
+        let Some((pool, workers)) = pool else {
+            // One state at a time, so each payload is released as soon
+            // as its state is expanded.
+            while let Some(window) = merge.store.window(1) {
+                let more = merge.consume(self, &window, Vec::new(), cache)?;
+                merge.store.settle(window);
+                if !more {
+                    break;
+                }
+            }
+            return Ok(Vec::new());
+        };
+        let mut produced = HashSet::new();
+        let mut ahead: VecDeque<(u64, Arc<Window>)> = VecDeque::new();
+        loop {
+            while ahead.len() < WINDOWS_AHEAD_PER_WORKER * workers {
+                let size = WINDOW.min(merge.store.queue.len().div_ceil(workers));
+                let Some(window) = merge.store.window(size) else {
                     break;
                 };
-                done.push((pos, self.expand(cur, store, cache)));
+                let window = Arc::new(window);
+                ahead.push_back((pool.submit(Arc::clone(&window)), window));
             }
-            done
-        };
-        let (own, others) = caches[..pool].split_at_mut(1);
-        let done = std::thread::scope(|scope| {
-            let work = &work;
-            let handles: Vec<_> = others
-                .iter_mut()
-                .map(|cache| scope.spawn(move || work(cache)))
-                .collect();
-            let mut done = work(&mut own[0]);
-            for handle in handles {
-                // `expand` catches its own panics; anything else unwinds
-                // on as it would have in the worker.
-                done.extend(
-                    handle
-                        .join()
-                        .unwrap_or_else(|p| std::panic::resume_unwind(p)),
-                );
+            let Some((seq, window)) = ahead.pop_front() else {
+                break;
+            };
+            let computed = pool.take(seq, |w| self.expand_window(&w, cache, &mut produced));
+            let more = merge.consume(self, &window, computed, cache)?;
+            // Whoever expanded the window dropped its handle before
+            // handing the expansions over.
+            let window = Arc::into_inner(window).expect("a merged window is held here alone");
+            merge.store.settle(window);
+            if !more {
+                break;
             }
-            done
-        });
-        for (pos, result) in done {
-            computed[pos] = Some(result);
         }
-        computed
+        Ok(ahead.into_iter().map(|(_, window)| window).collect())
+    }
+
+    /// Expands every state of `window`, in order, on a pool thread whose
+    /// derivation memo is `cache` and which has produced the successor
+    /// keys in `produced` so far.  A tripped wall clock leaves the rest
+    /// of the window empty: the merge cuts off before it would consume
+    /// the missing slots.
+    ///
+    /// A successor the merge is bound to find interned is dropped here,
+    /// on the thread that built it, rather than handed over only to be
+    /// discarded by the merge: freeing it there cost the merge more than
+    /// interning (most successors are duplicates).  It is bound to be
+    /// found when this thread produced its key before — earlier in this
+    /// window or in an earlier one — from a state the merge will not skip
+    /// for its knowledge: every thread claims windows in submission
+    /// order, and the merge interns every successor of every state it
+    /// consumes, in order, until a cut-off ends the exploration.  The
+    /// merge's own index still decides every lookup, so which successors
+    /// arrive without a payload never changes the result.
+    fn expand_window(
+        &self,
+        window: &Window,
+        cache: &mut DeriveCache,
+        produced: &mut HashSet<u128>,
+    ) -> Computed {
+        let states = window.states.iter().zip(&window.payloads);
+        states
+            .map(|(&cur, sd)| {
+                if self.clock.overrun() {
+                    return None;
+                }
+                let mut expansion = self.expand(cur, sd, cache);
+                let merged = sd.knowledge.len() <= self.opts.budget.max_knowledge;
+                if let (Ok(exp), true) = (&mut expansion, merged) {
+                    for (_, next, out) in &mut exp.moves {
+                        if !produced.insert(out.key) {
+                            *next = None;
+                        }
+                    }
+                }
+                Some(expansion)
+            })
+            .collect()
     }
 
     /// One state's expansion, the unit of work of both the pool and the
@@ -1512,7 +1665,7 @@ impl Explorer {
     fn expand(
         &self,
         cur: usize,
-        store: &StateStore,
+        sd: &StateData,
         cache: &mut DeriveCache,
     ) -> Result<Expansion, VerifyError> {
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1522,7 +1675,7 @@ impl Explorer {
                     "test hook: successor computation for state {cur} panicked"
                 );
             }
-            self.successors(store.payload(cur), cache)
+            self.successors(sd, cache)
         }));
         // `&*` descends into the box: coercing `&payload` would unsize
         // the `Box` itself into the `dyn Any` and defeat the downcasts.
@@ -1535,8 +1688,8 @@ impl Explorer {
             .moves
             .into_iter()
             .map(|(label, next)| {
-                let out = store.canonical(&next);
-                (label, next, out)
+                let out = self.sym.canonical(&next);
+                (label, Some(next), out)
             })
             .collect();
         Ok(Expansion {
@@ -1556,7 +1709,7 @@ impl Explorer {
         for action in sd.cfg.enabled(self.opts.unfold_bound) {
             let mut next = sd.clone();
             let info = next.cfg.fire(&action)?;
-            out.push((Label::Tau(StepDesc::Internal(info)), next));
+            out.push((Label::Tau(Some(StepDesc::Internal(info))), next));
         }
 
         // Visible outputs: continuation outputs on free, unlocalized
@@ -1584,20 +1737,20 @@ impl Explorer {
                 chan: chan_base.clone(),
                 payload: ObsTerm::from_rt(&payload, next.cfg.names()),
             };
-            let desc = StepDesc::Observe {
+            let desc = self.describe.then(|| StepDesc::Observe {
                 from: path.clone(),
                 chan: chan_base,
                 payload,
-            };
+            });
             out.push((Label::Obs(ev, desc), next));
         }
 
         // The environments: the intruder, then the faulty network.
         if let Some(spec) = &self.opts.intruder {
-            environment::intruder_moves(sd, spec, cache, &mut out);
+            environment::intruder_moves(sd, spec, cache, self.describe, &mut out);
         }
         if let Some(fspec) = &self.opts.faults {
-            environment::fault_moves(sd, fspec, &mut out);
+            environment::fault_moves(sd, fspec, self.describe, &mut out);
         }
 
         if self.opts.reduce.por && out.len() > 1 {
@@ -1645,13 +1798,13 @@ impl Explorer {
         for (i, (label, _)) in out.iter().enumerate() {
             if matches!(
                 label,
-                Label::Tau(StepDesc::Internal(StepInfo::Unfold { .. }))
+                Label::Tau(Some(StepDesc::Internal(StepInfo::Unfold { .. })))
             ) {
                 return Some(i);
             }
         }
         for (i, (label, _)) in out.iter().enumerate() {
-            let Label::Tau(StepDesc::Internal(StepInfo::Comm(ci))) = label else {
+            let Label::Tau(Some(StepDesc::Internal(StepInfo::Comm(ci)))) = label else {
                 continue;
             };
             let RtTerm::Id(id) = &ci.subject else {
@@ -1681,7 +1834,9 @@ struct SuccSet<M = (Label, StateData)> {
 
 /// A state's expansion as the merge consumes it: each successor move with
 /// its canonical identity.
-type Expansion = SuccSet<(Label, StateData, CanonOut)>;
+/// A successor comes without its payload when the pool knew the merge
+/// would find it interned (see [`Expander::expand_window`]).
+type Expansion = SuccSet<(Label, Option<StateData>, CanonOut)>;
 
 /// Counts the occurrences of name `id` across the entire state: every
 /// leaf (channel subjects, payloads, continuations), the intruder
@@ -2376,6 +2531,61 @@ mod tests {
     }
 
     #[test]
+    fn cut_offs_land_identically_at_every_worker_count() {
+        // The paper's Pm2 at two sessions under the intruder, unreduced:
+        // 194 states, so several windows and BFS layers, with budgets
+        // that cut inside a window, at a window edge and in a later
+        // layer, and panics at states the merge reaches early and late.
+        let run = |workers, budget, panic_after_states| {
+            Explorer::new(ExploreOptions {
+                budget,
+                intruder: Some(IntruderSpec::new("1".parse().unwrap(), ["c"])),
+                panic_after_states,
+                workers,
+                ..ExploreOptions::default()
+            })
+            .explore(&parse(PM2).unwrap())
+        };
+        let full = run(1, Budget::unlimited(), None).expect("explores");
+        assert_eq!(full.stats.states, 194);
+        let unlimited = Budget::unlimited;
+        let states = [1, 2, WINDOW - 1, WINDOW, WINDOW + 1, 2 * WINDOW, 150];
+        let mut budgets: Vec<Budget> = states.iter().map(|&n| unlimited().states(n)).collect();
+        budgets.extend([1, 40, 300].map(|n| unlimited().transitions(n)));
+        budgets.extend([1, WINDOW, 3 * WINDOW + 5].map(|n| unlimited().fuel(n)));
+        // A knowledge cap skips states without stopping the exploration:
+        // the pool expands them anyway, and the merge discards that work.
+        budgets.extend([3, 4].map(|n| unlimited().knowledge(n)));
+        for budget in budgets {
+            let base = run(1, budget, None).expect("a cut-off is not an error");
+            assert!(base.exhausted.is_some(), "{budget:?} must cut");
+            for workers in [2, 3, 4] {
+                let lts = run(workers, budget, None).expect("a cut-off is not an error");
+                let at = format!("{budget:?} at {workers} workers");
+                assert_eq!(lts.fingerprint(), base.fingerprint(), "{at}");
+                assert_eq!(lts.frontier, base.frontier, "{at}");
+                assert_eq!(lts.exhausted, base.exhausted, "{at}");
+                assert_eq!(lts.coverage, base.coverage, "{at}");
+            }
+        }
+        for after in [5, WINDOW + 3, 150] {
+            let panicked = |workers| match run(workers, Budget::unlimited(), Some(after)) {
+                Err(VerifyError::WorkerPanic { payload }) => payload,
+                other => panic!("expected WorkerPanic, got {other:?}"),
+            };
+            let base = panicked(1);
+            assert!(base.contains(&format!("state {after} ")), "{base}");
+            for workers in [2, 3, 4] {
+                assert_eq!(
+                    panicked(workers),
+                    base,
+                    "panic after {after}, {workers} workers"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn path_mapped_keys_equal_the_physically_permuted_states() {
         // Every symmetry-eligible state of reduced Pm2 at three sessions
         // under the intruder, under every joint copy permutation: scoring
@@ -2400,7 +2610,12 @@ mod tests {
                 net: None,
             };
             let groups = symmetry::session_groups(&sd.cfg, std::slice::from_ref(&seat));
-            if !symmetry::sym_eligible(&sd.cfg, &sd.held()) || groups.is_empty() {
+            let cap = symmetry::MAX_CANDIDATES;
+            let ineligible = matches!(
+                symmetry::candidates(&sd.cfg, &groups, &sd.held(), cap),
+                Err(Fallback::Ineligible)
+            );
+            if ineligible || groups.is_empty() {
                 continue;
             }
             for perm in orbit(&groups) {
@@ -2421,15 +2636,12 @@ mod tests {
         // k idle copies whose nonces the intruder knows in every ordered
         // pair: all k copies stay tied and share one linked component, so
         // the search enumerates all k! arrangements.
-        let store = StateStore::new(
-            false,
-            SymCtx {
-                tracking: true,
-                symmetry: true,
-                pinned: Vec::new(),
-            },
-            Payloads::Keep,
-        );
+        let sym = SymCtx {
+            tracking: true,
+            symmetry: true,
+            pinned: Vec::new(),
+            strings: false,
+        };
         let state = |k: usize| {
             use spi_addr::Branch;
             use spi_semantics::Action;
@@ -2473,12 +2685,12 @@ mod tests {
             )
         };
         // 5! = 120 arrangements fit under the cap ...
-        let five = store.canonical(&state(5));
+        let five = sym.canonical(&state(5));
         assert_eq!(tally(&five), (1, 120, 0));
         // ... 6! = 720 do not: the raw key, one canonicalization, one
         // overflow and nothing scored.
         let six = state(6);
-        let out = store.canonical(&six);
+        let out = sym.canonical(&six);
         assert_eq!(out.key, six.key());
         assert!(out.annot.perm.is_identity());
         assert_eq!(tally(&out), (1, 0, 1));

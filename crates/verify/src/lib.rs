@@ -58,6 +58,7 @@ mod knowledge;
 #[allow(unsafe_code)]
 mod live_bytes;
 mod obs;
+mod pipeline;
 mod secrecy;
 mod simulation;
 mod test;
