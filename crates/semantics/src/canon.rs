@@ -81,14 +81,32 @@ fn write_creator<L: Lens, S: Write>(creator: &Option<Path>, lens: &mut L, out: &
 
 /// Writes a decimal number without going through `fmt::Arguments` —
 /// canonical ids appear once per name occurrence, making this one of
-/// the hottest writes in state serialization.
-fn write_decimal<S: Write>(mut n: usize, out: &mut S) {
+/// the hottest writes in state serialization.  Writes what `{n}`
+/// formats.
+pub(crate) fn write_decimal<S: Write>(mut n: usize, out: &mut S) {
     let mut buf = [0u8; 20];
     let mut i = buf.len();
     loop {
         i -= 1;
         buf[i] = b'0' + (n % 10) as u8;
         n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if let Ok(digits) = std::str::from_utf8(&buf[i..]) {
+        let _ = out.write_str(digits);
+    }
+}
+
+/// [`write_decimal`] in lower-case hexadecimal: what `{n:x}` formats.
+pub(crate) fn write_hex<S: Write>(mut n: u128, out: &mut S) {
+    let mut buf = [0u8; 32];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b"0123456789abcdef"[(n & 0xf) as usize];
+        n >>= 4;
         if n == 0 {
             break;
         }
@@ -120,16 +138,6 @@ impl Canonicalizer {
     #[must_use]
     pub fn new() -> Canonicalizer {
         Canonicalizer::default()
-    }
-
-    /// A fresh canonicalizer sized for a table of `names` names, so
-    /// numbering them never reallocates.
-    #[must_use]
-    pub fn with_capacity(names: usize) -> Canonicalizer {
-        Canonicalizer {
-            map: vec![0; names],
-            order: Vec::with_capacity(names),
-        }
     }
 
     fn canon_id<L: Lens, S: Write>(
@@ -202,16 +210,23 @@ impl Canonicalizer {
     /// internal ([`NameId`]-based, allocation-history-dependent) order;
     /// a caller ordering many terms renders them all into one buffer and
     /// sorts the slices.
+    ///
+    /// Returns whether the probe numbered some id afresh.  When it did
+    /// not, the probe is *closed*: every id it wrote already had its
+    /// number, so until the canonicalizer is cleared the term's
+    /// rendering is exactly the probe's bytes.
     pub fn probe_term<L: Lens>(
         &mut self,
         t: &RtTerm,
         names: &NameTable,
         lens: &mut L,
         out: &mut String,
-    ) {
+    ) -> bool {
         let saved = self.order.len();
         self.write_term(t, names, lens, out);
+        let open = self.order.len() > saved;
         self.forget(saved);
+        open
     }
 
     /// Serializes a term into `out` with canonical name numbering.
@@ -502,15 +517,26 @@ impl Config {
 /// high-order bits flowing back into the low half, and `finish` folds
 /// the total length in and applies two finalization rounds so short
 /// zero-padded tails cannot alias.
+///
+/// Serializers write a key a character at a time, so the hasher
+/// gathers 128 bytes before absorbing any, and an ASCII
+/// [`Write::write_char`] is one store into that buffer.  The buffer is
+/// a whole number of blocks and is absorbed only when full, so the
+/// blocks, their order, the length fold and the finalization are those
+/// of absorbing each 16-byte block as soon as it completes: the digest
+/// of a stream depends neither on how it was written nor on the
+/// buffer's size.  `finish` reads the pending bytes in place, so the
+/// many short digests of the symmetry search copy no buffer.
 #[derive(Debug, Clone)]
 pub struct CanonHasher {
     state: u128,
-    /// Bytes not yet absorbed (a partial block).
-    buf: [u8; 16],
-    /// How many of `buf`'s bytes are pending.
+    /// Bytes not yet absorbed.
+    buf: [u8; CanonHasher::BUFFER],
+    /// How many of `buf`'s bytes are pending; always below `BUFFER`.
     pending: usize,
-    /// Total bytes written, folded in at `finish`.
-    len: u64,
+    /// Bytes absorbed so far; `absorbed + pending` is folded in at
+    /// `finish`.
+    absorbed: u64,
 }
 
 impl CanonHasher {
@@ -518,34 +544,45 @@ impl CanonHasher {
     const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
     /// FNV-1a 128-bit prime.
     const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013B;
+    /// Bytes gathered before absorbing: eight 16-byte blocks.
+    const BUFFER: usize = 128;
 
     /// A fresh hasher at the FNV offset basis.
     #[must_use]
     pub fn new() -> CanonHasher {
         CanonHasher {
             state: Self::OFFSET,
-            buf: [0; 16],
+            buf: [0; Self::BUFFER],
             pending: 0,
-            len: 0,
+            absorbed: 0,
         }
     }
 
+    /// Absorbs one block, zero-padded to 16 bytes when shorter.
     #[inline]
-    fn absorb(&mut self, block: u128) {
-        self.state = (self.state ^ block).wrapping_mul(Self::PRIME).rotate_left(29);
+    fn absorb(state: u128, block: &[u8]) -> u128 {
+        let mut bytes = [0u8; 16];
+        bytes[..block.len()].copy_from_slice(block);
+        (state ^ u128::from_le_bytes(bytes))
+            .wrapping_mul(Self::PRIME)
+            .rotate_left(29)
+    }
+
+    /// Absorbs `bytes`, a whole number of blocks.
+    fn absorb_blocks(state: u128, bytes: &[u8]) -> u128 {
+        bytes.chunks_exact(16).fold(state, Self::absorb)
     }
 
     /// The 128-bit digest of everything written so far.
     #[must_use]
     pub fn finish(&self) -> u128 {
-        let mut h = self.clone();
-        if h.pending > 0 {
-            h.buf[h.pending..].fill(0);
-            let tail = u128::from_le_bytes(h.buf);
-            h.absorb(tail);
-        }
-        h.absorb(u128::from(h.len));
-        let mut s = h.state;
+        // The pending bytes' blocks, the last zero-padded, then the
+        // length: what absorbing each block on completion would give.
+        let mut s = self.buf[..self.pending]
+            .chunks(16)
+            .fold(self.state, Self::absorb);
+        let len = self.absorbed + self.pending as u64;
+        s = Self::absorb(s, &len.to_le_bytes());
         s ^= s >> 64;
         s = s.wrapping_mul(Self::PRIME);
         s ^= s >> 61;
@@ -558,28 +595,29 @@ impl CanonHasher {
         self.write_bytes(&v.to_le_bytes());
     }
 
+    #[inline]
     fn write_bytes(&mut self, bytes: &[u8]) {
-        self.len += bytes.len() as u64;
-        let mut rest = bytes;
-        if self.pending > 0 {
-            let take = rest.len().min(16 - self.pending);
-            self.buf[self.pending..self.pending + take].copy_from_slice(&rest[..take]);
-            self.pending += take;
-            rest = &rest[take..];
-            if self.pending < 16 {
-                return;
-            }
-            let block = u128::from_le_bytes(self.buf);
-            self.absorb(block);
-            self.pending = 0;
+        let room = Self::BUFFER - self.pending;
+        if bytes.len() < room {
+            self.buf[self.pending..self.pending + bytes.len()].copy_from_slice(bytes);
+            self.pending += bytes.len();
+            return;
         }
-        let mut chunks = rest.chunks_exact(16);
-        for chunk in &mut chunks {
-            let mut block = [0u8; 16];
-            block.copy_from_slice(chunk);
-            self.absorb(u128::from_le_bytes(block));
-        }
-        let tail = chunks.remainder();
+        self.write_long(bytes);
+    }
+
+    /// [`CanonHasher::write_bytes`] for a write that fills the buffer:
+    /// top it up and absorb it, absorb whole buffers straight from
+    /// `bytes`, and keep the rest pending.
+    #[cold]
+    fn write_long(&mut self, bytes: &[u8]) {
+        let (head, rest) = bytes.split_at(Self::BUFFER - self.pending);
+        self.buf[self.pending..].copy_from_slice(head);
+        let whole = rest.len() - rest.len() % Self::BUFFER;
+        self.state = Self::absorb_blocks(self.state, &self.buf);
+        self.state = Self::absorb_blocks(self.state, &rest[..whole]);
+        self.absorbed += (Self::BUFFER + whole) as u64;
+        let tail = &rest[whole..];
         self.buf[..tail.len()].copy_from_slice(tail);
         self.pending = tail.len();
     }
@@ -592,9 +630,21 @@ impl Default for CanonHasher {
 }
 
 impl Write for CanonHasher {
+    #[inline]
     fn write_str(&mut self, s: &str) -> std::fmt::Result {
         self.write_bytes(s.as_bytes());
         Ok(())
+    }
+
+    #[inline]
+    fn write_char(&mut self, c: char) -> std::fmt::Result {
+        if c.is_ascii() && self.pending + 1 < Self::BUFFER {
+            self.buf[self.pending] = c as u8;
+            self.pending += 1;
+            Ok(())
+        } else {
+            self.write_str(c.encode_utf8(&mut [0; 4]))
+        }
     }
 }
 
@@ -660,6 +710,85 @@ mod tests {
         let key = cfg("c<m>").canonical_key();
         assert!(key.contains("f:c"));
         assert!(key.contains("f:m"));
+    }
+
+    /// A deterministic printable-ASCII stream of `n` bytes.
+    fn stream(n: usize) -> String {
+        (0..n)
+            .map(|i| char::from(b' ' + ((i * 37 + 11) % 95) as u8))
+            .collect()
+    }
+
+    /// The digest of `pieces` written one `write_str` each.
+    fn digest<'a>(pieces: impl IntoIterator<Item = &'a str>) -> u128 {
+        let mut h = CanonHasher::new();
+        for piece in pieces {
+            h.write_str(piece).expect("hashing never fails");
+        }
+        h.finish()
+    }
+
+    /// The digest of `s` written one `write_char` at a time.
+    fn digest_by_char(s: &str) -> u128 {
+        let mut h = CanonHasher::new();
+        for c in s.chars() {
+            h.write_char(c).expect("hashing never fails");
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn digests_do_not_depend_on_write_boundaries() {
+        for n in 0..=300 {
+            let s = stream(n);
+            let whole = digest([s.as_str()]);
+            assert_eq!(digest_by_char(&s), whole, "char by char, length {n}");
+            // Every split offset crosses the 16-byte block edges and the
+            // buffer's edge, from either side.
+            for at in 0..=n {
+                assert_eq!(digest([&s[..at], &s[at..]]), whole, "split at {at} of {n}");
+            }
+            // 7-byte pieces leave every later write misaligned with both
+            // edges.
+            let pieces = s.as_bytes().chunks(7).map(|p| std::str::from_utf8(p).expect("ASCII"));
+            assert_eq!(digest(pieces), whole, "7-byte pieces, length {n}");
+        }
+        // A non-ASCII character goes through the byte path.
+        let accented = "r0@\u{3b5}|f:c";
+        assert_eq!(digest_by_char(accented), digest([accented]));
+    }
+
+    /// Digests computed by the hasher that absorbed each 16-byte block
+    /// as soon as it completed, before it gathered a buffer: the
+    /// buffered hasher must reproduce them bit for bit.
+    #[test]
+    fn digests_are_pinned() {
+        let key = "(o(f:c)<r0@e>0;i(f:c)(x)0)|f:c,|0";
+        assert_eq!(digest([""]), 0xf42a_bab9_2e54_0e88_40f0_54d1_30f6_a3ce);
+        assert_eq!(digest([key]), 0x3788_6243_c0ae_4928_737d_ab1a_9f4a_5e37);
+        assert_eq!(
+            digest([stream(300).as_str()]),
+            0x284a_4456_4059_a1fd_77e8_d7c5_278d_19b7
+        );
+        let mut nested = CanonHasher::new();
+        nested.write_u128(7);
+        nested.write_str("abc").expect("hashing never fails");
+        nested.write_u128(u128::MAX);
+        assert_eq!(nested.finish(), 0xb6d3_6e6a_8c1c_ff6b_155e_46db_547b_d0bc);
+    }
+
+    #[test]
+    fn number_writers_match_the_formatter() {
+        for n in [0usize, 1, 9, 10, 99, 100, 4_294_967_295, usize::MAX] {
+            let mut out = String::new();
+            write_decimal(n, &mut out);
+            assert_eq!(out, n.to_string());
+        }
+        for n in [0u128, 1, 0xf, 0x10, 0xdead_beef, u128::MAX] {
+            let mut out = String::new();
+            write_hex(n, &mut out);
+            assert_eq!(out, format!("{n:x}"));
+        }
     }
 
     #[test]

@@ -51,6 +51,7 @@ use std::sync::Arc;
 
 use spi_addr::{Branch, Path, ProcTree};
 
+use crate::canon::{write_decimal, write_hex};
 use crate::{
     CanonHasher, Canonicalizer, Config, LeafState, Lens, NameEntry, NameId, RtChanIndex, RtChannel,
     RtProcess, RtTerm,
@@ -520,7 +521,8 @@ impl Lens for Mask<'_> {
         };
         match self.colour {
             Some(colour) => {
-                let _ = write!(out, "{:x}.", colour[x]);
+                write_hex(colour[x], out);
+                let _ = out.write_char('.');
             }
             None if Some(x) == self.own => {
                 let _ = out.write_char('~');
@@ -529,7 +531,9 @@ impl Lens for Mask<'_> {
                 if !self.met.contains(&x) {
                     self.met.push(x);
                 }
-                let _ = write!(out, "?{}.", self.copies.group[x]);
+                let _ = out.write_char('?');
+                write_decimal(self.copies.group[x], out);
+                let _ = out.write_char('.');
             }
         }
         write_tail(p, at, out);
@@ -542,7 +546,8 @@ impl Lens for Mask<'_> {
                 .as_ref()
                 .is_none_or(|c| self.copies.holding(c).is_none());
         if raw {
-            let _ = write!(out, "x{}", id.index());
+            let _ = out.write_char('x');
+            write_decimal(id.index(), out);
         }
         raw
     }
@@ -838,7 +843,9 @@ impl<'a> Search<'a> {
         let mut canon = Canonicalizer::new();
         let mut h = CanonHasher::new();
         for x in members {
-            let _ = write!(h, "C{:x}:", self.root[x]);
+            let _ = h.write_char('C');
+            write_hex(self.root[x], &mut h);
+            let _ = h.write_char(':');
             write_body(
                 self.cfg,
                 self.copies,
@@ -849,7 +856,9 @@ impl<'a> Search<'a> {
             );
         }
         for (_, i) in rest {
-            let _ = write!(h, "U{:x}:", self.units[i].place);
+            let _ = h.write_char('U');
+            write_hex(self.units[i].place, &mut h);
+            let _ = h.write_char(':');
             let body = self.units[i].body;
             write_body(self.cfg, self.copies, body, &mut canon, &mut lens, &mut h);
         }

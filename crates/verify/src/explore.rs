@@ -725,10 +725,38 @@ pub(crate) struct StateData {
     pub(crate) net: Option<NetworkState>,
 }
 
+/// What computing a state key needs besides the state, reused from key
+/// to key so that, once its buffers have grown, a key allocates nothing:
+/// the canonicalizer (cleared per key, keeping its name map and
+/// journal), the buffer of knowledge probe renderings and the fragments
+/// that order them.  Each thread that expands states owns one, next to
+/// its [`DeriveCache`].
+#[derive(Debug, Default)]
+pub(crate) struct KeyScratch {
+    canon: Canonicalizer,
+    probes: String,
+    fragments: Vec<Fragment>,
+}
+
+/// One knowledge term in a key: the bytes of its probe rendering in
+/// [`KeyScratch::probes`], its position in the knowledge's order, and
+/// whether its probe numbered a name afresh.
+#[derive(Debug)]
+struct Fragment {
+    probe: std::ops::Range<usize>,
+    term: usize,
+    open: bool,
+}
+
 impl StateData {
     /// Streams the canonical state serialization into `out`:
     /// configuration, intruder knowledge, fresh-name count, network
-    /// state, all through one shared canonicalizer.
+    /// state, all through one shared canonicalizer, `keys.canon`, whose
+    /// journal afterwards maps canonical name slots back to raw
+    /// [`spi_semantics::NameId`]s — the id half of a merge isomorphism.
+    /// Through `lens` it is the key of the state the lens describes:
+    /// through a [`PathPerm`], the state that permutation leads to,
+    /// without building it.
     ///
     /// Knowledge terms are serialized in the order of their *canonical*
     /// renderings, not the raw [`NameId`]-based set order: the raw order
@@ -739,41 +767,50 @@ impl StateData {
     /// rendering against the post-configuration numbering (ties between
     /// equal renderings are symmetric, so either order yields the same
     /// stream).  The keys are rendered into one buffer and compared as
-    /// slices of it, so string order — and every key byte — is what it
-    /// was with one `String` per term.
-    fn write_key<S: std::fmt::Write>(&self, out: &mut S) {
-        let mut canon = Canonicalizer::with_capacity(self.cfg.names().len());
-        self.write_key_with(&mut canon, &mut Verbatim, out);
-    }
-
-    /// [`StateData::write_key`] through a caller-supplied canonicalizer,
-    /// whose journal afterwards maps canonical name slots back to raw
-    /// [`spi_semantics::NameId`]s — the id half of a merge isomorphism —
-    /// and a lens: through a [`PathPerm`], the key of the state that
-    /// permutation leads to, without building it.
+    /// slices of it, so string order is that of one `String` per term.
+    ///
+    /// A term is rendered once when it can be: a *closed* probe, one
+    /// that met only names the configuration had already numbered, is
+    /// byte for byte the term's rendering in the key, so its bytes are
+    /// spliced from the probe buffer.  Only an open probe's term is
+    /// rendered again, in sorted order, numbering its new names for
+    /// good.  The stream, and so every key and digest, is what
+    /// rendering every term twice gave.
     fn write_key_with<L: Lens, S: std::fmt::Write>(
         &self,
-        canon: &mut Canonicalizer,
+        keys: &mut KeyScratch,
         lens: &mut L,
         out: &mut S,
     ) {
+        let KeyScratch {
+            canon,
+            probes,
+            fragments,
+        } = keys;
+        canon.clear();
+        probes.clear();
+        fragments.clear();
         let names = self.cfg.names();
         self.cfg.write_canonical_with(canon, lens, out);
         let _ = out.write_char('|');
-        // Every order key goes into one buffer; the sort compares slices.
-        let mut keys = String::with_capacity(32 * self.knowledge.len());
-        let mut fragments: Vec<(std::ops::Range<usize>, &RtTerm)> = self
-            .knowledge
-            .iter()
-            .map(|t| {
-                let start = keys.len();
-                canon.probe_term(t, names, lens, &mut keys);
-                (start..keys.len(), t)
-            })
-            .collect();
-        fragments.sort_unstable_by(|(a, _), (b, _)| keys[a.clone()].cmp(&keys[b.clone()]));
-        for (_, t) in fragments {
-            canon.write_term(t, names, lens, out);
+        for (term, t) in self.knowledge.iter().enumerate() {
+            let start = probes.len();
+            let open = canon.probe_term(t, names, lens, probes);
+            fragments.push(Fragment {
+                probe: start..probes.len(),
+                term,
+                open,
+            });
+        }
+        fragments.sort_unstable_by(|a, b| probes[a.probe.clone()].cmp(&probes[b.probe.clone()]));
+        for f in fragments.iter() {
+            if f.open {
+                if let Some(t) = self.knowledge.iter().nth(f.term) {
+                    canon.write_term(t, names, lens, out);
+                }
+            } else {
+                let _ = out.write_str(&probes[f.probe.clone()]);
+            }
             let _ = out.write_char(',');
         }
         let _ = out.write_char('|');
@@ -785,20 +822,19 @@ impl StateData {
     }
 
     /// The key written through `lens` — through a [`PathPerm`], the key
-    /// of the state it leads to — with its canonicalizer, whose journal
-    /// maps canonical slots back to raw name ids.
-    fn key_through<L: Lens>(&self, lens: &mut L) -> (u128, Canonicalizer) {
-        let mut canon = Canonicalizer::with_capacity(self.cfg.names().len());
+    /// of the state it leads to — leaving its journal, which maps
+    /// canonical slots back to raw name ids, in `keys`.
+    fn key_through<L: Lens>(&self, lens: &mut L, keys: &mut KeyScratch) -> u128 {
         let mut h = CanonHasher::new();
-        self.write_key_with(&mut canon, lens, &mut h);
-        (h.finish(), canon)
+        self.write_key_with(keys, lens, &mut h);
+        h.finish()
     }
 
     /// The key plus the canonicalizer journal (canonical slot → raw name
     /// id), captured in one serialization pass.
-    fn key_and_journal(&self) -> (u128, Vec<u32>) {
-        let (key, canon) = self.key_through(&mut Verbatim);
-        (key, journal(&canon))
+    fn key_and_journal(&self, keys: &mut KeyScratch) -> (u128, Vec<u32>) {
+        let key = self.key_through(&mut Verbatim, keys);
+        (key, journal(&keys.canon))
     }
 
     /// The terms this state holds outside the process tree, each tagged
@@ -851,17 +887,15 @@ impl StateData {
 
     /// The 128-bit canonical key: the serialization stream folded through
     /// a [`CanonHasher`], no heap allocation for the key itself.
-    fn key(&self) -> u128 {
-        let mut h = CanonHasher::new();
-        self.write_key(&mut h);
-        h.finish()
+    fn key(&self, keys: &mut KeyScratch) -> u128 {
+        self.key_through(&mut Verbatim, keys)
     }
 
     /// The full canonical string — the debug/verification path behind
     /// [`ExploreOptions::verify_keys`].
     fn key_string(&self) -> String {
         let mut out = String::new();
-        self.write_key(&mut out);
+        self.write_key_with(&mut KeyScratch::default(), &mut Verbatim, &mut out);
         out
     }
 }
@@ -885,14 +919,15 @@ fn journal(canon: &Canonicalizer) -> Vec<u32> {
 fn signature_min(
     sd: &StateData,
     groups: &[symmetry::SessionGroup],
+    keys: &mut KeyScratch,
 ) -> Result<(u128, Vec<u32>, PathPerm, u64), Fallback> {
     let perms = symmetry::candidates(&sd.cfg, groups, &sd.held(), symmetry::MAX_CANDIDATES)?;
     let scored = perms.len() as u64;
     let mut best: Option<(u128, Vec<u32>, PathPerm)> = None;
     for perm in perms {
-        let (key, canon) = sd.key_through(&mut &perm);
+        let key = sd.key_through(&mut &perm, keys);
         if best.as_ref().is_none_or(|(k, _, _)| key < *k) {
-            best = Some((key, journal(&canon), perm));
+            best = Some((key, journal(&keys.canon), perm));
         }
     }
     best.map(|(key, journal, perm)| (key, journal, perm, scored))
@@ -933,19 +968,21 @@ impl SymCtx {
     /// key; and each scored key is that of a real state of the orbit, so
     /// the quotient can never conflate two states a plain exploration
     /// would distinguish.
-    fn canonical(&self, sd: &StateData) -> CanonOut {
+    ///
+    /// `keys` is the calling thread's key scratch.
+    fn canonical(&self, sd: &StateData, keys: &mut KeyScratch) -> CanonOut {
         let want_string = self.strings;
         if !self.tracking {
             return CanonOut {
-                key: sd.key(),
+                key: sd.key(keys),
                 string: want_string.then(|| sd.key_string()),
                 annot: SymAnnot::default(),
                 tally: SymTally::default(),
             };
         }
         let names_len = u32::try_from(sd.cfg.names().len()).unwrap_or(u32::MAX);
-        let raw = || {
-            let (key, journal) = sd.key_and_journal();
+        let raw = |keys: &mut KeyScratch| {
+            let (key, journal) = sd.key_and_journal(keys);
             CanonOut {
                 key,
                 string: want_string.then(|| sd.key_string()),
@@ -958,19 +995,19 @@ impl SymCtx {
             }
         };
         if !self.symmetry {
-            return raw();
+            return raw(keys);
         }
         let groups = symmetry::session_groups(&sd.cfg, &self.pinned);
         if groups.is_empty() {
-            return raw();
+            return raw(keys);
         }
         // A candidate-cap overflow keeps the raw key: sound, because
         // permuted siblings overflow identically and fall back alike.
-        let (key, journal, perm, scored) = match signature_min(sd, &groups) {
+        let (key, journal, perm, scored) = match signature_min(sd, &groups, keys) {
             Ok(found) => found,
-            Err(Fallback::Ineligible) => return raw(),
+            Err(Fallback::Ineligible) => return raw(keys),
             Err(Fallback::Overflow) => {
-                let mut out = raw();
+                let mut out = raw(keys);
                 out.tally = SymTally {
                     canonicalizations: 1,
                     candidates: 0,
@@ -1314,6 +1351,7 @@ impl Merge {
         window: &Window,
         computed: Computed,
         cache: &mut DeriveCache,
+        keys: &mut KeyScratch,
     ) -> Result<bool, VerifyError> {
         let mut computed = computed.into_iter();
         for (&cur, sd) in window.states.iter().zip(&window.payloads) {
@@ -1336,7 +1374,7 @@ impl Merge {
             // speculative work past a cut-off are dropped with it.
             let succ = match speculated {
                 Some(result) => result?,
-                None => ex.expand(cur, sd, cache)?,
+                None => ex.expand(cur, sd, cache, keys)?,
             };
             if !self.gov.charge_steps(succ.moves.len().max(1)) {
                 return Ok(false);
@@ -1458,24 +1496,7 @@ impl Explorer {
     /// keys up, interns, and replays the sequential governor decisions
     /// verbatim, so the result is identical at every worker count.
     fn run(&self, process: &Process, payloads: Payloads) -> Result<Lts, VerifyError> {
-        let cfg = Config::from_process(process)?;
-        let mut knowledge = Knowledge::new();
-        if let Some(spec) = &self.opts.intruder {
-            // Initial knowledge: every free name, plus the restricted
-            // channel set C allocated at load.
-            for (id, e) in cfg.names().iter() {
-                if !e.restricted || spec.channels.contains(&e.base) {
-                    knowledge.learn(RtTerm::Id(id));
-                }
-            }
-        }
-        let initial = StateData {
-            cfg,
-            knowledge,
-            fresh_made: 0,
-            net: self.opts.faults.as_ref().map(FaultSpec::initial_state),
-        };
-
+        let initial = self.initial(process)?;
         let own_cancel = AtomicBool::new(false);
         // Any reduction forces iso tracking: merges stop being identity
         // renamings, so traces must be able to undo them.
@@ -1505,27 +1526,31 @@ impl Explorer {
             edge_isos: BTreeMap::new(),
             expanded: Vec::new(),
         };
+        // One derivation memo and one key scratch per thread, kept for
+        // the whole exploration.
+        let (mut cache, mut keys) = (DeriveCache::new(), KeyScratch::default());
         // The initial state is always interned, even under a zero
         // budget, so a partial answer is never empty.
-        let out = ex.sym.canonical(&initial);
+        let out = ex.sym.canonical(&initial, &mut keys);
         out.tally.add_to(&mut merge.stats);
         merge.store.push(out, initial);
-        // One derivation memo per thread, kept for the whole exploration.
-        let mut cache = DeriveCache::new();
         let workers = self.opts.workers.max(1);
         if workers == 1 {
-            ex.drive(&mut merge, None, &mut cache)?;
+            ex.drive(&mut merge, None, &mut cache, &mut keys)?;
         } else {
             let pool = Pool::new();
             let unmerged = std::thread::scope(|scope| {
                 let _closing = pool.closing();
                 for _ in 1..workers {
                     scope.spawn(|| {
-                        let (mut cache, mut produced) = (DeriveCache::new(), HashSet::new());
-                        pool.serve(|window| ex.expand_window(&window, &mut cache, &mut produced));
+                        let mut cache = DeriveCache::new();
+                        let (mut keys, mut produced) = (KeyScratch::default(), HashSet::new());
+                        pool.serve(|window| {
+                            ex.expand_window(&window, &mut cache, &mut keys, &mut produced)
+                        });
                     });
                 }
-                ex.drive(&mut merge, Some((&pool, workers)), &mut cache)
+                ex.drive(&mut merge, Some((&pool, workers)), &mut cache, &mut keys)
             })?;
             // The pool has stopped, so each window it never merged is
             // held here alone.
@@ -1535,6 +1560,28 @@ impl Explorer {
             }
         }
         Ok(merge.finish())
+    }
+
+    /// The state exploration starts from: `process` loaded, the
+    /// intruder's initial knowledge and the network's initial state.
+    fn initial(&self, process: &Process) -> Result<StateData, VerifyError> {
+        let cfg = Config::from_process(process)?;
+        let mut knowledge = Knowledge::new();
+        if let Some(spec) = &self.opts.intruder {
+            // Initial knowledge: every free name, plus the restricted
+            // channel set C allocated at load.
+            for (id, e) in cfg.names().iter() {
+                if !e.restricted || spec.channels.contains(&e.base) {
+                    knowledge.learn(RtTerm::Id(id));
+                }
+            }
+        }
+        Ok(StateData {
+            cfg,
+            knowledge,
+            fresh_made: 0,
+            net: self.opts.faults.as_ref().map(FaultSpec::initial_state),
+        })
     }
 }
 
@@ -1571,12 +1618,13 @@ impl Expander<'_> {
         merge: &mut Merge,
         pool: Option<(&Pool, usize)>,
         cache: &mut DeriveCache,
+        keys: &mut KeyScratch,
     ) -> Result<Vec<Arc<Window>>, VerifyError> {
         let Some((pool, workers)) = pool else {
             // One state at a time, so each payload is released as soon
             // as its state is expanded.
             while let Some(window) = merge.store.window(1) {
-                let more = merge.consume(self, &window, Vec::new(), cache)?;
+                let more = merge.consume(self, &window, Vec::new(), cache, keys)?;
                 merge.store.settle(window);
                 if !more {
                     break;
@@ -1598,8 +1646,8 @@ impl Expander<'_> {
             let Some((seq, window)) = ahead.pop_front() else {
                 break;
             };
-            let computed = pool.take(seq, |w| self.expand_window(&w, cache, &mut produced));
-            let more = merge.consume(self, &window, computed, cache)?;
+            let computed = pool.take(seq, |w| self.expand_window(&w, cache, keys, &mut produced));
+            let more = merge.consume(self, &window, computed, cache, keys)?;
             // Whoever expanded the window dropped its handle before
             // handing the expansions over.
             let window = Arc::into_inner(window).expect("a merged window is held here alone");
@@ -1612,8 +1660,8 @@ impl Expander<'_> {
     }
 
     /// Expands every state of `window`, in order, on a pool thread whose
-    /// derivation memo is `cache` and which has produced the successor
-    /// keys in `produced` so far.  A tripped wall clock leaves the rest
+    /// derivation memo is `cache`, whose key scratch is `keys` and which
+    /// has produced the successor keys in `produced` so far.  A tripped wall clock leaves the rest
     /// of the window empty: the merge cuts off before it would consume
     /// the missing slots.
     ///
@@ -1632,6 +1680,7 @@ impl Expander<'_> {
         &self,
         window: &Window,
         cache: &mut DeriveCache,
+        keys: &mut KeyScratch,
         produced: &mut HashSet<u128>,
     ) -> Computed {
         let states = window.states.iter().zip(&window.payloads);
@@ -1640,7 +1689,7 @@ impl Expander<'_> {
                 if self.clock.overrun() {
                     return None;
                 }
-                let mut expansion = self.expand(cur, sd, cache);
+                let mut expansion = self.expand(cur, sd, cache, keys);
                 let merged = sd.knowledge.len() <= self.opts.budget.max_knowledge;
                 if let (Ok(exp), true) = (&mut expansion, merged) {
                     for (_, next, out) in &mut exp.moves {
@@ -1667,6 +1716,7 @@ impl Expander<'_> {
         cur: usize,
         sd: &StateData,
         cache: &mut DeriveCache,
+        keys: &mut KeyScratch,
     ) -> Result<Expansion, VerifyError> {
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if let Some(n) = self.opts.panic_after_states {
@@ -1688,7 +1738,7 @@ impl Expander<'_> {
             .moves
             .into_iter()
             .map(|(label, next)| {
-                let out = self.sym.canonical(&next);
+                let out = self.sym.canonical(&next, keys);
                 (label, Some(next), out)
             })
             .collect();
@@ -2601,7 +2651,7 @@ mod tests {
                 ..ExploreOptions::default()
             },
         );
-        let mut checked = 0;
+        let (mut checked, mut keys) = (0, KeyScratch::default());
         for i in 0..lts.states.len() {
             let sd = StateData {
                 cfg: lts.config(i).clone(),
@@ -2620,15 +2670,111 @@ mod tests {
             }
             for perm in orbit(&groups) {
                 let moved = sd.permuted(&perm);
-                let (key, canon) = sd.key_through(&mut &perm);
-                assert_eq!((key, journal(&canon)), moved.key_and_journal(), "{perm:?}");
+                let key = sd.key_through(&mut &perm, &mut keys);
+                let through = (key, journal(&keys.canon));
+                assert_eq!(through, moved.key_and_journal(&mut keys), "{perm:?}");
                 let mut mapped = String::new();
-                sd.write_key_with(&mut Canonicalizer::new(), &mut &perm, &mut mapped);
+                sd.write_key_with(&mut keys, &mut &perm, &mut mapped);
                 assert_eq!(mapped, moved.key_string(), "{perm:?}");
                 checked += 1;
             }
         }
         assert!(checked > 100, "{checked}");
+    }
+
+    /// The knowledge rendering that splicing replaced: every term's probe
+    /// orders the knowledge, then every term is rendered again in that
+    /// order.  Returns the key and whether some probe was open.
+    fn rerendered_key(sd: &StateData) -> (String, bool) {
+        let names = sd.cfg.names();
+        let (mut canon, mut out) = (Canonicalizer::new(), String::new());
+        sd.cfg.write_canonical(&mut canon, &mut out);
+        out.push('|');
+        let mut open = false;
+        let mut probed: Vec<(String, &RtTerm)> = sd
+            .knowledge
+            .iter()
+            .map(|t| {
+                let mut probe = String::new();
+                open |= canon.probe_term(t, names, &mut Verbatim, &mut probe);
+                (probe, t)
+            })
+            .collect();
+        probed.sort_by(|a, b| a.0.cmp(&b.0));
+        for (_, t) in probed {
+            canon.write_term(t, names, &mut Verbatim, &mut out);
+            out.push(',');
+        }
+        out.push('|');
+        out.push_str(&sd.fresh_made.to_string());
+        if let Some(net) = &sd.net {
+            out.push('|');
+            net.write_canonical(&mut canon, names, &mut Verbatim, &mut out);
+        }
+        (out, open)
+    }
+
+    /// Every state `verifier` reaches from `src`, one per key, as the
+    /// explorer holds it: fresh-name count and network state included.
+    fn reachable(verifier: &crate::Verifier, src: &str) -> Vec<StateData> {
+        let opts = verifier.explore_opts();
+        let system = verifier.under_attack(&parse(src).expect("parses"));
+        let initial = Explorer::new(opts.clone()).initial(&system).expect("loads");
+        let cancel = AtomicBool::new(false);
+        let ex = Expander {
+            opts: &opts,
+            sym: SymCtx::default(),
+            clock: WallClock {
+                cancel: &cancel,
+                deadline: None,
+                expired: AtomicBool::new(false),
+            },
+            describe: false,
+        };
+        let (mut cache, mut keys) = (DeriveCache::new(), KeyScratch::default());
+        let mut seen = HashSet::from([initial.key(&mut keys)]);
+        let (mut queue, mut reached) = (VecDeque::from([initial]), Vec::new());
+        while let Some(sd) = queue.pop_front() {
+            for (_, next) in ex.successors(&sd, &mut cache).expect("expands").moves {
+                if seen.insert(next.key(&mut keys)) {
+                    queue.push_back(next);
+                }
+            }
+            reached.push(sd);
+        }
+        reached
+    }
+
+    #[test]
+    fn spliced_knowledge_keys_equal_rendering_every_term_again() {
+        const PM3: &str = "(^kAB)(!(^m)c(ns).c<{m, ns}kAB> | \
+                           !(^nb)c<nb>.c(x).case x of {z, w}kAB in [w = nb]observe<z>)";
+        let intruder = crate::Verifier::new(["c"]).sessions(2);
+        let replay = crate::Verifier::new(["c"])
+            .sessions(2)
+            .no_intruder()
+            .faults(FaultSpec::new(["replay:c:1".parse().expect("clause")]));
+        // One scratch for every key, as an expanding thread keeps it.
+        let mut keys = KeyScratch::default();
+        let mut open = 0;
+        for (name, verifier, states) in [("pm3 s2", intruder, 5_605), ("replay", replay, 3_660)] {
+            let reached = reachable(&verifier, PM3);
+            assert_eq!(reached.len(), states, "{name}");
+            for sd in &reached {
+                let (want, has_open) = rerendered_key(sd);
+                assert_eq!(sd.key_string(), want, "{name}");
+                let mut string = String::new();
+                sd.write_key_with(&mut keys, &mut Verbatim, &mut string);
+                assert_eq!(string, want, "{name}");
+                let mut h = CanonHasher::new();
+                let _ = std::fmt::Write::write_str(&mut h, &want);
+                assert_eq!(sd.key(&mut keys), h.finish(), "{name}");
+                open += usize::from(has_open);
+            }
+        }
+        // States whose knowledge holds names the configuration no longer
+        // mentions: their terms are rendered again, not spliced.
+        assert!(open > 0, "no state had an open probe");
     }
 
     #[test]
@@ -2685,13 +2831,14 @@ mod tests {
             )
         };
         // 5! = 120 arrangements fit under the cap ...
-        let five = sym.canonical(&state(5));
+        let mut keys = KeyScratch::default();
+        let five = sym.canonical(&state(5), &mut keys);
         assert_eq!(tally(&five), (1, 120, 0));
         // ... 6! = 720 do not: the raw key, one canonicalization, one
         // overflow and nothing scored.
         let six = state(6);
-        let out = sym.canonical(&six);
-        assert_eq!(out.key, six.key());
+        let out = sym.canonical(&six, &mut keys);
+        assert_eq!(out.key, six.key(&mut keys));
         assert!(out.annot.perm.is_identity());
         assert_eq!(tally(&out), (1, 0, 1));
     }
@@ -2731,9 +2878,10 @@ mod tests {
     /// so this is what makes permuted duplicates merge.  Returns how many
     /// variants were compared.
     fn assert_orbit_invariant(lts: &Lts, pinned: &[Path]) -> usize {
-        let quotient = |sd: &StateData| {
+        let mut keys = KeyScratch::default();
+        let mut quotient = |sd: &StateData| {
             let groups = symmetry::session_groups(&sd.cfg, pinned);
-            signature_min(sd, &groups).map(|(key, ..)| key)
+            signature_min(sd, &groups, &mut keys).map(|(key, ..)| key)
         };
         let mut checked = 0;
         for i in 0..lts.states.len() {

@@ -354,7 +354,7 @@ impl Verifier {
         spec
     }
 
-    fn explore_opts(&self) -> ExploreOptions {
+    pub(crate) fn explore_opts(&self) -> ExploreOptions {
         ExploreOptions {
             budget: self.budget,
             unfold_bound: self.unfold_bound,

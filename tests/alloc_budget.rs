@@ -130,3 +130,34 @@ fn a_pm3_campaign_schedule_peaks_within_its_heap_budget() {
         "peak live heap {peak} bytes, budget {SCHEDULE_PEAK_BYTES}"
     );
 }
+
+#[test]
+fn a_reused_canonicalizer_hashes_a_configuration_without_allocating() {
+    use spi_auth_repro::semantics::{CanonHasher, Canonicalizer, Config};
+    let pm3 = multi::challenge_response("c", "observe");
+    let lts = Verifier::new(["c"])
+        .sessions(2)
+        .no_intruder()
+        .workers(1)
+        .explore(&pm3)
+        .unwrap();
+    // The configuration with the longest key: the most names to number.
+    let cfg = (0..lts.stats.states)
+        .map(|i| lts.config(i))
+        .max_by_key(|c| c.canonical_key().len())
+        .unwrap();
+    let digest = |canon: &mut Canonicalizer, cfg: &Config| {
+        canon.clear();
+        let mut h = CanonHasher::new();
+        cfg.write_canonical(canon, &mut h);
+        h.finish()
+    };
+    let mut canon = Canonicalizer::new();
+    let first = digest(&mut canon, cfg);
+    let before = ALLOCS.with(Cell::get);
+    let second = digest(&mut canon, cfg);
+    let allocs = ALLOCS.with(Cell::get) - before;
+    assert_eq!(second, first);
+    assert!(canon.journal().len() > 1, "the key numbers restricted names");
+    assert_eq!(allocs, 0, "the second key allocated {allocs} times");
+}
