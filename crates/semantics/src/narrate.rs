@@ -7,13 +7,11 @@
 //! Message 2   E(A) → B : {M}K_AB      E pretending to be A
 //! ```
 //!
-//! [`Narrator`] reconstructs this view from [`StepInfo`]s: a [`RoleMap`]
-//! names the protocol roles by their tree positions (replicated instances
-//! inherit the role of their replication, with an instance suffix), and an
-//! optional intruder position turns intercepts and injections into the
-//! `E(·)` forms.
-
-use std::collections::HashMap;
+//! [`Narrator`] reconstructs the honest parties' part of this view from
+//! [`StepInfo`]s: a [`RoleMap`] names the protocol roles by their tree
+//! positions (replicated instances inherit the role of their replication,
+//! with an instance suffix).  The intruder's `E(·)` moves are narrated by
+//! the verifier, which sees its intercepts and injections.
 
 use spi_addr::Path;
 
@@ -92,12 +90,6 @@ impl RoleMap {
 #[derive(Debug, Default)]
 pub struct Narrator {
     roles: RoleMap,
-    intruder: Option<Path>,
-    /// `channel base → role name` hints for the `E(A)` impersonation
-    /// rendering: who honestly sends on that channel.
-    sender_hints: HashMap<String, String>,
-    /// `channel base → role name` hints for the intended receiver.
-    receiver_hints: HashMap<String, String>,
     message_counter: usize,
 }
 
@@ -111,50 +103,10 @@ impl Narrator {
         }
     }
 
-    /// Declares the intruder's tree position, enabling the `E(·)` forms.
-    pub fn intruder(&mut self, position: Path) -> &mut Narrator {
-        self.intruder = Some(position);
-        self
-    }
-
-    /// Hints that `role` is the honest sender on channel `chan`, so an
-    /// injection by the intruder on `chan` renders as `E(role) → …`.
-    pub fn impersonates_sender(
-        &mut self,
-        chan: impl Into<String>,
-        role: impl Into<String>,
-    ) -> &mut Narrator {
-        self.sender_hints.insert(chan.into(), role.into());
-        self
-    }
-
-    /// Hints that `role` is the intended receiver on channel `chan`, so
-    /// an interception renders as `… → E(role)`.
-    pub fn intended_receiver(
-        &mut self,
-        chan: impl Into<String>,
-        role: impl Into<String>,
-    ) -> &mut Narrator {
-        self.receiver_hints.insert(chan.into(), role.into());
-        self
-    }
-
-    fn party(&self, position: &Path, chan: &str, receiving: bool) -> String {
-        if Some(position) == self.intruder.as_ref() {
-            let hint = if receiving {
-                self.receiver_hints.get(chan)
-            } else {
-                self.sender_hints.get(chan)
-            };
-            match hint {
-                Some(role) => format!("E({role})"),
-                None => "E".to_owned(),
-            }
-        } else {
-            self.roles
-                .role_of(position)
-                .unwrap_or_else(|| position.to_bits())
-        }
+    fn party(&self, position: &Path) -> String {
+        self.roles
+            .role_of(position)
+            .unwrap_or_else(|| position.to_bits())
     }
 
     /// Renders one step.  Communications produce paper-style lines;
@@ -164,8 +116,8 @@ impl Narrator {
             StepInfo::Comm(ci) => {
                 self.message_counter += 1;
                 let chan = ci.subject.display(cfg.names());
-                let from = self.party(&ci.sender, &chan, false);
-                let to = self.party(&ci.receiver, &chan, true);
+                let from = self.party(&ci.sender);
+                let to = self.party(&ci.receiver);
                 let payload = ci.payload.display(cfg.names());
                 let origin = ci
                     .payload
@@ -234,45 +186,6 @@ mod tests {
         assert!(line.starts_with("Message 1"));
         assert!(line.contains("A → B"));
         assert!(line.contains("[origin A]"));
-    }
-
-    #[test]
-    fn intruder_rendering_uses_hints() {
-        let proc = parse("c(x).observe<x> | c<m>").unwrap();
-        let mut cfg = Config::from_process(&proc).unwrap();
-        let mut roles = RoleMap::new();
-        roles.role("B", p("0"));
-        let mut narrator = Narrator::new(roles);
-        narrator.intruder(p("1"));
-        narrator.impersonates_sender("c", "A");
-        let step = cfg
-            .fire(&Action::Comm {
-                out_path: p("1"),
-                in_path: p("0"),
-            })
-            .unwrap();
-        let line = narrator.narrate(&step, &cfg);
-        assert!(line.contains("E(A) → B"), "{line}");
-    }
-
-    #[test]
-    fn interception_uses_the_receiver_hint() {
-        // A sends; the intruder at ‖1 intercepts: rendered as A → E(B).
-        let proc = parse("(^m) c<m> | c(x)").unwrap();
-        let mut cfg = Config::from_process(&proc).unwrap();
-        let mut roles = RoleMap::new();
-        roles.role("A", p("0"));
-        let mut narrator = Narrator::new(roles);
-        narrator.intruder(p("1"));
-        narrator.intended_receiver("c", "B");
-        let step = cfg
-            .fire(&Action::Comm {
-                out_path: p("0"),
-                in_path: p("1"),
-            })
-            .unwrap();
-        let line = narrator.narrate(&step, &cfg);
-        assert!(line.contains("A → E(B)"), "{line}");
     }
 
     #[test]

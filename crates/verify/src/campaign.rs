@@ -39,17 +39,19 @@
 //!   deterministic function of the schedule and finished schedules are
 //!   replayed verbatim from the checkpoint.
 //!
-//! Schedules are classified side by side: up to `explore.workers` at
-//! once, each in one single-threaded exploration that keeps only what
-//! the decision reads (see [`CampaignOptions::explore`]).  Results,
-//! counts and checkpoints are those of the one-worker run.
+//! Schedules are classified side by side on the crate's one run-ahead
+//! pool, the explorer's `Pipeline`: up to `explore.workers` at once,
+//! each in one single-threaded exploration that keeps only what the
+//! decision reads (see [`CampaignOptions::explore`]).  Results, counts
+//! and checkpoints are those of the one-worker run.
 //!
 //! [`trace_preorder`]: crate::trace_preorder
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::path::{Path as FsPath, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::time::Instant;
 
 use spi_semantics::{FaultClause, FaultKind, FaultSpec};
@@ -57,6 +59,7 @@ use spi_syntax::{Name, Process};
 
 use crate::faultsim::multi_fault_schedules;
 use crate::jsonlite::Json;
+use crate::pipeline::Pipeline;
 use crate::verifier::cross_check;
 use crate::{
     bisim_preorder_sound, trace_preorder_sound, Engine, ExploreOptions, Explorer, TraceVerdict,
@@ -282,23 +285,36 @@ pub fn run_campaign(
         .skip(offset);
     // What the loop below decides fresh unless interrupted: the unit's
     // schedules without a checkpointed result, up to `stop_after`.
-    let pending = unit
+    let mut pending: Vec<&FaultSpec> = unit
         .clone()
         .filter(|sched| !prior.contains_key(&sched.canonical_key()))
-        .take(opts.stop_after.unwrap_or(usize::MAX));
-    let board = Board::new(concrete, spec, opts, pending.collect());
+        .take(opts.stop_after.unwrap_or(usize::MAX))
+        .collect();
+    // Helpers claim the deepest schedules first (the most unit firings,
+    // the most expensive explorations); stable, so among equals the
+    // first enumerated comes first.
+    pending.sort_by_key(|sched| Reverse(sched.total_firings()));
+    let pool = Pipeline::new();
+    let queued = pending.iter().map(|sched| (sched.canonical_key(), pool.submit(*sched)));
+    let mut memo = Memo {
+        concrete,
+        spec,
+        opts,
+        pool: &pool,
+        queued: queued.collect(),
+        classified: HashMap::new(),
+        early_rejects: 0,
+    };
 
     let mut results: Vec<ScheduleResult> = Vec::new();
     let mut resumed = 0usize;
     let mut fresh = 0usize;
-    let mut early_rejects = 0u64;
     let mut interrupted = false;
     std::thread::scope(|scope| {
-        // However the loop ends, no helper claims another schedule.
-        let _closed = CloseOnDrop(&board);
-        let unclaimed = board.lock().unclaimed.len();
-        for _ in 1..opts.explore.workers.min(unclaimed) {
-            scope.spawn(|| board.help());
+        // However the loop ends, the helpers stop and the scope joins.
+        let _closing = pool.closing();
+        for _ in 1..opts.explore.workers.min(pending.len()) {
+            scope.spawn(|| pool.serve(|sched| classify(concrete, spec, opts, sched)));
         }
         for sched in unit {
             let key = sched.canonical_key();
@@ -311,7 +327,7 @@ pub fn run_campaign(
                 interrupted = true;
                 break;
             }
-            let outcome = decide_schedule(&key, sched, &board, &mut early_rejects)?;
+            let outcome = decide_schedule(&key, sched, &mut memo)?;
             results.push(ScheduleResult {
                 key,
                 schedule: sched.clone(),
@@ -338,7 +354,7 @@ pub fn run_campaign(
         resumed,
         fresh,
         interrupted,
-        early_rejects,
+        early_rejects: memo.early_rejects,
         identity,
     })
 }
@@ -364,197 +380,44 @@ impl From<TraceVerdict> for Classified {
     }
 }
 
-/// One classification as run: the verdict and whether the bisimulation
-/// fast path settled it (an early reject), the machine error, or the
-/// panic it raised.
-type Run = std::thread::Result<Result<(Classified, bool), VerifyError>>;
-
-/// Where one schedule's classification stands.
-enum Slot {
-    /// A schedule the loop will decide, not claimed yet.
-    Pending,
-    /// Being classified by some thread.
-    Running,
-    /// Classified; `counted` once the loop has taken its early reject
-    /// into [`CampaignReport::early_rejects`].
-    Done { run: Run, counted: bool },
-}
-
-/// What a [`Board`] guards with its lock.
-struct Slots {
-    /// The schedules still to claim, shallowest first: a claim pops the
-    /// deepest one (most unit firings, the most expensive explorations),
-    /// the first enumerated among equals.
-    unclaimed: Vec<FaultSpec>,
-    /// Every classification of the run by canonical schedule key — the
-    /// memo the shrinker shares with the loop.
-    slots: HashMap<String, Slot>,
-    closed: bool,
-}
-
-/// The classifications of one campaign run, shared by the calling thread
-/// and `workers - 1` helper threads.  The helpers classify pending
-/// schedules ahead of the loop, deepest first, each in one
-/// single-threaded exploration; the calling thread decides, shrinks,
-/// counts and checkpoints in enumeration order exactly as alone, and
-/// whenever the classification it needs is still running elsewhere it
-/// claims another one rather than idle.  Each key is classified once,
-/// and classification is a deterministic function of the schedule, so
-/// the report does not depend on the worker count.
-struct Board<'a> {
+/// The calling thread's classifications of one campaign run.  Helper
+/// threads classify the pending schedules queued on `pool` ahead of the
+/// loop; the calling thread decides, shrinks, counts and checkpoints in
+/// enumeration order exactly as alone.  Each key is classified once, and
+/// classification is a deterministic function of the schedule, so the
+/// report does not depend on the worker count.
+struct Memo<'p, 'a> {
     concrete: &'a Process,
     spec: &'a Process,
     opts: &'a CampaignOptions,
-    state: Mutex<Slots>,
-    /// Signalled whenever a classification finishes.
-    finished: Condvar,
+    pool: &'p Pipeline<&'a FaultSpec, Result<(Classified, bool), VerifyError>>,
+    /// Queued schedules not taken yet, by canonical key.
+    queued: HashMap<String, u64>,
+    /// Every classification so far by canonical key — the memo the
+    /// shrinker shares with the loop.
+    classified: HashMap<String, Result<Classified, VerifyError>>,
+    early_rejects: u64,
 }
 
-impl<'a> Board<'a> {
-    fn new(
-        concrete: &'a Process,
-        spec: &'a Process,
-        opts: &'a CampaignOptions,
-        pending: Vec<&FaultSpec>,
-    ) -> Board<'a> {
-        let slots = pending
-            .iter()
-            .map(|sched| (sched.canonical_key(), Slot::Pending))
-            .collect();
-        let mut unclaimed: Vec<FaultSpec> = pending.into_iter().rev().cloned().collect();
-        // Stable: among equals the first enumerated stays last, so it
-        // is claimed first.
-        unclaimed.sort_by_key(FaultSpec::total_firings);
-        Board {
-            concrete,
-            spec,
-            opts,
-            state: Mutex::new(Slots {
-                unclaimed,
-                slots,
-                closed: false,
-            }),
-            finished: Condvar::new(),
+impl Memo<'_, '_> {
+    /// The classification of `sched` (whose canonical key is `key`): the
+    /// memoized one, the queued one (classifying other queued schedules
+    /// while a helper runs it), or a fresh one.  Counts its early reject
+    /// when it is first memoized.
+    fn classify(&mut self, key: &str, sched: &FaultSpec) -> Result<Classified, VerifyError> {
+        if let Some(done) = self.classified.get(key) {
+            return done.clone();
         }
-    }
-
-    /// Classifications run unlocked and every update under the lock is
-    /// one insert or flag, so a poisoned lock still guards valid slots.
-    fn lock(&self) -> MutexGuard<'_, Slots> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// A helper thread: classify pending schedules until none is left
-    /// or the board closes.
-    fn help(&self) {
-        let mut state = self.lock();
-        while let Some((key, sched)) = self.claim(&mut state) {
-            state = self.run(state, key, &sched);
-        }
-    }
-
-    /// Claims the deepest pending schedule, unless the board is closed
-    /// or the campaign's deadline or cancellation flag has tripped.
-    fn claim(&self, state: &mut Slots) -> Option<(String, FaultSpec)> {
-        if state.closed || overrun(&self.opts.explore) {
-            return None;
-        }
-        while let Some(sched) = state.unclaimed.pop() {
-            let key = sched.canonical_key();
-            if let Some(slot @ Slot::Pending) = state.slots.get_mut(&key) {
-                *slot = Slot::Running;
-                return Some((key, sched));
-            }
-        }
-        None
-    }
-
-    /// Classifies a claimed schedule with the board unlocked, records
-    /// the run (a panic included) under `key` and wakes the calling
-    /// thread.
-    fn run<'g>(
-        &'g self,
-        state: MutexGuard<'g, Slots>,
-        key: String,
-        sched: &FaultSpec,
-    ) -> MutexGuard<'g, Slots> {
-        drop(state);
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            classify(self.concrete, self.spec, self.opts, sched)
-        }));
-        let mut state = self.lock();
-        let done = Slot::Done {
-            run,
-            counted: false,
+        let queued = self.queued.remove(key);
+        let run = |sched: &FaultSpec| classify(self.concrete, self.spec, self.opts, sched);
+        let result = match queued {
+            Some(seq) => self.pool.take(seq, run),
+            None => run(sched),
         };
-        state.slots.insert(key, done);
-        self.finished.notify_all();
-        state
-    }
-
-    /// The classification of `sched` (whose canonical key is `key`), for
-    /// the calling thread: the memoized one, the one a helper is running
-    /// (classifying other pending schedules meanwhile), or a fresh one.
-    /// Counts its early reject the first time the loop takes it, and
-    /// re-raises its error or panic where the sequential loop met it.
-    fn classify(
-        &self,
-        key: &str,
-        sched: &FaultSpec,
-        early_rejects: &mut u64,
-    ) -> Result<Classified, VerifyError> {
-        let mut state = self.lock();
-        loop {
-            match state.slots.get(key) {
-                Some(Slot::Done { .. }) => break,
-                Some(Slot::Running) => {
-                    state = match self.claim(&mut state) {
-                        Some((other, sched)) => self.run(state, other, &sched),
-                        None => self
-                            .finished
-                            .wait(state)
-                            .unwrap_or_else(PoisonError::into_inner),
-                    };
-                }
-                Some(Slot::Pending) | None => {
-                    state.slots.insert(key.to_string(), Slot::Running);
-                    state = self.run(state, key.to_string(), sched);
-                }
-            }
-        }
-        let Some(Slot::Done { run, counted }) = state.slots.get_mut(key) else {
-            unreachable!("the loop above left {key} classified");
-        };
-        match run {
-            Ok(Ok((classified, early))) => {
-                if !*counted {
-                    *counted = true;
-                    *early_rejects += u64::from(*early);
-                }
-                Ok(classified.clone())
-            }
-            Ok(Err(e)) => Err(e.clone()),
-            Err(_) => {
-                let Some(Slot::Done {
-                    run: Err(panic), ..
-                }) = state.slots.remove(key)
-                else {
-                    unreachable!("matched above");
-                };
-                drop(state);
-                std::panic::resume_unwind(panic)
-            }
-        }
-    }
-}
-
-/// Closes its board when dropped, so helpers stop claiming however the
-/// campaign loop ends (finished, interrupted, failed or unwinding).
-struct CloseOnDrop<'b, 'a>(&'b Board<'a>);
-
-impl Drop for CloseOnDrop<'_, '_> {
-    fn drop(&mut self) {
-        self.0.lock().closed = true;
+        self.early_rejects += u64::from(matches!(result, Ok((_, true))));
+        let result = result.map(|(classified, _)| classified);
+        self.classified.insert(key.to_string(), result.clone());
+        result
     }
 }
 
@@ -619,17 +482,16 @@ fn schedule_opts(opts: &CampaignOptions, sched: &FaultSpec) -> ExploreOptions {
 fn decide_schedule(
     key: &str,
     sched: &FaultSpec,
-    board: &Board<'_>,
-    early_rejects: &mut u64,
+    memo: &mut Memo<'_, '_>,
 ) -> Result<ScheduleOutcome, VerifyError> {
-    match board.classify(key, sched, early_rejects)? {
+    match memo.classify(key, sched)? {
         Classified::Survives { checked } => Ok(ScheduleOutcome::Survives {
             traces_checked: checked,
         }),
         Classified::Inconclusive { reason } => Ok(ScheduleOutcome::Inconclusive { reason }),
         Classified::Attack { witness } => {
             let (minimal, trace, shrink_steps) =
-                shrink_schedule(sched, witness, board, early_rejects)?;
+                shrink_schedule(sched, witness, memo)?;
             Ok(ScheduleOutcome::Attack(Box::new(MinimalCounterexample {
                 original: sched.canonical(),
                 schedule: minimal,
@@ -647,8 +509,7 @@ fn decide_schedule(
 fn shrink_schedule(
     original: &FaultSpec,
     first_witness: Vec<String>,
-    board: &Board<'_>,
-    early_rejects: &mut u64,
+    memo: &mut Memo<'_, '_>,
 ) -> Result<(FaultSpec, Vec<String>, usize), VerifyError> {
     let mut cur = original.canonical();
     let mut cur_witness = first_witness;
@@ -662,7 +523,7 @@ fn shrink_schedule(
                 cand.clauses.remove(i);
             }
             if let Classified::Attack { witness } =
-                board.classify(&cand.canonical_key(), &cand, early_rejects)?
+                memo.classify(&cand.canonical_key(), &cand)?
             {
                 cur = cand;
                 cur_witness = witness;

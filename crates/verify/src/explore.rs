@@ -159,14 +159,6 @@ pub struct ExploreOptions {
 }
 
 impl ExploreOptions {
-    /// The defaults (200 000 states, unfold bound 2, no
-    /// intruder, no faults) — identical to `Default` except written out
-    /// for discoverability.
-    #[must_use]
-    pub fn bounded() -> ExploreOptions {
-        ExploreOptions::default()
-    }
-
     /// The number of worker threads the host offers: what
     /// [`ExploreOptions::default`] uses for `workers`.
     #[must_use]

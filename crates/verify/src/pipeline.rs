@@ -1,12 +1,13 @@
-//! An ordered work pipeline: the explorer's pool.
+//! An ordered work pipeline: the crate's one run-ahead pool, used by the
+//! explorer and by campaigns.
 //!
-//! One consumer submits jobs in order and takes their results in the same
-//! order; helper threads claim submitted jobs from the front and run them
-//! ahead of the consumer.  When the result the consumer needs next is not
-//! ready, the consumer does not idle: it claims the front job itself, the
-//! one it needs when no helper has claimed that yet.  Which thread runs a
-//! job never shows in the results, so a deterministic consumer stays
-//! deterministic at every helper count.
+//! One consumer submits jobs and takes each result once, by sequence
+//! number; helper threads claim submitted jobs from the front and run
+//! them ahead of the consumer.  When the result the consumer needs is not
+//! ready, the consumer does not idle: it runs that job itself while no
+//! helper has claimed it, and otherwise the front job.  Which thread runs
+//! a job never shows in the results, a panic included, so a deterministic
+//! consumer stays deterministic at every helper count.
 
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
@@ -27,8 +28,8 @@ struct Shared<J, R> {
     next: u64,
     /// Submitted jobs no thread has claimed yet, in submission order.
     pending: VecDeque<(u64, J)>,
-    /// Finished jobs' results not yet taken; a helper's panic is kept as
-    /// its payload and resumed on the consumer.
+    /// Finished jobs' results not yet taken; a panic is kept as its
+    /// payload and resumed at the job's own take.
     done: Vec<(u64, thread::Result<R>)>,
     closed: bool,
 }
@@ -75,16 +76,23 @@ impl<J, R> Pipeline<J, R> {
                 continue;
             };
             drop(shared);
-            let result = panic::catch_unwind(AssertUnwindSafe(|| run(job)));
-            shared = self.lock();
-            shared.done.push((seq, result));
-            self.posted.notify_one();
+            shared = self.post(seq, job, &mut run);
         }
     }
 
+    /// Runs a job claimed under a lock the caller has since dropped, and
+    /// posts its result, a panic included; returns the lock.
+    fn post(&self, seq: u64, job: J, run: &mut impl FnMut(J) -> R) -> MutexGuard<'_, Shared<J, R>> {
+        let result = panic::catch_unwind(AssertUnwindSafe(|| run(job)));
+        let mut shared = self.lock();
+        shared.done.push((seq, result));
+        self.posted.notify_one();
+        shared
+    }
+
     /// The result of job `seq`, submitted and not yet taken.  Until it is
-    /// finished this thread runs unclaimed jobs itself, front first, so
-    /// it runs `seq` whenever no helper has claimed it.
+    /// finished this thread runs unclaimed jobs itself: `seq` while no
+    /// helper has claimed it, else the front one.
     pub(crate) fn take(&self, seq: u64, mut run: impl FnMut(J) -> R) -> R {
         let mut shared = self.lock();
         loop {
@@ -92,17 +100,16 @@ impl<J, R> Pipeline<J, R> {
                 let (_, result) = shared.done.swap_remove(at);
                 return result.unwrap_or_else(|payload| panic::resume_unwind(payload));
             }
-            if let Some((claimed, job)) = shared.pending.pop_front() {
-                drop(shared);
-                let result = run(job);
-                if claimed == seq {
-                    return result;
-                }
-                shared = self.lock();
-                shared.done.push((claimed, Ok(result)));
+            let at = shared.pending.iter().position(|(s, _)| *s == seq);
+            let Some((claimed, job)) = shared.pending.remove(at.unwrap_or(0)) else {
+                shared = (self.posted.wait(shared)).unwrap_or_else(PoisonError::into_inner);
                 continue;
+            };
+            drop(shared);
+            if claimed == seq {
+                return run(job);
             }
-            shared = (self.posted.wait(shared)).unwrap_or_else(PoisonError::into_inner);
+            shared = self.post(claimed, job, &mut run);
         }
     }
 
@@ -132,6 +139,7 @@ impl<J, R> Drop for Closing<'_, J, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     #[test]
     fn results_come_back_in_order_whoever_runs_them() {
@@ -174,5 +182,51 @@ mod tests {
         });
         let payload = caught.expect_err("the helper's panic reaches the consumer");
         assert_eq!(payload.downcast_ref::<String>().unwrap(), "job 7 failed");
+    }
+
+    #[test]
+    fn without_helpers_take_runs_only_the_job_it_waits_for() {
+        let pipeline: Pipeline<u64, u64> = Pipeline::new();
+        let first = pipeline.submit(1);
+        let second = pipeline.submit(2);
+        let mut ran = Vec::new();
+        assert_eq!(pipeline.take(second, |n| { ran.push(n); n }), 2);
+        assert_eq!(ran, [2]);
+        assert_eq!(pipeline.take(first, |n| { ran.push(n); n }), 1);
+        assert_eq!(ran, [2, 1]);
+    }
+
+    #[test]
+    fn a_panic_the_consumer_runs_for_another_job_waits_for_its_own_take() {
+        let pipeline: Pipeline<u64, u64> = Pipeline::new();
+        let released = AtomicBool::new(false);
+        let (waited, caught) = thread::scope(|scope| {
+            let _closing = pipeline.closing();
+            let slow = pipeline.submit(0);
+            let failing = pipeline.submit(1);
+            // The helper holds the slow job until the consumer has run the
+            // failing one on the slow job's behalf.
+            scope.spawn(|| {
+                pipeline.serve(|n| {
+                    while !released.load(Ordering::Acquire) {
+                        thread::yield_now();
+                    }
+                    n
+                });
+            });
+            while pipeline.lock().pending.len() > 1 {
+                thread::yield_now();
+            }
+            let run = |n: u64| -> u64 {
+                released.store(true, Ordering::Release);
+                panic!("job {n} failed")
+            };
+            let waited = pipeline.take(slow, run);
+            let caught = panic::catch_unwind(AssertUnwindSafe(|| pipeline.take(failing, run)));
+            (waited, caught)
+        });
+        assert_eq!(waited, 0);
+        let payload = caught.expect_err("the panic comes back at its own take");
+        assert_eq!(payload.downcast_ref::<String>().unwrap(), "job 1 failed");
     }
 }
